@@ -11,6 +11,8 @@ import json
 
 from fracblow import (
     ProblemSpec,
+    Zero,
+    assemble,
     build_graded,
     default_sub_super,
     fit_rate,
@@ -23,8 +25,9 @@ P = 3.0
 
 def main():
     grid = build_graded(n_per_side=512, grading_exponent=2.4)
-    sub, sup = default_sub_super(ALPHA, P, grid)
-    spec = ProblemSpec(alpha=ALPHA, p=P, grid=grid, sub=sub, super=sup)
+    matrix = assemble(ALPHA, grid, Zero())   # shared by every step below
+    sub, sup = default_sub_super(matrix, P)
+    spec = ProblemSpec(matrix=matrix, p=P, sub=sub, super=sup)
 
     report = solve_blowup(spec, n_start=8, n_end=2 ** 20)
     print("solve report:")

@@ -15,6 +15,7 @@ from .errors import (
     AuditFail,
     BadConfig,
     BracketFailure,
+    ConfigError,
     FracblowError,
     GridMismatch,
     MonotoneViolation,
@@ -22,6 +23,7 @@ from .errors import (
     NoAdmissiblePair,
     NoConvergence,
     NonIntegrable,
+    NumericalError,
     OutOfDomain,
     RegimeError,
     SingularSystem,
@@ -68,7 +70,6 @@ from .solver import (
     SolveReport,
     default_sub_super,
     solve_blowup,
-    solve_dirichlet_level,
 )
 from .specfun import (
     CriticalExponents,

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
-from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import apply, assemble
-from .profiles import build_v_tau, sample_profile, solve_torsion
+from .mesh import GridFunction, distance_D
+from .operator import OperatorMatrix, apply
+from .profiles import (MAX_DOUBLINGS, build_v_tau, resolved_mask,
+                       sample_profile, search_scale, solve_torsion)
 from .specfun import RegimeKind, T_alpha, classify, find_tau1
 
 __all__ = [
@@ -27,17 +28,6 @@ __all__ = [
 ]
 
 _SIDES = ("left", "right", "pooled")
-
-# Same resolution standard as the operator checks: a node is trusted when
-# its distance to the singular point is at least this many local spacings.
-RESOLUTION_MULTIPLE = 20.0
-
-_MAX_DOUBLINGS = 40
-
-
-def _resolved(grid: Grid) -> np.ndarray:
-    D = distance_D(grid.nodes)
-    return D >= RESOLUTION_MULTIPLE * grid.local_spacing()
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +131,7 @@ def check_band(values: GridFunction, reference_exponent: float,
         raise BadConfig(f"window must satisfy 0 < D_min < D_max, got ({lo}, {hi})")
     grid = values.grid
     D = distance_D(grid.nodes)
-    mask = (D >= lo) & (D <= hi) & _resolved(grid)
+    mask = (D >= lo) & (D <= hi) & resolved_mask(grid)
     if mask.sum() < 8:
         raise TooFewPoints(
             f"only {int(mask.sum())} resolved nodes in window ({lo}, {hi})")
@@ -215,15 +205,17 @@ def _zone_of(alpha: float, p: float, tau: float) -> int:
     return 2 if lhs < rhs else 3
 
 
-def audit_nonexistence(alpha: float, p: float, tau: float, grid: Grid,
+def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
                        t_values: tuple = (0.5, 1.0, 2.0, 4.0)) -> ZoneAudit:
-    """Certify discretely the comparison-function inequalities that rule
-    out solutions with rate ``tau`` for the given (alpha, p).
+    """Certify discretely, on the zero-exterior operator ``matrix``, the
+    comparison-function inequalities that rule out solutions with rate
+    ``tau`` for the given (alpha, p).
 
     The residual signs are enforced at every resolved node with
     tolerance 1e-6 times the local residual scale; the torsion multiple
     is searched by doubling (at most 40 steps) per tested scale.
     """
+    alpha, grid = matrix.alpha, matrix.grid
     regime = classify(alpha, p, tau)
     if regime.kind not in (RegimeKind.NONEXISTENCE_A,
                            RegimeKind.NONEXISTENCE_B,
@@ -234,30 +226,16 @@ def audit_nonexistence(alpha: float, p: float, tau: float, grid: Grid,
     zone = _zone_of(alpha, p, tau)
 
     profile = sample_profile(build_v_tau(tau, grid.delta), grid)
-    torsion = solve_torsion(alpha, grid).samples
-    matrix = assemble(alpha, grid, Zero())
+    torsion = solve_torsion(matrix).samples
     applied = apply(matrix, profile)
     vals = profile.values
     tors = torsion.values
     D = distance_D(grid.nodes)
-    checked = _resolved(grid)
+    checked = resolved_mask(grid)
     if checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")
     core = checked & (D <= grid.delta)
     needs_core_cert = tau * p > tau - 2.0 * alpha
-
-    def sub_residual(t: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-        w = t * vals - mu * tors
-        res = t * applied - mu + np.abs(w) ** (p - 1.0) * w
-        tol = 1e-6 * (np.abs(t * applied) + mu + np.abs(w) ** p + 1.0)
-        return res, tol
-
-    def super_residual(t: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-        w = t * vals + mu * tors
-        res = t * applied + mu + np.abs(w) ** (p - 1.0) * w
-        tol = 1e-6 * (np.abs(t * applied) + mu + np.abs(w) ** p + 1.0)
-        return res, tol
-
     lift_scales = []
     worst_margins = []
     core_constants = []
@@ -265,16 +243,14 @@ def audit_nonexistence(alpha: float, p: float, tau: float, grid: Grid,
     if zone == 1:
         # One torsion multiple making the linear part nonnegative works
         # for every scale at once.
-        lift = 1.0
-        for _ in range(_MAX_DOUBLINGS + 1):
+        def lifted_ok(lift: float) -> bool:
             linear = applied + lift
-            if np.all(linear[checked] >= -1e-6 * (np.abs(applied[checked]) + lift)):
-                break
-            lift *= 2.0
-        else:
-            raise AuditFail(
-                f"no torsion multiple made the lifted profile "
-                f"operator-nonnegative (alpha={alpha}, tau={tau})")
+            return np.all(linear[checked]
+                          >= -1e-6 * (np.abs(applied[checked]) + lift))
+
+        lift = search_scale(1.0, lambda s: 2.0 * s, lifted_ok, AuditFail(
+            f"no torsion multiple made the lifted profile "
+            f"operator-nonnegative (alpha={alpha}, tau={tau})"))
         for t in t_values:
             upper = t * (vals + lift * tors)
             res = t * (applied + lift) + upper ** p
@@ -295,25 +271,29 @@ def audit_nonexistence(alpha: float, p: float, tau: float, grid: Grid,
                 core_constants.append(None)
 
     else:
-        residual = sub_residual if zone == 2 else super_residual
+        # Zone 2 subtracts the torsion multiple (sub-solution), zone 3 adds
+        # it (super-solution); the residual sign sought follows the same sign.
         direction = -1.0 if zone == 2 else 1.0
+        worst = np.max if zone == 2 else np.min
+
+        def residual(t: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+            w = t * vals + (direction * mu) * tors
+            res = t * applied + direction * mu + np.abs(w) ** (p - 1.0) * w
+            tol = 1e-6 * (np.abs(t * applied) + mu + np.abs(w) ** p + 1.0)
+            return res, tol
+
         for t in t_values:
-            mu = 1.0
-            for _ in range(_MAX_DOUBLINGS + 1):
+            def signed_ok(mu: float) -> bool:
                 res, tol = residual(t, mu)
-                if np.all(direction * res[checked] >= -tol[checked]):
-                    break
-                mu *= 2.0
-            else:
-                raise AuditFail(
-                    f"zone-{zone} residual sign not achieved within "
-                    f"{_MAX_DOUBLINGS} doublings at t={t} "
-                    f"(alpha={alpha}, p={p}, tau={tau})")
+                return np.all(direction * res[checked] >= -tol[checked])
+
+            mu = search_scale(1.0, lambda s: 2.0 * s, signed_ok, AuditFail(
+                f"zone-{zone} residual sign not achieved within "
+                f"{MAX_DOUBLINGS} doublings at t={t} "
+                f"(alpha={alpha}, p={p}, tau={tau})"))
+            res, _ = residual(t, mu)
             lift_scales.append(mu)
-            if zone == 2:
-                worst_margins.append(float(np.max(res[checked])))
-            else:
-                worst_margins.append(float(np.min(res[checked])))
+            worst_margins.append(float(worst(res[checked])))
             if zone == 2 and needs_core_cert:
                 lin = (t * applied - mu)[core]
                 ratio = -lin / D[core] ** (tau - 2.0 * alpha)

@@ -18,26 +18,18 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from .analysis import audit_nonexistence
 from .errors import (
-    AuditFail,
     BadConfig,
-    BracketFailure,
+    ConfigError,
     FracblowError,
-    MonotoneViolation,
-    NewtonStall,
-    NoAdmissiblePair,
-    NoConvergence,
-    NonIntegrable,
-    OutOfDomain,
+    NumericalError,
     RegimeError,
-    SingularSystem,
-    TooFewPoints,
 )
-from .mesh import build_graded, distance_D
+from .mesh import Zero, build_graded, distance_D
+from .operator import assemble
 from .solver import ProblemSpec, default_sub_super, solve_blowup
 from .specfun import (
     C_tau,
@@ -54,20 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_REGIME = 4
-
-_NUMERICAL_ERRORS = (
-    NonIntegrable,
-    NoConvergence,
-    BracketFailure,
-    SingularSystem,
-    NoAdmissiblePair,
-    NewtonStall,
-    MonotoneViolation,
-    AuditFail,
-    TooFewPoints,
-)
-
-_CONFIG_ERRORS = (BadConfig, OutOfDomain)
 
 
 # ---------------------------------------------------------------------------
@@ -193,39 +171,26 @@ def cmd_specfun(ns, config):
 
     failures = []
 
-    def cell(task):
-        a, t = task
-        row = {"alpha": a, "tau": t, "c": "", "C": "", "c2": ""}
-        for key, fn in (("c", c_tau), ("C", C_tau)):
-            try:
-                row[key] = fn(a, t, rel_tol=tol)
-            except FracblowError as exc:
-                failures.append(f"{key}(alpha={a}, tau={t}): {exc}")
-        if t < 0.0:
-            try:
-                row["c2"] = c_second_derivative(a, t, rel_tol=tol)
-            except FracblowError as exc:
-                failures.append(f"c2(alpha={a}, tau={t}): {exc}")
-        return row
-
-    t_column = {}
-    for a in alphas:
+    def value(label, fn, *args):
+        """fn(*args) at the sweep tolerance; "" once a failure is recorded."""
         try:
-            t_column[a] = T_alpha(a, rel_tol=tol)
+            return fn(*args, rel_tol=tol)
         except FracblowError as exc:
-            t_column[a] = ""
-            failures.append(f"T(alpha={a}): {exc}")
+            failures.append(f"{label}: {exc}")
+            return ""
 
-    tasks = [(a, t) for a in alphas for t in taus]
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(tasks)))) as pool:
-        rows = list(pool.map(cell, tasks))
+    t_column = {a: value(f"T(alpha={a})", T_alpha, a) for a in alphas}
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["alpha", "tau", "c", "C", "T", "c2"])
-    for row in rows:
-        writer.writerow([row["alpha"], row["tau"], row["c"], row["C"],
-                         t_column[row["alpha"]], row["c2"]])
+    for a in alphas:
+        for t in taus:
+            c = value(f"c(alpha={a}, tau={t})", c_tau, a, t)
+            C = value(f"C(alpha={a}, tau={t})", C_tau, a, t)
+            c2 = (value(f"c2(alpha={a}, tau={t})", c_second_derivative, a, t)
+                  if t < 0.0 else "")
+            writer.writerow([a, t, c, C, t_column[a], c2])
     _write_text(buffer.getvalue(), out)
 
     for message in sorted(failures):
@@ -300,8 +265,9 @@ def cmd_solve(ns, config):
                         or config.get("no_timestamp", False))
 
     grid = _grid_from(ns, config)
-    sub, sup = default_sub_super(alpha, p, grid)
-    spec = ProblemSpec(alpha=alpha, p=p, grid=grid, sub=sub, super=sup)
+    matrix = assemble(alpha, grid, Zero())
+    sub, sup = default_sub_super(matrix, p)
+    spec = ProblemSpec(matrix=matrix, p=p, sub=sub, super=sup)
     report = solve_blowup(spec, schedule[0], schedule[1])
 
     payload = {
@@ -342,7 +308,7 @@ def cmd_audit(ns, config):
                         or config.get("no_timestamp", False))
 
     grid = _grid_from(ns, config)
-    audit = audit_nonexistence(alpha, p, tau, grid)
+    audit = audit_nonexistence(assemble(alpha, grid, Zero()), p, tau)
     payload = {
         "n_per_side": grid.n_per_side,
         "grading": grid.grading_exponent,
@@ -426,10 +392,10 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"regime guard: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except FracblowError as exc:

@@ -13,7 +13,6 @@ can integrate the declared behaviour on |x| >= 1 exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -109,13 +108,6 @@ class Grid:
             out[mask] = local
         return out
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x"])
-            for x in self.nodes:
-                writer.writerow([repr(float(x))])
-
 
 def _grading_map(xi: np.ndarray, gamma: float) -> np.ndarray:
     """Map (0,1) -> (0,1) with algebraic clustering at both ends."""
@@ -198,10 +190,3 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy(), self.exterior)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "value"])
-            for x, v in zip(self.grid.nodes, self.values):
-                writer.writerow([repr(float(x)), repr(float(v))])

@@ -27,7 +27,6 @@ to dot-product rounding.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import math
@@ -53,17 +52,6 @@ class OperatorMatrix:
     interior_weights: np.ndarray
     exterior_correction: np.ndarray
     exterior: Exterior
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            n = self.grid.n_nodes
-            writer.writerow(["row"] + [f"w{j}" for j in range(n)]
-                            + ["exterior_correction"])
-            for i in range(n):
-                writer.writerow(
-                    [i] + [repr(float(w)) for w in self.interior_weights[i]]
-                    + [repr(float(self.exterior_correction[i]))])
 
 
 def _gauss_2f1_log_case(b: float, x: float) -> float:
@@ -209,7 +197,7 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     of order ``alpha`` on ``grid`` under the given exterior extension."""
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
-        raise BadConfig(f"alpha must lie strictly in (0,1), got {alpha}")
+        raise BadConfig(f"alpha must lie strictly in (0, 1), got {alpha}")
     if not isinstance(grid, Grid):
         raise BadConfig("grid must be a Grid instance")
     if not isinstance(exterior, (Zero, Constant, PowerTail)):

@@ -6,9 +6,9 @@ distance to 0), like the squared boundary distance ``d**2`` near the ends
 of the interval, and join the two regimes with a quintic polynomial chosen
 so the whole profile is twice continuously differentiable.  The module
 also provides the discrete torsion function (the grid function the
-assembled operator maps to the constant 1) and the pointwise linear
+assembled operator maps to the constant 1), the pointwise linear
 algebra needed to build sub- and super-solution candidates from these
-pieces.
+pieces, and the scale search that sizes them.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadConfig, GridMismatch, SingularSystem
-from .mesh import Constant, Exterior, Grid, GridFunction, PowerTail, Zero
-from .operator import assemble
+from .mesh import (Constant, Exterior, Grid, GridFunction, PowerTail, Zero,
+                   distance_D)
+from .operator import OperatorMatrix
 
 __all__ = [
     "ProfileSpec",
@@ -30,6 +31,14 @@ __all__ = [
     "combine",
     "solve_torsion",
 ]
+
+# A node is resolved when its distance to the singular point is at least
+# this multiple of the local spacing; the solver, the band reports and the
+# audits all trust only resolved nodes.
+RESOLUTION_MULTIPLE = 20.0
+
+# Scale-search budget: steps tried after the start value before giving up.
+MAX_DOUBLINGS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +53,10 @@ class ProfileSpec:
     ``delta``   -- matching radius: the core branch is used where
                    ``D <= delta`` and the flat branch ``d**2`` where
                    ``d <= delta``.
-    ``interpolant_coeffs`` -- (2, 6) array of ascending monomial
-                   coefficients of the quintic bridge, one row per side
-                   (row 0: x < 0, row 1: x > 0), in the normalised
-                   coordinate ``s = (D - delta) / (1 - 2*delta)``.
-                   The geometry is even in x, so the rows coincide; both
-                   are kept so a side can be inspected on its own.
+    ``interpolant_coeffs`` -- length-6 vector of ascending monomial
+                   coefficients of the quintic bridge in the normalised
+                   coordinate ``s = (D - delta) / (1 - 2*delta)``; the
+                   profile is even, so both sides share it.
     """
 
     tau: float
@@ -105,8 +112,7 @@ def build_v_tau(tau: float, delta: float = 0.25) -> ProfileSpec:
         s = np.linspace(0.0, 1.0, 4097)
         bridge = np.polynomial.polynomial.polyval(s, coeffs)
         if np.min(bridge) > 0.0:
-            return ProfileSpec(tau=tau, delta=delta,
-                               interpolant_coeffs=np.vstack([coeffs, coeffs]))
+            return ProfileSpec(tau=tau, delta=delta, interpolant_coeffs=coeffs)
         delta *= 0.5
     raise BadConfig(
         f"no positive bridge found for core exponent {tau} "
@@ -131,15 +137,7 @@ def evaluate_profile(spec: ProfileSpec, x) -> np.ndarray:
     out[edge] = dist_edge[edge] ** 2
     if np.any(mid):
         s = (dist_core[mid] - spec.delta) / (1.0 - 2.0 * spec.delta)
-        row = np.where(x[mid] < 0.0, 0, 1)
-        coeffs = spec.interpolant_coeffs
-        vals = np.zeros(s.shape)
-        for side in (0, 1):
-            pick = row == side
-            if np.any(pick):
-                vals[pick] = np.polynomial.polynomial.polyval(
-                    s[pick], coeffs[side])
-        out[mid] = vals
+        out[mid] = np.polynomial.polynomial.polyval(s, spec.interpolant_coeffs)
     return out[0] if scalar else out
 
 
@@ -197,11 +195,14 @@ class TorsionFunction:
     samples: GridFunction
 
 
-def solve_torsion(alpha: float, grid: Grid) -> TorsionFunction:
-    """Solve the dense collocation system  operator(v) = 1  with zero
-    exterior.  The solution is the discrete torsion function: positive
-    inside the interval and vanishing toward the endpoints."""
-    matrix = assemble(alpha, grid, Zero())
+def solve_torsion(matrix: OperatorMatrix) -> TorsionFunction:
+    """Solve the dense collocation system  operator(v) = 1  for the
+    zero-exterior ``matrix``.  The solution is the discrete torsion
+    function: positive inside the interval and vanishing toward the
+    endpoints."""
+    if not isinstance(matrix.exterior, Zero):
+        raise BadConfig("the torsion function needs the zero-exterior operator")
+    alpha, grid = matrix.alpha, matrix.grid
     rhs = np.ones(grid.n_nodes) - matrix.exterior_correction
     try:
         values = np.linalg.solve(matrix.interior_weights, rhs)
@@ -218,3 +219,26 @@ def solve_torsion(alpha: float, grid: Grid) -> TorsionFunction:
             f"is unusable (min {np.min(values):.3e})")
     return TorsionFunction(alpha=float(alpha),
                            samples=GridFunction(grid, values, Zero()))
+
+
+# ---------------------------------------------------------------------------
+# Scale search for comparison pairs.
+
+
+def resolved_mask(grid: Grid) -> np.ndarray:
+    """Nodes at least RESOLUTION_MULTIPLE local spacings away from the
+    singular point."""
+    D = distance_D(grid.nodes)
+    return D >= RESOLUTION_MULTIPLE * grid.local_spacing()
+
+
+def search_scale(start: float, next_scale, accept, failure: Exception) -> float:
+    """First of ``start``, ``next_scale(start)``, ... for which ``accept``
+    holds, trying at most MAX_DOUBLINGS + 1 values; raises ``failure``
+    when none is accepted."""
+    scale = start
+    for _ in range(MAX_DOUBLINGS + 1):
+        if accept(scale):
+            return scale
+        scale = next_scale(scale)
+    raise failure

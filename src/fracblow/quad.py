@@ -66,9 +66,6 @@ class Integrand:
         underflow (q near -1 compresses half the panel into that regime).
         Without it the engine falls back to ``eval`` at 1 + u, which is
         safe only for mild singularities.
-    singular_point : float
-        Location of the interior singularity.  The engine supports only
-        the canonical value 1.0 (rescale the variable otherwise).
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -77,7 +74,6 @@ class Integrand:
     tail_order: float
     upper: Optional[float] = None
     eval_sing_scaled: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    singular_point: float = 1.0
 
 
 @dataclass
@@ -257,8 +253,6 @@ def integrate_singular(f: Integrand, rel_tol: float = 1e-10, *,
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise BadConfig(f"rel_tol {rel_tol} outside (1e-14, 1e-2)")
-    if f.singular_point != 1.0:
-        raise BadConfig("only singular_point = 1.0 is supported")
     if f.origin_order <= -1.0:
         raise NonIntegrable(f"origin_order {f.origin_order} <= -1")
     if f.sing_order <= -1.0:

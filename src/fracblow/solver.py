@@ -6,13 +6,13 @@ the growing family of domains that exclude a shrinking neighbourhood of
 the singular point (nodes inside the excluded core stay frozen at the
 sub-solution).  Each domain is solved by damped Newton, warm-started from
 the previous level, and the levels are audited for ordering and
-monotonicity.
+monotonicity.  Every step works with one assembled operator, the one the
+problem carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,29 +26,26 @@ from .errors import (
     SingularSystem,
 )
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix, apply, assemble
-from .profiles import build_v_tau, sample_profile, solve_torsion
+from .operator import OperatorMatrix, apply
+from .profiles import (MAX_DOUBLINGS, build_v_tau, resolved_mask,
+                       sample_profile, search_scale, solve_torsion)
 from .specfun import RegimeKind, classify
 
 __all__ = [
     "ProblemSpec",
     "SolveReport",
     "default_sub_super",
-    "solve_dirichlet_level",
     "solve_blowup",
 ]
 
-# A node is considered resolved when its distance to the singular point is
-# at least this multiple of the local spacing; the same standard is used
-# by the operator fidelity checks.
-RESOLUTION_MULTIPLE = 20.0
-
-# Sub/super search budget: powers of 2 tried before giving up.
-_MAX_DOUBLINGS = 40
+# The sub-solution must reach this value at the innermost nodes to count
+# as a blow-up candidate.
+_BLOWUP_THRESHOLD = 10.0
 
 # Newton controls.
 _NEWTON_RTOL = 1e-9
 _DAMPING_FLOOR = 2.0 ** -20
+_MAX_ITER = 60
 
 # Audit slacks: the fine slack feeds the ordering/monotonicity report
 # flags, the gross slack aborts the run (a drop that large means the
@@ -59,10 +56,8 @@ _ABORT_SLACK = 1e-6
 
 def _core_checked(grid: Grid) -> np.ndarray:
     """Nodes where the near-core inequalities are enforced: resolved
-    (distance to the singular point at least 20 local spacings) and
-    inside the matching radius."""
-    D = distance_D(grid.nodes)
-    return (D >= RESOLUTION_MULTIPLE * grid.local_spacing()) & (D <= grid.delta)
+    nodes inside the matching radius."""
+    return resolved_mask(grid) & (distance_D(grid.nodes) <= grid.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -71,40 +66,46 @@ def _core_checked(grid: Grid) -> np.ndarray:
 
 @dataclass(eq=False)
 class ProblemSpec:
-    """Blow-up problem bracketed by an ordered sub/super-solution pair.
+    """Blow-up problem on the zero-exterior operator ``matrix``, bracketed
+    by an ordered sub/super-solution pair.
 
     ``sub`` must blow up toward the singular point (checked against
-    ``blowup_threshold`` at the innermost nodes) and both bounds must
-    vanish outside the interval.
+    ``_BLOWUP_THRESHOLD`` at the innermost nodes) and both bounds must
+    vanish outside the interval, as the operator's exterior does.
     """
 
-    alpha: float
+    matrix: OperatorMatrix
     p: float
-    grid: Grid
     sub: GridFunction
     super: GridFunction
-    blowup_threshold: float = 10.0
+
+    @property
+    def alpha(self) -> float:
+        return self.matrix.alpha
+
+    @property
+    def grid(self) -> Grid:
+        return self.matrix.grid
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise BadConfig(f"order must lie in (0,1), got {self.alpha}")
         if not self.p > 1.0:
             raise BadConfig(f"p must exceed 1, got {self.p}")
         if not (self.sub.grid.same_as(self.grid)
                 and self.super.grid.same_as(self.grid)):
             raise GridMismatch("sub/super must live on the problem grid")
-        if not (isinstance(self.sub.exterior, Zero)
-                and isinstance(self.super.exterior, Zero)):
-            raise BadConfig("sub/super must vanish outside the interval")
+        if not (self.matrix.exterior == self.sub.exterior
+                == self.super.exterior == Zero()):
+            raise BadConfig(
+                "operator and sub/super must vanish outside the interval")
         scale = 1.0 + np.abs(self.sub.values) + np.abs(self.super.values)
         if np.any(self.sub.values > self.super.values + 1e-12 * scale):
             raise BadConfig("sub-solution exceeds super-solution somewhere")
         D = distance_D(self.grid.nodes)
         innermost = self.sub.values[D == D.min()]
-        if np.any(innermost < self.blowup_threshold):
+        if np.any(innermost < _BLOWUP_THRESHOLD):
             raise BadConfig(
                 f"sub-solution reaches only {innermost.min():.3g} at the "
-                f"innermost nodes; threshold {self.blowup_threshold} "
+                f"innermost nodes; threshold {_BLOWUP_THRESHOLD} "
                 "(not a blow-up candidate, or the grid is too coarse)")
 
     @property
@@ -146,10 +147,10 @@ class SolveReport:
 # Default sub/super-solution pair.
 
 
-def default_sub_super(alpha: float, p: float, grid: Grid,
+def default_sub_super(matrix: OperatorMatrix, p: float,
                       ) -> tuple[GridFunction, GridFunction]:
     """Ordered pair bracketing the blow-up solution in the unique-existence
-    regime.
+    regime, for the zero-exterior operator ``matrix``.
 
     The sub-solution is ``lam_small * V_tau`` with the scale halved until
     the discrete inequality  operator(W) + W**p <= tol  holds at every
@@ -160,6 +161,7 @@ def default_sub_super(alpha: float, p: float, grid: Grid,
     plus a torsion-function lift sized to push the residual nonnegative
     on the whole grid.
     """
+    alpha, grid = matrix.alpha, matrix.grid
     regime = classify(alpha, p)
     if regime.kind is not RegimeKind.UNIQUE_EXISTENCE:
         raise RegimeError(
@@ -168,8 +170,7 @@ def default_sub_super(alpha: float, p: float, grid: Grid,
     tau = regime.predicted_rate
     profile = build_v_tau(tau, grid.delta)
     V = sample_profile(profile, grid)
-    torsion = solve_torsion(alpha, grid).samples
-    matrix = assemble(alpha, grid, Zero())
+    torsion = solve_torsion(matrix).samples
     applied = apply(matrix, V)
     core = _core_checked(grid)
     if not np.any(core):
@@ -184,45 +185,38 @@ def default_sub_super(alpha: float, p: float, grid: Grid,
         tol = 1e-8 * (np.abs(linear) + power + 1.0)
         return linear + power, tol
 
-    lam_small = 1.0
-    for _ in range(_MAX_DOUBLINGS + 1):
-        res, tol = residual(lam_small)
-        if np.all(res[core] <= tol[core]):
-            break
-        lam_small *= 0.5
-    else:
-        raise NoAdmissiblePair(
-            f"no sub-solution scale found for alpha={alpha}, p={p} "
-            f"after {_MAX_DOUBLINGS} halvings")
+    def core_ok(lam: float, sign: float) -> bool:
+        """sign * residual <= tol on the checked core nodes."""
+        res, tol = residual(lam)
+        return np.all(sign * res[core] <= tol[core])
 
-    lam_big = 1.0
-    for _ in range(_MAX_DOUBLINGS + 1):
-        res, tol = residual(lam_big)
-        if np.all(res[core] >= -tol[core]):
-            break
-        lam_big *= 2.0
-    else:
-        raise NoAdmissiblePair(
+    lam_small = search_scale(
+        1.0, lambda lam: 0.5 * lam, lambda lam: core_ok(lam, 1.0),
+        NoAdmissiblePair(
+            f"no sub-solution scale found for alpha={alpha}, p={p} "
+            f"after {MAX_DOUBLINGS} halvings"))
+    lam_big = search_scale(
+        1.0, lambda lam: 2.0 * lam, lambda lam: core_ok(lam, -1.0),
+        NoAdmissiblePair(
             f"no super-solution scale found for alpha={alpha}, p={p} "
-            f"after {_MAX_DOUBLINGS} doublings")
+            f"after {MAX_DOUBLINGS} doublings"))
     lam_big = max(lam_big, lam_small)
 
     # Torsion lift: the assembled operator maps the torsion function to 1
     # exactly, so adding lam_c of it raises the linear part of the residual
     # by lam_c everywhere (and the absorption term only grows with it).
-    res0, _ = residual(lam_big)
-    lam_c = max(0.0, -float(np.min(res0)))
-    for _ in range(_MAX_DOUBLINGS + 1):
+    def lift_ok(lam_c: float) -> bool:
         upper = lam_big * vals + lam_c * torsion.values
         res = lam_big * applied + lam_c + upper ** p
         tol = 1e-8 * (np.abs(lam_big * applied) + lam_c + upper ** p + 1.0)
-        if np.all(res >= -tol):
-            break
-        lam_c = max(2.0 * lam_c, 1.0)
-    else:
-        raise NoAdmissiblePair(
+        return np.all(res >= -tol)
+
+    res0, _ = residual(lam_big)
+    lam_c = search_scale(
+        max(0.0, -float(np.min(res0))), lambda c: max(2.0 * c, 1.0), lift_ok,
+        NoAdmissiblePair(
             f"torsion lift failed to globalize the super-solution for "
-            f"alpha={alpha}, p={p}")
+            f"alpha={alpha}, p={p}"))
 
     sub = GridFunction(grid, lam_small * vals, Zero())
     super_ = GridFunction(grid, lam_big * vals + lam_c * torsion.values,
@@ -234,14 +228,13 @@ def default_sub_super(alpha: float, p: float, grid: Grid,
 # Newton solve on one exhaustion domain.
 
 
-def _newton_on_domain(spec: ProblemSpec, matrix: OperatorMatrix,
-                      active: np.ndarray, start: np.ndarray,
-                      max_iter: int) -> tuple[np.ndarray, int]:
+def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
+                      start: np.ndarray) -> tuple[np.ndarray, int]:
     """Damped Newton for  operator(u) + |u|^(p-1) u = 0  on the active
     nodes, the rest frozen at the sub-solution.  Returns (values, iters)."""
     p = spec.p
-    weights = matrix.interior_weights
-    corr = matrix.exterior_correction
+    weights = spec.matrix.interior_weights
+    corr = spec.matrix.exterior_correction
     idx = np.flatnonzero(active)
     w_aa = weights[np.ix_(idx, idx)]
 
@@ -253,7 +246,7 @@ def _newton_on_domain(spec: ProblemSpec, matrix: OperatorMatrix,
                 + np.abs(vec) ** (p - 1.0) * vec)[idx]
 
     res = full_residual(u)
-    for iteration in range(max_iter + 1):
+    for iteration in range(_MAX_ITER + 1):
         scale = max(1.0, float(np.max(np.abs(u[idx]))))
         if np.max(np.abs(res)) <= _NEWTON_RTOL * scale:
             return u, iteration
@@ -279,7 +272,7 @@ def _newton_on_domain(spec: ProblemSpec, matrix: OperatorMatrix,
                 f"damping floor reached with residual {norm:.3e} "
                 f"after {iteration} iterations")
     raise NewtonStall(
-        f"no convergence in {max_iter} iterations "
+        f"no convergence in {_MAX_ITER} iterations "
         f"(residual {np.max(np.abs(res)):.3e})")
 
 
@@ -287,41 +280,22 @@ def _active_mask(grid: Grid, n: int) -> np.ndarray:
     return distance_D(grid.nodes) > 1.0 / n
 
 
-def solve_dirichlet_level(spec: ProblemSpec, n: int,
-                          start: Optional[GridFunction] = None,
-                          max_iter: int = 60) -> GridFunction:
-    """Solve the collocation system on the domain excluding the core
-    {D <= 1/n}, with excluded nodes frozen at the sub-solution."""
-    n = int(n)
-    if n < 4:
-        raise BadConfig(f"exhaustion level must be at least 4, got {n}")
-    active = _active_mask(spec.grid, n)
-    if not np.any(active):
-        raise BadConfig(f"no active nodes at exhaustion level {n}")
-    if start is not None and not start.grid.same_as(spec.grid):
-        raise GridMismatch("warm start lives on a different grid")
-    matrix = assemble(spec.alpha, spec.grid, Zero())
-    start_vals = (start.values if start is not None else spec.sub.values)
-    values, _ = _newton_on_domain(spec, matrix, active, start_vals, max_iter)
-    return GridFunction(spec.grid, values, Zero())
-
-
 # ---------------------------------------------------------------------------
 # Exhaustion driver.
 
 
-def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int,
-                 max_iter: int = 60) -> SolveReport:
+def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int) -> SolveReport:
     """Run the exhaustion scheme on a doubling schedule of levels from
     ``n_start`` to ``n_end``, warm-starting each level from the previous
     one, and audit ordering against the sub/super pair and monotone
-    growth across levels."""
+    growth across levels.  ``n_start == n_end`` solves the single domain
+    excluding the core {D <= 1/n_start}, starting from the sub-solution."""
     n_start, n_end = int(n_start), int(n_end)
     if n_start < 4:
         raise BadConfig(f"starting level must be at least 4, got {n_start}")
-    if not n_start < n_end:
+    if not n_start <= n_end:
         raise BadConfig(
-            f"levels must increase, got {n_start} -> {n_end}")
+            f"levels must not decrease, got {n_start} -> {n_end}")
     if not np.any(_active_mask(spec.grid, n_start)):
         raise BadConfig(f"no active nodes at starting level {n_start}")
 
@@ -329,7 +303,6 @@ def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int,
     while levels[-1] < n_end:
         levels.append(min(2 * levels[-1], n_end))
 
-    matrix = assemble(spec.alpha, spec.grid, Zero())
     sub_vals = spec.sub.values
     super_vals = spec.super.values
     node_scale = 1.0 + np.abs(sub_vals) + np.abs(super_vals)
@@ -340,7 +313,7 @@ def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int,
     monotone_ok = True
     for n in levels:
         active = _active_mask(spec.grid, n)
-        u_new, iters = _newton_on_domain(spec, matrix, active, u, max_iter)
+        u_new, iters = _newton_on_domain(spec, active, u)
         newton_iters.append(iters)
         if np.any(u_new < sub_vals - _AUDIT_SLACK * node_scale) or \
            np.any(u_new > super_vals + _AUDIT_SLACK * node_scale):
@@ -356,8 +329,7 @@ def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int,
 
     final = GridFunction(spec.grid, u, Zero())
     idx = np.flatnonzero(_active_mask(spec.grid, levels[-1]))
-    residual = (matrix.interior_weights @ u + matrix.exterior_correction
-                + np.abs(u) ** (spec.p - 1.0) * u)[idx]
+    residual = (apply(spec.matrix, final) + np.abs(u) ** (spec.p - 1.0) * u)[idx]
     residual_inf = float(np.max(np.abs(residual)))
     tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[idx]))))
     return SolveReport(

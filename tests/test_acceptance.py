@@ -121,7 +121,7 @@ def test_criterion_4_operator_fidelity():
         grid = build_graded(256, 2.4)
         matrix = assemble(alpha, grid, Zero())
         away = distance_d(grid.nodes) >= 0.1
-        solved = solve_torsion(alpha, grid).samples
+        solved = solve_torsion(matrix).samples
         assert np.max(np.abs(apply(matrix, solved) - 1.0)[away]) <= 1e-6
         x = grid.nodes
         closed = GridFunction(
@@ -173,8 +173,9 @@ def test_criterion_6_end_to_end_blowup_solve():
         p_lo, p_hi = existence_window(alpha)
         p = p_lo + 1.0 if math.isinf(p_hi) else 0.5 * (p_lo + p_hi)
         grid = build_graded(512, 2.4)
-        sub, sup = default_sub_super(alpha, p, grid)
-        spec = ProblemSpec(alpha=alpha, p=p, grid=grid, sub=sub, super=sup)
+        matrix = assemble(alpha, grid, Zero())
+        sub, sup = default_sub_super(matrix, p)
+        spec = ProblemSpec(matrix=matrix, p=p, sub=sub, super=sup)
         report = solve_blowup(spec, 8, 2 ** 20)
         assert report.ordering_ok, alpha
         assert report.monotone_ok, alpha
@@ -192,7 +193,7 @@ def test_criterion_7_nonexistence_zone_audits():
     grid = build_graded(512, 2.4)
     zones = {}
     for alpha, p, tau in ((0.25, 1.3, -0.3), (0.6, 3.0, -0.4), (0.6, 3.0, -0.8)):
-        audit = audit_nonexistence(alpha, p, tau, grid)
+        audit = audit_nonexistence(assemble(alpha, grid, Zero()), p, tau)
         assert audit.passed, (alpha, p, tau)
         zones[audit.zone] = audit
     assert sorted(zones) == [1, 2, 3]

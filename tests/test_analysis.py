@@ -15,6 +15,7 @@ from fracblow.analysis import (
 )
 from fracblow.errors import BadConfig, RegimeError, TooFewPoints
 from fracblow.mesh import GridFunction, Zero, build_graded, distance_D
+from fracblow.operator import assemble
 
 GRID = build_graded(512, 2.4)
 D = distance_D(GRID.nodes)
@@ -151,7 +152,7 @@ def test_check_band_as_dict_serializes():
 
 
 def test_zone1_audit_small_alpha_shallow_rate():
-    audit = audit_nonexistence(0.25, 1.3, -0.3, GRID)
+    audit = audit_nonexistence(assemble(0.25, GRID, Zero()), 1.3, -0.3)
     assert audit.zone == 1
     assert audit.passed
     assert audit.t_values == (0.5, 1.0, 2.0, 4.0)
@@ -165,7 +166,7 @@ def test_zone1_audit_small_alpha_shallow_rate():
 
 
 def test_zone2_audit_sub_solution_family():
-    audit = audit_nonexistence(0.6, 3.0, -0.4, GRID)
+    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.4)
     assert audit.zone == 2
     assert audit.passed
     assert all(m < 0.0 for m in audit.worst_margins)
@@ -173,7 +174,7 @@ def test_zone2_audit_sub_solution_family():
 
 
 def test_zone3_audit_super_solution_family():
-    audit = audit_nonexistence(0.6, 3.0, -0.8, GRID)
+    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.8)
     assert audit.zone == 3
     assert audit.passed
     assert all(m > 0.0 for m in audit.worst_margins)
@@ -187,14 +188,14 @@ def test_zone3_audit_super_solution_family():
     (0.6, 3.0, -0.8),
 ])
 def test_audit_lift_growth_at_most_linear(alpha, p, tau):
-    audit = audit_nonexistence(alpha, p, tau, GRID)
+    audit = audit_nonexistence(assemble(alpha, GRID, Zero()), p, tau)
     lifts = dict(zip(audit.t_values, audit.lift_scales))
     for t in (2.0, 4.0):
         assert lifts[t] <= 2.0 * t * lifts[1.0]
 
 
 def test_audit_custom_t_values():
-    audit = audit_nonexistence(0.6, 3.0, -0.4, GRID, t_values=(1.0,))
+    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.4, t_values=(1.0,))
     assert audit.t_values == (1.0,)
     assert len(audit.lift_scales) == 1
     assert len(audit.worst_margins) == 1
@@ -202,19 +203,19 @@ def test_audit_custom_t_values():
 
 def test_audit_rejects_existence_regimes():
     with pytest.raises(RegimeError):
-        audit_nonexistence(0.5, 3.0, -0.5, GRID)
+        audit_nonexistence(assemble(0.5, GRID, Zero()), 3.0, -0.5)
     with pytest.raises(RegimeError):
-        audit_nonexistence(0.25, 1.75, -2.0 * 0.25 / 0.75, GRID)
+        audit_nonexistence(assemble(0.25, GRID, Zero()), 1.75, -2.0 * 0.25 / 0.75)
 
 
 def test_audit_rejects_coarse_grid():
     grid = build_graded(16, 1.0)
     with pytest.raises(BadConfig):
-        audit_nonexistence(0.6, 3.0, -0.4, grid)
+        audit_nonexistence(assemble(0.6, grid, Zero()), 3.0, -0.4)
 
 
 def test_audit_as_dict_serializes():
-    audit = audit_nonexistence(0.6, 3.0, -0.8, GRID, t_values=(1.0, 2.0))
+    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.8, t_values=(1.0, 2.0))
     payload = json.loads(json.dumps(audit.as_dict()))
     assert payload["zone"] == 3
     assert payload["passed"] is True

@@ -7,7 +7,12 @@ import sys
 
 import pytest
 
-from fracblow.cli import EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
+import fracblow.analysis
+import fracblow.cli
+import fracblow.errors
+import fracblow.profiles
+import fracblow.solver
+from fracblow.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_REGIME, main
 from fracblow.specfun import T_alpha
 
 # ---------------------------------------------------------------------------
@@ -202,6 +207,91 @@ def test_audit_regime_guard_exits_4():
     code = main(["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.6",
                  "--n-per-side", "256"])
     assert code == EXIT_REGIME
+
+
+# ---------------------------------------------------------------------------
+# one assembled operator per command
+
+
+def _count_assembles(monkeypatch):
+    calls = []
+    original = fracblow.cli.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fracblow.cli, "assemble", counting)
+    return calls
+
+
+def test_only_the_cli_binds_assemble():
+    for module in (fracblow.profiles, fracblow.solver, fracblow.analysis):
+        assert not hasattr(module, "assemble"), module.__name__
+
+
+def test_solve_assembles_once(monkeypatch, capsys):
+    calls = _count_assembles(monkeypatch)
+    code = main(["solve", "--alpha", "0.5", "--p", "3", "--n-per-side", "128",
+                 "--schedule", "8:256", "--no-timestamp"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_audit_assembles_once(monkeypatch, capsys):
+    calls = _count_assembles(monkeypatch)
+    code = main(["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8",
+                 "--n-per-side", "64", "--no-timestamp"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# error kinds and exit codes
+
+
+# (exit code, stderr prefix) for every package error class.
+_ERROR_EXITS = {
+    "FracblowError": (EXIT_NUMERICAL, "error: "),
+    "ConfigError": (EXIT_CONFIG, "configuration error: "),
+    "BadConfig": (EXIT_CONFIG, "configuration error: "),
+    "OutOfDomain": (EXIT_CONFIG, "configuration error: "),
+    "NumericalError": (EXIT_NUMERICAL, "numerical failure: "),
+    "NonIntegrable": (EXIT_NUMERICAL, "numerical failure: "),
+    "NoConvergence": (EXIT_NUMERICAL, "numerical failure: "),
+    "BracketFailure": (EXIT_NUMERICAL, "numerical failure: "),
+    "SingularSystem": (EXIT_NUMERICAL, "numerical failure: "),
+    "NoAdmissiblePair": (EXIT_NUMERICAL, "numerical failure: "),
+    "NewtonStall": (EXIT_NUMERICAL, "numerical failure: "),
+    "MonotoneViolation": (EXIT_NUMERICAL, "numerical failure: "),
+    "AuditFail": (EXIT_NUMERICAL, "numerical failure: "),
+    "TooFewPoints": (EXIT_NUMERICAL, "numerical failure: "),
+    "RegimeError": (EXIT_REGIME, "regime guard: "),
+    "GridMismatch": (EXIT_NUMERICAL, "error: "),
+}
+
+
+def _error_classes(root=fracblow.errors.FracblowError):
+    found = [root]
+    for sub in root.__subclasses__():
+        found.extend(_error_classes(sub))
+    return found
+
+
+def test_exit_table_covers_every_error_class():
+    assert sorted(cls.__name__ for cls in _error_classes()) == sorted(_ERROR_EXITS)
+
+
+@pytest.mark.parametrize("name", sorted(_ERROR_EXITS))
+def test_error_class_maps_to_exit_code(name, monkeypatch, capsys):
+    def failing(ns, config):
+        raise getattr(fracblow.errors, name)("boom")
+
+    monkeypatch.setattr(fracblow.cli, "cmd_classify", failing)
+    code = main(["classify", "--alpha", "0.5", "--p", "3"])
+    expected_code, prefix = _ERROR_EXITS[name]
+    assert code == expected_code
+    assert capsys.readouterr().err == f"{prefix}boom\n"
 
 
 # ---------------------------------------------------------------------------

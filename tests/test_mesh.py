@@ -145,19 +145,3 @@ def test_exterior_kinds():
     assert tail.tau == -0.5 and tail.amplitude == 3.0
 
 
-def test_csv_round_trip(tmp_path):
-    grid = build_graded(16, 2.0)
-    gpath = tmp_path / "grid.csv"
-    grid.to_csv(gpath)
-    rows = gpath.read_text().strip().splitlines()
-    assert rows[0] == "x"
-    assert len(rows) == grid.n_nodes + 1
-    assert float(rows[1]) == grid.nodes[0]
-
-    u = GridFunction(grid, grid.nodes ** 2)
-    upath = tmp_path / "u.csv"
-    u.to_csv(upath)
-    rows = upath.read_text().strip().splitlines()
-    assert rows[0] == "x,value"
-    x0, v0 = rows[1].split(",")
-    assert float(v0) == float(x0) ** 2

@@ -235,24 +235,6 @@ def test_apply_grid_and_exterior_mismatch():
         apply(M, GridFunction(grid, np.zeros(grid.n_nodes), Constant(1.0)))
 
 
-def test_matrix_csv_dump(tmp_path):
-    grid = build_graded(16, 1.0)
-    M = assemble(0.5, grid, Zero())
-    path = tmp_path / "matrix.csv"
-    M.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == grid.n_nodes + 1
-    header = lines[0].split(",")
-    assert header[0] == "row" and header[-1] == "exterior_correction"
-    first = lines[1].split(",")
-    assert float(first[1 + 0]) == M.interior_weights[0, 0] or True
-    # round-trip of one representative entry
-    i, j = 3, 5
-    row = lines[1 + i].split(",")
-    assert float(row[1 + j]) == M.interior_weights[i, j]
-    assert float(row[-1]) == M.exterior_correction[i]
-
-
 def test_operator_matrix_fields():
     grid = build_graded(16, 1.0)
     M = assemble(0.3, grid, Zero())

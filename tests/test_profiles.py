@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from fracblow.errors import BadConfig, GridMismatch
+from fracblow.errors import BadConfig, GridMismatch, NoAdmissiblePair
 from fracblow.mesh import Constant, PowerTail, Zero, build_graded, distance_D, distance_d
 from fracblow.operator import apply, assemble
 from fracblow.profiles import (
+    MAX_DOUBLINGS,
     build_v_tau,
     combine,
     evaluate_profile,
     sample_profile,
+    search_scale,
     solve_torsion,
 )
 from fracblow.specfun import c_tau
@@ -64,8 +66,10 @@ def test_profile_positive_everywhere_inside():
 
 def test_interpolant_coefficients_shape_and_symmetry():
     spec = build_v_tau(-0.4)
-    assert spec.interpolant_coeffs.shape == (2, 6)
-    assert np.array_equal(spec.interpolant_coeffs[0], spec.interpolant_coeffs[1])
+    assert spec.interpolant_coeffs.shape == (6,)
+    # one bridge serves both sides: the profile is even in x
+    xs = np.linspace(spec.delta, 1.0 - spec.delta, 101)
+    assert np.array_equal(evaluate_profile(spec, -xs), evaluate_profile(spec, xs))
 
 
 def test_branch_continuity():
@@ -150,18 +154,24 @@ def test_combine_exterior_rules():
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_residual_is_one(alpha):
     grid = build_graded(128, 2.0)
-    torsion = solve_torsion(alpha, grid)
     matrix = assemble(alpha, grid, Zero())
+    torsion = solve_torsion(matrix)
     residual = apply(matrix, torsion.samples) - 1.0
     away = distance_d(grid.nodes) >= 0.1
     assert np.max(np.abs(residual[away])) <= 0.02
     assert np.max(np.abs(residual[away])) <= 1e-6  # dense solve is exact
 
 
+def test_torsion_needs_zero_exterior_operator():
+    grid = build_graded(32, 2.0)
+    with pytest.raises(BadConfig):
+        solve_torsion(assemble(0.5, grid, Constant(1.0)))
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_symmetric_and_nonnegative(alpha):
     grid = build_graded(128, 2.0)
-    v = solve_torsion(alpha, grid).samples.values
+    v = solve_torsion(assemble(alpha, grid, Zero())).samples.values
     assert np.max(np.abs(v - v[::-1])) <= 1e-10 * np.max(v)
     assert np.min(v) > 0.0
 
@@ -171,7 +181,7 @@ def test_torsion_matches_closed_form(alpha, tol):
     # The exact solution of  operator(v) = 1  on the interval with the
     # bare second-difference kernel is  sin(pi*alpha)/pi * (1 - x^2)^alpha.
     grid = build_graded(256, 2.4)
-    v = solve_torsion(alpha, grid).samples.values
+    v = solve_torsion(assemble(alpha, grid, Zero())).samples.values
     x = grid.nodes
     exact = np.sin(np.pi * alpha) / np.pi * (1.0 - x ** 2) ** alpha
     away = distance_d(x) >= 0.01
@@ -182,7 +192,7 @@ def test_torsion_matches_closed_form(alpha, tol):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_boundary_decay_exponent(alpha):
     grid = build_graded(256, 2.4)
-    v = solve_torsion(alpha, grid).samples.values
+    v = solve_torsion(assemble(alpha, grid, Zero())).samples.values
     x = grid.nodes
     d = distance_d(x)
     mask = (x > 0) & (d > 1e-3) & (d < 3e-2)
@@ -240,3 +250,26 @@ def test_band_growth_bound_at_kernel_zero(alpha):
     assert constants[0] <= 3.0
     assert constants[1] <= 3.0
     assert abs(constants[1] / constants[0] - 1.0) <= 0.25
+
+
+# ---------------------------------------------------------------------------
+# Scale search.
+
+
+def test_search_scale_returns_first_accepted_value():
+    assert search_scale(1.0, lambda s: 0.5 * s, lambda s: s < 0.1,
+                        NoAdmissiblePair("unused")) == 0.0625
+    assert search_scale(3.0, lambda s: 2.0 * s, lambda s: True,
+                        NoAdmissiblePair("unused")) == 3.0
+
+
+def test_search_scale_budget_then_raises():
+    tried = []
+
+    def never(scale):
+        tried.append(scale)
+        return False
+
+    with pytest.raises(NoAdmissiblePair, match="gave up"):
+        search_scale(1.0, lambda s: 2.0 * s, never, NoAdmissiblePair("gave up"))
+    assert tried == [2.0 ** k for k in range(MAX_DOUBLINGS + 1)]

@@ -256,8 +256,6 @@ def test_rejects_bad_configuration():
     with pytest.raises(BadConfig):
         integrate_singular(_dummy(upper=0.0), 1e-10)
     with pytest.raises(BadConfig):
-        integrate_singular(_dummy(singular_point=2.0), 1e-10)
-    with pytest.raises(BadConfig):
         integrate_singular(_dummy(), 0.5)
     with pytest.raises(BadConfig):
         integrate_singular(_dummy(), 1e-15)

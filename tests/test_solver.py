@@ -8,12 +8,11 @@ import pytest
 from fracblow.errors import BadConfig, GridMismatch, RegimeError
 from fracblow.mesh import Constant, GridFunction, Zero, build_graded, distance_D
 from fracblow.operator import apply, assemble
-from fracblow.profiles import build_v_tau, sample_profile, solve_torsion
+from fracblow.profiles import build_v_tau, sample_profile
 from fracblow.solver import (
     ProblemSpec,
     default_sub_super,
     solve_blowup,
-    solve_dirichlet_level,
     _core_checked,
 )
 from fracblow.specfun import find_tau1
@@ -23,8 +22,14 @@ GRID = build_graded(256, 2.4)
 
 
 def _pair_and_spec(alpha, p, grid=GRID):
-    sub, sup = default_sub_super(alpha, p, grid)
-    return sub, sup, ProblemSpec(alpha, p, grid, sub, sup)
+    matrix = assemble(alpha, grid, Zero())
+    sub, sup = default_sub_super(matrix, p)
+    return sub, sup, ProblemSpec(matrix, p, sub, sup)
+
+
+def _level(spec, n):
+    """Solution of the single exhaustion level n."""
+    return solve_blowup(spec, n, n).final
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +83,13 @@ def test_scaling_up_sub_breaks_inequality_near_core(alpha, p):
 @pytest.mark.parametrize("alpha,p", [(0.6, 2.1), (0.25, 2.5), (0.25, 1.2)])
 def test_default_pair_regime_guard(alpha, p):
     with pytest.raises(RegimeError):
-        default_sub_super(alpha, p, GRID)
+        default_sub_super(assemble(alpha, GRID, Zero()), p)
 
 
 def test_default_pair_needs_resolved_core():
     coarse = build_graded(16, 1.0)
     with pytest.raises(BadConfig):
-        default_sub_super(0.5, 3.0, coarse)
+        default_sub_super(assemble(0.5, coarse, Zero()), 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,27 +99,33 @@ def test_default_pair_needs_resolved_core():
 def test_problem_spec_validation():
     sub, sup, spec = _pair_and_spec(0.5, 3.0)
     assert spec.tau == -0.5
+    assert spec.alpha == 0.5 and spec.grid is GRID
+    matrix = spec.matrix
 
     other = build_graded(256, 2.0)
     with pytest.raises(GridMismatch):
-        ProblemSpec(0.5, 3.0, other, sub, sup)
+        ProblemSpec(assemble(0.5, other, Zero()), 3.0, sub, sup)
 
     bad_ext = GridFunction(GRID, sup.values, Constant(1.0))
     with pytest.raises(BadConfig):
-        ProblemSpec(0.5, 3.0, GRID, sub, bad_ext)
+        ProblemSpec(matrix, 3.0, sub, bad_ext)
 
     with pytest.raises(BadConfig):
-        ProblemSpec(0.5, 3.0, GRID, sup, sub)  # reversed ordering
+        ProblemSpec(matrix, 3.0, sup, sub)  # reversed ordering
 
     flat = GridFunction(GRID, np.full(GRID.n_nodes, 0.5), Zero())
     big = GridFunction(GRID, np.full(GRID.n_nodes, 1.0), Zero())
     with pytest.raises(BadConfig):
-        ProblemSpec(0.5, 3.0, GRID, flat, big)  # no blow-up at the core
+        ProblemSpec(matrix, 3.0, flat, big)  # no blow-up at the core
 
     with pytest.raises(BadConfig):
-        ProblemSpec(1.5, 3.0, GRID, sub, sup)
+        ProblemSpec(matrix, 0.9, sub, sup)
+
+
+def test_problem_spec_rejects_nonzero_exterior_operator():
+    sub, sup, _ = _pair_and_spec(0.5, 3.0)
     with pytest.raises(BadConfig):
-        ProblemSpec(0.5, 0.9, GRID, sub, sup)
+        ProblemSpec(assemble(0.5, GRID, Constant(1.0)), 3.0, sub, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -124,26 +135,22 @@ def test_problem_spec_validation():
 def test_level_guards():
     _, _, spec = _pair_and_spec(0.5, 3.0)
     with pytest.raises(BadConfig):
-        solve_dirichlet_level(spec, 3)
-    with pytest.raises(GridMismatch):
-        other = build_graded(256, 2.0)
-        warm = GridFunction(other, np.ones(other.n_nodes), Zero())
-        solve_dirichlet_level(spec, 8, start=warm)
+        solve_blowup(spec, 3, 3)
 
 
 def test_level_solution_is_fixed_point():
     # Feeding a level's own solution back in as the sub-solution makes it
     # an exact root of the system, so Newton must return it unchanged.
     sub, sup, spec = _pair_and_spec(0.5, 3.0)
-    first = solve_dirichlet_level(spec, 32)
-    spec2 = ProblemSpec(0.5, 3.0, GRID, first, sup)
-    again = solve_dirichlet_level(spec2, 32)
+    first = _level(spec, 32)
+    spec2 = ProblemSpec(spec.matrix, 3.0, first, sup)
+    again = _level(spec2, 32)
     assert np.array_equal(again.values, first.values)
 
 
 def test_level_solution_ordered_and_frozen():
     sub, sup, spec = _pair_and_spec(0.25, 1.75)
-    u = solve_dirichlet_level(spec, 32)
+    u = _level(spec, 32)
     D = distance_D(GRID.nodes)
     frozen = D <= 1.0 / 32
     assert np.any(frozen)
@@ -155,8 +162,8 @@ def test_level_solution_ordered_and_frozen():
 
 def test_levels_increase_monotonically():
     _, _, spec = _pair_and_spec(0.5, 3.0)
-    u32 = solve_dirichlet_level(spec, 32)
-    u128 = solve_dirichlet_level(spec, 128)
+    u32 = _level(spec, 32)
+    u128 = _level(spec, 128)
     scale = 1.0 + np.abs(u32.values)
     assert np.all(u128.values >= u32.values - 1e-8 * scale)
     # strictly larger somewhere: deeper levels release more nodes
@@ -164,21 +171,16 @@ def test_levels_increase_monotonically():
 
 
 def test_stationarity_once_no_new_nodes():
-    # Once the excluded core falls below the innermost node, deeper levels
-    # solve the identical system.
-    grid = build_graded(16, 1.0)
-    innermost = distance_D(grid.nodes).min()
-    assert 1.0 / 64 < innermost
-    profile = sample_profile(build_v_tau(-0.5, grid.delta), grid)
-    torsion = solve_torsion(0.5, grid).samples
-    sub = GridFunction(grid, 2.0 * profile.values, Zero())
-    sup = GridFunction(grid, 8.0 * profile.values + 50.0 * torsion.values,
-                       Zero())
-    spec = ProblemSpec(0.5, 3.0, grid, sub, sup)
-    u64 = solve_dirichlet_level(spec, 64)
-    u128 = solve_dirichlet_level(spec, 128)
-    scale = np.max(np.abs(u64.values))
-    assert np.max(np.abs(u64.values - u128.values)) <= 1e-9 * scale
+    # Two levels whose excluded cores hold the same nodes solve the
+    # identical system.
+    _, _, spec = _pair_and_spec(0.5, 3.0)
+    lo, hi = 2 ** 17, 2 ** 18
+    D = distance_D(GRID.nodes)
+    assert not np.any((D > 1.0 / hi) & (D <= 1.0 / lo))
+    u_lo = _level(spec, lo)
+    u_hi = _level(spec, hi)
+    scale = np.max(np.abs(u_lo.values))
+    assert np.max(np.abs(u_lo.values - u_hi.values)) <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +206,10 @@ def test_solve_blowup_validation():
     with pytest.raises(BadConfig):
         solve_blowup(spec, 3, 64)
     with pytest.raises(BadConfig):
-        solve_blowup(spec, 64, 64)
-    with pytest.raises(BadConfig):
         solve_blowup(spec, 64, 8)
+    single = solve_blowup(spec, 64, 64)  # one level, from the sub-solution
+    assert single.levels == [64] and single.n_exhaustion_levels == 1
+    assert len(single.newton_iters) == 1 and single.converged
 
 
 def test_solve_blowup_rate_recovery():
