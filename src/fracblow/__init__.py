@@ -57,7 +57,6 @@ from .operator import (
 )
 from .profiles import (
     ProfileSpec,
-    TorsionFunction,
     build_v_tau,
     combine,
     evaluate_profile,

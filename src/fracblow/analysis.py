@@ -14,9 +14,9 @@ import numpy as np
 from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from .mesh import GridFunction, distance_D
 from .operator import OperatorMatrix, apply
-from .profiles import (MAX_DOUBLINGS, build_v_tau, resolved_mask,
+from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask, resolved_mask,
                        sample_profile, search_scale, solve_torsion)
-from .specfun import RegimeKind, T_alpha, classify, find_tau1
+from .specfun import RegimeKind, classify
 
 __all__ = [
     "RateFit",
@@ -191,11 +191,11 @@ class ZoneAudit:
         }
 
 
-def _zone_of(alpha: float, p: float, tau: float) -> int:
-    if T_alpha(alpha, rel_tol=1e-10) > 1e-12:
-        tau1 = find_tau1(alpha)
-        if tau1 < tau:
-            return 1
+def _zone_of(alpha: float, p: float, tau: float, tau1: float | None) -> int:
+    """Comparison construction for rate ``tau``; ``tau1`` is None at or
+    above the threshold order."""
+    if tau1 is not None and tau1 < tau:
+        return 1
     lhs = tau - 2.0 * alpha
     rhs = tau * p
     if abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)):
@@ -223,19 +223,19 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
         raise RegimeError(
             f"audit needs a nonexistence verdict, got {regime.kind.value} "
             f"for alpha={alpha}, p={p}, tau={tau}")
-    zone = _zone_of(alpha, p, tau)
+    zone = _zone_of(alpha, p, tau, regime.tau1)
 
     profile = sample_profile(build_v_tau(tau, grid.delta), grid)
-    torsion = solve_torsion(matrix).samples
     applied = apply(matrix, profile)
     vals = profile.values
-    tors = torsion.values
+    tors = solve_torsion(matrix).values
     D = distance_D(grid.nodes)
     checked = resolved_mask(grid)
     if checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")
-    core = checked & (D <= grid.delta)
-    needs_core_cert = tau * p > tau - 2.0 * alpha
+    # the near-core certificate is needed where tau*p > tau - 2*alpha:
+    # always in zone 2, never in zone 3
+    core = core_mask(grid) if tau * p > tau - 2.0 * alpha else None
     lift_scales = []
     worst_margins = []
     core_constants = []
@@ -261,7 +261,7 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
                     f"(alpha={alpha}, p={p}, tau={tau})")
             lift_scales.append(t * lift)
             worst_margins.append(float(np.min(res[checked])))
-            if needs_core_cert:
+            if core is not None:
                 ratio = (t * (applied + lift))[core] / D[core] ** (tau - 2.0 * alpha)
                 if not np.all(ratio > 0.0):
                     raise AuditFail(
@@ -294,7 +294,7 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
             res, _ = residual(t, mu)
             lift_scales.append(mu)
             worst_margins.append(float(worst(res[checked])))
-            if zone == 2 and needs_core_cert:
+            if core is not None:
                 lin = (t * applied - mu)[core]
                 ratio = -lin / D[core] ** (tau - 2.0 * alpha)
                 if not np.all(ratio > 0.0):

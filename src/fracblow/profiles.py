@@ -24,7 +24,6 @@ from .operator import OperatorMatrix
 
 __all__ = [
     "ProfileSpec",
-    "TorsionFunction",
     "build_v_tau",
     "evaluate_profile",
     "sample_profile",
@@ -186,20 +185,11 @@ def combine(a: float, u: GridFunction, b: float, v: GridFunction) -> GridFunctio
 # Discrete torsion function.
 
 
-@dataclass(frozen=True)
-class TorsionFunction:
-    """Grid function the assembled operator maps to the constant 1,
-    with zero exterior; used as the bounded lift in comparison pairs."""
-
-    alpha: float
-    samples: GridFunction
-
-
-def solve_torsion(matrix: OperatorMatrix) -> TorsionFunction:
+def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
     """Solve the dense collocation system  operator(v) = 1  for the
     zero-exterior ``matrix``.  The solution is the discrete torsion
-    function: positive inside the interval and vanishing toward the
-    endpoints."""
+    function, with zero exterior: positive inside the interval, vanishing
+    toward the endpoints, and the bounded lift of comparison pairs."""
     if not isinstance(matrix.exterior, Zero):
         raise BadConfig("the torsion function needs the zero-exterior operator")
     alpha, grid = matrix.alpha, matrix.grid
@@ -217,8 +207,7 @@ def solve_torsion(matrix: OperatorMatrix) -> TorsionFunction:
         raise SingularSystem(
             "torsion solve produced negative values; the discretization "
             f"is unusable (min {np.min(values):.3e})")
-    return TorsionFunction(alpha=float(alpha),
-                           samples=GridFunction(grid, values, Zero()))
+    return GridFunction(grid, values, Zero())
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +219,17 @@ def resolved_mask(grid: Grid) -> np.ndarray:
     singular point."""
     D = distance_D(grid.nodes)
     return D >= RESOLUTION_MULTIPLE * grid.local_spacing()
+
+
+def core_mask(grid: Grid) -> np.ndarray:
+    """Resolved nodes inside the matching radius, where the near-core
+    inequalities are enforced; BadConfig when there are none."""
+    core = resolved_mask(grid) & (distance_D(grid.nodes) <= grid.delta)
+    if not np.any(core):
+        raise BadConfig(
+            "no resolved nodes inside the matching radius; refine the grid "
+            "or increase the grading exponent")
+    return core
 
 
 def search_scale(start: float, next_scale, accept, failure: Exception) -> float:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .mesh import Grid, GridFunction, Zero, distance_D
 from .operator import OperatorMatrix, apply
-from .profiles import (MAX_DOUBLINGS, build_v_tau, resolved_mask,
+from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask,
                        sample_profile, search_scale, solve_torsion)
 from .specfun import RegimeKind, classify
 
@@ -52,12 +52,6 @@ _MAX_ITER = 60
 # discrete operator lost its sign structure).
 _AUDIT_SLACK = 1e-8
 _ABORT_SLACK = 1e-6
-
-
-def _core_checked(grid: Grid) -> np.ndarray:
-    """Nodes where the near-core inequalities are enforced: resolved
-    nodes inside the matching radius."""
-    return resolved_mask(grid) & (distance_D(grid.nodes) <= grid.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +164,9 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     tau = regime.predicted_rate
     profile = build_v_tau(tau, grid.delta)
     V = sample_profile(profile, grid)
-    torsion = solve_torsion(matrix).samples
+    torsion = solve_torsion(matrix)
     applied = apply(matrix, V)
-    core = _core_checked(grid)
-    if not np.any(core):
-        raise BadConfig(
-            "no resolved nodes inside the matching radius; refine the grid "
-            "or increase the grading exponent")
+    core = core_mask(grid)
     vals = V.values
 
     def residual(lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,8 @@ functions of the order alpha in (0,1) and a rate exponent tau in (-1,0]:
 
 ``classify`` combines these thresholds into the existence /
 special-existence / nonexistence verdict for a given (alpha, p) pair and
-optional prescribed rate.
+optional prescribed rate.  Whether an order lies below the threshold, and
+where its ``tau1`` is, is decided in one place, ``_interior_zero``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
 
 _BRACKET_FLOOR = 1e-6
 _SIGN_BAND = 1e-8  # |T| below this counts as "at the threshold order"
+_EQ_TOL = 1e-9  # relative gap below which p or tau counts as an equality case
 
 
 def _check_alpha(alpha: float) -> float:
@@ -273,37 +275,44 @@ def find_alpha0(tol: float = 1e-8) -> float:
                               "the threshold integral over (0,1)")
 
 
+def _tau_root(integrand, alpha: float, tol: float, what: str) -> float:
+    """Zero in (-1,0) of the integral ``integrand(alpha, .)`` builds."""
+
+    def f(t):
+        return integrate_singular(integrand(alpha, t), 1e-11,
+                                  strict=False).value
+
+    return _bracket_and_solve(f, -0.999, -1e-4, -1.0, 0.0, tol, what)
+
+
+def _interior_zero(alpha: float, tol: float) -> Optional[float]:
+    """``tau1`` below the threshold order, None at or above it.  The one
+    place where the sign of ``T_alpha`` decides the regime."""
+    if T_alpha(alpha, rel_tol=1e-10) <= _SIGN_BAND:
+        return None
+    return _tau_root(_c_integrand, alpha, tol,
+                     "the two-sided integral over (-1,0)")
+
+
 def find_tau1(alpha: float, tol: float = 1e-8) -> float:
     """Unique zero of ``c_tau(alpha, .)`` in (-1,0); exists only below the
     threshold order.  Raises RegimeError when ``alpha >= alpha0`` (there
     the integral is positive throughout)."""
     alpha = _check_alpha(alpha)
-    tol = _check_tol(tol)
-    if T_alpha(alpha, rel_tol=1e-10) <= _SIGN_BAND:
+    tau1 = _interior_zero(alpha, _check_tol(tol))
+    if tau1 is None:
         raise RegimeError(
             f"alpha={alpha} is at or above the threshold order; the "
             "two-sided integral has no interior zero")
-
-    def f(t):
-        return integrate_singular(_c_integrand(alpha, t), 1e-11,
-                                  strict=False).value
-
-    return _bracket_and_solve(f, -0.999, -1e-4, -1.0, 0.0, tol,
-                              "the two-sided integral over (-1,0)")
+    return tau1
 
 
 def find_tau0(alpha: float, tol: float = 1e-8) -> float:
     """Unique zero of ``C_tau(alpha, .)`` in (-1,0); exists for every
     alpha in (0,1)."""
     alpha = _check_alpha(alpha)
-    tol = _check_tol(tol)
-
-    def f(t):
-        return integrate_singular(_C_integrand(alpha, t), 1e-11,
-                                  strict=False).value
-
-    return _bracket_and_solve(f, -0.999, -1e-4, -1.0, 0.0, tol,
-                              "the one-sided integral over (-1,0)")
+    return _tau_root(_C_integrand, alpha, _check_tol(tol),
+                     "the one-sided integral over (-1,0)")
 
 
 @dataclass(frozen=True)
@@ -325,12 +334,10 @@ def critical_exponents(alpha: float, tol: float = 1e-8) -> CriticalExponents:
     tol = _check_tol(tol)
     alpha0 = find_alpha0(tol)
     tau0 = find_tau0(alpha, tol)
-    tau1 = None
-    if T_alpha(alpha, rel_tol=1e-10) > _SIGN_BAND:
-        tau1 = find_tau1(alpha, tol)
-        if not (tau0 < tau1):
-            raise RegimeError(
-                f"critical exponents out of order: tau0={tau0} !< tau1={tau1}")
+    tau1 = _interior_zero(alpha, tol)
+    if tau1 is not None and not (tau0 < tau1):
+        raise RegimeError(
+            f"critical exponents out of order: tau0={tau0} !< tau1={tau1}")
     return CriticalExponents(alpha=alpha, alpha0=alpha0, tau0=tau0, tau1=tau1)
 
 
@@ -352,30 +359,61 @@ class RegimeKind(Enum):
 @dataclass(frozen=True)
 class Regime:
     """Classification result; ``predicted_rate`` is the blow-up exponent
-    for the existence kinds and None otherwise."""
+    for the existence kinds and None otherwise, and ``tau1`` the interior
+    critical rate below the threshold order (None at or above it)."""
 
     kind: RegimeKind
     predicted_rate: Optional[float] = None
+    tau1: Optional[float] = None
 
 
 def existence_window(alpha: float, tol: float = 1e-8) -> tuple:
     """(p_lo, p_hi) of the unique-existence window; p_hi is +inf at and
     above the threshold order."""
     alpha = _check_alpha(alpha)
-    tol = _check_tol(tol)
+    tau1 = _interior_zero(alpha, _check_tol(tol))
+    p_hi = math.inf if tau1 is None else 1.0 - 2.0 * alpha / tau1
+    return 1.0 + 2.0 * alpha, p_hi
+
+
+def _isclose(a, b):
+    return abs(a - b) <= _EQ_TOL * max(1.0, abs(a), abs(b))
+
+
+def _verdict(alpha: float, p: float, tau: Optional[float], rate: float,
+             tau1: Optional[float]) -> RegimeKind:
+    """Verdict of ``classify``; ``tau1`` is None at or above the threshold
+    order."""
     p_lo = 1.0 + 2.0 * alpha
-    if T_alpha(alpha, rel_tol=1e-10) <= _SIGN_BAND:
-        return p_lo, math.inf
-    tau1 = find_tau1(alpha, tol)
-    return p_lo, 1.0 - 2.0 * alpha / tau1
+    if tau1 is not None:
+        p_hi = 1.0 - 2.0 * alpha / tau1
+        special_lo = max(p_hi + (tau1 + 1.0) / tau1, 1.0)
+        if _isclose(p, p_hi) or p > p_hi:
+            # the window-top inequality is non-strict: no rate works at all
+            return RegimeKind.NONEXISTENCE_C
+        if tau is not None and _isclose(tau, tau1):
+            if special_lo < p:
+                return RegimeKind.SPECIAL_EXISTENCE
+            return RegimeKind.BOUNDARY
 
+    if _isclose(p, p_lo):
+        if tau is None:
+            return RegimeKind.BOUNDARY
+        return RegimeKind.NONEXISTENCE_A
+    if p < p_lo:
+        # only the rate-tau1 family exists below the window
+        if tau is None and tau1 is not None and special_lo < p:
+            return RegimeKind.SPECIAL_EXISTENCE
+        return RegimeKind.NONEXISTENCE_A
 
-def _isclose(a, b, eq_tol):
-    return abs(a - b) <= eq_tol * max(1.0, abs(a), abs(b))
+    # now strictly inside the unique-existence window
+    if tau is None or _isclose(tau, rate):
+        return RegimeKind.UNIQUE_EXISTENCE
+    return RegimeKind.NONEXISTENCE_B
 
 
 def classify(alpha: float, p: float, tau: Optional[float] = None,
-             tol: float = 1e-8, eq_tol: float = 1e-9) -> Regime:
+             tol: float = 1e-8) -> Regime:
     """Existence verdict for exponent p > 1 and an optional prescribed
     blow-up rate tau in (-1,0).
 
@@ -385,7 +423,8 @@ def classify(alpha: float, p: float, tau: Optional[float] = None,
     (1+2*alpha, 1-2*alpha/tau1); the one-parameter family with rate tau1
     lives on its own window; every other rate is impossible, with the
     failure kind recording which inequality excluded it.  Equalities the
-    strict inequalities do not cover come back as BOUNDARY.
+    strict inequalities do not cover come back as BOUNDARY.  The result
+    carries ``tau1``, so callers need not decide the regime again.
     """
     alpha = _check_alpha(alpha)
     tol = _check_tol(tol)
@@ -397,48 +436,9 @@ def classify(alpha: float, p: float, tau: Optional[float] = None,
         if not (-1.0 < tau < 0.0):
             raise BadConfig(f"prescribed rate must lie in (-1,0), got {tau}")
 
-    p_lo = 1.0 + 2.0 * alpha
     rate = -2.0 * alpha / (p - 1.0)
-    t_val = T_alpha(alpha, rel_tol=1e-10)
-
-    if t_val <= _SIGN_BAND:
-        # at or above the threshold: the two-sided integral never vanishes
-        if _isclose(p, p_lo, eq_tol):
-            if tau is None:
-                return Regime(RegimeKind.BOUNDARY)
-            return Regime(RegimeKind.NONEXISTENCE_A)
-        if p < p_lo:
-            return Regime(RegimeKind.NONEXISTENCE_A)
-        if tau is None or _isclose(tau, rate, eq_tol):
-            return Regime(RegimeKind.UNIQUE_EXISTENCE, predicted_rate=rate)
-        return Regime(RegimeKind.NONEXISTENCE_B)
-
-    tau1 = find_tau1(alpha, tol)
-    p_hi = 1.0 - 2.0 * alpha / tau1
-    special_lo = max(p_hi + (tau1 + 1.0) / tau1, 1.0)
-
-    if _isclose(p, p_hi, eq_tol) or p > p_hi:
-        # the window-top inequality is non-strict: no rate works at all
-        return Regime(RegimeKind.NONEXISTENCE_C)
-
-    if tau is not None and _isclose(tau, tau1, eq_tol):
-        if special_lo < p:
-            return Regime(RegimeKind.SPECIAL_EXISTENCE, predicted_rate=tau1)
-        return Regime(RegimeKind.BOUNDARY)
-
-    if _isclose(p, p_lo, eq_tol):
-        if tau is None:
-            return Regime(RegimeKind.BOUNDARY)
-        return Regime(RegimeKind.NONEXISTENCE_A)
-
-    if p < p_lo:
-        if tau is not None:
-            return Regime(RegimeKind.NONEXISTENCE_A)
-        if special_lo < p:
-            return Regime(RegimeKind.SPECIAL_EXISTENCE, predicted_rate=tau1)
-        return Regime(RegimeKind.NONEXISTENCE_A)
-
-    # now strictly inside the unique-existence window
-    if tau is None or _isclose(tau, rate, eq_tol):
-        return Regime(RegimeKind.UNIQUE_EXISTENCE, predicted_rate=rate)
-    return Regime(RegimeKind.NONEXISTENCE_B)
+    tau1 = _interior_zero(alpha, tol)
+    kind = _verdict(alpha, p, tau, rate, tau1)
+    predicted = {RegimeKind.UNIQUE_EXISTENCE: rate,
+                 RegimeKind.SPECIAL_EXISTENCE: tau1}.get(kind)
+    return Regime(kind, predicted_rate=predicted, tau1=tau1)

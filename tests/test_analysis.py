@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import fracblow.specfun
 from fracblow.analysis import (
     BandReport,
     RateFit,
@@ -199,6 +200,21 @@ def test_audit_custom_t_values():
     assert audit.t_values == (1.0,)
     assert len(audit.lift_scales) == 1
     assert len(audit.worst_margins) == 1
+
+
+def test_audit_below_threshold_decides_the_regime_once(monkeypatch):
+    matrix = assemble(0.25, build_graded(128, 2.4), Zero())
+    calls = []
+    for name in ("T_alpha", "_bracket_and_solve"):
+        def counting(*args, _name=name,
+                     _original=getattr(fracblow.specfun, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fracblow.specfun, name, counting)
+    audit = audit_nonexistence(matrix, 1.75, -0.6)
+    assert audit.zone == 2
+    assert sorted(calls) == ["T_alpha", "_bracket_and_solve"]
 
 
 def test_audit_rejects_existence_regimes():

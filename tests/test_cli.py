@@ -209,6 +209,28 @@ def test_audit_regime_guard_exits_4():
     assert code == EXIT_REGIME
 
 
+def test_audit_without_core_nodes_is_config_error(capsys):
+    # zone 2 needs the near-core certificate, and at 64 nodes per side no
+    # resolved node lies inside the matching radius
+    code = main(["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4",
+                 "--n-per-side", "64"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "matching radius" in err
+
+
+def test_audit_zone_follows_classify_just_below_threshold(capsys):
+    # T_alpha is positive here but inside the sign band, so classify
+    # treats the order as the threshold order; the audit agrees
+    argv = ["--alpha", "0.4999999999", "--p", "3", "--tau=-0.4"]
+    assert main(["classify", *argv]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("regime: nonexistence-b\n")
+    code = main(["audit", *argv, "--n-per-side", "128", "--no-timestamp"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["audit"]["zone"] == 2
+
+
 # ---------------------------------------------------------------------------
 # one assembled operator per command
 
@@ -228,6 +250,11 @@ def _count_assembles(monkeypatch):
 def test_only_the_cli_binds_assemble():
     for module in (fracblow.profiles, fracblow.solver, fracblow.analysis):
         assert not hasattr(module, "assemble"), module.__name__
+
+
+def test_analysis_reads_the_regime_from_classify():
+    for name in ("T_alpha", "find_tau1"):
+        assert not hasattr(fracblow.analysis, name), name
 
 
 def test_solve_assembles_once(monkeypatch, capsys):

@@ -156,7 +156,7 @@ def test_torsion_residual_is_one(alpha):
     grid = build_graded(128, 2.0)
     matrix = assemble(alpha, grid, Zero())
     torsion = solve_torsion(matrix)
-    residual = apply(matrix, torsion.samples) - 1.0
+    residual = apply(matrix, torsion) - 1.0
     away = distance_d(grid.nodes) >= 0.1
     assert np.max(np.abs(residual[away])) <= 0.02
     assert np.max(np.abs(residual[away])) <= 1e-6  # dense solve is exact
@@ -171,7 +171,7 @@ def test_torsion_needs_zero_exterior_operator():
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_symmetric_and_nonnegative(alpha):
     grid = build_graded(128, 2.0)
-    v = solve_torsion(assemble(alpha, grid, Zero())).samples.values
+    v = solve_torsion(assemble(alpha, grid, Zero())).values
     assert np.max(np.abs(v - v[::-1])) <= 1e-10 * np.max(v)
     assert np.min(v) > 0.0
 
@@ -181,7 +181,7 @@ def test_torsion_matches_closed_form(alpha, tol):
     # The exact solution of  operator(v) = 1  on the interval with the
     # bare second-difference kernel is  sin(pi*alpha)/pi * (1 - x^2)^alpha.
     grid = build_graded(256, 2.4)
-    v = solve_torsion(assemble(alpha, grid, Zero())).samples.values
+    v = solve_torsion(assemble(alpha, grid, Zero())).values
     x = grid.nodes
     exact = np.sin(np.pi * alpha) / np.pi * (1.0 - x ** 2) ** alpha
     away = distance_d(x) >= 0.01
@@ -192,7 +192,7 @@ def test_torsion_matches_closed_form(alpha, tol):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_boundary_decay_exponent(alpha):
     grid = build_graded(256, 2.4)
-    v = solve_torsion(assemble(alpha, grid, Zero())).samples.values
+    v = solve_torsion(assemble(alpha, grid, Zero())).values
     x = grid.nodes
     d = distance_d(x)
     mask = (x > 0) & (d > 1e-3) & (d < 3e-2)

@@ -8,12 +8,11 @@ import pytest
 from fracblow.errors import BadConfig, GridMismatch, RegimeError
 from fracblow.mesh import Constant, GridFunction, Zero, build_graded, distance_D
 from fracblow.operator import apply, assemble
-from fracblow.profiles import build_v_tau, sample_profile
+from fracblow.profiles import build_v_tau, core_mask, sample_profile
 from fracblow.solver import (
     ProblemSpec,
     default_sub_super,
     solve_blowup,
-    _core_checked,
 )
 from fracblow.specfun import find_tau1
 
@@ -51,7 +50,7 @@ def test_default_pair_residual_signs(alpha, p):
     # (after the torsion lift) on the whole grid.
     sub, sup, _ = _pair_and_spec(alpha, p)
     matrix = assemble(alpha, GRID, Zero())
-    core = _core_checked(GRID)
+    core = core_mask(GRID)
     assert np.any(core)
 
     res_sub = apply(matrix, sub) + sub.values ** p
@@ -70,7 +69,7 @@ def test_scaling_up_sub_breaks_inequality_near_core(alpha, p):
     # the sub-inequality at some resolved near-core node.
     sub, _, _ = _pair_and_spec(alpha, p)
     matrix = assemble(alpha, GRID, Zero())
-    core = _core_checked(GRID)
+    core = core_mask(GRID)
     for factor in (2.0, 4.0, 8.0, 16.0, 32.0):
         big = GridFunction(GRID, factor * sub.values, Zero())
         res = apply(matrix, big) + big.values ** p
@@ -238,7 +237,7 @@ def test_special_regime_pair_residual_signs():
     taubar = min(tau1 * p + 2.0 * alpha, tau1 / 2.0)
     assert tau1 < taubar < 0.0
 
-    core = _core_checked(GRID)
+    core = core_mask(GRID)
     v1 = sample_profile(build_v_tau(tau1, GRID.delta), GRID)
     vb = sample_profile(build_v_tau(taubar, GRID.delta), GRID)
     matrix = assemble(alpha, GRID, Zero())

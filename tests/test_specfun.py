@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+import fracblow.specfun
 import oracles
 from fracblow.errors import BadConfig, RegimeError
 from fracblow.specfun import (
@@ -259,6 +260,31 @@ def test_classify(alpha, p, tau, kind, rate):
     else:
         assert result.predicted_rate is not None
         assert abs(result.predicted_rate - rate) <= 1e-6
+    if alpha < 0.5:
+        assert abs(result.tau1 - (2.0 * alpha - 1.0)) <= 1e-7
+    else:
+        assert result.tau1 is None
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(fracblow.specfun, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fracblow.specfun, name, counting)
+    return calls
+
+
+def test_classify_decides_the_regime_once(monkeypatch):
+    t_calls = _count_calls(monkeypatch, "T_alpha")
+    root_calls = _count_calls(monkeypatch, "_bracket_and_solve")
+    regime = classify(0.25, 1.75)
+    assert len(t_calls) == 1
+    assert len(root_calls) == 1
+    assert regime.tau1 == find_tau1(0.25)
 
 
 def test_classify_rejects_bad_arguments():
