@@ -58,7 +58,6 @@ from .operator import (
 from .profiles import (
     ProfileSpec,
     build_v_tau,
-    combine,
     evaluate_profile,
     sample_profile,
     solve_torsion,

@@ -38,6 +38,7 @@ from .specfun import (
     c_tau,
     classify,
     critical_exponents,
+    find_alpha0,
 )
 
 __all__ = ["main"]
@@ -52,6 +53,12 @@ EXIT_REGIME = 4
 # Parameter plumbing.
 
 
+_KNOWN_KEYS = {
+    "alpha", "p", "tau", "n_per_side", "grading", "delta", "tol",
+    "schedule", "out", "no_timestamp", "step",
+}
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -64,20 +71,14 @@ def _load_config(path):
         raise BadConfig(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise BadConfig(f"config file {path} must hold a JSON object")
+    unknown = set(config) - _KNOWN_KEYS
+    if unknown:
+        raise BadConfig(f"unknown config keys: {sorted(unknown)}")
     return config
-
-
-_KNOWN_KEYS = {
-    "alpha", "p", "tau", "n_per_side", "grading", "delta", "tol",
-    "schedule", "out", "no_timestamp", "step",
-}
 
 
 def _resolve(ns, config, name, default=None, required=False):
     """Flag value if given, else config-file value, else default."""
-    unknown = set(config) - _KNOWN_KEYS
-    if unknown:
-        raise BadConfig(f"unknown config keys: {sorted(unknown)}")
     value = getattr(ns, name, None)
     if value is None:
         value = config.get(name, default)
@@ -203,8 +204,7 @@ def cmd_critical(ns, config):
     alpha_arg = _resolve(ns, config, "alpha", required=True)
     tol = float(_resolve(ns, config, "tol", default=1e-8))
     out = _resolve(ns, config, "out")
-    no_timestamp = bool(getattr(ns, "no_timestamp", None)
-                        or config.get("no_timestamp", False))
+    no_timestamp = bool(_resolve(ns, config, "no_timestamp", default=False))
 
     try:
         alphas = [float(tok) for tok in str(alpha_arg).split(",") if tok.strip()]
@@ -214,17 +214,16 @@ def cmd_critical(ns, config):
         raise BadConfig("alpha list is empty")
 
     per_alpha = {}
-    alpha0 = None
     for a in alphas:
         ce = critical_exponents(a, tol)
-        alpha0 = ce.alpha0
         entry = {"tau0": ce.tau0}
         if ce.tau1 is not None:
             entry["tau1"] = ce.tau1
         per_alpha[repr(float(a))] = entry
 
     payload = _timestamp_field(
-        {"alpha0": alpha0, "tol": tol, "per_alpha": per_alpha}, no_timestamp)
+        {"alpha0": find_alpha0(tol), "tol": tol, "per_alpha": per_alpha},
+        no_timestamp)
     _write_text(_json_text(payload), out)
     return EXIT_OK
 
@@ -261,8 +260,7 @@ def cmd_solve(ns, config):
     p = float(_resolve(ns, config, "p", required=True))
     schedule = _parse_schedule(_resolve(ns, config, "schedule", default="8:65536"))
     out = _resolve(ns, config, "out")
-    no_timestamp = bool(getattr(ns, "no_timestamp", None)
-                        or config.get("no_timestamp", False))
+    no_timestamp = bool(_resolve(ns, config, "no_timestamp", default=False))
 
     grid = _grid_from(ns, config)
     matrix = assemble(alpha, grid, Zero())
@@ -304,8 +302,7 @@ def cmd_audit(ns, config):
     p = float(_resolve(ns, config, "p", required=True))
     tau = float(_resolve(ns, config, "tau", required=True))
     out = _resolve(ns, config, "out")
-    no_timestamp = bool(getattr(ns, "no_timestamp", None)
-                        or config.get("no_timestamp", False))
+    no_timestamp = bool(_resolve(ns, config, "no_timestamp", default=False))
 
     grid = _grid_from(ns, config)
     audit = audit_nonexistence(assemble(alpha, grid, Zero()), p, tau)

@@ -77,6 +77,8 @@ class Grid:
             raise BadConfig("grid nodes must be strictly increasing")
         if np.any(np.abs(nodes) >= 1.0) or np.any(nodes == 0.0):
             raise BadConfig("grid nodes must lie in (-1,1) and avoid 0")
+        if not (nodes[0] < 0.0 < nodes[-1]):
+            raise BadConfig("grid needs nodes on both sides of 0")
         if not (0.0 < self.delta <= 0.25):
             raise BadConfig(f"delta must lie in (0, 1/4], got {self.delta}")
 

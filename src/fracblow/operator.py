@@ -133,63 +133,20 @@ def _kernel_moments(A, B, alpha):
     return J0, J1
 
 
-def _build_pieces(grid: Grid, exterior: Exterior):
-    """Global partition of (-1,1) into linear pieces (a, b, jl, jr, el, er):
-    the model value runs linearly from slot jl at a to slot jr at b;
-    slot -1 means the fixed value el/er instead of a node."""
+def _build_pieces(grid: Grid):
+    """Global partition of (-1,1) into linear pieces (a, b, jl, jr): the
+    pieces run between consecutive breakpoints -1, left nodes, 0, right
+    nodes, 1, and the model value runs linearly from slot jl at a to slot
+    jr at b; slot -1 means the boundary value the exterior implies.  The
+    inner gaps next to 0 are frozen: both ends read their innermost node.
+    Node i closes piece i + [x_i > 0] and opens the next one."""
     x = grid.nodes
-    n = x.size
-    E = _exterior_limit(exterior)
-    right = np.flatnonzero(x > 0.0)
-    left = np.flatnonzero(x < 0.0)
-    pa, pb, jl, jr, el, er = [], [], [], [], [], []
-
-    def add(a, b, j_lo, j_hi, e_lo=0.0, e_hi=0.0):
-        pa.append(a); pb.append(b); jl.append(j_lo); jr.append(j_hi)
-        el.append(e_lo); er.append(e_hi)
-
-    # left bridge, left segments, left inner gap
-    i0 = left[0]
-    add(-1.0, x[i0], -1, i0, E, 0.0)
-    for k in range(left.size - 1):
-        add(x[left[k]], x[left[k + 1]], left[k], left[k + 1])
-    iL = left[-1]
-    add(x[iL], 0.0, iL, iL)
-    # right inner gap, right segments, right bridge
-    iR = right[0]
-    add(0.0, x[iR], iR, iR)
-    for k in range(right.size - 1):
-        add(x[right[k]], x[right[k + 1]], right[k], right[k + 1])
-    i1 = right[-1]
-    add(x[i1], 1.0, i1, -1, 0.0, E)
-
-    return (np.array(pa), np.array(pb), np.array(jl, dtype=int),
-            np.array(jr, dtype=int), np.array(el), np.array(er))
-
-
-def _self_radii(grid: Grid) -> np.ndarray:
-    """Per-node self-panel radius: largest symmetric interval around the
-    node that contains no other node and stays clear of 0 and +-1."""
-    x = grid.nodes
-    r = np.empty_like(x)
-    for mask in (x < 0.0, x > 0.0):
-        side = np.flatnonzero(mask)
-        xs = x[side]
-        inner = np.abs(xs) / 2.0          # half the distance to 0
-        outer = (1.0 - np.abs(xs)) / 2.0  # half the distance to the boundary
-        gaps = np.diff(xs)
-        lo = np.full(xs.size, np.inf)
-        hi = np.full(xs.size, np.inf)
-        if gaps.size:
-            lo[1:] = gaps
-            hi[:-1] = gaps
-        if xs[0] < 0.0:   # left side: ordered from boundary toward 0
-            bound_lo, bound_hi = outer, inner
-        else:             # right side: ordered from 0 toward boundary
-            bound_lo, bound_hi = inner, outer
-        r[side] = np.minimum(np.minimum(lo, hi),
-                             np.minimum(bound_lo, bound_hi))
-    return r
+    n_left = int(np.count_nonzero(x < 0.0))
+    breaks = np.concatenate(([-1.0], x[:n_left], [0.0], x[n_left:], [1.0]))
+    ends = np.concatenate(([-1], np.arange(x.size), [-1]))
+    jl = np.insert(ends[:-1], n_left + 1, n_left)
+    jr = np.insert(ends[1:], n_left, n_left - 1)
+    return breaks[:-1], breaks[1:], jl, jr
 
 
 def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
@@ -210,61 +167,31 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     x = grid.nodes
     n = x.size
     twoa = 2.0 * alpha
-    pa, pb, jl, jr, el, er = _build_pieces(grid, exterior)
-    radii = _self_radii(grid)
+    pa, pb, jl, jr = _build_pieces(grid)
+    # self-panel radius: free of other nodes, clear of 0 and of +-1
+    radii = np.minimum(grid.local_spacing(),
+                       np.minimum(np.abs(x) / 2.0, (1.0 - np.abs(x)) / 2.0))
     E = _exterior_limit(exterior)
 
     W = np.zeros((n, n))
     corr = np.zeros(n)
 
-    # neighbours used by the self panel: the model value at x +- r
-    left_adj = np.empty((2, n))   # row 0: theta, row 1: slot (as float)
-    right_adj = np.empty((2, n))
-
-    for mask in (x < 0.0, x > 0.0):
-        side = np.flatnonzero(mask)
-        xs = x[side]
-        for k, i in enumerate(side):
-            r = radii[i]
-            # model value at x - r
-            if k == 0:
-                if xs[0] > 0.0:
-                    # innermost right node: x - r sits in the frozen gap
-                    left_adj[:, i] = (0.0, i)
-                else:
-                    # leftmost node: x - r sits on the bridge to -1
-                    theta = r / (xs[0] + 1.0)
-                    left_adj[:, i] = (theta, -1)
-            else:
-                theta = r / (xs[k] - xs[k - 1])
-                left_adj[:, i] = (theta, side[k - 1])
-            # model value at x + r
-            if k == side.size - 1:
-                if xs[-1] > 0.0:
-                    theta = r / (1.0 - xs[-1])
-                    right_adj[:, i] = (theta, -1)
-                else:
-                    # innermost left node: x + r sits in the frozen gap
-                    right_adj[:, i] = (0.0, i)
-            else:
-                theta = r / (xs[k + 1] - xs[k])
-                right_adj[:, i] = (theta, side[k + 1])
-
     for i in range(n):
         xi = x[i]
         r = radii[i]
+        close = i + int(xi > 0.0)   # the piece ending at x_i
 
         # trim the self panel out of the two pieces meeting at x_i, but
         # keep the linear model anchored at the ORIGINAL piece endpoints:
         # only the integration limits shrink, not the interpolation line
         ta = pa.copy()
         tb = pb.copy()
-        ta[pa == xi] = xi + r
-        tb[pb == xi] = xi - r
+        ta[close + 1] = xi + r
+        tb[close] = xi - r
         keep = tb - ta > 1e-300
         ta, tb = ta[keep], tb[keep]
         oa, ob = pa[keep], pb[keep]
-        jlk, jrk, elk, erk = jl[keep], jr[keep], el[keep], er[keep]
+        jlk, jrk = jl[keep], jr[keep]
 
         right_of = oa >= xi
         dn = np.where(right_of, ta - xi, xi - tb)    # trimmed near limit
@@ -288,20 +215,22 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
 
         diag_terms.extend(w_a.tolist())
         diag_terms.extend(w_b.tolist())
-        for w_end, j_end, e_end in ((w_a, jlk, elk), (w_b, jrk, erk)):
+        for w_end, j_end in ((w_a, jlk), (w_b, jrk)):
             node_end = j_end >= 0
             np.add.at(W[i], j_end[node_end], -w_end[node_end])
-            if not np.all(node_end):
-                fixed = ~node_end
-                corr_terms.extend((-w_end[fixed] * e_end[fixed]).tolist())
+            corr_terms.extend((-w_end[~node_end] * E).tolist())
 
-        # self panel: second-difference model with exact kernel moment
+        # self panel: second-difference model with exact kernel moment,
+        # reaching into the far end of each of the two pieces at x_i; a
+        # frozen inner gap (far slot i itself) adds nothing
         c_self = r ** (-twoa) / (2.0 - twoa)
-        for theta, slot in (left_adj[:, i], right_adj[:, i]):
-            t = c_self * theta
+        for k, slot in ((close, jl[close]), (close + 1, jr[close + 1])):
+            if slot == i:
+                continue
+            t = c_self * (r / (pb[k] - pa[k]))
             diag_terms.append(t)
-            if slot >= 0.0:
-                W[i, int(slot)] -= t
+            if slot >= 0:
+                W[i, slot] -= t
             else:
                 corr_terms.append(-t * E)
 

@@ -6,9 +6,9 @@ distance to 0), like the squared boundary distance ``d**2`` near the ends
 of the interval, and join the two regimes with a quintic polynomial chosen
 so the whole profile is twice continuously differentiable.  The module
 also provides the discrete torsion function (the grid function the
-assembled operator maps to the constant 1), the pointwise linear
-algebra needed to build sub- and super-solution candidates from these
-pieces, and the scale search that sizes them.
+assembled operator maps to the constant 1), from which sub- and
+super-solution candidates are built together with these profiles, and
+the scale search that sizes them.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, GridMismatch, SingularSystem
-from .mesh import (Constant, Exterior, Grid, GridFunction, PowerTail, Zero,
-                   distance_D)
+from .errors import BadConfig, SingularSystem
+from .mesh import Grid, GridFunction, Zero, distance_D
 from .operator import OperatorMatrix
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "build_v_tau",
     "evaluate_profile",
     "sample_profile",
-    "combine",
     "solve_torsion",
 ]
 
@@ -146,39 +144,6 @@ def sample_profile(spec: ProfileSpec, grid: Grid,
     zero exterior the profile itself has."""
     values = float(scale) * evaluate_profile(spec, grid.nodes)
     return GridFunction(grid, values, Zero())
-
-
-# ---------------------------------------------------------------------------
-# Pointwise linear combinations.
-
-
-def _combine_exterior(a: float, eu: Exterior, b: float, ev: Exterior) -> Exterior:
-    if isinstance(eu, Zero) and isinstance(ev, Zero):
-        return Zero()
-    if isinstance(eu, Zero):
-        return _combine_exterior(b, ev, 0.0, Zero())
-    if isinstance(ev, Zero):
-        if isinstance(eu, Constant):
-            return Constant(a * eu.value)
-        return PowerTail(eu.tau, a * eu.amplitude)
-    if isinstance(eu, Constant) and isinstance(ev, Constant):
-        return Constant(a * eu.value + b * ev.value)
-    if (isinstance(eu, PowerTail) and isinstance(ev, PowerTail)
-            and eu.tau == ev.tau):
-        return PowerTail(eu.tau, a * eu.amplitude + b * ev.amplitude)
-    raise GridMismatch(
-        f"cannot combine exterior extensions {eu!r} and {ev!r}")
-
-
-def combine(a: float, u: GridFunction, b: float, v: GridFunction) -> GridFunction:
-    """Pointwise ``a*u + b*v`` on a shared grid, combining the exterior
-    extensions when they are compatible (zero absorbs into anything;
-    constants add; power tails add only with equal exponents)."""
-    if not u.grid.same_as(v.grid):
-        raise GridMismatch("cannot combine functions on different grids")
-    exterior = _combine_exterior(float(a), u.exterior, float(b), v.exterior)
-    return GridFunction(u.grid, float(a) * u.values + float(b) * v.values,
-                        exterior)
 
 
 # ---------------------------------------------------------------------------

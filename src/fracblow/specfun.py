@@ -317,12 +317,11 @@ def find_tau0(alpha: float, tol: float = 1e-8) -> float:
 
 @dataclass(frozen=True)
 class CriticalExponents:
-    """Threshold data for one order: the global threshold ``alpha0``, the
-    boundary rate ``tau0``, and (below the threshold only) the interior
-    rate ``tau1`` where the two-sided integral vanishes."""
+    """Threshold data for one order: the boundary rate ``tau0`` and,
+    below the threshold order (``find_alpha0``) only, the interior rate
+    ``tau1`` where the two-sided integral vanishes."""
 
     alpha: float
-    alpha0: float
     tau0: float
     tau1: Optional[float]
 
@@ -332,13 +331,12 @@ def critical_exponents(alpha: float, tol: float = 1e-8) -> CriticalExponents:
     the order sits below the threshold."""
     alpha = _check_alpha(alpha)
     tol = _check_tol(tol)
-    alpha0 = find_alpha0(tol)
     tau0 = find_tau0(alpha, tol)
     tau1 = _interior_zero(alpha, tol)
     if tau1 is not None and not (tau0 < tau1):
         raise RegimeError(
             f"critical exponents out of order: tau0={tau0} !< tau1={tau1}")
-    return CriticalExponents(alpha=alpha, alpha0=alpha0, tau0=tau0, tau1=tau1)
+    return CriticalExponents(alpha=alpha, tau0=tau0, tau1=tau1)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,10 @@ def test_grid_constructor_rejects_bad_nodes():
     with pytest.raises(BadConfig):
         Grid(nodes=np.array([-0.5, 1.0]), grading_exponent=1.0,
              n_per_side=1, delta=0.25)
+    with pytest.raises(BadConfig):
+        # every node on one side of 0
+        Grid(nodes=np.array([0.2, 0.5, 0.7]), grading_exponent=1.0,
+             n_per_side=3, delta=0.25)
 
 
 def test_distances():

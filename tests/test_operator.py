@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fracblow.errors import BadConfig, GridMismatch
-from fracblow.mesh import (Constant, GridFunction, PowerTail, Zero,
+from fracblow.mesh import (Constant, Grid, GridFunction, PowerTail, Zero,
                            build_graded, distance_D)
 from fracblow.operator import (OperatorMatrix, apply, assemble,
                                power_tail_gap, power_tail_moment)
@@ -18,6 +18,14 @@ from fracblow.specfun import c_tau
 
 BATTERY_ALPHAS = (0.25, 0.5, 0.75)
 BATTERY_TAUS = (-0.2, -0.5, -0.8)
+
+# Hand-made asymmetric grids: one node per side, so that the bridge and
+# the inner gap meet at the same node, and an irregular grid with a node
+# next to 0, a close pair and a node next to the boundary.
+HAND_GRIDS = tuple(
+    Grid(nodes=np.array(nodes), grading_exponent=1.0, n_per_side=1,
+         delta=0.25)
+    for nodes in ([-0.5, 0.3], [-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]))
 
 
 def identity_errors(grid, alpha, tau):
@@ -56,10 +64,10 @@ def resolved_mask(grid, spacing_grid=None, multiple=20.0):
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_constant_annihilation_uniform(alpha):
-    grid = build_graded(64, 1.0)
-    M = assemble(alpha, grid, Constant(3.7))
-    u = GridFunction(grid, np.full(grid.n_nodes, 3.7), Constant(3.7))
-    assert np.max(np.abs(apply(M, u))) <= 1e-10
+    for grid in (build_graded(64, 1.0),) + HAND_GRIDS:
+        M = assemble(alpha, grid, Constant(3.7))
+        u = GridFunction(grid, np.full(grid.n_nodes, 3.7), Constant(3.7))
+        assert np.max(np.abs(apply(M, u))) <= 1e-10, grid.nodes
 
 
 @pytest.mark.parametrize("alpha,gamma", [(0.25, 2.4), (0.5, 2.0)])
@@ -100,12 +108,12 @@ def test_off_diagonal_sign(alpha):
     # off-diagonal weights of the operator matrix are <= 0, so the
     # negated operator has the non-negative off-diagonals a discrete
     # maximum principle needs
-    grid = build_graded(48, 2.4)
-    W = assemble(alpha, grid, Zero()).interior_weights.copy()
-    diag = np.diag(W).copy()
-    np.fill_diagonal(W, 0.0)
-    assert np.max(W) <= 0.0
-    assert np.min(diag) > 0.0
+    for grid in (build_graded(48, 2.4),) + HAND_GRIDS:
+        W = assemble(alpha, grid, Zero()).interior_weights.copy()
+        diag = np.diag(W).copy()
+        np.fill_diagonal(W, 0.0)
+        assert np.max(W) <= 0.0, grid.nodes
+        assert np.min(diag) > 0.0, grid.nodes
 
 
 def test_linearity_and_reflection():

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from fracblow.errors import BadConfig, GridMismatch, NoAdmissiblePair
-from fracblow.mesh import Constant, PowerTail, Zero, build_graded, distance_D, distance_d
+from fracblow.errors import BadConfig, NoAdmissiblePair
+from fracblow.mesh import Constant, Zero, build_graded, distance_D, distance_d
 from fracblow.operator import apply, assemble
 from fracblow.profiles import (
     MAX_DOUBLINGS,
     build_v_tau,
-    combine,
     evaluate_profile,
     sample_profile,
     search_scale,
@@ -100,7 +99,7 @@ def test_junction_second_differences_converge():
 
 
 # ---------------------------------------------------------------------------
-# Sampling and pointwise algebra.
+# Sampling.
 
 
 def test_sample_profile_scaling():
@@ -112,39 +111,6 @@ def test_sample_profile_scaling():
     two = sample_profile(spec, grid, scale=2.0)
     assert np.array_equal(two.values, 2.0 * one.values)
     assert isinstance(one.exterior, Zero)
-
-
-def test_combine_values_and_grid_guard():
-    grid = build_graded(32, 2.0)
-    other = build_graded(32, 2.5)
-    spec = build_v_tau(-0.5)
-    u = sample_profile(spec, grid)
-    v = sample_profile(build_v_tau(-0.25), grid)
-    w = combine(2.0, u, -3.0, v)
-    assert np.array_equal(w.values, 2.0 * u.values - 3.0 * v.values)
-    with pytest.raises(GridMismatch):
-        combine(1.0, u, 1.0, sample_profile(spec, other))
-
-
-def test_combine_exterior_rules():
-    grid = build_graded(32, 2.0)
-    vals = np.ones(grid.n_nodes)
-
-    def gf(ext):
-        from fracblow.mesh import GridFunction
-        return GridFunction(grid, vals, ext)
-
-    assert isinstance(combine(1.0, gf(Zero()), 1.0, gf(Zero())).exterior, Zero)
-    out = combine(2.0, gf(Constant(3.0)), 1.0, gf(Constant(-1.0))).exterior
-    assert out == Constant(5.0)
-    out = combine(2.0, gf(Zero()), 3.0, gf(PowerTail(-0.5, 2.0))).exterior
-    assert out == PowerTail(-0.5, 6.0)
-    out = combine(2.0, gf(PowerTail(-0.5, 1.0)), 1.0, gf(PowerTail(-0.5, 0.5))).exterior
-    assert out == PowerTail(-0.5, 2.5)
-    with pytest.raises(GridMismatch):
-        combine(1.0, gf(PowerTail(-0.5, 1.0)), 1.0, gf(PowerTail(-0.25, 1.0)))
-    with pytest.raises(GridMismatch):
-        combine(1.0, gf(Constant(1.0)), 1.0, gf(PowerTail(-0.5, 1.0)))
 
 
 # ---------------------------------------------------------------------------
