@@ -77,14 +77,23 @@ def _load_config(path):
     return config
 
 
-def _resolve(ns, config, name, default=None, required=False):
-    """Flag value if given, else config-file value, else default."""
+def _resolve(ns, config, name, kind=None, *, default=None, required=False):
+    """Flag value if given, else config-file value, else default; converted
+    by ``kind`` (float, int, bool) when one is given and a value is set."""
+    flag = "--" + name.replace("_", "-")
     value = getattr(ns, name, None)
     if value is None:
         value = config.get(name, default)
-    if required and value is None:
-        raise BadConfig(f"missing required parameter --{name.replace('_', '-')}")
-    return value
+    if value is None:
+        if required:
+            raise BadConfig(f"missing required parameter {flag}")
+        return None
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (ValueError, TypeError) as exc:
+        raise BadConfig(f"bad {flag} value {value!r}") from exc
 
 
 def _parse_range(text, what):
@@ -149,15 +158,17 @@ def cmd_specfun(ns, config):
     """CSV sweep of the kernel constants: alpha,tau,c,C,T,c2.
 
     The c2 cell is left empty at tau=0 (the curvature integral is defined
-    for tau<0 only).  Per-cell failures are reported on stderr and leave
-    the cell empty; the run continues and exits nonzero at the end.
+    for tau<0 only).  Per-cell numerical failures are reported on stderr
+    and leave the cell empty; the run continues and exits nonzero at the
+    end.  A configuration error (such as a tolerance out of range) ends
+    the command before it writes anything.
     """
     alpha_lo, alpha_hi = _parse_range(
         _resolve(ns, config, "alpha", default="0.1:0.9"), "alpha")
     tau_lo, tau_hi = _parse_range(
         _resolve(ns, config, "tau", default="-0.9:0.0"), "tau")
-    step = float(_resolve(ns, config, "step", default=0.1))
-    tol = float(_resolve(ns, config, "tol", default=1e-10))
+    step = _resolve(ns, config, "step", float, default=0.1)
+    tol = _resolve(ns, config, "tol", float, default=1e-10)
     out = _resolve(ns, config, "out")
 
     alphas = _range_values(alpha_lo, alpha_hi, step)
@@ -176,7 +187,7 @@ def cmd_specfun(ns, config):
         """fn(*args) at the sweep tolerance; "" once a failure is recorded."""
         try:
             return fn(*args, rel_tol=tol)
-        except FracblowError as exc:
+        except NumericalError as exc:
             failures.append(f"{label}: {exc}")
             return ""
 
@@ -202,9 +213,9 @@ def cmd_specfun(ns, config):
 def cmd_critical(ns, config):
     """JSON report of the critical order and per-alpha critical rates."""
     alpha_arg = _resolve(ns, config, "alpha", required=True)
-    tol = float(_resolve(ns, config, "tol", default=1e-8))
+    tol = _resolve(ns, config, "tol", float, default=1e-8)
     out = _resolve(ns, config, "out")
-    no_timestamp = bool(_resolve(ns, config, "no_timestamp", default=False))
+    no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
 
     try:
         alphas = [float(tok) for tok in str(alpha_arg).split(",") if tok.strip()]
@@ -230,10 +241,9 @@ def cmd_critical(ns, config):
 
 def cmd_classify(ns, config):
     """Regime line and predicted blow-up rate for (alpha, p[, tau])."""
-    alpha = float(_resolve(ns, config, "alpha", required=True))
-    p = float(_resolve(ns, config, "p", required=True))
-    tau = _resolve(ns, config, "tau")
-    tau = None if tau is None else float(tau)
+    alpha = _resolve(ns, config, "alpha", float, required=True)
+    p = _resolve(ns, config, "p", float, required=True)
+    tau = _resolve(ns, config, "tau", float)
     out = _resolve(ns, config, "out")
 
     regime = classify(alpha, p, tau)
@@ -243,9 +253,9 @@ def cmd_classify(ns, config):
 
 
 def _grid_from(ns, config):
-    n_per_side = int(_resolve(ns, config, "n_per_side", default=512))
-    grading = float(_resolve(ns, config, "grading", default=2.4))
-    delta = float(_resolve(ns, config, "delta", default=0.25))
+    n_per_side = _resolve(ns, config, "n_per_side", int, default=512)
+    grading = _resolve(ns, config, "grading", float, default=2.4)
+    delta = _resolve(ns, config, "delta", float, default=0.25)
     return build_graded(n_per_side, grading, delta)
 
 
@@ -256,11 +266,11 @@ def cmd_solve(ns, config):
     profile to PREFIX.profile.csv; without it the report is printed and
     the profile skipped.
     """
-    alpha = float(_resolve(ns, config, "alpha", required=True))
-    p = float(_resolve(ns, config, "p", required=True))
+    alpha = _resolve(ns, config, "alpha", float, required=True)
+    p = _resolve(ns, config, "p", float, required=True)
     schedule = _parse_schedule(_resolve(ns, config, "schedule", default="8:65536"))
     out = _resolve(ns, config, "out")
-    no_timestamp = bool(_resolve(ns, config, "no_timestamp", default=False))
+    no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
 
     grid = _grid_from(ns, config)
     matrix = assemble(alpha, grid, Zero())
@@ -298,11 +308,11 @@ def cmd_solve(ns, config):
 
 def cmd_audit(ns, config):
     """Nonexistence-zone residual audit, emitted as JSON."""
-    alpha = float(_resolve(ns, config, "alpha", required=True))
-    p = float(_resolve(ns, config, "p", required=True))
-    tau = float(_resolve(ns, config, "tau", required=True))
+    alpha = _resolve(ns, config, "alpha", float, required=True)
+    p = _resolve(ns, config, "p", float, required=True)
+    tau = _resolve(ns, config, "tau", float, required=True)
     out = _resolve(ns, config, "out")
-    no_timestamp = bool(_resolve(ns, config, "no_timestamp", default=False))
+    no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
 
     grid = _grid_from(ns, config)
     audit = audit_nonexistence(assemble(alpha, grid, Zero()), p, tau)

@@ -136,6 +136,13 @@ def build_graded(n_per_side: int, grading_exponent: float,
         raise BadConfig(f"grading_exponent must lie in [1, 6], got {gamma}")
     xi = (np.arange(1, n + 1) - 0.5) / n
     right = _grading_map(xi, gamma)
+    if not (np.all(np.diff(right) > 0.0) and right[-1] < 1.0):
+        # the outermost gaps (1/n)**gamma / 2 fall below the spacing of
+        # doubles next to 1
+        raise BadConfig(
+            f"n_per_side {n} with grading_exponent {gamma} grades the outer "
+            f"nodes closer to 1 than double precision resolves; use fewer "
+            f"nodes or a smaller exponent")
     nodes = np.concatenate([-right[::-1], right])
     return Grid(nodes=nodes, grading_exponent=gamma, n_per_side=n,
                 delta=float(delta))

@@ -9,7 +9,8 @@ panel with an adaptive Gauss rule, and closes the tail beyond T_cut in
 closed form from the declared tail order.
 
 The engine never inspects an integrand symbolically; callers declare the
-three exponents and provide a vectorized evaluator.
+three exponents and provide two vectorized evaluators, one of them scaled
+at the singular point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +30,7 @@ _ABS_FLOOR = 1e-13
 _SPLIT_EPS = 0.5
 _T_CUT_START = 64.0
 _T_CUT_MAX = 1e250
+_MAX_SUBDIVISIONS = 2 ** 20
 
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
@@ -36,7 +38,7 @@ _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 
 @dataclass
 class Integrand:
-    """A declared integrand g on (0, upper) with upper = +inf when None.
+    """A declared integrand g on (0, inf).
 
     Parameters
     ----------
@@ -51,12 +53,8 @@ class Integrand:
         logarithmic blow-ups (any q in (-1, 0) keeps the transformed
         integrand bounded).
     tail_order : float
-        g(t) = O(t**tail_order) as t -> inf.  Must be below -1 when the
-        integration range is unbounded.
-    upper : float, optional
-        Finite right endpoint.  None (default) integrates to +inf and
-        engages the closed-form tail beyond T_cut.
-    eval_sing_scaled : callable, optional
+        g(t) = O(t**tail_order) as t -> inf.  Must be below -1.
+    eval_sing_scaled : callable
         Vectorized map (log_abs_u, sign) -> g(1 + sign*e^{log_abs_u}) *
         e^{-q*log_abs_u}, i.e. the integrand near t = 1 with the declared
         singular factor divided out, parametrized by log|t - 1|.  On the
@@ -64,16 +62,13 @@ class Integrand:
         integrand exactly this quantity divided by (1 + q); passing log|u|
         keeps the evaluation finite even where |t - 1| itself would
         underflow (q near -1 compresses half the panel into that regime).
-        Without it the engine falls back to ``eval`` at 1 + u, which is
-        safe only for mild singularities.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     origin_order: float
     sing_order: float
     tail_order: float
-    upper: Optional[float] = None
-    eval_sing_scaled: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    eval_sing_scaled: Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass
@@ -100,101 +95,48 @@ def integrate_tail(power: float, t_cut: float) -> float:
     return t_cut ** (power + 1.0) / (-power - 1.0)
 
 
-def _safe_eval(fn, x):
+def _safe_eval(fn, *args):
     with np.errstate(all="ignore"):
-        out = np.asarray(fn(x), dtype=float)
+        out = np.asarray(fn(*args), dtype=float)
     return np.where(np.isfinite(out), out, 0.0)
 
 
-class _Panel:
-    """One integration panel in a transformed coordinate s.
+def _panels(f: Integrand, t_cut: float) -> list:
+    """The five panels as (integrand in s, s_lo, s_hi), in heap order.
 
-    Plain panels carry a map s -> t with its measure dt/ds.  Singular
-    panels (sign = +-1) sit in the coordinate s = |t - 1|**(1 + q), where
-    the transformed integrand is g(t(s)) * |u|**(-q) / (1 + q) with
-    u = t - 1; it is evaluated through eval_sing_scaled from log|u| =
-    log(s)/(1 + q) so no intermediate quantity over- or underflows.
+    The origin panel t = s**(1/(1 + origin_order)) covers (0, 1/2]; the two
+    singular panels sit in s = |t - 1|**(1 + q) on either side of t = 1,
+    where the transformed integrand is eval_sing_scaled(log|u|) / (1 + q)
+    with log|u| = log(s)/(1 + q), so no intermediate quantity over- or
+    underflows; [3/2, 2] is integrated in t itself and [2, T_cut] in log t.
     """
-
-    __slots__ = ("f", "map_t", "jac", "sign")
-
-    def __init__(self, f, map_t=None, jac=None, sign=0.0):
-        self.f = f
-        self.map_t = map_t
-        self.jac = jac
-        self.sign = sign
-
-    def integrand(self, s: np.ndarray) -> np.ndarray:
-        if self.sign == 0.0:
-            return _safe_eval(self.f.eval, self.map_t(s)) * self.jac(s)
-        q = self.f.sing_order
-        log_u = np.log(s) / (1.0 + q)
-        if self.f.eval_sing_scaled is not None:
-            with np.errstate(all="ignore"):
-                vals = np.asarray(self.f.eval_sing_scaled(log_u, self.sign),
-                                  dtype=float)
-            vals = np.where(np.isfinite(vals), vals, 0.0)
-        else:
-            u = self.sign * np.exp(log_u)
-            with np.errstate(all="ignore"):
-                scale = np.exp(-q * log_u)
-            vals = _safe_eval(self.f.eval, 1.0 + u) * scale
-            vals = np.where(np.isfinite(vals), vals, 0.0)
-        return vals / (1.0 + q)
-
-    def rule(self, a: float, b: float):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        hi = half * np.dot(_WEIGHTS_HI, self.integrand(mid + half * _NODES_HI))
-        lo = half * np.dot(_WEIGHTS_LO, self.integrand(mid + half * _NODES_LO))
-        return hi, abs(hi - lo)
-
-
-def _origin_map(exponent: float):
-    """t = s**(1/exponent) with measure dt/ds, for the panel leaving 0."""
-    inv = 1.0 / exponent
-
-    def map_t(s):
-        return s ** inv
-
-    def jac(s):
-        return inv * s ** (inv - 1.0)
-
-    return map_t, jac
-
-
-def _identity_panel(f):
-    return _Panel(f, map_t=lambda s: s, jac=lambda s: np.ones_like(s))
-
-
-def _log_panel(f):
-    return _Panel(f, map_t=np.exp, jac=np.exp)
-
-
-def _build_panels(f: Integrand) -> list:
-    """Panels over (0, min(upper, 2)] plus (if unbounded) [2, t] in log t."""
-    upper = f.upper if f.upper is not None else math.inf
-    panels = []
-
-    a0 = f.origin_order
+    inv = 1.0 / (1.0 + f.origin_order)
     q = f.sing_order
-    b1 = min(_SPLIT_EPS, upper)
-    map_t, jac = _origin_map(1.0 + a0)
-    panels.append((_Panel(f, map_t=map_t, jac=jac), 0.0, b1 ** (1.0 + a0)))
 
-    if upper > _SPLIT_EPS:
-        if upper < 1.0:
-            panels.append((_identity_panel(f), _SPLIT_EPS, upper))
-        else:
-            panels.append((_Panel(f, sign=-1.0), 0.0, _SPLIT_EPS ** (1.0 + q)))
-    if upper > 1.0:
-        reach = min(upper - 1.0, _SPLIT_EPS)
-        panels.append((_Panel(f, sign=1.0), 0.0, reach ** (1.0 + q)))
-    if upper > 1.0 + _SPLIT_EPS:
-        panels.append((_identity_panel(f), 1.0 + _SPLIT_EPS, min(2.0, upper)))
-    if upper > 2.0 and math.isfinite(upper):
-        panels.append((_log_panel(f), math.log(2.0), math.log(upper)))
-    return panels
+    def origin(s):
+        return _safe_eval(f.eval, s ** inv) * (inv * s ** (inv - 1.0))
+
+    def near_one(sign):
+        def scaled(s):
+            log_u = np.log(s) / (1.0 + q)
+            return _safe_eval(f.eval_sing_scaled, log_u, sign) / (1.0 + q)
+        return scaled
+
+    def plain(s):
+        return _safe_eval(f.eval, s)
+
+    def log_t(s):
+        t = np.exp(s)
+        return _safe_eval(f.eval, t) * t
+
+    reach = _SPLIT_EPS ** (1.0 + q)
+    return [
+        (origin, 0.0, _SPLIT_EPS ** (1.0 + f.origin_order)),
+        (near_one(-1.0), 0.0, reach),
+        (near_one(1.0), 0.0, reach),
+        (plain, 1.0 + _SPLIT_EPS, 2.0),
+        (log_t, math.log(2.0), math.log(t_cut)),
+    ]
 
 
 def _tail_setup(f: Integrand):
@@ -222,23 +164,22 @@ def _tail_setup(f: Integrand):
 
 
 def integrate_singular(f: Integrand, rel_tol: float = 1e-10, *,
-                       max_subdivisions: int = 2 ** 20,
                        strict: bool = True) -> QuadResult:
-    """Integrate a declared integrand over (0, upper).
+    """Integrate a declared integrand over (0, inf).
 
     Parameters
     ----------
     f : Integrand
-        Declared integrand; ``f.eval`` must accept numpy arrays.
+        Declared integrand; ``f.eval`` and ``f.eval_sing_scaled`` must
+        accept numpy arrays.
     rel_tol : float
         Relative tolerance in (1e-14, 1e-2).  The accuracy goal is
         ``max(rel_tol * |value|, 1e-13)`` absolute.
-    max_subdivisions : int
-        Cap on panel bisections.
     strict : bool
-        When True (default) raise NoConvergence if the budget runs out
-        above tolerance; when False return the best estimate reached, which
-        is what refinement-monotonicity studies need.
+        When True (default) raise NoConvergence if the budget of
+        ``_MAX_SUBDIVISIONS`` panel bisections runs out above tolerance;
+        when False return the best estimate reached, which is what
+        refinement-monotonicity studies and root finders need.
 
     Returns
     -------
@@ -257,36 +198,30 @@ def integrate_singular(f: Integrand, rel_tol: float = 1e-10, *,
         raise NonIntegrable(f"origin_order {f.origin_order} <= -1")
     if f.sing_order <= -1.0:
         raise NonIntegrable(f"sing_order {f.sing_order} <= -1")
-    unbounded = f.upper is None
-    if unbounded and f.tail_order >= -1.0:
+    if f.tail_order >= -1.0:
         raise NonIntegrable(f"tail_order {f.tail_order} >= -1")
-    if not unbounded and f.upper <= 0.0:
-        raise BadConfig(f"upper must be positive, got {f.upper}")
 
     heap = []
     counter = 0
     total_value = 0.0
     total_err = 0.0
 
-    def push(panel, a, b):
+    def push(g, a, b):
+        # 15-point Gauss-Legendre value, error against the 7-point rule
         nonlocal counter, total_value, total_err
-        if b <= a:
-            return
-        val, err = panel.rule(a, b)
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        val = half * np.dot(_WEIGHTS_HI, g(mid + half * _NODES_HI))
+        err = abs(val - half * np.dot(_WEIGHTS_LO, g(mid + half * _NODES_LO)))
         total_value += val
         total_err += err
-        heapq.heappush(heap, (-err, counter, panel, a, b, val, err))
+        heapq.heappush(heap, (-err, counter, g, a, b, val, err))
         counter += 1
 
-    for panel, a, b in _build_panels(f):
-        push(panel, a, b)
-
-    tail_corr = 0.0
-    tail_err = 0.0
-    if unbounded:
-        t_cut, tail_corr, tail_err = _tail_setup(f)
-        if t_cut > 2.0:
-            push(_log_panel(f), math.log(2.0), math.log(t_cut))
+    t_cut, tail_corr, tail_err = _tail_setup(f)
+    for g, a, b in _panels(f, t_cut):
+        if b > a:
+            push(g, a, b)
 
     n_splits = 0
     while heap:
@@ -297,17 +232,17 @@ def integrate_singular(f: Integrand, rel_tol: float = 1e-10, *,
             # the fixed tail bound dominates; splitting interior panels
             # further cannot reduce the total estimate below it
             break
-        if n_splits >= max_subdivisions:
+        if n_splits >= _MAX_SUBDIVISIONS:
             break
-        neg_err, _, panel, a, b, val, err = heapq.heappop(heap)
+        neg_err, _, g, a, b, val, err = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if err == 0.0 or mid <= a or mid >= b:
             # unsplittable at working precision; retire the panel
             continue
         total_value -= val
         total_err -= err
-        push(panel, a, mid)
-        push(panel, mid, b)
+        push(g, a, mid)
+        push(g, mid, b)
         n_splits += 1
 
     value = total_value + tail_corr

@@ -89,6 +89,17 @@ def test_specfun_rejects_out_of_domain_sweep():
     assert main(["specfun", "--alpha", "0.5", "--step", "-0.1"]) == EXIT_CONFIG
 
 
+def test_specfun_tolerance_out_of_range_is_config_error(capsys):
+    # a configuration error, not one numerical failure per cell
+    code = main(["specfun", "--alpha", "0.3", "--tau=-0.5:0", "--step", "0.5",
+                 "--tol", "0.5"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: "
+                            "rel_tol 0.5 outside (1e-14, 1e-2)\n")
+
+
 # ---------------------------------------------------------------------------
 # critical exponents
 
@@ -184,6 +195,15 @@ def test_solve_bad_schedule_is_config_error():
     base = ["solve", "--alpha", "0.5", "--p", "3", "--n-per-side", "128"]
     assert main(base + ["--schedule", "abc"]) == EXIT_CONFIG
     assert main(base + ["--schedule", "64:8"]) == EXIT_CONFIG
+
+
+def test_solve_unresolvable_grading_names_the_grid(capsys):
+    # 512 nodes per side at exponent 6 crowd the outer nodes onto 1
+    assert main(["solve", "--alpha", "0.5", "--p", "3", "--grading", "6"]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: n_per_side 512 with "
+                          "grading_exponent 6.0")
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +372,25 @@ def test_config_errors(tmp_path):
     not_json = tmp_path / "broken.json"
     not_json.write_text("{oops")
     assert main(["classify", "--config", str(not_json)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv,config,flag", [
+    (["classify", "--alpha", "0.5", "--p", "x"], None, "--p"),
+    (["solve", "--alpha", "abc", "--p", "3"], None, "--alpha"),
+    (["audit", "--alpha", "0.6", "--p", "3", "--tau=x"], None, "--tau"),
+    (["classify"], {"p": "x", "alpha": 0.5}, "--p"),
+    (["classify"], {"p": [0.3], "alpha": 0.5}, "--p"),
+], ids=["classify-flag", "solve-flag", "audit-flag", "config-text",
+        "config-list"])
+def test_non_numeric_values_are_config_errors(argv, config, flag, tmp_path,
+                                              capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: bad {flag} value "), err
 
 
 def test_parser_level_errors_map_to_config_exit():

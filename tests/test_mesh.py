@@ -76,6 +76,12 @@ def test_build_graded_validates_arguments():
         build_graded(32, 2.0, delta=0.3)
     with pytest.raises(BadConfig):
         build_graded(32, 2.0, delta=0.0)
+    # exponent 6 is allowed, but from 457 nodes per side the outermost
+    # node 1 - (1/n)**6 / 2 rounds to 1
+    with pytest.raises(BadConfig, match="n_per_side 512 with grading_exponent 6"):
+        build_graded(512, 6.0)
+    grid = build_graded(456, 6.0)
+    assert grid.nodes[-1] < 1.0 and np.all(np.diff(grid.nodes) > 0.0)
 
 
 def test_grid_constructor_rejects_bad_nodes():

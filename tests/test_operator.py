@@ -178,8 +178,12 @@ def quad_exterior_moment(alpha, tau, x):
     def g(t):
         return (1.0 + t) ** tau * (1.0 + t - x) ** (-1.0 - 2.0 * alpha)
 
+    def g_sing(log_u, sign):
+        # no singular factor at t = 1: g itself at t = 1 + u
+        return g(1.0 + sign * np.exp(log_u))
+
     f = Integrand(eval=g, origin_order=0.0, sing_order=0.0,
-                  tail_order=tau - 1.0 - 2.0 * alpha)
+                  tail_order=tau - 1.0 - 2.0 * alpha, eval_sing_scaled=g_sing)
     return integrate_singular(f, rel_tol=1e-12).value
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from fracblow import quad
 from fracblow.errors import BadConfig, NoConvergence, NonIntegrable
 from fracblow.quad import Integrand, QuadResult, integrate_singular, integrate_tail
 
@@ -61,27 +62,37 @@ def _kernel_case(alpha, tau):
 # closed-form checks
 
 
+def _plain(g, origin_order, tail_order, sing_order=0.0):
+    """Integrand declared without a singular factor at t = 1, so that its
+    scaled evaluator is g itself at t = 1 + u."""
+    def ev_sing(log_u, sign):
+        return g(1.0 + sign * np.exp(log_u))
+
+    return Integrand(eval=g, origin_order=origin_order, sing_order=sing_order,
+                     tail_order=tail_order, eval_sing_scaled=ev_sing)
+
+
+def _beta(a, b):
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
 def test_plain_power_on_unit_interval():
-    # integral of sqrt(t) over (0,1) is 2/3
-    f = Integrand(eval=lambda t: np.sqrt(np.asarray(t, float)),
-                  origin_order=0.5, sing_order=0.0, tail_order=-2.0, upper=1.0)
-    res = integrate_singular(f, 1e-12)
+    # integral of sqrt(t) (1+t)**(-3) over (0, inf), which t = s/(1-s)
+    # maps to the unit-interval integral of sqrt(s (1-s)): Beta(3/2, 3/2) = pi/8
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        return np.sqrt(t) * (1.0 + t) ** -3.0
+
+    res = integrate_singular(_plain(g, origin_order=0.5, tail_order=-2.5), 1e-12)
     assert isinstance(res, QuadResult)
-    assert abs(res.value - 2.0 / 3.0) <= 1e-12 * (2.0 / 3.0)
-
-
-def test_plain_power_short_interval():
-    # integral of sqrt(t) over (0, 0.8) = 0.8**1.5 / 1.5
-    f = Integrand(eval=lambda t: np.sqrt(np.asarray(t, float)),
-                  origin_order=0.5, sing_order=0.0, tail_order=-2.0, upper=0.8)
-    res = integrate_singular(f, 1e-12)
-    assert abs(res.value - 0.8 ** 1.5 / 1.5) <= 1e-12
+    assert abs(res.value - math.pi / 8.0) <= 1e-12 * (math.pi / 8.0)
 
 
 def test_beta_integral_two_singular_endpoints():
-    # integral of t**(a-1) (1-t)**(b-1) over (0,1) = Beta(a, b)
-    a, b = 0.7, 0.4
-    want = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    # integral of t**(a-1) |1-t|**(b-1) over (0, inf)
+    # = Beta(a, b) + Beta(b, 1-a-b)  (the second from t -> 1/t beyond 1)
+    a, b = 0.3, 0.4
+    want = _beta(a, b) + _beta(b, 1.0 - a - b)
 
     def ev(t):
         t = np.asarray(t, dtype=float)
@@ -93,7 +104,7 @@ def test_beta_integral_two_singular_endpoints():
         return (1.0 + u) ** (a - 1.0)
 
     f = Integrand(eval=ev, origin_order=a - 1.0, sing_order=b - 1.0,
-                  tail_order=-2.0, upper=1.0, eval_sing_scaled=ev_sing)
+                  tail_order=a + b - 2.0, eval_sing_scaled=ev_sing)
     res = integrate_singular(f, 1e-12)
     assert abs(res.value - want) <= 1e-11 * want
 
@@ -101,14 +112,13 @@ def test_beta_integral_two_singular_endpoints():
 def test_unbounded_slow_tail_beta():
     # integral of t^2 (1+t)^(-3.1) over (0, inf) = Beta(3, 0.1);
     # tail order -1.1 forces the cutoff growth loop to work hard
-    want = math.gamma(3.0) * math.gamma(0.1) / math.gamma(3.1)
+    want = _beta(3.0, 0.1)
 
     def ev(t):
         t = np.asarray(t, dtype=float)
         return t * t * (1.0 + t) ** (-3.1)
 
-    f = Integrand(eval=ev, origin_order=2.0, sing_order=0.0, tail_order=-1.1)
-    res = integrate_singular(f, 1e-10)
+    res = integrate_singular(_plain(ev, origin_order=2.0, tail_order=-1.1), 1e-10)
     assert abs(res.value - want) <= 1e-9 * want
 
 
@@ -118,8 +128,9 @@ def test_unbounded_slow_tail_beta():
 
 @pytest.mark.parametrize("tau", [-0.1, -0.5, -0.9])
 def test_singular_substitution_exact_power(tau):
-    # integral of |1-t|**tau over (1/2, 3/2) = 2 (1/2)**(tau+1) / (tau+1);
-    # the integrand is zero elsewhere, so panel edges line up exactly
+    # integral of |1-t|**tau restricted to (1/2, 3/2)
+    # = 2 (1/2)**(tau+1) / (tau+1); the integrand is zero elsewhere, so
+    # panel edges line up exactly
     def ev(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
@@ -132,26 +143,9 @@ def test_singular_substitution_exact_power(tau):
 
     want = 2.0 * 0.5 ** (tau + 1.0) / (tau + 1.0)
     f = Integrand(eval=ev, origin_order=0.0, sing_order=tau, tail_order=-2.0,
-                  upper=1.5, eval_sing_scaled=ev_sing)
+                  eval_sing_scaled=ev_sing)
     res = integrate_singular(f, 1e-12)
     assert abs(res.value - want) <= 1e-12 * want
-
-
-def test_singular_substitution_without_scaled_eval():
-    # mild singularity handled through the raw eval fallback alone
-    tau = -0.1
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            inside = (t > 0.5) & (t < 1.5)
-            return np.where(inside, np.abs(1.0 - t) ** tau, 0.0)
-
-    want = 2.0 * 0.5 ** (tau + 1.0) / (tau + 1.0)
-    f = Integrand(eval=ev, origin_order=0.0, sing_order=tau, tail_order=-2.0,
-                  upper=1.5)
-    res = integrate_singular(f, 1e-12)
-    assert abs(res.value - want) <= 1e-11 * want
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +202,28 @@ def test_tail_rejects_bad_cut():
 # refinement behaviour
 
 
-def test_error_estimate_decreases_under_refinement():
+def test_error_estimate_decreases_under_refinement(monkeypatch):
     f = _kernel_case(0.3, -0.5)
     estimates = []
     for cap in (2, 4, 8, 16, 32, 64):
-        res = integrate_singular(f, 2e-14, max_subdivisions=cap, strict=False)
+        monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", cap)
+        res = integrate_singular(f, 2e-14, strict=False)
         estimates.append(res.abs_err_est)
     for coarse, fine in zip(estimates, estimates[1:]):
         assert fine <= coarse * (1.0 + 1e-12)
     # and the refined value is the true one
+    monkeypatch.undo()
     res = integrate_singular(f, 2e-14, strict=False)
     assert abs(res.value - 0.516063789902987387) <= 1e-12
 
 
-def test_strict_mode_raises_when_capped():
+def test_strict_mode_raises_when_capped(monkeypatch):
     f = _kernel_case(0.3, -0.5)
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 4)
     with pytest.raises(NoConvergence):
-        integrate_singular(f, 1e-12, max_subdivisions=4, strict=True)
+        integrate_singular(f, 1e-12, strict=True)
     # the same request in reporting mode returns the honest estimate
-    res = integrate_singular(f, 1e-12, max_subdivisions=4, strict=False)
+    res = integrate_singular(f, 1e-12, strict=False)
     assert res.abs_err_est > 1e-12 * abs(res.value)
 
 
@@ -235,10 +232,9 @@ def test_strict_mode_raises_when_capped():
 
 
 def _dummy(**overrides):
-    kw = dict(eval=lambda t: np.zeros_like(np.asarray(t, float)),
-              origin_order=0.0, sing_order=0.0, tail_order=-2.0)
+    kw = dict(origin_order=0.0, tail_order=-2.0)
     kw.update(overrides)
-    return Integrand(**kw)
+    return _plain(lambda t: np.zeros_like(np.asarray(t, float)), **kw)
 
 
 def test_rejects_non_integrable_declarations():
@@ -252,18 +248,6 @@ def test_rejects_non_integrable_declarations():
 
 def test_rejects_bad_configuration():
     with pytest.raises(BadConfig):
-        integrate_singular(_dummy(upper=-1.0), 1e-10)
-    with pytest.raises(BadConfig):
-        integrate_singular(_dummy(upper=0.0), 1e-10)
-    with pytest.raises(BadConfig):
         integrate_singular(_dummy(), 0.5)
     with pytest.raises(BadConfig):
         integrate_singular(_dummy(), 1e-15)
-
-
-def test_bounded_tail_order_is_ignored():
-    # a bounded-domain integrand may declare any tail order
-    f = Integrand(eval=lambda t: np.sqrt(np.asarray(t, float)),
-                  origin_order=0.5, sing_order=0.0, tail_order=5.0, upper=1.0)
-    res = integrate_singular(f, 1e-12)
-    assert abs(res.value - 2.0 / 3.0) <= 1e-12

@@ -70,6 +70,15 @@ def test_log_integral_frozen_values():
     assert abs(T_alpha(0.9) - (-5.37157110581334745)) <= 1e-9
     # zero crossing at the threshold order
     assert abs(T_alpha(0.5)) <= 1e-10
+    # closed form pi cot(pi alpha) / (2 alpha) across the range, including
+    # the slope of about pi**2 (1/2 - alpha) on both sides of alpha0 = 1/2
+    for alpha in (0.03, 0.2, 0.499, 0.4999, 0.5, 0.5001, 0.501, 0.7, 0.97):
+        want = math.pi / math.tan(math.pi * alpha) / (2.0 * alpha)
+        assert abs(T_alpha(alpha) - want) <= 1e-9 * abs(want) + 1e-13, alpha
+    # (the factor 1/(2 alpha) moves the slope by about 2 |alpha - 1/2|)
+    for alpha in (0.499, 0.4999, 0.5001, 0.501):
+        slope = T_alpha(alpha) / (0.5 - alpha)
+        assert abs(slope / math.pi ** 2 - 1.0) <= 3.0 * abs(alpha - 0.5), alpha
 
 
 def test_second_derivative_frozen_values():
