@@ -79,7 +79,9 @@ def _load_config(path):
 
 def _resolve(ns, config, name, kind=None, *, default=None, required=False):
     """Flag value if given, else config-file value, else default; converted
-    by ``kind`` (float, int, bool) when one is given and a value is set."""
+    by ``kind`` (float, int, bool) when one is given and a value is set.
+    A conversion that would change the value's meaning is refused: only a
+    true boolean is a bool, and int() must not truncate a fraction."""
     flag = "--" + name.replace("_", "-")
     value = getattr(ns, name, None)
     if value is None:
@@ -90,6 +92,10 @@ def _resolve(ns, config, name, kind=None, *, default=None, required=False):
         return None
     if kind is None:
         return value
+    if (kind is bool and not isinstance(value, bool)) or (
+            kind is int and isinstance(value, float)
+            and not value.is_integer()):
+        raise BadConfig(f"bad {flag} value {value!r}")
     try:
         return kind(value)
     except (ValueError, TypeError) as exc:

@@ -90,6 +90,10 @@ class Grid:
         return (self.nodes.size == other.nodes.size
                 and np.array_equal(self.nodes, other.nodes))
 
+    def is_mirror_symmetric(self) -> bool:
+        """Whether the nodes are exactly their own reflection x -> -x."""
+        return np.array_equal(self.nodes, -self.nodes[::-1])
+
     def local_spacing(self) -> np.ndarray:
         """Per-node distance to the nearest neighbouring node on the same
         side of 0 (innermost and outermost nodes use their single

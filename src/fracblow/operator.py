@@ -32,13 +32,13 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import digamma, hyp2f1
+from scipy.special import digamma, exprel, hyp2f1
 
 from .errors import BadConfig, GridMismatch
 from .mesh import Constant, Exterior, Grid, GridFunction, PowerTail, Zero
 
-__all__ = ["OperatorMatrix", "assemble", "apply", "power_tail_gap",
-           "power_tail_moment"]
+__all__ = ["OperatorMatrix", "assemble", "apply", "mirror_blocks",
+           "power_tail_gap", "power_tail_moment"]
 
 
 @dataclass(eq=False)
@@ -123,13 +123,18 @@ def _exterior_limit(exterior: Exterior) -> float:
 
 
 def _kernel_moments(A, B, alpha):
-    """J0 = integral_A^B s^(-1-2a) ds and J1 = integral_A^B s^(-2a) ds."""
+    """J0 = integral_A^B s^(-1-2a) ds and J1 = integral_A^B s^(-2a) ds.
+
+    Both are (B^e - A^e)/e, with e = -2a and e = 1 - 2a, written in
+    L = log(B/A) = log1p((B-A)/A) as A^e expm1(e L)/e: the plain
+    difference quotient loses digits for narrow pieces (B ~ A) and, in
+    J1, as e -> 0 next to a = 1/2.  J1 uses exprel(x) = expm1(x)/x, which
+    is 1 at x = 0, so at a = 1/2 it is log(B/A) with no branch."""
     twoa = 2.0 * alpha
-    J0 = (A ** (-twoa) - B ** (-twoa)) / twoa
-    if alpha == 0.5:
-        J1 = np.log(B / A)
-    else:
-        J1 = (B ** (1.0 - twoa) - A ** (1.0 - twoa)) / (1.0 - twoa)
+    log_ratio = np.log1p((B - A) / A)
+    power = A ** -twoa
+    J0 = power * np.expm1(-twoa * log_ratio) / -twoa
+    J1 = power * A * log_ratio * exprel((1.0 - twoa) * log_ratio)
     return J0, J1
 
 
@@ -248,6 +253,24 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
 
     return OperatorMatrix(alpha=alpha, grid=grid, interior_weights=W,
                           exterior_correction=corr, exterior=exterior)
+
+
+def mirror_blocks(weights: np.ndarray, idx: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd half blocks of ``weights[idx][:, idx]`` for a sorted
+    index set that is closed under the node reversal i -> n-1-i.
+
+    On a mirror-symmetric grid the weights commute with the reversal P,
+    so the system splits into even vectors (u = Pu) and odd ones
+    (u = -Pu).  With R the right half of ``idx`` and M its mirror, both
+    read off the right-half rows:  even = W_RR + W_RM,  odd = W_RR - W_RM.
+    """
+    right = idx[idx.size // 2:]
+    even = weights[np.ix_(right, right)]
+    far = weights[np.ix_(right, weights.shape[0] - 1 - right)]
+    odd = even - far
+    even += far
+    return even, odd
 
 
 def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:

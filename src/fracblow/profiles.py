@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadConfig, SingularSystem
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix
+from .operator import OperatorMatrix, mirror_blocks
 
 __all__ = [
     "ProfileSpec",
@@ -154,16 +154,27 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
     """Solve the dense collocation system  operator(v) = 1  for the
     zero-exterior ``matrix``.  The solution is the discrete torsion
     function, with zero exterior: positive inside the interval, vanishing
-    toward the endpoints, and the bounded lift of comparison pairs."""
+    toward the endpoints, and the bounded lift of comparison pairs.
+
+    The grid must be mirror-symmetric; the right-hand side is then even,
+    so the solve is the even half system of ``mirror_blocks`` and the
+    solution is exactly even."""
     if not isinstance(matrix.exterior, Zero):
         raise BadConfig("the torsion function needs the zero-exterior operator")
     alpha, grid = matrix.alpha, matrix.grid
-    rhs = np.ones(grid.n_nodes) - matrix.exterior_correction
+    if not grid.is_mirror_symmetric():
+        raise BadConfig(
+            "the torsion solve needs a mirror-symmetric grid (nodes equal "
+            "to -nodes[::-1]), such as build_graded builds")
+    n = grid.n_nodes
+    even, _ = mirror_blocks(matrix.interior_weights, np.arange(n))
+    rhs = 1.0 - matrix.exterior_correction[n // 2:]
     try:
-        values = np.linalg.solve(matrix.interior_weights, rhs)
+        half = np.linalg.solve(even, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"torsion system is singular for alpha={alpha}") from exc
+    values = np.concatenate((half[::-1], half))
     if not np.all(np.isfinite(values)):
         raise SingularSystem(
             f"torsion solve produced non-finite values for alpha={alpha}")

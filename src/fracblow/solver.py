@@ -26,7 +26,7 @@ from .errors import (
     SingularSystem,
 )
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix, apply
+from .operator import OperatorMatrix, apply, mirror_blocks
 from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask,
                        sample_profile, search_scale, solve_torsion)
 from .specfun import RegimeKind, classify
@@ -63,9 +63,10 @@ class ProblemSpec:
     """Blow-up problem on the zero-exterior operator ``matrix``, bracketed
     by an ordered sub/super-solution pair.
 
-    ``sub`` must blow up toward the singular point (checked against
-    ``_BLOWUP_THRESHOLD`` at the innermost nodes) and both bounds must
-    vanish outside the interval, as the operator's exterior does.
+    The grid must be mirror-symmetric, ``sub`` must blow up toward the
+    singular point (checked against ``_BLOWUP_THRESHOLD`` at the
+    innermost nodes) and both bounds must vanish outside the interval,
+    as the operator's exterior does.
     """
 
     matrix: OperatorMatrix
@@ -87,6 +88,10 @@ class ProblemSpec:
         if not (self.sub.grid.same_as(self.grid)
                 and self.super.grid.same_as(self.grid)):
             raise GridMismatch("sub/super must live on the problem grid")
+        if not self.grid.is_mirror_symmetric():
+            raise BadConfig(
+                "the solver needs a mirror-symmetric grid (nodes equal to "
+                "-nodes[::-1]), such as build_graded builds")
         if not (self.matrix.exterior == self.sub.exterior
                 == self.super.exterior == Zero()):
             raise BadConfig(
@@ -116,6 +121,7 @@ class SolveReport:
     n_exhaustion_levels: int
     newton_iters: list
     levels: list
+    active_nodes: list
     residual_inf: float
     tolerance: float
     converged: bool
@@ -128,6 +134,7 @@ class SolveReport:
             "n_exhaustion_levels": int(self.n_exhaustion_levels),
             "levels": [int(n) for n in self.levels],
             "newton_iters": [int(k) for k in self.newton_iters],
+            "active_nodes": [int(k) for k in self.active_nodes],
             "residual_inf": float(self.residual_inf),
             "tolerance": float(self.tolerance),
             "converged": bool(self.converged),
@@ -221,12 +228,21 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
 def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
                       start: np.ndarray) -> tuple[np.ndarray, int]:
     """Damped Newton for  operator(u) + |u|^(p-1) u = 0  on the active
-    nodes, the rest frozen at the sub-solution.  Returns (values, iters)."""
+    nodes, the rest frozen at the sub-solution.  Returns (values, iters).
+
+    The grid and the active set are mirror-symmetric, and so are the
+    iterates up to rounding.  Each step therefore solves the even and the
+    odd half systems of ``mirror_blocks``, with the Jacobian diagonal
+    read off the right half of the nodes, and recombines them; keeping
+    the odd part corrects a residual that is not exactly even.  The
+    blocks are built once per level, and only when the start fails the
+    stop test."""
     p = spec.p
     weights = spec.matrix.interior_weights
     corr = spec.matrix.exterior_correction
     idx = np.flatnonzero(active)
-    w_aa = weights[np.ix_(idx, idx)]
+    half = idx.size // 2
+    right = idx[half:]
 
     u = start.copy()
     u[~active] = spec.sub.values[~active]
@@ -235,18 +251,28 @@ def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
         return (weights @ vec + corr
                 + np.abs(vec) ** (p - 1.0) * vec)[idx]
 
+    blocks = None
     res = full_residual(u)
     for iteration in range(_MAX_ITER + 1):
         scale = max(1.0, float(np.max(np.abs(u[idx]))))
         if np.max(np.abs(res)) <= _NEWTON_RTOL * scale:
             return u, iteration
-        jac = w_aa + np.diag(p * np.abs(u[idx]) ** (p - 1.0))
+        if blocks is None:
+            blocks = mirror_blocks(weights, idx)
+            diags = [block.diagonal().copy() for block in blocks]
+        jac_diag = p * np.abs(u[right]) ** (p - 1.0)
+        for block, diag in zip(blocks, diags):
+            np.fill_diagonal(block, diag + jac_diag)
+        # -res split into its even and odd parts on the right half
+        res_right, res_mirror = res[half:], res[half - 1::-1]
         try:
-            step = np.linalg.solve(jac, -res)
+            even = np.linalg.solve(blocks[0], -0.5 * (res_right + res_mirror))
+            odd = np.linalg.solve(blocks[1], -0.5 * (res_right - res_mirror))
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
                 f"Newton Jacobian singular at level with "
                 f"{idx.size} active nodes") from exc
+        step = np.concatenate(((even - odd)[::-1], even + odd))
         norm = np.max(np.abs(res))
         damping = 1.0
         while damping >= _DAMPING_FLOOR:
@@ -299,12 +325,14 @@ def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int) -> SolveReport:
 
     u = sub_vals.copy()
     newton_iters = []
+    active_nodes = []
     ordering_ok = True
     monotone_ok = True
     for n in levels:
         active = _active_mask(spec.grid, n)
         u_new, iters = _newton_on_domain(spec, active, u)
         newton_iters.append(iters)
+        active_nodes.append(int(np.count_nonzero(active)))
         if np.any(u_new < sub_vals - _AUDIT_SLACK * node_scale) or \
            np.any(u_new > super_vals + _AUDIT_SLACK * node_scale):
             ordering_ok = False
@@ -327,6 +355,7 @@ def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int) -> SolveReport:
         n_exhaustion_levels=len(levels),
         newton_iters=newton_iters,
         levels=levels,
+        active_nodes=active_nodes,
         residual_inf=residual_inf,
         tolerance=tolerance,
         converged=residual_inf <= tolerance,

@@ -380,8 +380,12 @@ def test_config_errors(tmp_path):
     (["audit", "--alpha", "0.6", "--p", "3", "--tau=x"], None, "--tau"),
     (["classify"], {"p": "x", "alpha": 0.5}, "--p"),
     (["classify"], {"p": [0.3], "alpha": 0.5}, "--p"),
+    (["critical", "--alpha", "0.6"], {"no_timestamp": "false"},
+     "--no-timestamp"),
+    (["solve", "--alpha", "0.5", "--p", "3"], {"n_per_side": 64.9},
+     "--n-per-side"),
 ], ids=["classify-flag", "solve-flag", "audit-flag", "config-text",
-        "config-list"])
+        "config-list", "config-bool-text", "config-fractional-int"])
 def test_non_numeric_values_are_config_errors(argv, config, flag, tmp_path,
                                               capsys):
     if config is not None:

@@ -11,8 +11,9 @@ import pytest
 from fracblow.errors import BadConfig, GridMismatch
 from fracblow.mesh import (Constant, Grid, GridFunction, PowerTail, Zero,
                            build_graded, distance_D)
-from fracblow.operator import (OperatorMatrix, apply, assemble,
-                               power_tail_gap, power_tail_moment)
+from fracblow.operator import (OperatorMatrix, _kernel_moments, apply,
+                               assemble, mirror_blocks, power_tail_gap,
+                               power_tail_moment)
 from fracblow.quad import Integrand, integrate_singular
 from fracblow.specfun import c_tau
 
@@ -101,6 +102,52 @@ def test_weight_mirror_symmetry(alpha):
     assert np.max(np.abs(W - W[::-1, ::-1])) <= 1e-12 * scale
     corr = M.exterior_correction
     assert np.max(np.abs(corr - corr[::-1])) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_mirror_blocks_solve_the_full_system(alpha):
+    # Jacobian-shaped system W_aa + diag(d) with an even positive d and a
+    # right-hand side with no symmetry: the even and odd half solves,
+    # recombined, reproduce the full dense solve, on the whole grid and
+    # on a mirror-symmetric active subset
+    grid = build_graded(64, 2.4)
+    W = assemble(alpha, grid, Zero()).interior_weights
+    rng = np.random.default_rng(11)
+    for idx in (np.arange(grid.n_nodes),
+                np.flatnonzero(distance_D(grid.nodes) > 1.0 / 64)):
+        half = idx.size // 2
+        d_right = rng.uniform(0.1, 10.0, size=half)
+        rhs = rng.normal(size=idx.size)
+        full = W[np.ix_(idx, idx)] + np.diag(
+            np.concatenate((d_right[::-1], d_right)))
+        want = np.linalg.solve(full, rhs)
+
+        even, odd = mirror_blocks(W, idx)
+        assert even.shape == odd.shape == (half, half)
+        rhs_right, rhs_mirror = rhs[half:], rhs[half - 1::-1]
+        x_even = np.linalg.solve(even + np.diag(d_right),
+                                 0.5 * (rhs_right + rhs_mirror))
+        x_odd = np.linalg.solve(odd + np.diag(d_right),
+                                0.5 * (rhs_right - rhs_mirror))
+        got = np.concatenate(((x_even - x_odd)[::-1], x_even + x_odd))
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [0.5 - 1e-9, 0.5 + 1e-9, 0.5 - 1e-13,
+                                   0.5 + 1e-13, 0.5, 0.49, 0.25, 0.75])
+@pytest.mark.parametrize("A,B", [(0.013, 0.4), (0.375, 0.375 + 2.0 ** -20)])
+def test_kernel_moments_keep_their_digits(alpha, A, B):
+    # J0 and J1 against a 40-point Gauss-Legendre sum in log s, where
+    # the integrands s^(-2a) ds/s and s^(1-2a) ds/s are smooth
+    # exponentials; the narrow piece (exactly representable ends) is the
+    # case where the plain difference quotient cancels
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    half_width = 0.5 * math.log1p((B - A) / A)
+    t = math.log(A) + half_width * (nodes + 1.0)
+    J0, J1 = _kernel_moments(np.array([A]), np.array([B]), alpha)
+    for got, e in ((J0[0], -2.0 * alpha), (J1[0], 1.0 - 2.0 * alpha)):
+        ref = half_width * math.fsum(weights * np.exp(e * t))
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fracblow.errors import BadConfig, NoAdmissiblePair
-from fracblow.mesh import Constant, Zero, build_graded, distance_D, distance_d
+from fracblow.mesh import (Constant, Grid, Zero, build_graded, distance_D,
+                           distance_d)
 from fracblow.operator import apply, assemble
 from fracblow.profiles import (
     MAX_DOUBLINGS,
@@ -139,7 +140,15 @@ def test_torsion_symmetric_and_nonnegative(alpha):
     grid = build_graded(128, 2.0)
     v = solve_torsion(assemble(alpha, grid, Zero())).values
     assert np.max(np.abs(v - v[::-1])) <= 1e-10 * np.max(v)
+    assert np.array_equal(v, v[::-1])  # the even half solve is exactly even
     assert np.min(v) > 0.0
+
+
+def test_torsion_needs_mirror_symmetric_grid():
+    grid = Grid(nodes=np.array([-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]),
+                grading_exponent=1.0, n_per_side=1, delta=0.25)
+    with pytest.raises(BadConfig, match="mirror-symmetric"):
+        solve_torsion(assemble(0.5, grid, Zero()))
 
 
 @pytest.mark.parametrize("alpha,tol", [(0.25, 0.01), (0.5, 0.02), (0.75, 0.04)])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fracblow.errors import BadConfig, GridMismatch, RegimeError
-from fracblow.mesh import Constant, GridFunction, Zero, build_graded, distance_D
+from fracblow.mesh import (Constant, Grid, GridFunction, Zero, build_graded,
+                           distance_D)
 from fracblow.operator import apply, assemble
 from fracblow.profiles import build_v_tau, core_mask, sample_profile
 from fracblow.solver import (
@@ -121,6 +122,15 @@ def test_problem_spec_validation():
         ProblemSpec(matrix, 0.9, sub, sup)
 
 
+def test_problem_spec_needs_mirror_symmetric_grid():
+    grid = Grid(nodes=np.array([-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]),
+                grading_exponent=1.0, n_per_side=1, delta=0.25)
+    sub = GridFunction(grid, np.full(grid.n_nodes, 20.0), Zero())
+    sup = GridFunction(grid, np.full(grid.n_nodes, 30.0), Zero())
+    with pytest.raises(BadConfig, match="mirror-symmetric"):
+        ProblemSpec(assemble(0.5, grid, Zero()), 3.0, sub, sup)
+
+
 def test_problem_spec_rejects_nonzero_exterior_operator():
     sub, sup, _ = _pair_and_spec(0.5, 3.0)
     with pytest.raises(BadConfig):
@@ -192,12 +202,19 @@ def test_solve_blowup_report_fields_and_audits():
     assert report.levels == [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
     assert report.n_exhaustion_levels == len(report.levels)
     assert len(report.newton_iters) == len(report.levels)
+    # the exhaustion releases nodes level by level, in mirror pairs
+    D = distance_D(GRID.nodes)
+    assert report.active_nodes == [int(np.count_nonzero(D > 1.0 / n))
+                                   for n in report.levels]
+    assert all(k % 2 == 0 for k in report.active_nodes)
+    assert report.active_nodes == sorted(report.active_nodes)
     assert report.converged
     assert report.residual_inf <= report.tolerance
     assert report.ordering_ok
     assert report.monotone_ok
-    payload = json.dumps(report.as_dict())
-    assert "newton_iters" in payload
+    payload = report.as_dict()
+    assert payload["active_nodes"] == report.active_nodes
+    assert "newton_iters" in json.dumps(payload)
 
 
 def test_solve_blowup_validation():
