@@ -11,7 +11,7 @@ from fracblow.specfun import T_alpha
 
 
 def main():
-    alpha0 = find_alpha0(1e-8)
+    alpha0 = find_alpha0()
     print(f"critical order alpha0 = {alpha0:.8f}")
     print()
     print(f"{'alpha':>6} {'T':>10} {'tau0':>10} {'tau1':>10} "

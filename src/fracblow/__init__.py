@@ -62,7 +62,7 @@ from .profiles import (
     sample_profile,
     solve_torsion,
 )
-from .quad import Integrand, QuadResult, integrate_singular, integrate_tail
+from . import quad  # noqa: F401  (kept importable by name; see its docstring)
 from .solver import (
     ProblemSpec,
     SolveReport,

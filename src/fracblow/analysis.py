@@ -16,7 +16,7 @@ from .mesh import GridFunction, distance_D
 from .operator import OperatorMatrix, apply
 from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask, resolved_mask,
                        sample_profile, search_scale, solve_torsion)
-from .specfun import RegimeKind, classify
+from .specfun import Regime, RegimeKind, classify
 
 __all__ = [
     "RateFit",
@@ -25,6 +25,7 @@ __all__ = [
     "fit_rate",
     "check_band",
     "audit_nonexistence",
+    "require_nonexistence",
 ]
 
 _SIDES = ("left", "right", "pooled")
@@ -205,6 +206,21 @@ def _zone_of(alpha: float, p: float, tau: float, tau1: float | None) -> int:
     return 2 if lhs < rhs else 3
 
 
+def require_nonexistence(alpha: float, p: float, tau: float) -> Regime:
+    """Verdict of ``classify`` for the audit; RegimeError unless it is one
+    of the nonexistence kinds.  The regime guard of
+    ``audit_nonexistence``, cheap enough to run before an operator is
+    assembled."""
+    regime = classify(alpha, p, tau)
+    if regime.kind not in (RegimeKind.NONEXISTENCE_A,
+                           RegimeKind.NONEXISTENCE_B,
+                           RegimeKind.NONEXISTENCE_C):
+        raise RegimeError(
+            f"audit needs a nonexistence verdict, got {regime.kind.value} "
+            f"for alpha={alpha}, p={p}, tau={tau}")
+    return regime
+
+
 def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
                        t_values: tuple = (0.5, 1.0, 2.0, 4.0)) -> ZoneAudit:
     """Certify discretely, on the zero-exterior operator ``matrix``, the
@@ -216,13 +232,7 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
     is searched by doubling (at most 40 steps) per tested scale.
     """
     alpha, grid = matrix.alpha, matrix.grid
-    regime = classify(alpha, p, tau)
-    if regime.kind not in (RegimeKind.NONEXISTENCE_A,
-                           RegimeKind.NONEXISTENCE_B,
-                           RegimeKind.NONEXISTENCE_C):
-        raise RegimeError(
-            f"audit needs a nonexistence verdict, got {regime.kind.value} "
-            f"for alpha={alpha}, p={p}, tau={tau}")
+    regime = require_nonexistence(alpha, p, tau)
     zone = _zone_of(alpha, p, tau, regime.tau1)
 
     profile = sample_profile(build_v_tau(tau, grid.delta), grid)

@@ -20,7 +20,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from .analysis import audit_nonexistence
+from .analysis import audit_nonexistence, require_nonexistence
 from .errors import (
     BadConfig,
     ConfigError,
@@ -30,7 +30,12 @@ from .errors import (
 )
 from .mesh import Zero, build_graded, distance_D
 from .operator import assemble
-from .solver import ProblemSpec, default_sub_super, solve_blowup
+from .solver import (
+    ProblemSpec,
+    default_sub_super,
+    require_unique_existence,
+    solve_blowup,
+)
 from .specfun import (
     C_tau,
     T_alpha,
@@ -54,7 +59,7 @@ EXIT_REGIME = 4
 
 
 _KNOWN_KEYS = {
-    "alpha", "p", "tau", "n_per_side", "grading", "delta", "tol",
+    "alpha", "p", "tau", "n_per_side", "grading", "delta",
     "schedule", "out", "no_timestamp", "step",
 }
 
@@ -164,17 +169,14 @@ def cmd_specfun(ns, config):
     """CSV sweep of the kernel constants: alpha,tau,c,C,T,c2.
 
     The c2 cell is left empty at tau=0 (the curvature integral is defined
-    for tau<0 only).  Per-cell numerical failures are reported on stderr
-    and leave the cell empty; the run continues and exits nonzero at the
-    end.  A configuration error (such as a tolerance out of range) ends
-    the command before it writes anything.
+    for tau<0 only).  A configuration error ends the command before it
+    writes anything.
     """
     alpha_lo, alpha_hi = _parse_range(
         _resolve(ns, config, "alpha", default="0.1:0.9"), "alpha")
     tau_lo, tau_hi = _parse_range(
         _resolve(ns, config, "tau", default="-0.9:0.0"), "tau")
     step = _resolve(ns, config, "step", float, default=0.1)
-    tol = _resolve(ns, config, "tol", float, default=1e-10)
     out = _resolve(ns, config, "out")
 
     alphas = _range_values(alpha_lo, alpha_hi, step)
@@ -187,39 +189,21 @@ def cmd_specfun(ns, config):
             raise BadConfig(f"tau sweep value {t} outside (-1,0]")
     taus = [0.0 if abs(t) <= 1e-12 else t for t in taus]
 
-    failures = []
-
-    def value(label, fn, *args):
-        """fn(*args) at the sweep tolerance; "" once a failure is recorded."""
-        try:
-            return fn(*args, rel_tol=tol)
-        except NumericalError as exc:
-            failures.append(f"{label}: {exc}")
-            return ""
-
-    t_column = {a: value(f"T(alpha={a})", T_alpha, a) for a in alphas}
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["alpha", "tau", "c", "C", "T", "c2"])
     for a in alphas:
+        t_value = T_alpha(a)
         for t in taus:
-            c = value(f"c(alpha={a}, tau={t})", c_tau, a, t)
-            C = value(f"C(alpha={a}, tau={t})", C_tau, a, t)
-            c2 = (value(f"c2(alpha={a}, tau={t})", c_second_derivative, a, t)
-                  if t < 0.0 else "")
-            writer.writerow([a, t, c, C, t_column[a], c2])
+            c2 = c_second_derivative(a, t) if t < 0.0 else ""
+            writer.writerow([a, t, c_tau(a, t), C_tau(a, t), t_value, c2])
     _write_text(buffer.getvalue(), out)
-
-    for message in sorted(failures):
-        print(f"specfun cell failed: {message}", file=sys.stderr)
-    return EXIT_NUMERICAL if failures else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_critical(ns, config):
     """JSON report of the critical order and per-alpha critical rates."""
     alpha_arg = _resolve(ns, config, "alpha", required=True)
-    tol = _resolve(ns, config, "tol", float, default=1e-8)
     out = _resolve(ns, config, "out")
     no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
 
@@ -232,14 +216,14 @@ def cmd_critical(ns, config):
 
     per_alpha = {}
     for a in alphas:
-        ce = critical_exponents(a, tol)
+        ce = critical_exponents(a)
         entry = {"tau0": ce.tau0}
         if ce.tau1 is not None:
             entry["tau1"] = ce.tau1
         per_alpha[repr(float(a))] = entry
 
     payload = _timestamp_field(
-        {"alpha0": find_alpha0(tol), "tol": tol, "per_alpha": per_alpha},
+        {"alpha0": find_alpha0(), "per_alpha": per_alpha},
         no_timestamp)
     _write_text(_json_text(payload), out)
     return EXIT_OK
@@ -279,6 +263,7 @@ def cmd_solve(ns, config):
     no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
 
     grid = _grid_from(ns, config)
+    require_unique_existence(alpha, p)
     matrix = assemble(alpha, grid, Zero())
     sub, sup = default_sub_super(matrix, p)
     spec = ProblemSpec(matrix=matrix, p=p, sub=sub, super=sup)
@@ -321,6 +306,7 @@ def cmd_audit(ns, config):
     no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
 
     grid = _grid_from(ns, config)
+    require_nonexistence(alpha, p, tau)
     audit = audit_nonexistence(assemble(alpha, grid, Zero()), p, tau)
     payload = {
         "n_per_side": grid.n_per_side,
@@ -345,7 +331,6 @@ def _add_common(sub):
     sub.add_argument("--n-per-side", dest="n_per_side", type=int)
     sub.add_argument("--grading", type=float)
     sub.add_argument("--delta", type=float)
-    sub.add_argument("--tol", type=float)
     sub.add_argument("--schedule", help="exhaustion schedule START:END")
     sub.add_argument("--out", help="output path (prefix for solve)")
     sub.add_argument("--no-timestamp", dest="no_timestamp",

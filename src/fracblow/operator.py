@@ -109,8 +109,8 @@ def power_tail_gap(alpha: float, tau: float, x: float) -> float:
 def power_tail_moment(alpha: float, tau: float, x: float) -> float:
     """Closed form of integral_1^inf z^tau (z - x)^(-1-2*alpha) dz for
     |x| < 1 and tau < 2*alpha (use -x for the left exterior piece)."""
-    mass = (1.0 - x) ** (-2.0 * alpha) / (2.0 * alpha)
-    return mass - power_tail_gap(alpha, tau, x)
+    gap = power_tail_gap(alpha, tau, x)  # checks x and tau first
+    return (1.0 - x) ** (-2.0 * alpha) / (2.0 * alpha) - gap
 
 
 def _exterior_limit(exterior: Exterior) -> float:

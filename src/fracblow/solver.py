@@ -35,6 +35,7 @@ __all__ = [
     "ProblemSpec",
     "SolveReport",
     "default_sub_super",
+    "require_unique_existence",
     "solve_blowup",
 ]
 
@@ -148,6 +149,18 @@ class SolveReport:
 # Default sub/super-solution pair.
 
 
+def require_unique_existence(alpha: float, p: float) -> float:
+    """Predicted blow-up rate of (alpha, p); RegimeError outside the
+    unique-existence regime.  The regime guard of ``default_sub_super``,
+    cheap enough to run before an operator is assembled."""
+    regime = classify(alpha, p)
+    if regime.kind is not RegimeKind.UNIQUE_EXISTENCE:
+        raise RegimeError(
+            f"default pair requires the unique-existence regime, "
+            f"got {regime.kind.value} for alpha={alpha}, p={p}")
+    return regime.predicted_rate
+
+
 def default_sub_super(matrix: OperatorMatrix, p: float,
                       ) -> tuple[GridFunction, GridFunction]:
     """Ordered pair bracketing the blow-up solution in the unique-existence
@@ -163,12 +176,7 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     on the whole grid.
     """
     alpha, grid = matrix.alpha, matrix.grid
-    regime = classify(alpha, p)
-    if regime.kind is not RegimeKind.UNIQUE_EXISTENCE:
-        raise RegimeError(
-            f"default pair requires the unique-existence regime, "
-            f"got {regime.kind.value} for alpha={alpha}, p={p}")
-    tau = regime.predicted_rate
+    tau = require_unique_existence(alpha, p)
     profile = build_v_tau(tau, grid.delta)
     V = sample_profile(profile, grid)
     torsion = solve_torsion(matrix)

@@ -3,15 +3,30 @@
 The blow-up analysis of the absorption problem rests on three scalar
 functions of the order alpha in (0,1) and a rate exponent tau in (-1,0]:
 
-* ``c_tau``  -- the two-sided kernel-difference integral whose sign at a
-  given rate decides whether the nonlocal operator pushes a power profile
-  up or down near the singular point;
+* ``c_tau``  -- the two-sided kernel-difference integral
+  int_0^inf (|1-t|**tau + (1+t)**tau - 2) t**(-1-2*alpha) dt, whose sign at
+  a given rate decides whether the nonlocal operator pushes a power
+  profile up or down near the singular point;
 * ``C_tau``  -- the one-sided variant with the interior branch cut off at
   t = 1, whose unique zero ``tau0`` marks the boundary-blow-up rate;
 * ``T_alpha`` -- the logarithmic integral equal to the slope of ``c_tau``
   at tau = 0; its unique zero ``alpha0`` splits the orders into a regime
   where ``c_tau`` keeps one sign and a regime where it crosses zero at a
   unique ``tau1``.
+
+All of them are closed forms.  ``c_tau`` is the 1-D Riesz identity for
+(-Lap)**alpha |x|**tau (Dyda, Fract. Calc. Appl. Anal. 15, 2012):
+
+    c(tau) = K(alpha) Gamma(alpha - tau/2) Gamma((1+tau)/2)
+             / (Gamma(-tau/2) Gamma((1+tau)/2 - alpha)),
+    K(alpha) = -sqrt(pi) |Gamma(-alpha)| / Gamma(1/2 + alpha);
+
+the dropped branch of ``C_tau`` is a Beta integral,
+C(tau) = c(tau) - B(2*alpha - tau, 1 + tau); and
+T(alpha) = pi cot(pi*alpha) / (2*alpha).  So the thresholds are formulas
+too: alpha0 = 1/2, tau1 = 2*alpha - 1 (the zero of 1/Gamma((1+tau)/2 -
+alpha)) and tau0 = alpha - 1, the boundary blow-up rate of Chen, Felmer
+and Quaas (Ann. IHP (C) 32, 2015).
 
 ``classify`` combines these thresholds into the existence /
 special-existence / nonexistence verdict for a given (alpha, p) pair and
@@ -27,10 +42,9 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import beta, exprel, gamma, rgamma
 
-from .errors import BadConfig, BracketFailure, RegimeError
-from .quad import Integrand, integrate_singular
+from .errors import BadConfig, RegimeError
 
 __all__ = [
     "c_tau", "C_tau", "T_alpha", "c_second_derivative",
@@ -39,8 +53,6 @@ __all__ = [
     "RegimeKind", "Regime", "classify",
 ]
 
-_BRACKET_FLOOR = 1e-6
-_SIGN_BAND = 1e-8  # |T| below this counts as "at the threshold order"
 _EQ_TOL = 1e-9  # relative gap below which p or tau counts as an equality case
 
 
@@ -61,245 +73,156 @@ def _check_tau(tau: float, *, allow_zero: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Integrand builders.  All integrands share the kernel t**(-1-2*alpha), an
-# origin behaviour t**(1-2*alpha) (the numerators vanish quadratically) and
-# an algebraic tail.
+# Closed forms.  With d = -tau/2 and z = (1+tau)/2 - alpha the Gamma form
+# reads c(tau) = K(alpha) A(d) A(z), A(x) = Gamma(x + alpha) / Gamma(x),
+# because alpha - tau/2 = d + alpha and (1+tau)/2 = z + alpha.  A vanishes
+# at x = 0, that is at tau = 0 and at tau1, and K grows like -1/alpha
+# while c'' stays bounded as alpha -> 0; so the forms below write
+# 1/Gamma(x) as x (x+1) / Gamma(x+2), carry K*alpha, and take the digamma
+# and trigamma differences of A', A'' divided by alpha.
+
+_STEPS = 16  # recurrence steps before the asymptotic series of psi
+_B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2 .. B_12
 
 
-def _pair_minus_two(t: np.ndarray, tau: float) -> np.ndarray:
-    """|1-t|**tau + (1+t)**tau - 2, via the even binomial series for
-    t <= 1/2 where direct evaluation would cancel catastrophically.
-
-    For tau in (-1, 0) every even binomial coefficient of (1 +- t)**tau is
-    positive, so the series has no cancellation at all; it converges like
-    t**(2k) and 200 terms are far more than double precision needs.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = t <= 0.5
-    ts = t[small]
-    if ts.size:
-        t2 = ts * ts
-        acc = np.zeros_like(ts)
-        power = np.ones_like(ts)
-        coef = 1.0
-        for k in range(1, 200):
-            coef *= (tau - (2 * k - 2)) * (tau - (2 * k - 1)) / ((2 * k - 1) * (2 * k))
-            power = power * t2
-            term = coef * power
-            acc += term
-            if np.all(term <= 1e-18 * (acc + 1e-300)):
-                break
-        out[small] = 2.0 * acc
-    tl = t[~small]
-    if tl.size:
-        with np.errstate(all="ignore"):
-            out[~small] = (np.abs(1.0 - tl) ** tau + (1.0 + tl) ** tau - 2.0)
-    return out
+def _k_alpha(alpha: float) -> float:
+    """K(alpha) * alpha = -sqrt(pi) Gamma(1-alpha) / Gamma(1/2+alpha)."""
+    return float(-math.sqrt(math.pi) * gamma(1.0 - alpha) / gamma(0.5 + alpha))
 
 
-def _c_integrand(alpha: float, tau: float) -> Integrand:
-    k = -1.0 - 2.0 * alpha
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        return _pair_minus_two(t, tau) * t ** k
-
-    def ev_sing(log_u, sign):
-        u = sign * np.exp(log_u)
-        return (1.0 + ((2.0 + u) ** tau - 2.0) * np.exp(-tau * log_u)) \
-            * (1.0 + u) ** k
-
-    return Integrand(eval=ev, origin_order=1.0 - 2.0 * alpha, sing_order=tau,
-                     tail_order=k, eval_sing_scaled=ev_sing)
-
-
-def _C_integrand(alpha: float, tau: float) -> Integrand:
-    k = -1.0 - 2.0 * alpha
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            above = (1.0 + t) ** tau - 2.0
-        return np.where(t < 1.0, _pair_minus_two(t, tau), above) * t ** k
-
-    def ev_sing(log_u, sign):
-        u = sign * np.exp(log_u)
-        jump = ((2.0 + u) ** tau - 2.0) * np.exp(-tau * log_u)
-        main = np.where(sign < 0.0, 1.0 + jump, jump)
-        return main * (1.0 + u) ** k
-
-    return Integrand(eval=ev, origin_order=1.0 - 2.0 * alpha, sing_order=tau,
-                     tail_order=k, eval_sing_scaled=ev_sing)
+def _psi_steps(y: float, alpha: float) -> tuple:
+    """(psi(y+alpha) - psi(y)) / alpha and (psi'(y+alpha) - psi'(y)) / alpha
+    for y >= 1, without the cancellation of the plain differences at small
+    alpha: ``_STEPS`` terms of psi(y+1) = psi(y) + 1/y, then the asymptotic
+    series at Y = y + _STEPS (error below 1e-16 relative), each difference
+    of powers written through log1p and exprel."""
+    s0 = s1 = 0.0
+    for n in range(_STEPS):
+        x = y + n
+        s0 += 1.0 / (x * (x + alpha))
+        s1 -= (2.0 * x + alpha) / (x * x * (x + alpha) ** 2)
+    big = y + _STEPS
+    log_step = math.log1p(alpha / big)
+    scale = exprel(log_step) * big  # alpha / log_step, finite as alpha -> 0
+    s0 += 1.0 / scale + 0.5 / (big * (big + alpha))
+    s1 -= 1.0 / (big * (big + alpha)) + exprel(-2.0 * log_step) / (scale * big * big)
+    for k, b in enumerate(_B2K, 1):
+        s0 += b * exprel(-2.0 * k * log_step) / (scale * big ** (2 * k))
+        s1 -= (b * (2 * k + 1) * exprel(-(2 * k + 1) * log_step)
+               / (scale * big ** (2 * k + 1)))
+    return s0, s1
 
 
-def _T_integrand(alpha: float) -> Integrand:
-    k = -1.0 - 2.0 * alpha
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            big = np.maximum(t, 1.0)
-            lg = np.where(t < 1.0, np.log1p(-t * t),
-                          2.0 * np.log(big) + np.log1p(-1.0 / (big * big)))
-        return lg * t ** k
-
-    def ev_sing(log_u, sign):
-        # logarithmic singularity regularised with declared order -1/2
-        u = sign * np.exp(log_u)
-        return (log_u + np.log(2.0 + u)) * np.exp(0.5 * log_u) \
-            * (1.0 + u) ** k
-
-    return Integrand(eval=ev, origin_order=1.0 - 2.0 * alpha, sing_order=-0.5,
-                     tail_order=k, eval_sing_scaled=ev_sing)
+def _ratio(x: float, u: float, alpha: float) -> float:
+    """A(x) = Gamma(u) / Gamma(x) for x in (-1, 1/2] and u = x + alpha,
+    passed in so that it keeps its digits where x is close to -alpha (as
+    x + 1 = u + 1 - alpha does near x = -1); exactly 0 at x = 0."""
+    x1 = u + (1.0 - alpha)
+    return gamma(u) * rgamma(x1 + 1.0) * x * x1
 
 
-def _c2_integrand(alpha: float, tau: float) -> Integrand:
-    k = -1.0 - 2.0 * alpha
-    # the singular factor is |u|**tau * log^2|u|; any declared order below
-    # tau keeps the transformed integrand bounded, staying above -1
-    q = max(0.5 * (tau - 1.0), tau - 0.25)
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            lgm = np.where(t < 1.0, np.log1p(-t), np.log(np.abs(1.0 - t)))
-            lgp = np.log1p(t)
-            num = np.exp(tau * lgm) * lgm * lgm + np.exp(tau * lgp) * lgp * lgp
-        return num * t ** k
-
-    def ev_sing(log_u, sign):
-        u = sign * np.exp(log_u)
-        lgp = np.log(2.0 + u)
-        main = np.exp((tau - q) * log_u) * log_u * log_u \
-            + (2.0 + u) ** tau * lgp * lgp * np.exp(-q * log_u)
-        return main * (1.0 + u) ** k
-
-    return Integrand(eval=ev, origin_order=1.0 - 2.0 * alpha, sing_order=q,
-                     tail_order=k, eval_sing_scaled=ev_sing)
+def _ratio_jet(x: float, u: float, alpha: float) -> tuple:
+    """A(x), A'(x)/alpha and A''(x)/alpha, arguments as for ``_ratio``.
+    With w = 1 - alpha the poles of psi at x and x + 1 are summed by hand,
+    and the remaining terms have one sign each."""
+    w = 1.0 - alpha
+    x1 = u + w  # x + 1
+    g = gamma(u) * rgamma(x1 + 1.0)
+    d1, d2 = _psi_steps(x1 + 1.0, alpha)
+    xx = x * x1
+    p = (2.0 * u * (u + w) + w) / (u * (u + 1.0))  # (x+1)/u + x/(u+1)
+    # -2 (x+1)/u**2 - 2 x/(u+1)**2 + 2 alpha/(u (u+1)), without u**2
+    e = -2.0 * (2.0 * u + 3.0 * w + (3.0 * w + w / u) / u) / (u + 1.0) ** 2
+    return (g * xx, g * (p + xx * d1),
+            g * (e + 2.0 * alpha * d1 * p + xx * (alpha * d1 * d1 + d2)))
 
 
-# ---------------------------------------------------------------------------
-# Public evaluators.
+def _arguments(alpha: float, tau: float) -> tuple:
+    """(d, d + alpha, z, z + alpha); z is written as (tau - tau1)/2, so
+    it is exactly zero at tau1 = 2*alpha - 1."""
+    return (-0.5 * tau, alpha - 0.5 * tau,
+            0.5 * (tau - (2.0 * alpha - 1.0)), 0.5 * (1.0 + tau))
 
 
-def c_tau(alpha: float, tau: float, rel_tol: float = 1e-10) -> float:
+def c_tau(alpha: float, tau: float) -> float:
     """Two-sided kernel-difference integral at rate tau.
 
-    Exact zero is returned for tau = 0 where the numerator vanishes
-    identically.  Raises BadConfig for arguments outside (0,1) x (-1,0]
-    and propagates quadrature errors otherwise.
+    Exactly zero at tau = 0, where the numerator vanishes identically, and
+    at tau1 = 2*alpha - 1 below the threshold order.  It grows like
+    -1/alpha as alpha -> 0 and so overflows to -inf for alpha below about
+    1e-308.  Raises BadConfig for arguments outside (0,1) x (-1,0].
     """
     alpha = _check_alpha(alpha)
     tau = _check_tau(tau, allow_zero=True)
-    if tau == 0.0:
-        return 0.0
-    return integrate_singular(_c_integrand(alpha, tau), rel_tol).value
+    d, a, z, b = _arguments(alpha, tau)
+    # K < 0, so a zero factor gives -0.0; adding 0.0 makes it 0.0
+    return float(_k_alpha(alpha) / alpha * _ratio(d, a, alpha)
+                 * _ratio(z, b, alpha)) + 0.0
 
 
-def C_tau(alpha: float, tau: float, rel_tol: float = 1e-10) -> float:
+def C_tau(alpha: float, tau: float) -> float:
     """One-sided variant of ``c_tau`` with the |1-t| branch dropped for
     t > 1; its unique zero in (-1,0) is the boundary rate ``tau0``."""
     alpha = _check_alpha(alpha)
     tau = _check_tau(tau, allow_zero=True)
-    return integrate_singular(_C_integrand(alpha, tau), rel_tol).value
+    return c_tau(alpha, tau) - float(beta(2.0 * alpha - tau, 1.0 + tau))
 
 
-def T_alpha(alpha: float, rel_tol: float = 1e-10) -> float:
-    """Logarithmic integral equal to the slope of ``c_tau`` at tau = 0."""
+def T_alpha(alpha: float) -> float:
+    """Logarithmic integral equal to the slope of ``c_tau`` at tau = 0,
+    pi cot(pi*alpha) / (2*alpha).  The cotangent is reduced to the nearest
+    of 0, 1/2 and 1, where the reduced argument is exact, so T keeps its
+    relative accuracy at both ends and is exactly zero at alpha = 1/2."""
     alpha = _check_alpha(alpha)
-    return integrate_singular(_T_integrand(alpha), rel_tol).value
+    if alpha < 0.25:
+        cot = 1.0 / math.tan(math.pi * alpha)
+    elif alpha <= 0.75:
+        cot = math.tan(math.pi * (0.5 - alpha))
+    else:
+        cot = -1.0 / math.tan(math.pi * (1.0 - alpha))
+    return math.pi * cot / (2.0 * alpha)
 
 
-def c_second_derivative(alpha: float, tau: float, rel_tol: float = 1e-10) -> float:
-    """Second tau-derivative of ``c_tau``; strictly positive (convexity)."""
+def c_second_derivative(alpha: float, tau: float) -> float:
+    """Second tau-derivative of ``c_tau``; strictly positive (convexity).
+
+    c = K A(d) A(z) with d' = -1/2 and z' = 1/2, so
+    c'' = K/4 (A''(d) A(z) - 2 A'(d) A'(z) + A(d) A''(z)).
+    """
     alpha = _check_alpha(alpha)
     tau = _check_tau(tau, allow_zero=False)
-    return integrate_singular(_c2_integrand(alpha, tau), rel_tol).value
+    d, a, z, b = _arguments(alpha, tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0, p1, p2 = _ratio_jet(d, a, alpha)
+        q0, q1, q2 = _ratio_jet(z, b, alpha)
+        value = float(0.25 * _k_alpha(alpha)
+                      * (p2 * q0 - 2.0 * alpha * p1 * q1 + p0 * q2))
+    # the terms overflow only where alpha - tau/2 < 1e-154, and there c''
+    # grows like (alpha - tau/2)**-2 beyond the double range
+    return value if math.isfinite(value) else math.inf
 
 
 # ---------------------------------------------------------------------------
-# Root finding.
+# Critical exponents.
 
 
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not (1e-12 < tol < 1e-4):
-        raise BadConfig(f"tol must lie in (1e-12, 1e-4), got {tol}")
-    return tol
+def find_alpha0() -> float:
+    """Threshold order: the zero of ``T_alpha``, which is 1/2."""
+    return 0.5
 
 
-def _bracket_and_solve(fn, lo, hi, lo_limit, hi_limit, tol, what):
-    """Grow (lo, hi) geometrically toward the open interval
-    (lo_limit, hi_limit), keeping a floor gap, until fn changes sign;
-    then solve by Brent's method to |dx| <= tol."""
-    flo = fn(lo)
-    fhi = fn(hi)
-    for _ in range(64):
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi < 0.0:
-            break
-        moved = False
-        new_lo = lo_limit + 0.5 * (lo - lo_limit)
-        if new_lo >= lo_limit + _BRACKET_FLOOR and new_lo < lo:
-            lo, flo, moved = new_lo, fn(new_lo), True
-        new_hi = hi_limit - 0.5 * (hi_limit - hi)
-        if new_hi <= hi_limit - _BRACKET_FLOOR and new_hi > hi:
-            hi, fhi, moved = new_hi, fn(new_hi), True
-        if not moved:
-            raise BracketFailure(
-                f"no sign change of {what} in "
-                f"({lo_limit + _BRACKET_FLOOR}, {hi_limit - _BRACKET_FLOOR})")
-    else:
-        raise BracketFailure(f"bracket growth for {what} did not terminate")
-    return float(brentq(fn, lo, hi, xtol=tol))
-
-
-def find_alpha0(tol: float = 1e-8) -> float:
-    """Unique order in (0,1) where ``T_alpha`` changes sign from + to -.
-
-    Starts from the bracket (0.01, 0.99) and expands toward the open
-    endpoints if the signs at the ends ever fail to differ (they cannot,
-    unless the quadrature itself is misconfigured, which is exactly what
-    BracketFailure is meant to flag).
-    """
-    tol = _check_tol(tol)
-
-    def f(a):
-        return integrate_singular(_T_integrand(a), 1e-11, strict=False).value
-
-    return _bracket_and_solve(f, 0.01, 0.99, 0.0, 1.0, tol,
-                              "the threshold integral over (0,1)")
-
-
-def _tau_root(integrand, alpha: float, tol: float, what: str) -> float:
-    """Zero in (-1,0) of the integral ``integrand(alpha, .)`` builds."""
-
-    def f(t):
-        return integrate_singular(integrand(alpha, t), 1e-11,
-                                  strict=False).value
-
-    return _bracket_and_solve(f, -0.999, -1e-4, -1.0, 0.0, tol, what)
-
-
-def _interior_zero(alpha: float, tol: float) -> Optional[float]:
+def _interior_zero(alpha: float) -> Optional[float]:
     """``tau1`` below the threshold order, None at or above it.  The one
-    place where the sign of ``T_alpha`` decides the regime."""
-    if T_alpha(alpha, rel_tol=1e-10) <= _SIGN_BAND:
-        return None
-    return _tau_root(_c_integrand, alpha, tol,
-                     "the two-sided integral over (-1,0)")
+    place where the regime is decided."""
+    return 2.0 * alpha - 1.0 if alpha < 0.5 else None
 
 
-def find_tau1(alpha: float, tol: float = 1e-8) -> float:
-    """Unique zero of ``c_tau(alpha, .)`` in (-1,0); exists only below the
-    threshold order.  Raises RegimeError when ``alpha >= alpha0`` (there
-    the integral is positive throughout)."""
+def find_tau1(alpha: float) -> float:
+    """Zero of ``c_tau(alpha, .)`` in (-1,0), 2*alpha - 1; exists only
+    below the threshold order.  Raises RegimeError when ``alpha >= alpha0``
+    (there the integral is positive throughout)."""
     alpha = _check_alpha(alpha)
-    tau1 = _interior_zero(alpha, _check_tol(tol))
+    tau1 = _interior_zero(alpha)
     if tau1 is None:
         raise RegimeError(
             f"alpha={alpha} is at or above the threshold order; the "
@@ -307,12 +230,10 @@ def find_tau1(alpha: float, tol: float = 1e-8) -> float:
     return tau1
 
 
-def find_tau0(alpha: float, tol: float = 1e-8) -> float:
-    """Unique zero of ``C_tau(alpha, .)`` in (-1,0); exists for every
+def find_tau0(alpha: float) -> float:
+    """Zero of ``C_tau(alpha, .)`` in (-1,0), alpha - 1; exists for every
     alpha in (0,1)."""
-    alpha = _check_alpha(alpha)
-    return _tau_root(_C_integrand, alpha, _check_tol(tol),
-                     "the one-sided integral over (-1,0)")
+    return _check_alpha(alpha) - 1.0
 
 
 @dataclass(frozen=True)
@@ -326,17 +247,12 @@ class CriticalExponents:
     tau1: Optional[float]
 
 
-def critical_exponents(alpha: float, tol: float = 1e-8) -> CriticalExponents:
+def critical_exponents(alpha: float) -> CriticalExponents:
     """All critical exponents for one order, with ``tau1`` present iff
     the order sits below the threshold."""
     alpha = _check_alpha(alpha)
-    tol = _check_tol(tol)
-    tau0 = find_tau0(alpha, tol)
-    tau1 = _interior_zero(alpha, tol)
-    if tau1 is not None and not (tau0 < tau1):
-        raise RegimeError(
-            f"critical exponents out of order: tau0={tau0} !< tau1={tau1}")
-    return CriticalExponents(alpha=alpha, tau0=tau0, tau1=tau1)
+    return CriticalExponents(alpha=alpha, tau0=find_tau0(alpha),
+                             tau1=_interior_zero(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +281,11 @@ class Regime:
     tau1: Optional[float] = None
 
 
-def existence_window(alpha: float, tol: float = 1e-8) -> tuple:
+def existence_window(alpha: float) -> tuple:
     """(p_lo, p_hi) of the unique-existence window; p_hi is +inf at and
     above the threshold order."""
     alpha = _check_alpha(alpha)
-    tau1 = _interior_zero(alpha, _check_tol(tol))
+    tau1 = _interior_zero(alpha)
     p_hi = math.inf if tau1 is None else 1.0 - 2.0 * alpha / tau1
     return 1.0 + 2.0 * alpha, p_hi
 
@@ -410,8 +326,7 @@ def _verdict(alpha: float, p: float, tau: Optional[float], rate: float,
     return RegimeKind.NONEXISTENCE_B
 
 
-def classify(alpha: float, p: float, tau: Optional[float] = None,
-             tol: float = 1e-8) -> Regime:
+def classify(alpha: float, p: float, tau: Optional[float] = None) -> Regime:
     """Existence verdict for exponent p > 1 and an optional prescribed
     blow-up rate tau in (-1,0).
 
@@ -425,7 +340,6 @@ def classify(alpha: float, p: float, tau: Optional[float] = None,
     carries ``tau1``, so callers need not decide the regime again.
     """
     alpha = _check_alpha(alpha)
-    tol = _check_tol(tol)
     p = float(p)
     if not p > 1.0:
         raise BadConfig(f"p must exceed 1, got {p}")
@@ -435,7 +349,7 @@ def classify(alpha: float, p: float, tau: Optional[float] = None,
             raise BadConfig(f"prescribed rate must lie in (-1,0), got {tau}")
 
     rate = -2.0 * alpha / (p - 1.0)
-    tau1 = _interior_zero(alpha, tol)
+    tau1 = _interior_zero(alpha)
     kind = _verdict(alpha, p, tau, rate, tau1)
     predicted = {RegimeKind.UNIQUE_EXISTENCE: rate,
                  RegimeKind.SPECIAL_EXISTENCE: tau1}.get(kind)

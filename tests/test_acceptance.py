@@ -72,7 +72,7 @@ def test_criterion_2_convexity_and_sign_structure():
 
 def test_criterion_3_critical_exponents():
     start = time.monotonic()
-    alpha0 = find_alpha0(1e-8)
+    alpha0 = find_alpha0()
     assert abs(alpha0 - ORACLE_ALPHA0) <= 1e-6
     for alpha in (0.1, 0.2, alpha0 - 0.05):
         assert find_tau0(alpha) < find_tau1(alpha)

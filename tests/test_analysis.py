@@ -205,16 +205,16 @@ def test_audit_custom_t_values():
 def test_audit_below_threshold_decides_the_regime_once(monkeypatch):
     matrix = assemble(0.25, build_graded(128, 2.4), Zero())
     calls = []
-    for name in ("T_alpha", "_bracket_and_solve"):
-        def counting(*args, _name=name,
-                     _original=getattr(fracblow.specfun, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    original = fracblow.specfun._interior_zero
 
-        monkeypatch.setattr(fracblow.specfun, name, counting)
+    def counting(alpha):
+        calls.append(alpha)
+        return original(alpha)
+
+    monkeypatch.setattr(fracblow.specfun, "_interior_zero", counting)
     audit = audit_nonexistence(matrix, 1.75, -0.6)
     assert audit.zone == 2
-    assert sorted(calls) == ["T_alpha", "_bracket_and_solve"]
+    assert calls == [0.25]
 
 
 def test_audit_rejects_existence_regimes():

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -35,6 +36,17 @@ def test_classify_prescribed_wrong_rate(capsys):
 
 def test_classify_bad_exponent_is_config_error():
     assert main(["classify", "--alpha", "0.5", "--p", "0.9"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("alpha,p,kind", [
+    # was NoConvergence (exit 3) in the quadrature of the kernel tail
+    ("0.01", "2", "nonexistence-c"),
+    # was BracketFailure (exit 3) just below the threshold order
+    (repr(0.5 - 1e-7), "3", "unique-existence"),
+])
+def test_classify_at_former_failure_orders(alpha, p, kind, capsys):
+    assert main(["classify", "--alpha", alpha, "--p", p]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"regime: {kind}\n")
 
 
 def test_classify_missing_required_flag():
@@ -89,15 +101,22 @@ def test_specfun_rejects_out_of_domain_sweep():
     assert main(["specfun", "--alpha", "0.5", "--step", "-0.1"]) == EXIT_CONFIG
 
 
-def test_specfun_tolerance_out_of_range_is_config_error(capsys):
-    # a configuration error, not one numerical failure per cell
+def test_specfun_tolerance_out_of_range_is_config_error(tmp_path, capsys):
+    # a configuration error, not one numerical failure per cell; the kernel
+    # constants are closed forms, so no tolerance is in range: neither a
+    # --tol flag nor a "tol" config key exists, and both are refused
+    # before any output
     code = main(["specfun", "--alpha", "0.3", "--tau=-0.5:0", "--step", "0.5",
                  "--tol", "0.5"])
     assert code == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tol": 1e-8}))
+    code = main(["critical", "--alpha", "0.3", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("configuration error: "
-                            "rel_tol 0.5 outside (1e-14, 1e-2)\n")
+    assert captured.err == "configuration error: unknown config keys: ['tol']\n"
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +136,11 @@ def test_critical_report_contents(tmp_path):
     assert low["tau0"] < low["tau1"] < 0.0
     assert "tau1" not in high  # above the critical order the sign never flips
     assert high["tau0"] < 0.0
+    # the exponents are the closed forms alpha0 = 1/2, tau0 = alpha - 1 and
+    # tau1 = 2*alpha - 1, and no tolerance is reported
+    assert payload == {"alpha0": 0.5,
+                       "per_alpha": {"0.25": {"tau0": -0.75, "tau1": -0.5},
+                                     "0.6": {"tau0": 0.6 - 1.0}}}
 
 
 def test_critical_rerun_bit_identical_and_timestamp(tmp_path):
@@ -128,6 +152,16 @@ def test_critical_rerun_bit_identical_and_timestamp(tmp_path):
     stamped = tmp_path / "c.json"
     assert main(["critical", "--alpha", "0.3", "--out", str(stamped)]) == EXIT_OK
     assert "timestamp" in json.loads(stamped.read_text())
+
+
+def test_critical_small_order_is_immediate(capsys):
+    # the root finder used to spend minutes near alpha = 0.029
+    start = time.perf_counter()
+    code = main(["critical", "--alpha", "0.029", "--no-timestamp"])
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_OK
+    entry = json.loads(capsys.readouterr().out)["per_alpha"]["0.029"]
+    assert entry == {"tau0": 0.029 - 1.0, "tau1": 2.0 * 0.029 - 1.0}
 
 
 def test_critical_requires_alpha_list():
@@ -241,8 +275,9 @@ def test_audit_without_core_nodes_is_config_error(capsys):
 
 
 def test_audit_zone_follows_classify_just_below_threshold(capsys):
-    # T_alpha is positive here but inside the sign band, so classify
-    # treats the order as the threshold order; the audit agrees
+    # 1e-10 below the threshold order tau1 = 2*alpha - 1 is -2e-10, so the
+    # prescribed rate lies below it and the audit, like classify, sees a
+    # rate-mismatch nonexistence in zone 2
     argv = ["--alpha", "0.4999999999", "--p", "3", "--tau=-0.4"]
     assert main(["classify", *argv]) == EXIT_OK
     assert capsys.readouterr().out.startswith("regime: nonexistence-b\n")
@@ -283,6 +318,17 @@ def test_solve_assembles_once(monkeypatch, capsys):
                  "--schedule", "8:256", "--no-timestamp"])
     assert code == EXIT_OK
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "0.25", "--p", "1.3"],
+    ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.6"],
+], ids=["solve", "audit"])
+def test_regime_guard_runs_before_assembly(argv, monkeypatch, capsys):
+    calls = _count_assembles(monkeypatch)
+    assert main(argv) == EXIT_REGIME
+    assert calls == []
+    assert capsys.readouterr().err.startswith("regime guard: ")
 
 
 def test_audit_assembles_once(monkeypatch, capsys):
