@@ -14,15 +14,12 @@ monotone exhaustion solver, and audit tools for the nonexistence regimes.
 from .errors import (
     AuditFail,
     BadConfig,
-    BracketFailure,
     ConfigError,
     FracblowError,
     GridMismatch,
     MonotoneViolation,
     NewtonStall,
     NoAdmissiblePair,
-    NoConvergence,
-    NonIntegrable,
     NumericalError,
     OutOfDomain,
     RegimeError,

@@ -28,9 +28,6 @@ __all__ = [
     "require_nonexistence",
 ]
 
-_SIDES = ("left", "right", "pooled")
-
-
 # ---------------------------------------------------------------------------
 # Rate fitting.
 
@@ -38,13 +35,13 @@ _SIDES = ("left", "right", "pooled")
 @dataclass(frozen=True)
 class RateFit:
     """Log-log least-squares fit  u ~ amplitude * D**exponent  over a
-    distance window, on one side of the singular point or pooled."""
+    distance window, pooling both sides of the singular point (every
+    grid is mirror-symmetric and the fitted solutions are even)."""
 
     exponent: float
     amplitude: float
     window: tuple
     residual_r2: float
-    side: str
     n_nodes: int
 
     def as_dict(self) -> dict:
@@ -53,32 +50,24 @@ class RateFit:
             "amplitude": float(self.amplitude),
             "window": [float(self.window[0]), float(self.window[1])],
             "residual_r2": float(self.residual_r2),
-            "side": self.side,
             "n_nodes": int(self.n_nodes),
         }
 
 
-def fit_rate(u: GridFunction, window: tuple, side: str = "pooled") -> RateFit:
+def fit_rate(u: GridFunction, window: tuple) -> RateFit:
     """Fit the blow-up exponent of ``u`` against the distance to the
     singular point over ``window = (D_min, D_max)``."""
-    if side not in _SIDES:
-        raise BadConfig(f"side must be one of {_SIDES}, got {side!r}")
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi < u.grid.delta):
         raise BadConfig(
             f"window must satisfy 0 < D_min < D_max < {u.grid.delta}, "
             f"got ({lo}, {hi})")
-    x = u.grid.nodes
-    D = distance_D(x)
+    D = distance_D(u.grid.nodes)
     mask = (D >= lo) & (D <= hi)
-    if side == "left":
-        mask &= x < 0.0
-    elif side == "right":
-        mask &= x > 0.0
     if mask.sum() < 8:
         raise TooFewPoints(
-            f"only {int(mask.sum())} nodes in window ({lo}, {hi}) "
-            f"on side {side!r}; need at least 8")
+            f"only {int(mask.sum())} nodes in window ({lo}, {hi}); "
+            f"need at least 8")
     vals = u.values[mask]
     if np.any(vals <= 0.0):
         raise BadConfig("rate fit needs positive values on the window")
@@ -95,7 +84,6 @@ def fit_rate(u: GridFunction, window: tuple, side: str = "pooled") -> RateFit:
         amplitude=float(np.exp(coef[1])),
         window=(lo, hi),
         residual_r2=r2,
-        side=side,
         n_nodes=int(mask.sum()),
     )
 

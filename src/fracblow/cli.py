@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -52,6 +53,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_REGIME = 4
+
+# Most alpha x tau cells a specfun sweep may ask for (the default has 90).
+_MAX_SWEEP_CELLS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +130,17 @@ def _parse_range(text, what):
     return value, value
 
 
-def _range_values(lo, hi, step):
+def _range_count(lo, hi, step):
+    """Number of values lo, lo + step, ... up to hi; inf once one axis
+    alone passes the cell cap, so a tiny step reaches no int() or list."""
     if not step > 0.0:
         raise BadConfig(f"step must be positive, got {step}")
-    count = int(round((hi - lo) / step))
-    values = [lo + k * step for k in range(count + 1)]
+    span = (hi - lo) / step
+    return round(span) + 1 if span <= _MAX_SWEEP_CELLS else math.inf
+
+
+def _range_values(lo, hi, step, count):
+    values = [lo + k * step for k in range(count)]
     return [v for v in values if v <= hi + 1e-12]
 
 
@@ -179,8 +189,14 @@ def cmd_specfun(ns, config):
     step = _resolve(ns, config, "step", float, default=0.1)
     out = _resolve(ns, config, "out")
 
-    alphas = _range_values(alpha_lo, alpha_hi, step)
-    taus = _range_values(tau_lo, tau_hi, step)
+    n_alpha = _range_count(alpha_lo, alpha_hi, step)
+    n_tau = _range_count(tau_lo, tau_hi, step)
+    if n_alpha * n_tau > _MAX_SWEEP_CELLS:
+        raise BadConfig(
+            f"--step {step} asks for more than {_MAX_SWEEP_CELLS} alpha x tau "
+            f"cells; use a larger --step or narrower --alpha/--tau ranges")
+    alphas = _range_values(alpha_lo, alpha_hi, step, n_alpha)
+    taus = _range_values(tau_lo, tau_hi, step, n_tau)
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise BadConfig(f"alpha sweep value {a} outside (0,1)")

@@ -28,18 +28,6 @@ class OutOfDomain(ConfigError):
     """A coordinate query lies outside the open interval (-1, 1)."""
 
 
-class NonIntegrable(NumericalError):
-    """Declared integrand orders imply a divergent integral."""
-
-
-class NoConvergence(NumericalError):
-    """Adaptive refinement exhausted its subdivision budget above tolerance."""
-
-
-class BracketFailure(NumericalError):
-    """A sign-changing bracket could not be established for a root."""
-
-
 class RegimeError(FracblowError):
     """The requested operation is undefined in the given parameter regime."""
 

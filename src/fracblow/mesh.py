@@ -60,8 +60,10 @@ Exterior = Union[Zero, Constant, PowerTail]
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Strictly increasing nodes in (-1,1) excluding 0, plus the grading
-    metadata and the comparison-band radius ``delta`` used downstream."""
+    """Strictly increasing, mirror-symmetric nodes in (-1,1) excluding 0
+    (``nodes == -nodes[::-1]`` exactly: the problem is invariant under
+    x -> -x and its blow-up solution is even), plus the grading metadata
+    and the comparison-band radius ``delta`` used downstream."""
 
     nodes: np.ndarray
     grading_exponent: float
@@ -77,8 +79,10 @@ class Grid:
             raise BadConfig("grid nodes must be strictly increasing")
         if np.any(np.abs(nodes) >= 1.0) or np.any(nodes == 0.0):
             raise BadConfig("grid nodes must lie in (-1,1) and avoid 0")
-        if not (nodes[0] < 0.0 < nodes[-1]):
-            raise BadConfig("grid needs nodes on both sides of 0")
+        if not np.array_equal(nodes, -nodes[::-1]):
+            raise BadConfig(
+                "grid nodes must be mirror-symmetric (nodes equal to "
+                "-nodes[::-1]), such as build_graded builds")
         if not (0.0 < self.delta <= 0.25):
             raise BadConfig(f"delta must lie in (0, 1/4], got {self.delta}")
 
@@ -87,32 +91,21 @@ class Grid:
         return self.nodes.size
 
     def same_as(self, other: "Grid") -> bool:
-        return (self.nodes.size == other.nodes.size
-                and np.array_equal(self.nodes, other.nodes))
-
-    def is_mirror_symmetric(self) -> bool:
-        """Whether the nodes are exactly their own reflection x -> -x."""
-        return np.array_equal(self.nodes, -self.nodes[::-1])
+        return np.array_equal(self.nodes, other.nodes)
 
     def local_spacing(self) -> np.ndarray:
         """Per-node distance to the nearest neighbouring node on the same
         side of 0 (innermost and outermost nodes use their single
-        same-side neighbour)."""
-        x = self.nodes
-        out = np.empty_like(x)
-        for mask in (x < 0.0, x > 0.0):
-            side = x[mask]
-            if side.size == 1:
-                out[mask] = min(abs(side[0]), 1.0 - abs(side[0]))
-                continue
-            gaps = np.diff(side)
-            local = np.empty_like(side)
-            local[0] = gaps[0]
-            local[-1] = gaps[-1]
-            if side.size > 2:
-                local[1:-1] = np.minimum(gaps[:-1], gaps[1:])
-            out[mask] = local
-        return out
+        same-side neighbour; a lone node per side its distance to 0 or
+        to 1, whichever is smaller)."""
+        right = self.nodes[self.nodes.size // 2:]
+        if right.size == 1:
+            local = np.minimum(right, 1.0 - right)
+        else:
+            gaps = np.diff(right)
+            padded = np.concatenate((gaps[:1], gaps, gaps[-1:]))
+            local = np.minimum(padded[:-1], padded[1:])
+        return np.concatenate((local[::-1], local))
 
 
 def _grading_map(xi: np.ndarray, gamma: float) -> np.ndarray:
@@ -200,6 +193,3 @@ class GridFunction:
         if not isinstance(self.exterior, (Zero, Constant, PowerTail)):
             raise BadConfig(f"unknown exterior extension {self.exterior!r}")
         self.values = values
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), self.exterior)

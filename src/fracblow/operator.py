@@ -146,7 +146,7 @@ def _build_pieces(grid: Grid):
     inner gaps next to 0 are frozen: both ends read their innermost node.
     Node i closes piece i + [x_i > 0] and opens the next one."""
     x = grid.nodes
-    n_left = int(np.count_nonzero(x < 0.0))
+    n_left = x.size // 2
     breaks = np.concatenate(([-1.0], x[:n_left], [0.0], x[n_left:], [1.0]))
     ends = np.concatenate(([-1], np.arange(x.size), [-1]))
     jl = np.insert(ends[:-1], n_left + 1, n_left)
@@ -156,7 +156,15 @@ def _build_pieces(grid: Grid):
 
 def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     """Assemble the dense collocation matrix of the fractional Laplacian
-    of order ``alpha`` on ``grid`` under the given exterior extension."""
+    of order ``alpha`` on ``grid`` under the given exterior extension.
+
+    Only the right-half rows are computed; the grid is mirror-symmetric,
+    so the left half is their exact reflection and the matrix commutes
+    with the node reversal bit for bit.  Each row adds its piece weights
+    into one buffer of n + 1 slots whose last entry collects the weight
+    on the exterior's boundary value (slot -1).  Plain sums suffice:
+    every diagonal term is positive and every correction term has the
+    sign of minus that boundary value, so nothing cancels."""
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise BadConfig(f"alpha must lie strictly in (0, 1), got {alpha}")
@@ -171,6 +179,7 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
 
     x = grid.nodes
     n = x.size
+    h = n // 2
     twoa = 2.0 * alpha
     pa, pb, jl, jr = _build_pieces(grid)
     # self-panel radius: free of other nodes, clear of 0 and of +-1
@@ -181,10 +190,10 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     W = np.zeros((n, n))
     corr = np.zeros(n)
 
-    for i in range(n):
+    for i in range(h, n):
         xi = x[i]
         r = radii[i]
-        close = i + int(xi > 0.0)   # the piece ending at x_i
+        close = i + 1   # the piece ending at x_i
 
         # trim the self panel out of the two pieces meeting at x_i, but
         # keep the linear model anchored at the ORIGINAL piece endpoints:
@@ -196,7 +205,6 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
         keep = tb - ta > 1e-300
         ta, tb = ta[keep], tb[keep]
         oa, ob = pa[keep], pb[keep]
-        jlk, jrk = jl[keep], jr[keep]
 
         right_of = oa >= xi
         dn = np.where(right_of, ta - xi, xi - tb)    # trimmed near limit
@@ -211,46 +219,37 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
         w_a = np.where(right_of, w_near, w_far)
         w_b = np.where(right_of, w_far, w_near)
 
-        # diagonal and correction terms are summed with fsum so the result
-        # does not depend on piece order; mirrored rows see the same terms
-        # in reverse and would otherwise pick up order-dependent rounding
         mass = ((1.0 - xi) ** (-twoa) + (1.0 + xi) ** (-twoa)) / twoa
-        diag_terms = [mass]
-        corr_terms = []
-
-        diag_terms.extend(w_a.tolist())
-        diag_terms.extend(w_b.tolist())
-        for w_end, j_end in ((w_a, jlk), (w_b, jrk)):
-            node_end = j_end >= 0
-            np.add.at(W[i], j_end[node_end], -w_end[node_end])
-            corr_terms.extend((-w_end[~node_end] * E).tolist())
+        row = np.zeros(n + 1)
+        np.add.at(row, jl[keep], -w_a)
+        np.add.at(row, jr[keep], -w_b)
+        diag = mass + w_a.sum() + w_b.sum()
 
         # self panel: second-difference model with exact kernel moment,
         # reaching into the far end of each of the two pieces at x_i; a
         # frozen inner gap (far slot i itself) adds nothing
         c_self = r ** (-twoa) / (2.0 - twoa)
         for k, slot in ((close, jl[close]), (close + 1, jr[close + 1])):
-            if slot == i:
-                continue
-            t = c_self * (r / (pb[k] - pa[k]))
-            diag_terms.append(t)
-            if slot >= 0:
-                W[i, slot] -= t
-            else:
-                corr_terms.append(-t * E)
+            if slot != i:
+                t = c_self * (r / (pb[k] - pa[k]))
+                diag += t
+                row[slot] -= t
 
         # exterior |y| >= 1: kernel mass to the diagonal, declared data to
         # the correction
+        corr[i] = row[n] * E
         if isinstance(exterior, Constant):
-            corr_terms.append(-exterior.value * mass)
+            corr[i] -= exterior.value * mass
         elif isinstance(exterior, PowerTail):
             gap_sum = (power_tail_gap(alpha, exterior.tau, xi)
                        + power_tail_gap(alpha, exterior.tau, -xi))
-            corr_terms.append(-exterior.amplitude * (mass - gap_sum))
+            corr[i] -= exterior.amplitude * (mass - gap_sum)
 
-        W[i, i] += math.fsum(diag_terms)
-        corr[i] = math.fsum(corr_terms)
+        row[i] += diag
+        W[i] = row[:n]
 
+    W[:h] = W[h:][::-1, ::-1]
+    corr[:h] = corr[h:][::-1]
     return OperatorMatrix(alpha=alpha, grid=grid, interior_weights=W,
                           exterior_correction=corr, exterior=exterior)
 

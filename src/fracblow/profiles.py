@@ -156,16 +156,12 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
     function, with zero exterior: positive inside the interval, vanishing
     toward the endpoints, and the bounded lift of comparison pairs.
 
-    The grid must be mirror-symmetric; the right-hand side is then even,
-    so the solve is the even half system of ``mirror_blocks`` and the
-    solution is exactly even."""
+    The grid is mirror-symmetric, so the right-hand side is even, the
+    solve is the even half system of ``mirror_blocks`` and the solution
+    is exactly even."""
     if not isinstance(matrix.exterior, Zero):
         raise BadConfig("the torsion function needs the zero-exterior operator")
     alpha, grid = matrix.alpha, matrix.grid
-    if not grid.is_mirror_symmetric():
-        raise BadConfig(
-            "the torsion solve needs a mirror-symmetric grid (nodes equal "
-            "to -nodes[::-1]), such as build_graded builds")
     n = grid.n_nodes
     even, _ = mirror_blocks(matrix.interior_weights, np.arange(n))
     rhs = 1.0 - matrix.exterior_correction[n // 2:]

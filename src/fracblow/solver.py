@@ -64,10 +64,9 @@ class ProblemSpec:
     """Blow-up problem on the zero-exterior operator ``matrix``, bracketed
     by an ordered sub/super-solution pair.
 
-    The grid must be mirror-symmetric, ``sub`` must blow up toward the
-    singular point (checked against ``_BLOWUP_THRESHOLD`` at the
-    innermost nodes) and both bounds must vanish outside the interval,
-    as the operator's exterior does.
+    ``sub`` must blow up toward the singular point (checked against
+    ``_BLOWUP_THRESHOLD`` at the innermost nodes) and both bounds must
+    vanish outside the interval, as the operator's exterior does.
     """
 
     matrix: OperatorMatrix
@@ -89,10 +88,6 @@ class ProblemSpec:
         if not (self.sub.grid.same_as(self.grid)
                 and self.super.grid.same_as(self.grid)):
             raise GridMismatch("sub/super must live on the problem grid")
-        if not self.grid.is_mirror_symmetric():
-            raise BadConfig(
-                "the solver needs a mirror-symmetric grid (nodes equal to "
-                "-nodes[::-1]), such as build_graded builds")
         if not (self.matrix.exterior == self.sub.exterior
                 == self.super.exterior == Zero()):
             raise BadConfig(

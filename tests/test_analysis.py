@@ -31,14 +31,12 @@ def _power_sample(amplitude, exponent, grid=GRID):
 # fit_rate
 
 
-@pytest.mark.parametrize("side", ["pooled", "left", "right"])
-def test_fit_rate_exact_power_is_exact(side):
+def test_fit_rate_exact_power_is_exact():
     u = _power_sample(3.7, -0.43)
-    fit = fit_rate(u, (0.01, 0.2), side)
+    fit = fit_rate(u, (0.01, 0.2))
     assert abs(fit.exponent - (-0.43)) <= 1e-10
     assert abs(fit.amplitude - 3.7) <= 1e-9
     assert fit.residual_r2 == 1.0
-    assert fit.side == side
     assert fit.n_nodes >= 8
 
 
@@ -49,19 +47,6 @@ def test_fit_rate_exact_power_independent_of_grading():
         fit = fit_rate(u, (0.05, 0.2))
         assert abs(fit.exponent - (-0.6)) <= 1e-10
         assert abs(fit.amplitude - 0.9) <= 1e-10
-
-
-def test_fit_rate_sides_split_asymmetric_data():
-    amp = np.where(GRID.nodes < 0, 0.5, 1.5)
-    u = GridFunction(GRID, amp * D ** -0.5, Zero())
-    left = fit_rate(u, (0.01, 0.2), "left")
-    right = fit_rate(u, (0.01, 0.2), "right")
-    assert abs(left.amplitude - 0.5) <= 1e-9
-    assert abs(right.amplitude - 1.5) <= 1e-9
-    assert abs(left.exponent - (-0.5)) <= 1e-10
-    assert abs(right.exponent - (-0.5)) <= 1e-10
-    pooled = fit_rate(u, (0.01, 0.2), "pooled")
-    assert pooled.residual_r2 < 1.0
 
 
 def test_fit_rate_perturbed_power_stays_close():
@@ -78,12 +63,6 @@ def test_fit_rate_rejects_bad_windows():
     for window in [(0.0, 0.1), (-0.01, 0.1), (0.1, 0.05), (0.1, 0.3), (0.1, 0.25)]:
         with pytest.raises(BadConfig):
             fit_rate(u, window)
-
-
-def test_fit_rate_rejects_bad_side():
-    u = _power_sample(1.0, -0.5)
-    with pytest.raises(BadConfig):
-        fit_rate(u, (0.01, 0.2), side="middle")
 
 
 def test_fit_rate_rejects_nonpositive_values():
@@ -104,7 +83,7 @@ def test_fit_rate_too_few_points():
 def test_fit_rate_as_dict_serializes():
     fit = fit_rate(_power_sample(1.0, -0.5), (0.01, 0.2))
     payload = json.loads(json.dumps(fit.as_dict()))
-    assert payload["side"] == "pooled"
+    assert "side" not in payload
     assert payload["window"] == [0.01, 0.2]
     assert isinstance(fit, RateFit)
 

@@ -101,6 +101,23 @@ def test_specfun_rejects_out_of_domain_sweep():
     assert main(["specfun", "--alpha", "0.5", "--step", "-0.1"]) == EXIT_CONFIG
 
 
+def test_specfun_refuses_oversized_sweep_before_any_row(monkeypatch, capsys):
+    # 1 alpha x 1000001 taus is one cell over the cap, 1001 x 1126 cells
+    # are over it on neither axis alone, and a subnormal step makes the
+    # count overflow; the refusal comes before any list is built or any
+    # constant evaluated
+    def no_rows(alpha):
+        raise AssertionError("specfun evaluated a row")
+
+    monkeypatch.setattr(fracblow.cli, "T_alpha", no_rows)
+    for alpha, step in (("0.5", repr(0.9 / 10**6)), ("0.1:0.9", "0.0008"),
+                        ("0.5", "1e-320")):
+        code = main(["specfun", "--alpha", alpha, "--tau=-0.9:0.0",
+                     "--step", step])
+        assert code == EXIT_CONFIG
+        assert "--step" in capsys.readouterr().err
+
+
 def test_specfun_tolerance_out_of_range_is_config_error(tmp_path, capsys):
     # a configuration error, not one numerical failure per cell; the kernel
     # constants are closed forms, so no tolerance is in range: neither a
@@ -350,9 +367,6 @@ _ERROR_EXITS = {
     "BadConfig": (EXIT_CONFIG, "configuration error: "),
     "OutOfDomain": (EXIT_CONFIG, "configuration error: "),
     "NumericalError": (EXIT_NUMERICAL, "numerical failure: "),
-    "NonIntegrable": (EXIT_NUMERICAL, "numerical failure: "),
-    "NoConvergence": (EXIT_NUMERICAL, "numerical failure: "),
-    "BracketFailure": (EXIT_NUMERICAL, "numerical failure: "),
     "SingularSystem": (EXIT_NUMERICAL, "numerical failure: "),
     "NoAdmissiblePair": (EXIT_NUMERICAL, "numerical failure: "),
     "NewtonStall": (EXIT_NUMERICAL, "numerical failure: "),

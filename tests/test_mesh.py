@@ -94,10 +94,14 @@ def test_grid_constructor_rejects_bad_nodes():
     with pytest.raises(BadConfig):
         Grid(nodes=np.array([-0.5, 1.0]), grading_exponent=1.0,
              n_per_side=1, delta=0.25)
-    with pytest.raises(BadConfig):
+    with pytest.raises(BadConfig, match="mirror-symmetric"):
         # every node on one side of 0
         Grid(nodes=np.array([0.2, 0.5, 0.7]), grading_exponent=1.0,
              n_per_side=3, delta=0.25)
+    for nodes in ([-0.5, 0.3], [-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]):
+        with pytest.raises(BadConfig, match="mirror-symmetric"):
+            Grid(nodes=np.array(nodes), grading_exponent=1.0,
+                 n_per_side=1, delta=0.25)
 
 
 def test_distances():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import fracblow.operator
 from fracblow.errors import BadConfig, GridMismatch
 from fracblow.mesh import (Constant, Grid, GridFunction, PowerTail, Zero,
                            build_graded, distance_D)
@@ -20,13 +21,14 @@ from fracblow.specfun import c_tau
 BATTERY_ALPHAS = (0.25, 0.5, 0.75)
 BATTERY_TAUS = (-0.2, -0.5, -0.8)
 
-# Hand-made asymmetric grids: one node per side, so that the bridge and
-# the inner gap meet at the same node, and an irregular grid with a node
-# next to 0, a close pair and a node next to the boundary.
+# Hand-made grids: one node per side, so that the bridge and the inner
+# gap meet at the same node, and an irregular grid with a node next to
+# 0, a close pair and a node next to the boundary.
 HAND_GRIDS = tuple(
     Grid(nodes=np.array(nodes), grading_exponent=1.0, n_per_side=1,
          delta=0.25)
-    for nodes in ([-0.5, 0.3], [-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]))
+    for nodes in ([-0.3, 0.3],
+                  [-0.99, -0.41, -0.4, -0.001, 0.001, 0.4, 0.41, 0.99]))
 
 
 def identity_errors(grid, alpha, tau):
@@ -95,13 +97,29 @@ def test_zero_function_zero_exterior_is_zero():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
 def test_weight_mirror_symmetry(alpha):
-    grid = build_graded(48, 2.0)
-    M = assemble(alpha, grid, Zero())
-    W = M.interior_weights
-    scale = np.max(np.abs(W))
-    assert np.max(np.abs(W - W[::-1, ::-1])) <= 1e-12 * scale
-    corr = M.exterior_correction
-    assert np.max(np.abs(corr - corr[::-1])) == 0.0
+    # the left-half rows are the reflection of the right-half ones, bit
+    # for bit, under every exterior
+    for grid in (build_graded(48, 2.0),) + HAND_GRIDS:
+        for exterior in (Zero(), Constant(-1.25), PowerTail(-0.4, 1.3)):
+            M = assemble(alpha, grid, exterior)
+            W = M.interior_weights
+            assert np.array_equal(W, W[::-1, ::-1]), grid.nodes
+            corr = M.exterior_correction
+            assert np.array_equal(corr, corr[::-1]), grid.nodes
+
+
+def test_assemble_computes_each_mirror_pair_once(monkeypatch):
+    # the kernel moments are evaluated for the right-half rows only
+    calls = []
+    moments = fracblow.operator._kernel_moments
+
+    def counted(*args):
+        calls.append(1)
+        return moments(*args)
+
+    monkeypatch.setattr(fracblow.operator, "_kernel_moments", counted)
+    assemble(0.4, build_graded(64, 2.0), Zero())
+    assert len(calls) == 64
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])

@@ -145,10 +145,17 @@ def test_torsion_symmetric_and_nonnegative(alpha):
 
 
 def test_torsion_needs_mirror_symmetric_grid():
-    grid = Grid(nodes=np.array([-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]),
-                grading_exponent=1.0, n_per_side=1, delta=0.25)
+    # the even half solve needs the symmetry, which every Grid carries:
+    # an asymmetric node set is refused where the grid is made, and on a
+    # hand-made symmetric grid the torsion function is exactly even
     with pytest.raises(BadConfig, match="mirror-symmetric"):
-        solve_torsion(assemble(0.5, grid, Zero()))
+        Grid(nodes=np.array([-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]),
+             grading_exponent=1.0, n_per_side=1, delta=0.25)
+    grid = Grid(nodes=np.array([-0.99, -0.41, -0.4, -0.001,
+                                0.001, 0.4, 0.41, 0.99]),
+                grading_exponent=1.0, n_per_side=1, delta=0.25)
+    v = solve_torsion(assemble(0.5, grid, Zero())).values
+    assert np.array_equal(v, v[::-1]) and np.min(v) > 0.0
 
 
 @pytest.mark.parametrize("alpha,tol", [(0.25, 0.01), (0.5, 0.02), (0.75, 0.04)])

@@ -123,12 +123,18 @@ def test_problem_spec_validation():
 
 
 def test_problem_spec_needs_mirror_symmetric_grid():
-    grid = Grid(nodes=np.array([-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]),
+    # the even/odd split needs the symmetry, which every Grid carries:
+    # an asymmetric node set is refused where the grid is made
+    with pytest.raises(BadConfig, match="mirror-symmetric"):
+        Grid(nodes=np.array([-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]),
+             grading_exponent=1.0, n_per_side=1, delta=0.25)
+    grid = Grid(nodes=np.array([-0.99, -0.41, -0.4, -0.001,
+                                0.001, 0.4, 0.41, 0.99]),
                 grading_exponent=1.0, n_per_side=1, delta=0.25)
     sub = GridFunction(grid, np.full(grid.n_nodes, 20.0), Zero())
     sup = GridFunction(grid, np.full(grid.n_nodes, 30.0), Zero())
-    with pytest.raises(BadConfig, match="mirror-symmetric"):
-        ProblemSpec(assemble(0.5, grid, Zero()), 3.0, sub, sup)
+    spec = ProblemSpec(assemble(0.5, grid, Zero()), 3.0, sub, sup)
+    assert spec.grid.same_as(grid)
 
 
 def test_problem_spec_rejects_nonzero_exterior_operator():
