@@ -37,7 +37,7 @@ from scipy.special import digamma, exprel, hyp2f1
 from .errors import BadConfig, GridMismatch
 from .mesh import Constant, Exterior, Grid, GridFunction, PowerTail, Zero
 
-__all__ = ["OperatorMatrix", "assemble", "apply", "mirror_blocks",
+__all__ = ["OperatorMatrix", "assemble", "apply", "even_block",
            "power_tail_gap", "power_tail_moment"]
 
 
@@ -254,22 +254,19 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
                           exterior_correction=corr, exterior=exterior)
 
 
-def mirror_blocks(weights: np.ndarray, idx: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd half blocks of ``weights[idx][:, idx]`` for a sorted
-    index set that is closed under the node reversal i -> n-1-i.
+def even_block(weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Half block of ``weights[idx][:, idx]`` acting on even vectors, for
+    a sorted index set that is closed under the node reversal i -> n-1-i.
 
     On a mirror-symmetric grid the weights commute with the reversal P,
-    so the system splits into even vectors (u = Pu) and odd ones
-    (u = -Pu).  With R the right half of ``idx`` and M its mirror, both
-    read off the right-half rows:  even = W_RR + W_RM,  odd = W_RR - W_RM.
+    so they map an even vector (u = Pu) to an even one.  With R the right
+    half of ``idx`` and M its mirror, the system on the even vectors is
+    read off the right-half rows:  W_RR + W_RM.
     """
     right = idx[idx.size // 2:]
-    even = weights[np.ix_(right, right)]
-    far = weights[np.ix_(right, weights.shape[0] - 1 - right)]
-    odd = even - far
-    even += far
-    return even, odd
+    block = weights[np.ix_(right, right)]
+    block += weights[np.ix_(right, weights.shape[0] - 1 - right)]
+    return block
 
 
 def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:

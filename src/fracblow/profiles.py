@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadConfig, SingularSystem
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix, mirror_blocks
+from .operator import OperatorMatrix, even_block
 
 __all__ = [
     "ProfileSpec",
@@ -66,10 +66,15 @@ def _bridge_coeffs(tau: float, delta: float) -> np.ndarray:
     matching value, slope and curvature of ``D**tau`` at ``D = delta``
     (s = 0) and of ``d**2`` at ``d = delta`` (s = 1)."""
     span = 1.0 - 2.0 * delta
-    # Endpoint data in the physical coordinate D, then rescaled to s.
+    # Endpoint data in the physical coordinate D, then rescaled to s.  The
+    # curvature is the largest of the three, so it alone can overflow.
+    with np.errstate(over="ignore"):
+        left_curv = tau * (tau - 1.0) * np.float64(delta) ** (tau - 2.0)
+    if not np.isfinite(left_curv):
+        raise BadConfig(f"matching radius delta={delta} is too small for core "
+                        f"exponent {tau}: D**tau overflows near it")
     left_val = delta ** tau
     left_slope = tau * delta ** (tau - 1.0)
-    left_curv = tau * (tau - 1.0) * delta ** (tau - 2.0)
     right_val = delta ** 2
     right_slope = -2.0 * delta          # d/dD of (1 - D)**2 at D = 1 - delta
     right_curv = 2.0
@@ -157,16 +162,16 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
     toward the endpoints, and the bounded lift of comparison pairs.
 
     The grid is mirror-symmetric, so the right-hand side is even, the
-    solve is the even half system of ``mirror_blocks`` and the solution
-    is exactly even."""
+    solve is the half system of ``even_block`` and the solution is
+    exactly even."""
     if not isinstance(matrix.exterior, Zero):
         raise BadConfig("the torsion function needs the zero-exterior operator")
     alpha, grid = matrix.alpha, matrix.grid
     n = grid.n_nodes
-    even, _ = mirror_blocks(matrix.interior_weights, np.arange(n))
+    block = even_block(matrix.interior_weights, np.arange(n))
     rhs = 1.0 - matrix.exterior_correction[n // 2:]
     try:
-        half = np.linalg.solve(even, rhs)
+        half = np.linalg.solve(block, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"torsion system is singular for alpha={alpha}") from exc

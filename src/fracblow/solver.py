@@ -26,10 +26,10 @@ from .errors import (
     SingularSystem,
 )
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix, apply, mirror_blocks
+from .operator import OperatorMatrix, apply, even_block
 from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask,
                        sample_profile, search_scale, solve_torsion)
-from .specfun import RegimeKind, classify
+from .specfun import RegimeKind, _check_p, classify
 
 __all__ = [
     "ProblemSpec",
@@ -66,7 +66,8 @@ class ProblemSpec:
 
     ``sub`` must blow up toward the singular point (checked against
     ``_BLOWUP_THRESHOLD`` at the innermost nodes) and both bounds must
-    vanish outside the interval, as the operator's exterior does.
+    vanish outside the interval, as the operator's exterior does.  Both
+    bounds must be exactly even, as the solver keeps its iterates.
     """
 
     matrix: OperatorMatrix
@@ -83,8 +84,7 @@ class ProblemSpec:
         return self.matrix.grid
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise BadConfig(f"p must exceed 1, got {self.p}")
+        _check_p(self.p)
         if not (self.sub.grid.same_as(self.grid)
                 and self.super.grid.same_as(self.grid)):
             raise GridMismatch("sub/super must live on the problem grid")
@@ -92,6 +92,9 @@ class ProblemSpec:
                 == self.super.exterior == Zero()):
             raise BadConfig(
                 "operator and sub/super must vanish outside the interval")
+        for bound in (self.sub.values, self.super.values):
+            if not np.array_equal(bound, bound[::-1]):
+                raise BadConfig("sub/super must be exactly even")
         scale = 1.0 + np.abs(self.sub.values) + np.abs(self.super.values)
         if np.any(self.sub.values > self.super.values + 1e-12 * scale):
             raise BadConfig("sub-solution exceeds super-solution somewhere")
@@ -167,8 +170,8 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     sub-solution near the singular point; the exhaustion scheme never
     relies on it elsewhere).  The super-solution is ``lam_big * V_tau``
     scaled up until the reverse inequality holds on the same node set,
-    plus a torsion-function lift sized to push the residual nonnegative
-    on the whole grid.
+    plus a torsion-function lift that pushes the residual nonnegative on
+    the whole grid.
     """
     alpha, grid = matrix.alpha, matrix.grid
     tau = require_unique_existence(alpha, p)
@@ -179,11 +182,12 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     core = core_mask(grid)
     vals = V.values
 
-    def residual(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    def residual(lam: float, lam_c: float = 0.0,
+                 ) -> tuple[np.ndarray, np.ndarray]:
         linear = lam * applied
-        power = (lam * vals) ** p
-        tol = 1e-8 * (np.abs(linear) + power + 1.0)
-        return linear + power, tol
+        power = (lam * vals + lam_c * torsion.values) ** p
+        tol = 1e-8 * (np.abs(linear) + lam_c + power + 1.0)
+        return linear + lam_c + power, tol
 
     def core_ok(lam: float, sign: float) -> bool:
         """sign * residual <= tol on the checked core nodes."""
@@ -204,19 +208,15 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
 
     # Torsion lift: the assembled operator maps the torsion function to 1
     # exactly, so adding lam_c of it raises the linear part of the residual
-    # by lam_c everywhere (and the absorption term only grows with it).
-    def lift_ok(lam_c: float) -> bool:
-        upper = lam_big * vals + lam_c * torsion.values
-        res = lam_big * applied + lam_c + upper ** p
-        tol = 1e-8 * (np.abs(lam_big * applied) + lam_c + upper ** p + 1.0)
-        return np.all(res >= -tol)
-
+    # by lam_c everywhere (and the absorption term only grows with it);
+    # the most negative residual is therefore the lift.
     res0, _ = residual(lam_big)
-    lam_c = search_scale(
-        max(0.0, -float(np.min(res0))), lambda c: max(2.0 * c, 1.0), lift_ok,
-        NoAdmissiblePair(
+    lam_c = max(0.0, -float(np.min(res0)))
+    res, tol = residual(lam_big, lam_c)
+    if not np.all(res >= -tol):
+        raise NoAdmissiblePair(
             f"torsion lift failed to globalize the super-solution for "
-            f"alpha={alpha}, p={p}"))
+            f"alpha={alpha}, p={p}")
 
     sub = GridFunction(grid, lam_small * vals, Zero())
     super_ = GridFunction(grid, lam_big * vals + lam_c * torsion.values,
@@ -228,60 +228,54 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
 # Newton solve on one exhaustion domain.
 
 
+def _even_residual(spec: ProblemSpec, right: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
+    """Residual of  operator(u) + |u|^(p-1) u  at the nodes ``right``;
+    for an exactly even u these rows are the whole system, since the
+    weights commute with the node reversal bit for bit."""
+    return (spec.matrix.interior_weights[right] @ u
+            + spec.matrix.exterior_correction[right]
+            + np.abs(u[right]) ** (spec.p - 1.0) * u[right])
+
+
 def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
                       start: np.ndarray) -> tuple[np.ndarray, int]:
     """Damped Newton for  operator(u) + |u|^(p-1) u = 0  on the active
     nodes, the rest frozen at the sub-solution.  Returns (values, iters).
 
-    The grid and the active set are mirror-symmetric, and so are the
-    iterates up to rounding.  Each step therefore solves the even and the
-    odd half systems of ``mirror_blocks``, with the Jacobian diagonal
-    read off the right half of the nodes, and recombines them; keeping
-    the odd part corrects a residual that is not exactly even.  The
-    blocks are built once per level, and only when the start fails the
-    stop test."""
+    The active set and the start are even, and so is every iterate:
+    each step solves the half system of ``even_block`` on the right half
+    of the active nodes, Jacobian diagonal added, and applies the step
+    mirrored to both halves.  The block is built once per level, and only
+    when the start fails the stop test."""
     p = spec.p
-    weights = spec.matrix.interior_weights
-    corr = spec.matrix.exterior_correction
     idx = np.flatnonzero(active)
-    half = idx.size // 2
-    right = idx[half:]
+    right = idx[idx.size // 2:]
 
     u = start.copy()
     u[~active] = spec.sub.values[~active]
 
-    def full_residual(vec: np.ndarray) -> np.ndarray:
-        return (weights @ vec + corr
-                + np.abs(vec) ** (p - 1.0) * vec)[idx]
-
-    blocks = None
-    res = full_residual(u)
+    block = None
+    res = _even_residual(spec, right, u)
     for iteration in range(_MAX_ITER + 1):
-        scale = max(1.0, float(np.max(np.abs(u[idx]))))
-        if np.max(np.abs(res)) <= _NEWTON_RTOL * scale:
+        norm = np.max(np.abs(res))
+        if norm <= _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[right])))):
             return u, iteration
-        if blocks is None:
-            blocks = mirror_blocks(weights, idx)
-            diags = [block.diagonal().copy() for block in blocks]
-        jac_diag = p * np.abs(u[right]) ** (p - 1.0)
-        for block, diag in zip(blocks, diags):
-            np.fill_diagonal(block, diag + jac_diag)
-        # -res split into its even and odd parts on the right half
-        res_right, res_mirror = res[half:], res[half - 1::-1]
+        if block is None:
+            block = even_block(spec.matrix.interior_weights, idx)
+            diag = block.diagonal().copy()
+        np.fill_diagonal(block, diag + p * np.abs(u[right]) ** (p - 1.0))
         try:
-            even = np.linalg.solve(blocks[0], -0.5 * (res_right + res_mirror))
-            odd = np.linalg.solve(blocks[1], -0.5 * (res_right - res_mirror))
+            step = np.linalg.solve(block, -res)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
                 f"Newton Jacobian singular at level with "
                 f"{idx.size} active nodes") from exc
-        step = np.concatenate(((even - odd)[::-1], even + odd))
-        norm = np.max(np.abs(res))
         damping = 1.0
         while damping >= _DAMPING_FLOOR:
             trial = u.copy()
-            trial[idx] += damping * step
-            trial_res = full_residual(trial)
+            trial[idx] += damping * np.concatenate((step[::-1], step))
+            trial_res = _even_residual(spec, right, trial)
             if np.max(np.abs(trial_res)) <= (1.0 - 0.25 * damping) * norm:
                 u, res = trial, trial_res
                 break
@@ -348,13 +342,12 @@ def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int) -> SolveReport:
             monotone_ok = False
         u = u_new
 
-    final = GridFunction(spec.grid, u, Zero())
     idx = np.flatnonzero(_active_mask(spec.grid, levels[-1]))
-    residual = (apply(spec.matrix, final) + np.abs(u) ** (spec.p - 1.0) * u)[idx]
-    residual_inf = float(np.max(np.abs(residual)))
-    tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[idx]))))
+    right = idx[idx.size // 2:]
+    residual_inf = float(np.max(np.abs(_even_residual(spec, right, u))))
+    tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[right]))))
     return SolveReport(
-        final=final,
+        final=GridFunction(spec.grid, u, Zero()),
         n_exhaustion_levels=len(levels),
         newton_iters=newton_iters,
         levels=levels,

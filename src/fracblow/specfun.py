@@ -63,6 +63,12 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_p(p: float) -> float:
+    if not 1.0 < float(p) < math.inf:
+        raise BadConfig(f"p must exceed 1 and be finite, got {p}")
+    return float(p)
+
+
 def _check_tau(tau: float, *, allow_zero: bool) -> float:
     tau = float(tau)
     hi_ok = (tau <= 0.0) if allow_zero else (tau < 0.0)
@@ -327,8 +333,8 @@ def _verdict(alpha: float, p: float, tau: Optional[float], rate: float,
 
 
 def classify(alpha: float, p: float, tau: Optional[float] = None) -> Regime:
-    """Existence verdict for exponent p > 1 and an optional prescribed
-    blow-up rate tau in (-1,0).
+    """Existence verdict for a finite exponent p > 1 and an optional
+    prescribed blow-up rate tau in (-1,0).
 
     Above the threshold order: a unique solution with rate -2*alpha/(p-1)
     exists iff p > 1+2*alpha, and no other rate is possible for any p.
@@ -340,9 +346,7 @@ def classify(alpha: float, p: float, tau: Optional[float] = None) -> Regime:
     carries ``tau1``, so callers need not decide the regime again.
     """
     alpha = _check_alpha(alpha)
-    p = float(p)
-    if not p > 1.0:
-        raise BadConfig(f"p must exceed 1, got {p}")
+    p = _check_p(p)
     if tau is not None:
         tau = float(tau)
         if not (-1.0 < tau < 0.0):

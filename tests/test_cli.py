@@ -38,6 +38,22 @@ def test_classify_bad_exponent_is_config_error():
     assert main(["classify", "--alpha", "0.5", "--p", "0.9"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", "0.3", "--p", "inf"],
+    ["classify", "--alpha", "0.3", "--p", "1e309"],
+    ["solve", "--alpha", "0.5", "--p", "inf"],
+    ["audit", "--alpha", "0.6", "--p", "inf", "--tau=-0.4"],
+], ids=["classify-inf", "classify-overflow", "solve", "audit"])
+def test_infinite_p_is_config_error(argv, monkeypatch, capsys):
+    # refused by the regime guard, before anything is assembled
+    calls = _count_assembles(monkeypatch)
+    assert main(argv + ["--no-timestamp"]) == EXIT_CONFIG
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p must exceed 1 and be finite, got inf" in captured.err
+
+
 @pytest.mark.parametrize("alpha,p,kind", [
     # was NoConvergence (exit 3) in the quadrature of the kernel tail
     ("0.01", "2", "nonexistence-c"),
@@ -255,6 +271,14 @@ def test_solve_unresolvable_grading_names_the_grid(capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: n_per_side 512 with "
                           "grading_exponent 6.0")
+
+
+def test_solve_tiny_delta_is_config_error(capsys):
+    # the profile's curvature at D = delta overflows a double
+    assert main(["solve", "--alpha", "0.5", "--p", "3", "--n-per-side", "64",
+                 "--delta", "1e-300"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: matching radius delta=1e-300")
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,14 @@ def test_build_profile_rejects_bad_radius(delta):
         build_v_tau(-0.5, delta)
 
 
+@pytest.mark.parametrize("tau,delta", [(-0.99, 1e-120), (-0.5, 1e-130),
+                                       (-0.1, 1e-200), (-0.5, 1e-300)])
+def test_build_profile_names_a_radius_too_small(tau, delta):
+    # inside (0, 1/4], but the curvature of D**tau at D = delta overflows
+    with pytest.raises(BadConfig, match=f"matching radius delta={delta!r}"):
+        build_v_tau(tau, delta)
+
+
 @pytest.mark.parametrize("tau", [-0.2, -0.5, -0.9])
 def test_core_branch_exact(tau):
     spec = build_v_tau(tau, 0.25)

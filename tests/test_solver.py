@@ -123,7 +123,7 @@ def test_problem_spec_validation():
 
 
 def test_problem_spec_needs_mirror_symmetric_grid():
-    # the even/odd split needs the symmetry, which every Grid carries:
+    # the even half system needs the symmetry, which every Grid carries:
     # an asymmetric node set is refused where the grid is made
     with pytest.raises(BadConfig, match="mirror-symmetric"):
         Grid(nodes=np.array([-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]),
@@ -135,6 +135,21 @@ def test_problem_spec_needs_mirror_symmetric_grid():
     sup = GridFunction(grid, np.full(grid.n_nodes, 30.0), Zero())
     spec = ProblemSpec(assemble(0.5, grid, Zero()), 3.0, sub, sup)
     assert spec.grid.same_as(grid)
+
+
+def test_problem_spec_needs_even_bounds():
+    # the solver keeps its iterates even, so the bounds it freezes the
+    # excluded core at must be even too
+    sub, sup, spec = _pair_and_spec(0.5, 3.0)
+    lopsided = sub.values.copy()
+    lopsided[0] *= 0.5
+    with pytest.raises(BadConfig, match="exactly even"):
+        ProblemSpec(spec.matrix, 3.0,
+                    GridFunction(GRID, lopsided, Zero()), sup)
+    with pytest.raises(BadConfig, match="exactly even"):
+        ProblemSpec(spec.matrix, 3.0, sub,
+                    GridFunction(GRID, sup.values * (1.0 + 1e-9 * GRID.nodes),
+                                 Zero()))
 
 
 def test_problem_spec_rejects_nonzero_exterior_operator():
@@ -221,6 +236,31 @@ def test_solve_blowup_report_fields_and_audits():
     payload = report.as_dict()
     assert payload["active_nodes"] == report.active_nodes
     assert "newton_iters" in json.dumps(payload)
+
+
+def test_solve_blowup_iterates_are_exactly_even():
+    grid = build_graded(128, 2.4)
+    _, _, spec = _pair_and_spec(0.5, 3.0, grid)
+    values = solve_blowup(spec, 8, 4096).final.values
+    assert np.array_equal(values, values[::-1])
+
+
+def test_newton_solves_one_half_system_per_iteration(monkeypatch):
+    # one half-size LU per Newton step: the even block alone
+    grid = build_graded(128, 2.4)
+    _, _, spec = _pair_and_spec(0.5, 3.0, grid)
+    shapes = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    report = solve_blowup(spec, 8, 4096)
+    assert sum(report.newton_iters) == 40
+    assert len(shapes) == 40
+    assert all(shape[0] <= grid.n_nodes // 2 for shape in shapes)
 
 
 def test_solve_blowup_validation():

@@ -315,6 +315,12 @@ def test_classify_rejects_bad_arguments():
         classify(1.2, 3.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, float("1e309"), math.nan])
+def test_classify_refuses_non_finite_p(p):
+    with pytest.raises(BadConfig, match="p must exceed 1 and be finite"):
+        classify(0.3, p)
+
+
 def test_evaluators_reject_bad_arguments():
     with pytest.raises(BadConfig):
         c_tau(0.0, -0.5)
