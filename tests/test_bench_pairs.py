@@ -33,21 +33,23 @@ def _checkout(root, side, speed):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
         textwrap.dedent(FAKE_RUN.format(speed=speed, side=side)))
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "ok_per_s", "better": "higher"},
-        {"name": "op_s_p50", "better": "lower"}]}))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "solve"}],
+        "end_to_end": [{"name": "ok_per_s", "better": "higher"},
+                       {"name": "op_s_p50", "better": "lower"}]}))
     return root
 
 
-def test_pairs_summary(tmp_path):
+def test_pairs_summary(tmp_path, monkeypatch):
     parent = _checkout(tmp_path / "parent", "parent", 1.0)
     change = _checkout(tmp_path / "change", "change", 2.0)
-    out = tmp_path / "bench.json"
+    monkeypatch.chdir(tmp_path)
     assert bench_pairs.main([
         "--parent", str(parent), "--change", str(change), "--label", "t",
-        "--workloads", "solve", "--pairs", "3", "--first-seed", "0",
-        "--seconds", "1", "--out", str(out)]) == 0
-    solve = json.loads(out.read_text())["workloads"]["solve"]
+        "--pairs", "3", "--first-seed", "0"]) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert "--seconds 1 " in report["method"]
+    solve = report["workloads"]["solve"]
     assert solve["seeds"] == [0, 1, 2] and solve["pairs"] == 3
     ok = solve["sides"]["change"]["metrics"]["ok_per_s"]
     assert ok["runs"] == [2.0, 2.01, 2.02]

@@ -1,20 +1,21 @@
 """Paired benchmark runs of two checkouts: parent against change.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \\
-        [--workloads solve,specfun,audit] [--pairs 10] [--first-seed 101] \\
-        [--seconds 27] [--note TEXT] [--out PATH]
+        [--pairs 10] [--first-seed 101] [--note TEXT]
 
 Each checkout is a full source tree with its own ``perfbench/run.py``;
-both are run unchanged, one process at a time.  Pair k runs seed
-``first-seed + k`` once on each side, and the pairs alternate which side
-runs first, so a drift in the speed of the host moves both sides alike.
-The result, ``BENCH_<label>.json`` unless ``--out`` is given, holds per
+both are run unchanged, one process at a time, on every workload and
+for the run length that the change checkout's ``BENCHMARK.json``
+declares.  Pair k runs seed ``first-seed + k`` once on each side, and
+the pairs alternate which side runs first, so a drift in the speed of
+the host moves both sides alike.
+The result, ``BENCH_<label>.json`` in the current directory, holds per
 workload and side the run metadata, the ``correct``/``attempted``/
 ``failed`` figures and every end-to-end metric with its runs, median
 and quartiles (inclusive method), plus per metric the number of pairs
 in which the change reads better (ties count for neither side) and the
-ratio of the medians.  The direction of each metric is read from the
-change checkout's ``BENCHMARK.json``.
+ratio of the medians.  The direction of each metric is read from
+``BENCHMARK.json`` too.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ def parse_args(argv):
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--workloads", default="solve,specfun,audit")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--seconds", type=float, default=27.0)
     parser.add_argument("--note", default="")
-    parser.add_argument("--out", type=Path)
     return parser.parse_args(argv)
 
 
@@ -99,6 +97,7 @@ def main(argv=None) -> int:
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     higher_better = {m["name"]: m["better"] == "higher"
                      for m in declared["end_to_end"]}
+    seconds = declared["run_seconds"]
     seeds = [args.first_seed + k for k in range(args.pairs)]
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
@@ -107,19 +106,19 @@ def main(argv=None) -> int:
         "change": args.note,
         "method": (
             f"python3 perfbench/run.py --workload W --seed S --seconds "
-            f"{args.seconds:g} (untraced), each checkout's perfbench/ run "
+            f"{seconds:g} (untraced), each checkout's perfbench/ run "
             "unchanged. Pairs alternate which side runs first; one seed per "
             "pair, the same seed on both sides. Medians and quartiles "
             "(inclusive method) over the runs; better_pairs counts the pairs "
             "in which the change reads better (ties count for neither side)."),
         "workloads": {},
     }
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in declared["workloads"]):
         results = {side: [] for side in SIDES}
         for k, seed in enumerate(seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                run = run_once(roots[side], workload, seed, args.seconds)
+                run = run_once(roots[side], workload, seed, seconds)
                 results[side].append(run)
                 figures = {name: round(m["value"], 4)
                            for name, m in run["metrics"].items()}
@@ -128,8 +127,7 @@ def main(argv=None) -> int:
         report["workloads"][workload] = {
             "seeds": seeds, **summarize(results, higher_better)}
 
-    out = args.out or Path(f"BENCH_{args.label}.json")
-    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
 
