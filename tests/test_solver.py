@@ -258,8 +258,8 @@ def test_newton_solves_one_half_system_per_iteration(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     report = solve_blowup(spec, 8, 4096)
-    assert sum(report.newton_iters) == 40
-    assert len(shapes) == 40
+    # one solve per iteration (40 of each on this problem)
+    assert len(shapes) == sum(report.newton_iters) > 0
     assert all(shape[0] <= grid.n_nodes // 2 for shape in shapes)
 
 

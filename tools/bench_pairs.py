@@ -1,21 +1,22 @@
 """Paired benchmark runs of two checkouts: parent against change.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \\
-        [--pairs 10] [--first-seed 101] [--note TEXT]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME
 
-Each checkout is a full source tree with its own ``perfbench/run.py``;
-both are run unchanged, one process at a time, on every workload and
-for the run length that the change checkout's ``BENCHMARK.json``
-declares.  Pair k runs seed ``first-seed + k`` once on each side, and
-the pairs alternate which side runs first, so a drift in the speed of
-the host moves both sides alike.
+Each checkout is a full source tree with its own benchmark; both are
+run unchanged, one process at a time, with the command, on every
+workload and for the run length that the change checkout's
+``BENCHMARK.json`` declares.  There are ``PAIRS`` pairs; pair k runs
+seed ``FIRST_SEED + k`` once on each side, and the pairs alternate
+which side runs first, so a drift in the speed of the host moves both
+sides alike.
 The result, ``BENCH_<label>.json`` in the current directory, holds per
-workload and side the run metadata, the ``correct``/``attempted``/
-``failed`` figures and every end-to-end metric with its runs, median
-and quartiles (inclusive method), plus per metric the number of pairs
-in which the change reads better (ties count for neither side) and the
-ratio of the medians.  The direction of each metric is read from
-``BENCHMARK.json`` too.
+workload and side the first run's metadata, the ``correct``/
+``attempted``/``failed``/``failures`` figures of every run in pair
+order, and every end-to-end metric with its runs, median and quartiles
+(inclusive method), plus per metric the number of pairs in which the
+change reads better (ties count for neither side) and the ratio of the
+medians.  The direction of each metric is read from ``BENCHMARK.json``
+too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+FIRST_SEED = 111
 
 
 def parse_args(argv):
@@ -35,17 +38,18 @@ def parse_args(argv):
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--note", default="")
     return parser.parse_args(argv)
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run of ``root``'s benchmark: its meta, failures and
-    result lines merged into one dict."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+def run_once(root: Path, command: list, workload: str, seed: int,
+             seconds: float) -> dict:
+    """One untraced run of ``root``'s benchmark ``command`` (a leading
+    ``python3`` is this interpreter): its meta, failures and result lines
+    merged into one dict."""
+    argv = [sys.executable if k == 0 and word == "python3" else word
+            for k, word in enumerate(command)]
+    argv += ["--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True,
                           timeout=20 * seconds + 300)
     lines = [json.loads(line) for line in done.stdout.splitlines()
@@ -72,10 +76,9 @@ def summarize(results: dict, higher_better: dict) -> dict:
         runs = results[side]
         sides[side] = {
             "meta": runs[0]["meta"],
-            "correct": [r["correct"] for r in runs],
-            "attempted": sorted({r["attempted"] for r in runs}),
-            "failed": sorted({r["failed"] for r in runs}),
-            "failures": runs[0]["failures"],
+            "runs": [{key: r[key] for key in
+                      ("correct", "attempted", "failed", "failures")}
+                     for r in runs],
             "metrics": {
                 name: spread([r["metrics"][name]["value"] for r in runs])
                 for name in higher_better},
@@ -97,16 +100,16 @@ def main(argv=None) -> int:
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     higher_better = {m["name"]: m["better"] == "higher"
                      for m in declared["end_to_end"]}
+    command = declared["command"]
     seconds = declared["run_seconds"]
-    seeds = [args.first_seed + k for k in range(args.pairs)]
+    seeds = [FIRST_SEED + k for k in range(PAIRS)]
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = {
         "label": args.label,
-        "change": args.note,
         "method": (
-            f"python3 perfbench/run.py --workload W --seed S --seconds "
-            f"{seconds:g} (untraced), each checkout's perfbench/ run "
+            f"{' '.join(command)} --workload W --seed S --seconds "
+            f"{seconds:g} (untraced), each checkout's benchmark run "
             "unchanged. Pairs alternate which side runs first; one seed per "
             "pair, the same seed on both sides. Medians and quartiles "
             "(inclusive method) over the runs; better_pairs counts the pairs "
@@ -118,7 +121,8 @@ def main(argv=None) -> int:
         for k, seed in enumerate(seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                run = run_once(roots[side], workload, seed, seconds)
+                run = run_once(roots[side], command, workload, seed,
+                               seconds)
                 results[side].append(run)
                 figures = {name: round(m["value"], 4)
                            for name, m in run["metrics"].items()}
