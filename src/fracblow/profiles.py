@@ -64,8 +64,7 @@ class ProfileSpec:
 def _bridge_coeffs(tau: float, delta: float) -> np.ndarray | None:
     """Ascending monomial coefficients of the quintic q(s), s in [0, 1],
     matching value, slope and curvature of ``D**tau`` at ``D = delta``
-    (s = 0) and of ``d**2`` at ``d = delta`` (s = 1); None when that
-    curvature overflows a double."""
+    (s = 0) and of ``d**2`` at ``d = delta`` (s = 1); None on overflow."""
     span = 1.0 - 2.0 * delta
     # Endpoint data in the physical coordinate D, then rescaled to s.  The
     # curvature is the largest of the three, so it alone can overflow.
@@ -109,22 +108,15 @@ def build_v_tau(tau: float, delta: float = 0.25) -> ProfileSpec:
         raise BadConfig(f"core exponent must lie in (-1, 0), got {tau}")
     if not (0.0 < delta <= 0.25):
         raise BadConfig(f"matching radius must lie in (0, 1/4], got {delta}")
-    given = delta
-    for _ in range(4):
-        coeffs = _bridge_coeffs(tau, delta)
+    for radius in (delta, delta / 2, delta / 4, delta / 8):
+        coeffs = _bridge_coeffs(tau, radius)
         if coeffs is None:
-            halved = "" if delta == given else f" (halved to {delta})"
-            raise BadConfig(f"matching radius delta={given} is too small for "
-                            f"core exponent {tau}: D**tau overflows near "
-                            f"it{halved}")
+            raise BadConfig(f"matching radius delta={delta} is too small for "
+                            f"core exponent {tau}: D**tau overflows at {radius}")
         s = np.linspace(0.0, 1.0, 4097)
-        # near the overflow radius the bridge itself may evaluate to inf or
-        # nan; neither counts as positive
-        with np.errstate(over="ignore", invalid="ignore"):
-            bridge = np.polynomial.polynomial.polyval(s, coeffs)
+        bridge = np.polynomial.polynomial.polyval(s, coeffs)
         if np.min(bridge) > 0.0:
-            return ProfileSpec(tau=tau, delta=delta, interpolant_coeffs=coeffs)
-        delta *= 0.5
+            return ProfileSpec(tau=tau, delta=radius, interpolant_coeffs=coeffs)
     raise BadConfig(
         f"no positive bridge found for core exponent {tau} "
         f"after halving the matching radius 3 times")
