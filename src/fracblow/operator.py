@@ -18,7 +18,10 @@ over a partition of the real line:
 * linear bridges from the outermost nodes to the boundary value implied
   by the exterior extension;
 * the exterior |y| >= 1, in closed form for the zero and constant
-  extensions and via a Gauss hypergeometric identity for power tails.
+  extensions and via a Gauss hypergeometric identity for power tails,
+  whose F(a, b; b+1; z) ``specfun._gauss_2f1`` evaluates uniformly in
+  alpha: at alpha = 1/2 its connection formula has a logarithmic limit,
+  which the evaluator reaches continuously instead of by a branch.
 
 Every piece is accumulated in difference form (weights multiply
 u(x) - u(y-model)), so globally constant data is annihilated exactly up
@@ -29,13 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
-from scipy.special import digamma, exprel, hyp2f1
 
 from .errors import BadConfig, GridMismatch
 from .mesh import Constant, Exterior, Grid, GridFunction, PowerTail, Zero
+from .specfun import _gauss_2f1
 
 __all__ = ["OperatorMatrix", "assemble", "apply", "even_block",
            "power_tail_gap", "power_tail_moment"]
@@ -54,35 +55,6 @@ class OperatorMatrix:
     exterior: Exterior
 
 
-def _gauss_2f1_log_case(b: float, x: float) -> float:
-    """hyp2f1(1, b; b+1; x) for x in (0.5, 1), summed as the classical
-    expansion in powers of (1 - x) around the logarithmic singularity.
-
-    This parameter family is exactly the degenerate case where the two
-    upper parameters sum to the lower one; library routines built on the
-    generic connection formulas lose all accuracy there (observed sign
-    errors near x = 1 at non-half-integer b), while this expansion
-    converges geometrically with ratio 1 - x.
-    """
-    w = 1.0 - x
-    log_w = math.log(w)
-    total = 0.0
-    coef = 1.0                 # (b)_n / n!
-    psi_n = digamma(1.0)       # psi(n + 1)
-    psi_b = float(digamma(b))  # psi(b + n)
-    w_pow = 1.0
-    for n in range(400):
-        term = coef * (psi_n - psi_b - log_w) * w_pow
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-        coef *= (b + n) / (n + 1.0)
-        psi_n += 1.0 / (n + 1.0)
-        psi_b += 1.0 / (b + n)
-        w_pow *= w
-    return b * total
-
-
 def power_tail_gap(alpha: float, tau: float, x: float) -> float:
     """Closed form of integral_1^inf (1 - z^tau) (z - x)^(-1-2*alpha) dz
     for |x| < 1 and tau < 2*alpha (use -x for the left exterior piece).
@@ -99,11 +71,7 @@ def power_tail_gap(alpha: float, tau: float, x: float) -> float:
         raise BadConfig(
             f"power-tail exponent {tau} must lie below 2*alpha = {2*alpha}")
     # by parts: (-tau / 2a) * integral_1^inf z^(tau-1) (z-x)^(-2a) dz
-    if alpha == 0.5 and x > 0.5:
-        gauss = _gauss_2f1_log_case(c, x)
-    else:
-        gauss = float(hyp2f1(2.0 * alpha, c, c + 1.0, x))
-    return (-tau / (2.0 * alpha)) * gauss / c
+    return (-tau / (2.0 * alpha)) * _gauss_2f1(2.0 * alpha, c, x) / c
 
 
 def power_tail_moment(alpha: float, tau: float, x: float) -> float:
@@ -128,13 +96,16 @@ def _kernel_moments(A, B, alpha):
     Both are (B^e - A^e)/e, with e = -2a and e = 1 - 2a, written in
     L = log(B/A) = log1p((B-A)/A) as A^e expm1(e L)/e: the plain
     difference quotient loses digits for narrow pieces (B ~ A) and, in
-    J1, as e -> 0 next to a = 1/2.  J1 uses exprel(x) = expm1(x)/x, which
-    is 1 at x = 0, so at a = 1/2 it is log(B/A) with no branch."""
+    J1, as e -> 0 next to a = 1/2.  J1 uses exprel(x) = expm1(x)/x, taken
+    as its limit 1 where x = 0, so at a = 1/2 it is log(B/A) with no
+    branch on alpha."""
     twoa = 2.0 * alpha
     log_ratio = np.log1p((B - A) / A)
     power = A ** -twoa
     J0 = power * np.expm1(-twoa * log_ratio) / -twoa
-    J1 = power * A * log_ratio * exprel((1.0 - twoa) * log_ratio)
+    x = (1.0 - twoa) * log_ratio
+    exprel = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    J1 = power * A * log_ratio * exprel
     return J0, J1
 
 

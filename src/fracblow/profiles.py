@@ -100,7 +100,9 @@ def build_v_tau(tau: float, delta: float = 0.25) -> ProfileSpec:
     """Build the positive even profile with core exponent ``tau``.
 
     ``delta`` is halved (at most 3 times) if the quintic bridge dips to
-    zero or below anywhere; a profile that still fails is rejected.
+    zero or below anywhere; a profile that still fails is rejected.  A
+    bridge that overflows (its data, or its values on [0, 1]) is rejected
+    at once, naming the ``delta`` the caller gave.
     """
     tau = float(tau)
     delta = float(delta)
@@ -108,13 +110,15 @@ def build_v_tau(tau: float, delta: float = 0.25) -> ProfileSpec:
         raise BadConfig(f"core exponent must lie in (-1, 0), got {tau}")
     if not (0.0 < delta <= 0.25):
         raise BadConfig(f"matching radius must lie in (0, 1/4], got {delta}")
+    s = np.linspace(0.0, 1.0, 4097)
     for radius in (delta, delta / 2, delta / 4, delta / 8):
         coeffs = _bridge_coeffs(tau, radius)
-        if coeffs is None:
+        if coeffs is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bridge = np.polynomial.polynomial.polyval(s, coeffs)
+        if coeffs is None or not np.isfinite(bridge).all():
             raise BadConfig(f"matching radius delta={delta} is too small for "
                             f"core exponent {tau}: D**tau overflows at {radius}")
-        s = np.linspace(0.0, 1.0, 4097)
-        bridge = np.polynomial.polynomial.polyval(s, coeffs)
         if np.min(bridge) > 0.0:
             return ProfileSpec(tau=tau, delta=radius, interpolant_coeffs=coeffs)
     raise BadConfig(

@@ -28,6 +28,12 @@ too: alpha0 = 1/2, tau1 = 2*alpha - 1 (the zero of 1/Gamma((1+tau)/2 -
 alpha)) and tau0 = alpha - 1, the boundary blow-up rate of Chen, Felmer
 and Quaas (Ann. IHP (C) 32, 2015).
 
+The power-tail exterior of ``operator`` needs one more special function,
+the Gauss function F(a, b; b+1; z) on (-1, 1); ``_gauss_2f1`` evaluates
+it with no branch at a = 1 (alpha = 1/2), where its connection formula
+has a logarithmic limit.  Everything here uses Python's ``math`` module
+alone.
+
 ``classify`` combines these thresholds into the existence /
 special-existence / nonexistence verdict for a given (alpha, p) pair and
 optional prescribed rate.  Whether an order lies below the threshold, and
@@ -40,9 +46,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-import numpy as np
-from scipy.special import beta, exprel, gamma, rgamma
 
 from .errors import BadConfig, RegimeError
 
@@ -84,16 +87,31 @@ def _check_tau(tau: float, *, allow_zero: bool) -> float:
 # because alpha - tau/2 = d + alpha and (1+tau)/2 = z + alpha.  A vanishes
 # at x = 0, that is at tau = 0 and at tau1, and K grows like -1/alpha
 # while c'' stays bounded as alpha -> 0; so the forms below write
-# 1/Gamma(x) as x (x+1) / Gamma(x+2), carry K*alpha, and take the digamma
-# and trigamma differences of A', A'' divided by alpha.
+# 1/Gamma(x) as x (x+1) / Gamma(x+2) and Gamma(u) as Gamma(u+1) / u, carry
+# K*alpha, and take the digamma and trigamma differences of A', A''
+# divided by alpha.  math.gamma then never overflows (it raises where a
+# library gamma would return inf); a vanishing u or alpha makes the
+# quotients overflow to infinities instead.
 
 _STEPS = 16  # recurrence steps before the asymptotic series of psi
 _B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2 .. B_12
 
 
+def _exprel(x: float) -> float:
+    """expm1(x) / x, which is 1 at x = 0."""
+    return math.expm1(x) / x if x else 1.0
+
+
 def _k_alpha(alpha: float) -> float:
     """K(alpha) * alpha = -sqrt(pi) Gamma(1-alpha) / Gamma(1/2+alpha)."""
-    return float(-math.sqrt(math.pi) * gamma(1.0 - alpha) / gamma(0.5 + alpha))
+    return -math.sqrt(math.pi) * math.gamma(1.0 - alpha) / math.gamma(0.5 + alpha)
+
+
+def _beta(x: float, y: float) -> float:
+    """B(x, y) for x, y > 0 as (1/x + 1/y) Gamma(x+1) Gamma(y+1) /
+    Gamma(x+y+1); +inf where 1/x overflows."""
+    return ((1.0 / x + 1.0 / y) * math.gamma(x + 1.0) * math.gamma(y + 1.0)
+            / math.gamma(x + y + 1.0))
 
 
 def _psi_steps(y: float, alpha: float) -> tuple:
@@ -109,22 +127,22 @@ def _psi_steps(y: float, alpha: float) -> tuple:
         s1 -= (2.0 * x + alpha) / (x * x * (x + alpha) ** 2)
     big = y + _STEPS
     log_step = math.log1p(alpha / big)
-    scale = exprel(log_step) * big  # alpha / log_step, finite as alpha -> 0
+    scale = _exprel(log_step) * big  # alpha / log_step, finite as alpha -> 0
     s0 += 1.0 / scale + 0.5 / (big * (big + alpha))
-    s1 -= 1.0 / (big * (big + alpha)) + exprel(-2.0 * log_step) / (scale * big * big)
+    s1 -= 1.0 / (big * (big + alpha)) + _exprel(-2.0 * log_step) / (scale * big * big)
     for k, b in enumerate(_B2K, 1):
-        s0 += b * exprel(-2.0 * k * log_step) / (scale * big ** (2 * k))
-        s1 -= (b * (2 * k + 1) * exprel(-(2 * k + 1) * log_step)
+        s0 += b * _exprel(-2.0 * k * log_step) / (scale * big ** (2 * k))
+        s1 -= (b * (2 * k + 1) * _exprel(-(2 * k + 1) * log_step)
                / (scale * big ** (2 * k + 1)))
     return s0, s1
 
 
 def _ratio(x: float, u: float, alpha: float) -> float:
-    """A(x) = Gamma(u) / Gamma(x) for x in (-1, 1/2] and u = x + alpha,
+    """A(x) = Gamma(u) / Gamma(x) for x in (-1, 1/2] and u = x + alpha > 0,
     passed in so that it keeps its digits where x is close to -alpha (as
     x + 1 = u + 1 - alpha does near x = -1); exactly 0 at x = 0."""
     x1 = u + (1.0 - alpha)
-    return gamma(u) * rgamma(x1 + 1.0) * x * x1
+    return math.gamma(u + 1.0) / math.gamma(x1 + 1.0) * (x / u) * x1
 
 
 def _ratio_jet(x: float, u: float, alpha: float) -> tuple:
@@ -133,7 +151,7 @@ def _ratio_jet(x: float, u: float, alpha: float) -> tuple:
     and the remaining terms have one sign each."""
     w = 1.0 - alpha
     x1 = u + w  # x + 1
-    g = gamma(u) * rgamma(x1 + 1.0)
+    g = math.gamma(u + 1.0) / math.gamma(x1 + 1.0) / u  # inf as u -> 0
     d1, d2 = _psi_steps(x1 + 1.0, alpha)
     xx = x * x1
     p = (2.0 * u * (u + w) + w) / (u * (u + 1.0))  # (x+1)/u + x/(u+1)
@@ -171,7 +189,7 @@ def C_tau(alpha: float, tau: float) -> float:
     t > 1; its unique zero in (-1,0) is the boundary rate ``tau0``."""
     alpha = _check_alpha(alpha)
     tau = _check_tau(tau, allow_zero=True)
-    return c_tau(alpha, tau) - float(beta(2.0 * alpha - tau, 1.0 + tau))
+    return c_tau(alpha, tau) - _beta(2.0 * alpha - tau, 1.0 + tau)
 
 
 def T_alpha(alpha: float) -> float:
@@ -198,14 +216,105 @@ def c_second_derivative(alpha: float, tau: float) -> float:
     alpha = _check_alpha(alpha)
     tau = _check_tau(tau, allow_zero=False)
     d, a, z, b = _arguments(alpha, tau)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p0, p1, p2 = _ratio_jet(d, a, alpha)
-        q0, q1, q2 = _ratio_jet(z, b, alpha)
-        value = float(0.25 * _k_alpha(alpha)
-                      * (p2 * q0 - 2.0 * alpha * p1 * q1 + p0 * q2))
+    p0, p1, p2 = _ratio_jet(d, a, alpha)
+    q0, q1, q2 = _ratio_jet(z, b, alpha)
+    value = 0.25 * _k_alpha(alpha) * (p2 * q0 - 2.0 * alpha * p1 * q1 + p0 * q2)
     # the terms overflow only where alpha - tau/2 < 1e-154, and there c''
     # grows like (alpha - tau/2)**-2 beyond the double range
     return value if math.isfinite(value) else math.inf
+
+
+# ---------------------------------------------------------------------------
+# The Gauss function F(a, b; b+1; z) = b z^(-b) B_z(b, 1-a), the family of
+# the power-tail exterior moments in ``operator``.
+
+
+def _series(a: float, b: float, c: float, z: float) -> float:
+    """Gauss series of F(a, b; c; z) for positive a, b, c and z in
+    [0, 1/2]: every term is positive and the ratio tends to z."""
+    total = term = 1.0
+    n = 0.0
+    while term > 1e-17 * total:
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        total += term
+        n += 1.0
+    return total
+
+
+def _lgamma_slope(y: float, eps: float) -> float:
+    """(lgamma(y + eps) - lgamma(y)) / eps for y >= _STEPS and |eps| < 1,
+    by Stirling's series (error below 1e-17) with every difference of
+    powers written through log1p and exprel; at eps = 0 it is psi(y)."""
+    lift = math.log1p(eps / y)
+    r = lift / (eps / y) if eps else 1.0
+    tail = sum(b / (2 * k) * y ** (-2 * k) * _exprel((1 - 2 * k) * lift)
+               for k, b in enumerate(_B2K, 1))
+    return r * ((y - 0.5) / y - tail) + math.log(y + eps) - 1.0
+
+
+def _gamma_quotient_m1(b: float, eps: float) -> float:
+    """(G - 1) / eps for G = Gamma(1+eps) Gamma(b) / Gamma(b+eps), b > 0
+    and |eps| < 1; at eps = 0 it is psi(1) - psi(b).  G is the product of
+    the factors (1+n)(b+n+eps) / ((1+n+eps)(b+n)) = 1 + eps*q_n, n <
+    _STEPS, and of a Stirling quotient, and each factor minus 1 is taken
+    over eps in closed form, so nothing cancels as eps -> 0."""
+    gm1 = 0.0
+    for n in range(_STEPS):
+        q = (1.0 - b) / ((1.0 + n + eps) * (b + n))
+        gm1 = gm1 * (1.0 + eps * q) + q
+    slope = (_lgamma_slope(1.0 + _STEPS, eps)
+             - _lgamma_slope(b + _STEPS, eps))
+    tail_m1 = slope * _exprel(eps * slope)
+    return gm1 * (1.0 + eps * tail_m1) + tail_m1
+
+
+def _gauss_2f1(a: float, b: float, z: float) -> float:
+    """F(a, b; b+1; z) for 0 < a < 2, b > 0 and -1 < z < 1, the family
+    b z^(-b) B_z(b, 1-a) of incomplete Beta functions.
+
+    * z < 0: Pfaff's transformation (1-z)^(-a) F(a, 1; b+1; z/(z-1)),
+      a positive series in an argument below 1/2;
+    * 0 <= z <= 1/2: the Gauss series itself;
+    * z > 1/2: the connection to w = 1 - z (A&S 15.3.6, DLMF 15.8.4),
+      F = Gamma(b+1) Gamma(1-a) / Gamma(b+1-a) z^(-b)
+          + b/(a-1) w^(1-a) F(1, b+1-a; 2-a; w),
+      whose two terms have a pole pair at a = 1 and another at a = 2.
+      Above a = 3/2 the recurrence B_z(b, 1-a) = ((b+1-a) B_z(b, 2-a)
+      - z^b w^(1-a)) / (1-a) first moves a down by one, away from the
+      pair at a = 2.  The pair at a = 1 (alpha = 1/2) cancels in closed
+      form: with eps = 1 - a and F(1, b+eps; 1+eps; w) = sum_n T_n(eps)
+      w^n, where sum_n T_n(0) w^n = z^(-b),
+      F = b z^(-b) ((G - 1)/eps - (w^eps - 1)/eps) - b w^eps S,
+      S = sum_n (T_n(eps) - T_n(0))/eps w^n, with G as in
+      ``_gamma_quotient_m1``.  Every quotient by eps is evaluated as its
+      own series or through expm1, so the logarithmic case a = 1
+      (A&S 15.3.10) is the limit of the formula, not a branch of it.
+    """
+    if z < 0.0:
+        return (1.0 - z) ** -a * _series(a, 1.0, b + 1.0, z / (z - 1.0))
+    if z <= 0.5:
+        return _series(a, b, b + 1.0, z)
+    w = 1.0 - z
+    if a > 1.5:
+        return ((b + 1.0 - a) * _gauss_2f1(a - 1.0, b, z)
+                - b * w ** (1.0 - a)) / (1.0 - a)
+    eps = 1.0 - a
+    log_w = math.log(w)
+    # d_n = (T_n(eps) - T_n(0)) / eps, by the product rule on the factors
+    # (b+eps+n)/(1+eps+n) of T_n, whose own quotient is exact
+    t = 1.0        # T_n(0) = (b)_n / n!
+    d = total = n = 0.0
+    w_pow = term = 1.0
+    while abs(term) > 1e-17 * abs(total):
+        d = (d * (b + eps + n) + t * (1.0 - b) / (1.0 + n)) / (1.0 + eps + n)
+        t *= (b + n) / (1.0 + n)
+        w_pow *= w
+        term = d * w_pow
+        total += term
+        n += 1.0
+    return b * (z ** -b * (_gamma_quotient_m1(b, eps)
+                           - log_w * _exprel(eps * log_w))
+                - w ** eps * total)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,19 @@ def test_solve_tiny_delta_is_config_error(capsys):
     assert err.startswith("configuration error: matching radius delta=1e-300")
 
 
+def test_solve_overflowing_bridge_is_one_config_error_line():
+    # the bridge's data are finite at 1e-134 but its values overflow; a
+    # fresh process shows everything that reaches stderr, warnings included
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracblow.cli", "solve", "--alpha", "0.6",
+         "--p", "5", "--n-per-side", "64", "--delta", "1e-134"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == (
+        "configuration error: matching radius delta=1e-134 is too small for "
+        "core exponent -0.3: D**tau overflows at 1e-134\n")
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -488,6 +501,17 @@ def test_parser_level_errors_map_to_config_exit():
 
 def test_help_exits_zero():
     assert main(["--help"]) == EXIT_OK
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test-only dependency: no command may pay for importing it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracblow.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point_runs():

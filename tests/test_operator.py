@@ -5,8 +5,11 @@ closed-form exterior moments."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import fracblow.operator
@@ -264,6 +267,74 @@ def test_power_tail_gap_identity():
         total = power_tail_gap(alpha, tau, x) + power_tail_moment(alpha, tau, x)
         assert total == pytest.approx(mass, rel=1e-13)
     assert power_tail_gap(0.4, 0.0, 0.9) == 0.0
+
+
+# The full grid of the gap's accuracy gate: across alpha = 1/2, where the
+# hypergeometric connection formula has its logarithmic limit, and up to
+# x = 1 - 1e-12 on both sides.
+GAP_ALPHAS = (0.05, 0.25, 0.5 - 1e-6, 0.5 + 1e-6, 0.5 - 1e-9, 0.5 + 1e-9,
+              0.5, 0.75, 0.95)
+GAP_XS = tuple(s * v for v in (0.3, 0.6, 0.9, 0.999, 1 - 1e-6, 1 - 1e-9,
+                               1 - 1e-12) for s in (1, -1))
+
+
+def mp_power_tail_gap(alpha, tau, x):
+    """(-tau / 2a) 2F1(2a, c; c+1; x) / c, c = 2a - tau, at 50 digits."""
+    with mp.workdps(50):
+        a, t, z = mp.mpf(alpha), mp.mpf(tau), mp.mpf(x)
+        c = 2 * a - t
+        return float(-t / (2 * a) * mp.hyp2f1(2 * a, c, c + 1, z) / c)
+
+
+@pytest.mark.parametrize("alpha", GAP_ALPHAS)
+def test_power_tail_gap_matches_mpmath(alpha):
+    for tau in (-0.95, -0.5, -0.1):
+        for x in GAP_XS:
+            want = mp_power_tail_gap(alpha, tau, x)
+            got = power_tail_gap(alpha, tau, x)
+            assert abs(got - want) <= 1e-13 * abs(want), (tau, x, got, want)
+
+
+def test_power_tail_gap_matches_mpmath_near_alpha_one():
+    # a = 2*alpha -> 2 is the connection formula's second pole pair
+    for alpha in (0.99, 0.999999):
+        for tau in (-0.95, -0.1):
+            for x in (0.51, 0.6, 0.9, 1 - 1e-9):
+                want = mp_power_tail_gap(alpha, tau, x)
+                got = power_tail_gap(alpha, tau, x)
+                assert abs(got - want) <= 1e-13 * abs(want), (tau, x)
+
+
+# Continuity in alpha across 1/2.  K is about twice the relative slope
+# measured at delta = +-1e-4, where the library 2F1 was still accurate:
+# 19.6 for the gap at these x, 21.7 for W and 22.1 for the correction of
+# the PowerTail operator at n_per_side 64.
+CONTINUITY_K = 45.0
+HALF_OFFSETS = st.builds(lambda sign, e: sign * 10.0 ** e,
+                         st.sampled_from((-1.0, 1.0)),
+                         st.floats(min_value=-12.0, max_value=-6.0))
+CORE_RATES = st.floats(min_value=-0.95, max_value=-0.1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(delta=HALF_OFFSETS, tau=CORE_RATES)
+def test_power_tail_gap_continuous_across_one_half(delta, tau):
+    for x in (0.9, 1 - 1e-6, 1 - 1e-9, -0.9, -(1 - 1e-6), -(1 - 1e-9)):
+        at_half = power_tail_gap(0.5, tau, x)
+        moved = power_tail_gap(0.5 + delta, tau, x)
+        assert abs(moved - at_half) <= CONTINUITY_K * abs(delta) * abs(at_half)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(delta=HALF_OFFSETS, tau=CORE_RATES)
+def test_power_tail_operator_continuous_across_one_half(delta, tau):
+    grid = build_graded(64, 2.4)
+    at_half = assemble(0.5, grid, PowerTail(tau))
+    moved = assemble(0.5 + delta, grid, PowerTail(tau))
+    bound = CONTINUITY_K * abs(delta)
+    for old, new in ((at_half.interior_weights, moved.interior_weights),
+                     (at_half.exterior_correction, moved.exterior_correction)):
+        assert np.all(np.abs(new - old) <= bound * np.abs(old))
 
 
 def test_exterior_band_mass_matches_quad():

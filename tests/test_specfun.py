@@ -10,7 +10,9 @@ and textbook Beta/Gamma closed forms.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +90,19 @@ def test_log_integral_frozen_values():
 def test_second_derivative_frozen_values():
     assert abs(c_second_derivative(0.3, -0.5) - 36.299899914812198349) <= 1e-7
     assert abs(c_second_derivative(0.7, -0.2) - 12.156580592670495809) <= 1e-6
+
+
+def test_documented_limits_overflow_to_infinity():
+    # c and C grow like -1/alpha and reach -inf below alpha ~ 1e-308; c''
+    # is +inf where alpha - tau/2 < 1e-154.  Both come back as infinities,
+    # never as an exception
+    assert c_tau(1e-309, -0.5) == C_tau(1e-309, -0.5) == -math.inf
+    assert c_second_derivative(1e-200, -1e-160) == math.inf
+    # just above the limit the value is still finite and accurate: at
+    # tau = -alpha -> 0, c -> -1/(3 alpha) (40-digit mpmath agrees)
+    got = c_tau(1e-300, -1e-300)
+    assert math.isfinite(got)
+    assert abs(got / -3.3333333333333e299 - 1.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +311,16 @@ def test_classify_decides_the_regime_once(monkeypatch):
     regime = classify(0.25, 1.75)
     assert calls == [(0.25,)]
     assert regime.tau1 == find_tau1(0.25) == -0.5
-    # the thresholds are formulas: specfun binds no integrator or root
-    # finder, neither a function nor a module
+    # the thresholds are formulas: specfun binds no integrator, root
+    # finder or other scipy routine, neither a function nor a module; a
+    # scipy.special ufunc has no __module__, so it is matched by identity
     origins = [getattr(obj, "__module__", None) or getattr(obj, "__name__", "")
                for obj in vars(fracblow.specfun).values()]
-    assert not [o for o in origins if isinstance(o, str) and o.startswith(
-        ("fracblow.quad", "scipy.integrate", "scipy.optimize"))]
+    assert not [o for o in origins if isinstance(o, str) and (
+        o.startswith("fracblow.quad") or o.split(".")[0] == "scipy")]
+    ufuncs = [f for f in vars(scipy.special).values() if isinstance(f, np.ufunc)]
+    assert not [name for name, obj in vars(fracblow.specfun).items()
+                if any(obj is f for f in ufuncs)]
 
 
 def test_classify_rejects_bad_arguments():
