@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -355,39 +356,26 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON file with default parameter values")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built at the first call and shared after it:
+    parsing leaves it unchanged, and ``main`` looks each command up by
+    name at call time."""
     parser = argparse.ArgumentParser(
         prog="fracblow",
         description="Interior blow-up toolkit for the 1-D fractional "
                     "absorption equation.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sp = commands.add_parser(
-        "specfun", help="CSV sweep of kernel constants c, C, T, c2")
-    _add_common(sp)
-    sp.add_argument("--step", type=float, help="sweep step (default 0.1)")
-    sp.set_defaults(func=cmd_specfun)
-
-    cr = commands.add_parser(
-        "critical", help="JSON report of alpha0 and per-alpha tau0/tau1")
-    _add_common(cr)
-    cr.set_defaults(func=cmd_critical)
-
-    cl = commands.add_parser(
-        "classify", help="existence regime and predicted rate")
-    _add_common(cl)
-    cl.set_defaults(func=cmd_classify)
-
-    so = commands.add_parser(
-        "solve", help="exhaustion solve: report JSON + profile CSV")
-    _add_common(so)
-    so.set_defaults(func=cmd_solve)
-
-    au = commands.add_parser(
-        "audit", help="nonexistence-zone residual audit JSON")
-    _add_common(au)
-    au.set_defaults(func=cmd_audit)
-
+    for name, summary in (
+            ("specfun", "CSV sweep of kernel constants c, C, T, c2"),
+            ("critical", "JSON report of alpha0 and per-alpha tau0/tau1"),
+            ("classify", "existence regime and predicted rate"),
+            ("solve", "exhaustion solve: report JSON + profile CSV"),
+            ("audit", "nonexistence-zone residual audit JSON")):
+        sub = commands.add_parser(name, help=summary)
+        _add_common(sub)
+    commands.choices["specfun"].add_argument(
+        "--step", type=float, help="sweep step (default 0.1)")
     return parser
 
 
@@ -402,7 +390,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         config = _load_config(getattr(ns, "config", None))
-        return ns.func(ns, config)
+        return globals()[f"cmd_{ns.command}"](ns, config)
     except RegimeError as exc:
         print(f"regime guard: {exc}", file=sys.stderr)
         return EXIT_REGIME

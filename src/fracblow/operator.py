@@ -38,7 +38,7 @@ from .errors import BadConfig, GridMismatch
 from .mesh import Constant, Exterior, Grid, GridFunction, PowerTail, Zero
 from .specfun import _gauss_2f1
 
-__all__ = ["OperatorMatrix", "assemble", "apply", "even_block",
+__all__ = ["OperatorMatrix", "assemble", "apply",
            "power_tail_gap", "power_tail_moment"]
 
 
@@ -46,13 +46,21 @@ __all__ = ["OperatorMatrix", "assemble", "apply", "even_block",
 class OperatorMatrix:
     """Dense discrete operator: apply(u) = interior_weights @ u.values +
     exterior_correction, valid for grid functions with the same grid and
-    the same exterior extension used at assembly."""
+    the same exterior extension used at assembly.
+
+    ``even_weights`` is the half operator on even vectors: with h the
+    number of left nodes, W_RR + W_RM = W[h:, h:] + W[h:, h-1::-1], read
+    off the right-half rows.  The weights commute with the node reversal,
+    so they map an even vector to an even one, and for every k the system
+    on the even vectors supported on the nodes h + k, ..., n - 1 and
+    their mirrors is the trailing block ``even_weights[k:, k:]``."""
 
     alpha: float
     grid: Grid
     interior_weights: np.ndarray
     exterior_correction: np.ndarray
     exterior: Exterior
+    even_weights: np.ndarray
 
 
 def power_tail_gap(alpha: float, tau: float, x: float) -> float:
@@ -222,22 +230,8 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     W[:h] = W[h:][::-1, ::-1]
     corr[:h] = corr[h:][::-1]
     return OperatorMatrix(alpha=alpha, grid=grid, interior_weights=W,
-                          exterior_correction=corr, exterior=exterior)
-
-
-def even_block(weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Half block of ``weights[idx][:, idx]`` acting on even vectors, for
-    a sorted index set that is closed under the node reversal i -> n-1-i.
-
-    On a mirror-symmetric grid the weights commute with the reversal P,
-    so they map an even vector (u = Pu) to an even one.  With R the right
-    half of ``idx`` and M its mirror, the system on the even vectors is
-    read off the right-half rows:  W_RR + W_RM.
-    """
-    right = idx[idx.size // 2:]
-    block = weights[np.ix_(right, right)]
-    block += weights[np.ix_(right, weights.shape[0] - 1 - right)]
-    return block
+                          exterior_correction=corr, exterior=exterior,
+                          even_weights=W[h:, h:] + W[h:, h - 1::-1])
 
 
 def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadConfig, SingularSystem
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix, even_block
+from .operator import OperatorMatrix
 
 __all__ = [
     "ProfileSpec",
@@ -167,16 +167,14 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
     toward the endpoints, and the bounded lift of comparison pairs.
 
     The grid is mirror-symmetric, so the right-hand side is even, the
-    solve is the half system of ``even_block`` and the solution is
-    exactly even."""
+    solve is the half system of ``matrix.even_weights`` and the solution
+    is exactly even."""
     if not isinstance(matrix.exterior, Zero):
         raise BadConfig("the torsion function needs the zero-exterior operator")
     alpha, grid = matrix.alpha, matrix.grid
-    n = grid.n_nodes
-    block = even_block(matrix.interior_weights, np.arange(n))
-    rhs = 1.0 - matrix.exterior_correction[n // 2:]
+    rhs = 1.0 - matrix.exterior_correction[grid.n_nodes // 2:]
     try:
-        half = np.linalg.solve(block, rhs)
+        half = np.linalg.solve(matrix.even_weights, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"torsion system is singular for alpha={alpha}") from exc

@@ -26,7 +26,7 @@ from .errors import (
     SingularSystem,
 )
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix, apply, even_block
+from .operator import OperatorMatrix, apply
 from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask,
                        sample_profile, search_scale, solve_torsion)
 from .specfun import RegimeKind, _check_p, classify
@@ -228,14 +228,14 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
 # Newton solve on one exhaustion domain.
 
 
-def _even_residual(spec: ProblemSpec, right: np.ndarray,
+def _even_residual(spec: ProblemSpec, first: int,
                    u: np.ndarray) -> np.ndarray:
-    """Residual of  operator(u) + |u|^(p-1) u  at the nodes ``right``;
-    for an exactly even u these rows are the whole system, since the
-    weights commute with the node reversal bit for bit."""
-    return (spec.matrix.interior_weights[right] @ u
-            + spec.matrix.exterior_correction[right]
-            + np.abs(u[right]) ** (spec.p - 1.0) * u[right])
+    """Residual of  operator(u) + |u|^(p-1) u  at the nodes first, ...,
+    n - 1; for an exactly even u these rows are the whole system, since
+    the weights commute with the node reversal bit for bit."""
+    return (spec.matrix.interior_weights[first:] @ u
+            + spec.matrix.exterior_correction[first:]
+            + np.abs(u[first:]) ** (spec.p - 1.0) * u[first:])
 
 
 def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
@@ -243,28 +243,30 @@ def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
     """Damped Newton for  operator(u) + |u|^(p-1) u = 0  on the active
     nodes, the rest frozen at the sub-solution.  Returns (values, iters).
 
-    The active set and the start are even, and so is every iterate:
-    each step solves the half system of ``even_block`` on the right half
-    of the active nodes, Jacobian diagonal added, and applies the step
-    mirrored to both halves.  The block is built once per level, and only
-    when the start fails the stop test."""
+    The active set is even and its right half is the nodes first, ...,
+    n - 1.  The start is even, and so is every iterate: each step solves
+    the half system of the trailing block of ``even_weights`` on that
+    right half, Jacobian diagonal added, and applies the step mirrored
+    to both halves.  The block is copied once per level, and only when
+    the start fails the stop test."""
     p = spec.p
     idx = np.flatnonzero(active)
-    right = idx[idx.size // 2:]
+    first = idx[idx.size // 2]
+    k = first - spec.grid.n_nodes // 2
 
     u = start.copy()
     u[~active] = spec.sub.values[~active]
 
     block = None
-    res = _even_residual(spec, right, u)
+    res = _even_residual(spec, first, u)
     for iteration in range(_MAX_ITER + 1):
         norm = np.max(np.abs(res))
-        if norm <= _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[right])))):
+        if norm <= _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[first:])))):
             return u, iteration
         if block is None:
-            block = even_block(spec.matrix.interior_weights, idx)
+            block = spec.matrix.even_weights[k:, k:].copy()
             diag = block.diagonal().copy()
-        np.fill_diagonal(block, diag + p * np.abs(u[right]) ** (p - 1.0))
+        np.fill_diagonal(block, diag + p * np.abs(u[first:]) ** (p - 1.0))
         try:
             step = np.linalg.solve(block, -res)
         except np.linalg.LinAlgError as exc:
@@ -275,7 +277,7 @@ def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
         while damping >= _DAMPING_FLOOR:
             trial = u.copy()
             trial[idx] += damping * np.concatenate((step[::-1], step))
-            trial_res = _even_residual(spec, right, trial)
+            trial_res = _even_residual(spec, first, trial)
             if np.max(np.abs(trial_res)) <= (1.0 - 0.25 * damping) * norm:
                 u, res = trial, trial_res
                 break
@@ -343,9 +345,9 @@ def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int) -> SolveReport:
         u = u_new
 
     idx = np.flatnonzero(_active_mask(spec.grid, levels[-1]))
-    right = idx[idx.size // 2:]
-    residual_inf = float(np.max(np.abs(_even_residual(spec, right, u))))
-    tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[right]))))
+    first = idx[idx.size // 2]
+    residual_inf = float(np.max(np.abs(_even_residual(spec, first, u))))
+    tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[first:]))))
     return SolveReport(
         final=GridFunction(spec.grid, u, Zero()),
         n_exhaustion_levels=len(levels),

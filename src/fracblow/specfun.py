@@ -179,9 +179,11 @@ def c_tau(alpha: float, tau: float) -> float:
     alpha = _check_alpha(alpha)
     tau = _check_tau(tau, allow_zero=True)
     d, a, z, b = _arguments(alpha, tau)
-    # K < 0, so a zero factor gives -0.0; adding 0.0 makes it 0.0
-    return float(_k_alpha(alpha) / alpha * _ratio(d, a, alpha)
-                 * _ratio(z, b, alpha)) + 0.0
+    r_d, r_z = _ratio(d, a, alpha), _ratio(z, b, alpha)
+    if r_d == 0.0 or r_z == 0.0:
+        return 0.0  # before K/alpha, which overflows to -inf as alpha -> 0
+    # K < 0, so an underflow gives -0.0; adding 0.0 makes it 0.0
+    return float(_k_alpha(alpha) / alpha * r_d * r_z) + 0.0
 
 
 def C_tau(alpha: float, tau: float) -> float:

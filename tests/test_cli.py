@@ -499,6 +499,57 @@ def test_parser_level_errors_map_to_config_exit():
     assert main(["bogus"]) == EXIT_CONFIG
 
 
+def test_repeated_calls_build_the_parser_once(monkeypatch, capsys):
+    # every subcommand parser gets the common flags once per build
+    built = []
+    add_common = fracblow.cli._add_common
+
+    def counted(sub):
+        built.append(sub.prog)
+        add_common(sub)
+
+    monkeypatch.setattr(fracblow.cli, "_add_common", counted)
+    fracblow.cli._build_parser.cache_clear()
+    try:
+        assert main(["classify", "--alpha", "0.5", "--p", "3"]) == EXIT_OK
+        first = len(built)
+        assert main(["classify", "--alpha", "0.6", "--p", "3"]) == EXIT_OK
+        assert main(["critical", "--alpha", "0.3"]) == EXIT_OK
+        assert main(["bogus"]) == EXIT_CONFIG
+    finally:
+        fracblow.cli._build_parser.cache_clear()
+    assert first > 0
+    assert len(built) == first
+
+
+def test_flags_do_not_leak_between_calls(tmp_path, capsys):
+    # one parser serves every call, and each call parses into its own
+    # namespace: nothing a call was given reaches the next one
+    critical = ["critical", "--alpha", "0.3"]
+    assert main(critical + ["--no-timestamp"]) == EXIT_OK
+    assert "timestamp" not in json.loads(capsys.readouterr().out)
+    assert main(critical) == EXIT_OK
+    assert "timestamp" in json.loads(capsys.readouterr().out)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.5, "p": 3.0}))
+    assert main(["classify", "--config", str(cfg)]) == EXIT_OK
+    assert "unique-existence" in capsys.readouterr().out
+    assert main(["classify"]) == EXIT_CONFIG
+    assert "missing required parameter --alpha" in capsys.readouterr().err
+
+    classify = ["classify", "--alpha", "0.25", "--p", "1.75"]
+    assert main(classify) == EXIT_OK
+    alone = capsys.readouterr().out
+    assert main(["solve", "--alpha", "0.5", "--p", "3", "--n-per-side", "128",
+                 "--schedule", "8:64", "--no-timestamp"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["report"]["converged"] is True
+    assert main(classify) == EXIT_OK
+    assert capsys.readouterr().out == alone
+    assert main(["classify", "--alpha", "0.5"]) == EXIT_CONFIG
+    assert "missing required parameter --p" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == EXIT_OK
 

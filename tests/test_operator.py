@@ -17,8 +17,7 @@ from fracblow.errors import BadConfig, GridMismatch
 from fracblow.mesh import (Constant, Grid, GridFunction, PowerTail, Zero,
                            build_graded, distance_D)
 from fracblow.operator import (OperatorMatrix, _kernel_moments, apply,
-                               assemble, even_block, power_tail_gap,
-                               power_tail_moment)
+                               assemble, power_tail_gap, power_tail_moment)
 from fracblow.specfun import c_tau
 
 BATTERY_ALPHAS = (0.25, 0.5, 0.75)
@@ -128,11 +127,12 @@ def test_assemble_computes_each_mirror_pair_once(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_even_block_solves_the_full_system(alpha):
     # Jacobian-shaped system W_aa + diag(d) with an even positive d and an
-    # even right-hand side: the even half solve, mirrored, reproduces the
-    # full dense solve, on the whole grid and on a mirror-symmetric
-    # active subset
+    # even right-hand side: the even half solve on the trailing block of
+    # the stored even weights, mirrored, reproduces the full dense solve,
+    # on the whole grid and on a mirror-symmetric active subset
     grid = build_graded(64, 2.4)
-    W = assemble(alpha, grid, Zero()).interior_weights
+    M = assemble(alpha, grid, Zero())
+    W = M.interior_weights
     rng = np.random.default_rng(11)
     for idx in (np.arange(grid.n_nodes),
                 np.flatnonzero(distance_D(grid.nodes) > 1.0 / 64)):
@@ -144,11 +144,31 @@ def test_even_block_solves_the_full_system(alpha):
         want = np.linalg.solve(full, np.concatenate((rhs_right[::-1],
                                                      rhs_right)))
 
-        block = even_block(W, idx)
+        k = idx[half] - grid.n_nodes // 2
+        block = M.even_weights[k:, k:]
         assert block.shape == (half, half)
         x_right = np.linalg.solve(block + np.diag(d_right), rhs_right)
         got = np.concatenate((x_right[::-1], x_right))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_even_weights_hold_every_level_block_exactly(alpha):
+    # every exhaustion level's active set {D > 1/n} is a symmetric band
+    # around 0, so its even block W_RR + W_RM is a trailing block of the
+    # stored even weights, bit for bit
+    grid = build_graded(128, 2.4)
+    M = assemble(alpha, grid, Zero())
+    W, n = M.interior_weights, grid.n_nodes
+    assert M.even_weights.shape == (n // 2, n // 2)
+    level = 8
+    while level <= 2 ** 20:
+        idx = np.flatnonzero(distance_D(grid.nodes) > 1.0 / level)
+        right = idx[idx.size // 2:]
+        k = right[0] - n // 2
+        want = W[np.ix_(right, right)] + W[np.ix_(right, n - 1 - right)]
+        assert np.array_equal(M.even_weights[k:, k:], want), level
+        level *= 2
 
 
 @pytest.mark.parametrize("alpha", [0.5 - 1e-9, 0.5 + 1e-9, 0.5 - 1e-13,

@@ -105,6 +105,16 @@ def test_documented_limits_overflow_to_infinity():
     assert abs(got / -3.3333333333333e299 - 1.0) <= 1e-14
 
 
+def test_exact_zero_wins_over_the_overflowing_constant():
+    # at tau = 0, and where -tau/2 rounds to 0, a Gamma ratio is exactly 0
+    # while K/alpha has overflowed to -inf: c is the promised 0 (not nan),
+    # and C = c - B(2 alpha, 1) is -1/(2 alpha), which is -inf there
+    for alpha, tau in ((1e-309, 0.0), (5e-324, -5e-324)):
+        got = c_tau(alpha, tau)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    assert C_tau(1e-309, 0.0) == -math.inf
+
+
 # ---------------------------------------------------------------------------
 # live cross-checks against the independent reference integrator
 
@@ -507,3 +517,26 @@ def test_classify_raises_only_chosen_errors(alpha, p, tau):
         return
     assert isinstance(regime, Regime)
     assert (regime.tau1 is None) == (alpha >= 0.5)
+
+
+# Kinds of the tau-free verdict in the order they take as p increases.
+P_ORDER = (RegimeKind.NONEXISTENCE_A, RegimeKind.SPECIAL_EXISTENCE,
+           RegimeKind.BOUNDARY, RegimeKind.UNIQUE_EXISTENCE,
+           RegimeKind.NONEXISTENCE_C)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(alpha=st.just(0.5) | ORDERS,
+       ps=st.lists(st.floats(min_value=1.0, max_value=100.0,
+                             exclude_min=True), max_size=8),
+       shifts=st.lists(st.floats(min_value=-4e-9, max_value=4e-9),
+                       min_size=1, max_size=8))
+def test_classify_verdict_monotone_in_p(alpha, ps, shifts):
+    # along increasing p the verdict never steps back in P_ORDER; the
+    # shifts put p inside and around the equality bands of both window
+    # ends, where the order is decided by tolerance tests
+    ends = [end for end in existence_window(alpha) if math.isfinite(end)]
+    ps = sorted({p for p in ps + [end * (1.0 + s) for end in ends
+                                  for s in shifts] if p > 1.0})
+    ranks = [P_ORDER.index(classify(alpha, p).kind) for p in ps]
+    assert ranks == sorted(ranks)
