@@ -14,8 +14,9 @@ import numpy as np
 from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from .mesh import GridFunction, distance_D
 from .operator import OperatorMatrix, apply
-from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask, resolved_mask,
-                       sample_profile, search_scale, solve_torsion)
+from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask,
+                       power_of_two_bracket, resolved_mask, sample_profile,
+                       solve_torsion)
 from .specfun import Regime, RegimeKind, classify
 
 __all__ = [
@@ -146,8 +147,8 @@ class ZoneAudit:
     ``zone`` records which comparison construction was used:
       1 -- profile plus a fixed torsion multiple is a super-solution for
            every scale tested at once;
-      2 -- profile minus a searched torsion multiple is a sub-solution;
-      3 -- profile plus a searched torsion multiple is a super-solution.
+      2 -- profile minus a doubled torsion multiple is a sub-solution;
+      3 -- profile plus a doubled torsion multiple is a super-solution.
     ``lift_scales`` holds the torsion multiples per tested scale, and
     ``core_constants`` the per-scale constants of the near-core growth
     certificate (None when the zone does not require it).
@@ -216,8 +217,9 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
     ``tau`` for the given (alpha, p).
 
     The residual signs are enforced at every resolved node with
-    tolerance 1e-6 times the local residual scale; the torsion multiple
-    is searched by doubling (at most 40 steps) per tested scale.
+    tolerance 1e-6 times the local residual scale; the torsion multiple is
+    the least power of two in [1, 2**MAX_DOUBLINGS] that works, in closed
+    form in zone 1 and by doubling per tested scale in zones 2 and 3.
     """
     alpha, grid = matrix.alpha, matrix.grid
     regime = require_nonexistence(alpha, p, tau)
@@ -239,16 +241,15 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
     core_constants = []
 
     if zone == 1:
-        # One torsion multiple making the linear part nonnegative works
-        # for every scale at once.
-        def lifted_ok(lift: float) -> bool:
-            linear = applied + lift
-            return np.all(linear[checked]
-                          >= -1e-6 * (np.abs(applied[checked]) + lift))
-
-        lift = search_scale(1.0, lambda s: 2.0 * s, lifted_ok, AuditFail(
-            f"no torsion multiple made the lifted profile "
-            f"operator-nonnegative (alpha={alpha}, tau={tau})"))
+        # One torsion multiple making the linear part nonnegative works for
+        # every scale at once; a + lift >= -1e-6 (|a| + lift) is linear in it.
+        a = applied[checked]
+        need = float(np.max((-a - 1e-6 * np.abs(a)) / (1.0 + 1e-6),
+                            initial=1.0))
+        if not need <= 2.0 ** MAX_DOUBLINGS:
+            raise AuditFail(f"no torsion multiple up to 2**{MAX_DOUBLINGS} made the lifted "
+                            f"profile operator-nonnegative (alpha={alpha}, tau={tau})")
+        lift = power_of_two_bracket(need)[1]
         for t in t_values:
             upper = t * (vals + lift * tors)
             res = t * (applied + lift) + upper ** p
@@ -274,22 +275,19 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
         direction = -1.0 if zone == 2 else 1.0
         worst = np.max if zone == 2 else np.min
 
-        def residual(t: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-            w = t * vals + (direction * mu) * tors
-            res = t * applied + direction * mu + np.abs(w) ** (p - 1.0) * w
-            tol = 1e-6 * (np.abs(t * applied) + mu + np.abs(w) ** p + 1.0)
-            return res, tol
-
+        # The residual depends on mu through |w|**(p-1) w: mu is doubled.
         for t in t_values:
-            def signed_ok(mu: float) -> bool:
-                res, tol = residual(t, mu)
-                return np.all(direction * res[checked] >= -tol[checked])
-
-            mu = search_scale(1.0, lambda s: 2.0 * s, signed_ok, AuditFail(
-                f"zone-{zone} residual sign not achieved within "
-                f"{MAX_DOUBLINGS} doublings at t={t} "
-                f"(alpha={alpha}, p={p}, tau={tau})"))
-            res, _ = residual(t, mu)
+            for mu in (2.0 ** k for k in range(MAX_DOUBLINGS + 1)):
+                w = t * vals + (direction * mu) * tors
+                res = t * applied + direction * mu + np.abs(w) ** (p - 1.0) * w
+                tol = 1e-6 * (np.abs(t * applied) + mu + np.abs(w) ** p + 1.0)
+                if np.all(direction * res[checked] >= -tol[checked]):
+                    break
+            else:
+                raise AuditFail(
+                    f"zone-{zone} residual sign not achieved within "
+                    f"{MAX_DOUBLINGS} doublings at t={t} "
+                    f"(alpha={alpha}, p={p}, tau={tau})")
             lift_scales.append(mu)
             worst_margins.append(float(worst(res[checked])))
             if core is not None:

@@ -8,11 +8,12 @@ so the whole profile is twice continuously differentiable.  The module
 also provides the discrete torsion function (the grid function the
 assembled operator maps to the constant 1), from which sub- and
 super-solution candidates are built together with these profiles, and
-the scale search that sizes them.
+the power-of-two rounding that sizes them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ __all__ = [
 # audits all trust only resolved nodes.
 RESOLUTION_MULTIPLE = 20.0
 
-# Scale-search budget: steps tried after the start value before giving up.
+# Comparison scales are powers of two in [2**-MAX_DOUBLINGS, 2**MAX_DOUBLINGS].
 MAX_DOUBLINGS = 40
 
 
@@ -191,7 +192,7 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Scale search for comparison pairs.
+# Node sets and scales for comparison pairs.
 
 
 def resolved_mask(grid: Grid) -> np.ndarray:
@@ -212,13 +213,9 @@ def core_mask(grid: Grid) -> np.ndarray:
     return core
 
 
-def search_scale(start: float, next_scale, accept, failure: Exception) -> float:
-    """First of ``start``, ``next_scale(start)``, ... for which ``accept``
-    holds, trying at most MAX_DOUBLINGS + 1 values; raises ``failure``
-    when none is accepted."""
-    scale = start
-    for _ in range(MAX_DOUBLINGS + 1):
-        if accept(scale):
-            return scale
-        scale = next_scale(scale)
-    raise failure
+def power_of_two_bracket(x: float) -> tuple[float, float]:
+    """Largest power of two <= ``x`` and smallest >= ``x``, for finite
+    ``x > 0``; exact."""
+    mantissa, exponent = math.frexp(x)
+    below = math.ldexp(0.5, exponent)
+    return below, below if mantissa == 0.5 else 2.0 * below

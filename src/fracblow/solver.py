@@ -28,7 +28,7 @@ from .errors import (
 from .mesh import Grid, GridFunction, Zero, distance_D
 from .operator import OperatorMatrix, apply
 from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask,
-                       sample_profile, search_scale, solve_torsion)
+                       power_of_two_bracket, sample_profile, solve_torsion)
 from .specfun import RegimeKind, _check_p, classify
 
 __all__ = [
@@ -164,19 +164,18 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     """Ordered pair bracketing the blow-up solution in the unique-existence
     regime, for the zero-exterior operator ``matrix``.
 
-    The sub-solution is ``lam_small * V_tau`` with the scale halved until
-    the discrete inequality  operator(W) + W**p <= tol  holds at every
-    resolved node inside the matching radius (the profile is only a
-    sub-solution near the singular point; the exhaustion scheme never
-    relies on it elsewhere).  The super-solution is ``lam_big * V_tau``
-    scaled up until the reverse inequality holds on the same node set,
-    plus a torsion-function lift that pushes the residual nonnegative on
-    the whole grid.
+    The sub-solution is ``lam_small * V_tau``, which must satisfy the
+    discrete inequality  operator(W) + W**p <= tol  at every resolved node
+    inside the matching radius (the profile is only a sub-solution near
+    the singular point; the exhaustion scheme never relies on it
+    elsewhere).  The super-solution is ``lam_big * V_tau``, which must
+    satisfy the reverse inequality there, plus a torsion-function lift
+    that pushes the residual nonnegative on the whole grid.  Both scales
+    are closed forms rounded to powers of two, then checked.
     """
     alpha, grid = matrix.alpha, matrix.grid
     tau = require_unique_existence(alpha, p)
-    profile = build_v_tau(tau, grid.delta)
-    V = sample_profile(profile, grid)
+    V = sample_profile(build_v_tau(tau, grid.delta), grid)
     torsion = solve_torsion(matrix)
     applied = apply(matrix, V)
     core = core_mask(grid)
@@ -189,28 +188,34 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
         tol = 1e-8 * (np.abs(linear) + lam_c + power + 1.0)
         return linear + lam_c + power, tol
 
-    def core_ok(lam: float, sign: float) -> bool:
-        """sign * residual <= tol on the checked core nodes."""
-        res, tol = residual(lam)
-        return np.all(sign * res[core] <= tol[core])
-
-    lam_small = search_scale(
-        1.0, lambda lam: 0.5 * lam, lambda lam: core_ok(lam, 1.0),
-        NoAdmissiblePair(
-            f"no sub-solution scale found for alpha={alpha}, p={p} "
-            f"after {MAX_DOUBLINGS} halvings"))
-    lam_big = search_scale(
-        1.0, lambda lam: 2.0 * lam, lambda lam: core_ok(lam, -1.0),
-        NoAdmissiblePair(
-            f"no super-solution scale found for alpha={alpha}, p={p} "
-            f"after {MAX_DOUBLINGS} doublings"))
-    lam_big = max(lam_big, lam_small)
+    # At a core node the residual of lam * V is lam * a + (lam * v)**p:
+    # nonpositive exactly for lam up to (-a / v**p)**(1/(p-1)), and for no
+    # lam > 0 where a >= 0.
+    a, v = applied[core], vals[core]
+    if np.any(a >= 0.0):
+        raise BadConfig(
+            f"no positive sub-solution scale for alpha={alpha}, p={p}: the "
+            f"profile's operator is nonnegative at {np.count_nonzero(a >= 0.0)} "
+            f"resolved core nodes; change --delta (delta={grid.delta}) or "
+            f"--n-per-side (n_per_side={grid.n_per_side})")
+    bounds = (-a / v ** p) ** (1.0 / (p - 1.0))
+    lo = float(np.min(bounds, initial=1.0))
+    hi = float(np.max(bounds, initial=1.0))
+    if not 2.0 ** -MAX_DOUBLINGS <= lo <= hi <= 2.0 ** MAX_DOUBLINGS:
+        raise NoAdmissiblePair(f"pair scales {lo:.3g} to {hi:.3g} for alpha={alpha}, "
+                               f"p={p} leave [2**-{MAX_DOUBLINGS}, 2**{MAX_DOUBLINGS}]")
+    # Powers of two make every multiple of the profile exact.
+    lam_small, lam_big = power_of_two_bracket(lo)[0], power_of_two_bracket(hi)[1]
+    (res_sub, tol_sub), (res0, tol0) = residual(lam_small), residual(lam_big)
+    if not (np.all(res_sub[core] <= tol_sub[core])
+            and np.all(res0[core] >= -tol0[core])):
+        raise NoAdmissiblePair(f"pair scales {lam_small}, {lam_big} fail the "
+                               f"core residual test for alpha={alpha}, p={p}")
 
     # Torsion lift: the assembled operator maps the torsion function to 1
     # exactly, so adding lam_c of it raises the linear part of the residual
     # by lam_c everywhere (and the absorption term only grows with it);
     # the most negative residual is therefore the lift.
-    res0, _ = residual(lam_big)
     lam_c = max(0.0, -float(np.min(res0)))
     res, tol = residual(lam_big, lam_c)
     if not np.all(res >= -tol):
@@ -238,10 +243,11 @@ def _even_residual(spec: ProblemSpec, first: int,
             + np.abs(u[first:]) ** (spec.p - 1.0) * u[first:])
 
 
-def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
-                      start: np.ndarray) -> tuple[np.ndarray, int]:
+def _newton_on_domain(spec: ProblemSpec, active: np.ndarray, start: np.ndarray,
+                      ) -> tuple[np.ndarray, int, float, float]:
     """Damped Newton for  operator(u) + |u|^(p-1) u = 0  on the active
-    nodes, the rest frozen at the sub-solution.  Returns (values, iters).
+    nodes, the rest frozen at the sub-solution.  Returns (values, iters,
+    residual_inf, tolerance), the sides of the stop test that ended it.
 
     The active set is even and its right half is the nodes first, ...,
     n - 1.  The start is even, and so is every iterate: each step solves
@@ -260,9 +266,10 @@ def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
     block = None
     res = _even_residual(spec, first, u)
     for iteration in range(_MAX_ITER + 1):
-        norm = np.max(np.abs(res))
-        if norm <= _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[first:])))):
-            return u, iteration
+        norm = float(np.max(np.abs(res)))
+        tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[first:]))))
+        if norm <= tolerance:
+            return u, iteration, norm, tolerance
         if block is None:
             block = spec.matrix.even_weights[k:, k:].copy()
             diag = block.diagonal().copy()
@@ -329,7 +336,8 @@ def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int) -> SolveReport:
     monotone_ok = True
     for n in levels:
         active = _active_mask(spec.grid, n)
-        u_new, iters = _newton_on_domain(spec, active, u)
+        u_new, iters, residual_inf, tolerance = _newton_on_domain(
+            spec, active, u)
         newton_iters.append(iters)
         active_nodes.append(int(np.count_nonzero(active)))
         if np.any(u_new < sub_vals - _AUDIT_SLACK * node_scale) or \
@@ -344,10 +352,6 @@ def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int) -> SolveReport:
             monotone_ok = False
         u = u_new
 
-    idx = np.flatnonzero(_active_mask(spec.grid, levels[-1]))
-    first = idx[idx.size // 2]
-    residual_inf = float(np.max(np.abs(_even_residual(spec, first, u))))
-    tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[first:]))))
     return SolveReport(
         final=GridFunction(spec.grid, u, Zero()),
         n_exhaustion_levels=len(levels),

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import fracblow.analysis
 import fracblow.specfun
 from fracblow.analysis import (
     BandReport,
@@ -14,9 +15,10 @@ from fracblow.analysis import (
     check_band,
     fit_rate,
 )
-from fracblow.errors import BadConfig, RegimeError, TooFewPoints
+from fracblow.errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from fracblow.mesh import GridFunction, Zero, build_graded, distance_D
-from fracblow.operator import assemble
+from fracblow.operator import apply, assemble
+from fracblow.profiles import build_v_tau, resolved_mask, sample_profile
 
 GRID = build_graded(512, 2.4)
 D = distance_D(GRID.nodes)
@@ -145,6 +147,23 @@ def test_zone1_audit_small_alpha_shallow_rate():
     assert audit.checked_nodes >= 8
 
 
+def test_zone1_lift_is_the_closed_form_power_of_two():
+    # a + lift >= -1e-6 (|a| + lift), a = operator(V), holds on the checked
+    # nodes exactly from lift = max (-a - 1e-6 |a|) / (1 + 1e-6) up; the
+    # audit takes the least power of two >= 1 there, which doubling from 1
+    # finds too
+    matrix = assemble(0.25, GRID, Zero())
+    audit = audit_nonexistence(matrix, 1.3, -0.3)
+    profile = sample_profile(build_v_tau(-0.3, GRID.delta), GRID)
+    a = apply(matrix, profile)[resolved_mask(GRID)]
+    need = np.max((-a - 1e-6 * np.abs(a)) / (1.0 + 1e-6))
+    lift = 1.0
+    while not np.all(a + lift >= -1e-6 * (np.abs(a) + lift)):
+        lift *= 2.0
+    assert lift / 2.0 < need <= lift
+    assert audit.lift_scales == tuple(t * lift for t in audit.t_values)
+
+
 def test_zone2_audit_sub_solution_family():
     audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.4)
     assert audit.zone == 2
@@ -172,6 +191,13 @@ def test_audit_lift_growth_at_most_linear(alpha, p, tau):
     lifts = dict(zip(audit.t_values, audit.lift_scales))
     for t in (2.0, 4.0):
         assert lifts[t] <= 2.0 * t * lifts[1.0]
+
+
+def test_audit_lift_beyond_the_scale_bound_fails(monkeypatch):
+    # zone 2 at (0.6, 3, -0.4) needs torsion multiples 4 to 32
+    monkeypatch.setattr(fracblow.analysis, "MAX_DOUBLINGS", 1)
+    with pytest.raises(AuditFail, match="within 1 doublings at t=0.5"):
+        audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.4)
 
 
 def test_audit_custom_t_values():

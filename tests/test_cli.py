@@ -294,6 +294,19 @@ def test_solve_overflowing_bridge_is_one_config_error_line():
         "core exponent -0.3: D**tau overflows at 1e-134\n")
 
 
+def test_solve_nonnegative_core_operator_names_the_grid(tmp_path, capsys):
+    # the profile's operator is nonnegative at resolved core nodes here, so
+    # no positive multiple of the profile is a sub-solution
+    prefix = tmp_path / "panel"
+    assert main(["solve", "--alpha", "0.35", "--p", "3.17",
+                 "--out", str(prefix)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: no positive sub-solution "
+                          "scale for alpha=0.35, p=3.17")
+    assert "delta" in err and "n_per_side" in err
+    assert not (tmp_path / "panel.report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # audit
 

@@ -5,16 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from fracblow.errors import BadConfig, NoAdmissiblePair
+from fracblow.errors import BadConfig
 from fracblow.mesh import (Constant, Grid, Zero, build_graded, distance_D,
                            distance_d)
 from fracblow.operator import apply, assemble
 from fracblow.profiles import (
-    MAX_DOUBLINGS,
     build_v_tau,
     evaluate_profile,
+    power_of_two_bracket,
     sample_profile,
-    search_scale,
     solve_torsion,
 )
 from fracblow.specfun import c_tau
@@ -257,23 +256,17 @@ def test_band_growth_bound_at_kernel_zero(alpha):
 
 
 # ---------------------------------------------------------------------------
-# Scale search.
+# Power-of-two scales.
 
 
-def test_search_scale_returns_first_accepted_value():
-    assert search_scale(1.0, lambda s: 0.5 * s, lambda s: s < 0.1,
-                        NoAdmissiblePair("unused")) == 0.0625
-    assert search_scale(3.0, lambda s: 2.0 * s, lambda s: True,
-                        NoAdmissiblePair("unused")) == 3.0
-
-
-def test_search_scale_budget_then_raises():
-    tried = []
-
-    def never(scale):
-        tried.append(scale)
-        return False
-
-    with pytest.raises(NoAdmissiblePair, match="gave up"):
-        search_scale(1.0, lambda s: 2.0 * s, never, NoAdmissiblePair("gave up"))
-    assert tried == [2.0 ** k for k in range(MAX_DOUBLINGS + 1)]
+@pytest.mark.parametrize("x,below,above", [
+    (1.0, 1.0, 1.0),
+    (0.75, 0.5, 1.0),
+    (3.0, 2.0, 4.0),
+    (2.0 ** -40, 2.0 ** -40, 2.0 ** -40),
+    (np.nextafter(8.0, 9.0), 8.0, 16.0),
+    (np.nextafter(8.0, 7.0), 4.0, 8.0),
+    (5e-324, 5e-324, 5e-324),
+])
+def test_powers_of_two_bracket_x(x, below, above):
+    assert power_of_two_bracket(x) == (below, above)

@@ -9,11 +9,13 @@ from fracblow.errors import BadConfig, GridMismatch, RegimeError
 from fracblow.mesh import (Constant, Grid, GridFunction, Zero, build_graded,
                            distance_D)
 from fracblow.operator import apply, assemble
-from fracblow.profiles import build_v_tau, core_mask, sample_profile
+from fracblow.profiles import (build_v_tau, core_mask, sample_profile,
+                               solve_torsion)
 from fracblow.solver import (
     ProblemSpec,
     _even_residual,
     default_sub_super,
+    require_unique_existence,
     solve_blowup,
 )
 from fracblow.specfun import find_tau1
@@ -62,6 +64,35 @@ def test_default_pair_residual_signs(alpha, p):
     res_sup = apply(matrix, sup) + sup.values ** p
     tol = 1e-8 * (np.abs(apply(matrix, sup)) + sup.values ** p + 1.0)
     assert np.all(res_sup >= -tol)
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75), (0.6, 3.2)])
+def test_default_pair_scales_bracket_the_node_bounds(alpha, p):
+    # lam * V meets the sub-inequality at core node i exactly for
+    # lam <= (-a_i / v_i**p)**(1/(p-1)), a = operator(V): the pair scales
+    # are the powers of two at or below min(1, least bound) and at or
+    # above max(1, largest bound)
+    sub, sup, spec = _pair_and_spec(alpha, p)
+    profile = sample_profile(
+        build_v_tau(require_unique_existence(alpha, p), GRID.delta), GRID)
+    core = core_mask(GRID)
+    a = apply(spec.matrix, profile)[core]
+    V = profile.values
+    bounds = (-a / V[core] ** p) ** (1.0 / (p - 1.0))
+    lam_small = 1.0
+    while lam_small > bounds.min():
+        lam_small /= 2.0
+    lam_big = 1.0
+    while lam_big < bounds.max():
+        lam_big *= 2.0
+    assert np.array_equal(sub.values, lam_small * V)
+    # the super-solution is lam_big * V plus one multiple of the torsion
+    # function, read off away from both ends
+    D = distance_D(GRID.nodes)
+    mid = (D >= 0.3) & (D <= 0.7)
+    lift = (sup.values - lam_big * V)[mid] / solve_torsion(spec.matrix).values[mid]
+    assert np.min(lift) >= -1e-9
+    assert np.ptp(lift) <= 1e-9 * (1.0 + np.max(lift))
 
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
