@@ -35,7 +35,6 @@ from .analysis import (
     fit_rate,
 )
 from .mesh import (
-    Constant,
     Exterior,
     Grid,
     GridFunction,

@@ -14,9 +14,9 @@ import numpy as np
 from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from .mesh import GridFunction, distance_D
 from .operator import OperatorMatrix, apply
-from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask,
-                       power_of_two_bracket, resolved_mask, sample_profile,
-                       solve_torsion)
+from .profiles import (MAX_DOUBLINGS, build_v_tau, comparison_residual,
+                       core_mask, power_of_two_bracket, resolved_mask,
+                       sample_profile, solve_torsion)
 from .specfun import Regime, RegimeKind, classify
 
 __all__ = [
@@ -28,6 +28,10 @@ __all__ = [
     "audit_nonexistence",
     "require_nonexistence",
 ]
+
+# Scales t of the audited comparison functions.  Powers of two, so that
+# t times the zone-1 lift is exact.
+T_VALUES = (0.5, 1.0, 2.0, 4.0)
 
 # ---------------------------------------------------------------------------
 # Rate fitting.
@@ -149,9 +153,9 @@ class ZoneAudit:
            every scale tested at once;
       2 -- profile minus a doubled torsion multiple is a sub-solution;
       3 -- profile plus a doubled torsion multiple is a super-solution.
-    ``lift_scales`` holds the torsion multiples per tested scale, and
-    ``core_constants`` the per-scale constants of the near-core growth
-    certificate (None when the zone does not require it).
+    ``lift_scales`` holds the torsion multiples per scale of ``t_values``
+    (T_VALUES), and ``core_constants`` the per-scale constants of the
+    near-core certificate (None when the zone does not require it).
     """
 
     alpha: float
@@ -210,39 +214,38 @@ def require_nonexistence(alpha: float, p: float, tau: float) -> Regime:
     return regime
 
 
-def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
-                       t_values: tuple = (0.5, 1.0, 2.0, 4.0)) -> ZoneAudit:
+def audit_nonexistence(matrix: OperatorMatrix, p: float,
+                       tau: float) -> ZoneAudit:
     """Certify discretely, on the zero-exterior operator ``matrix``, the
     comparison-function inequalities that rule out solutions with rate
-    ``tau`` for the given (alpha, p).
-
-    The residual signs are enforced at every resolved node with
-    tolerance 1e-6 times the local residual scale; the torsion multiple is
-    the least power of two in [1, 2**MAX_DOUBLINGS] that works, in closed
-    form in zone 1 and by doubling per tested scale in zones 2 and 3.
+    ``tau`` for the given (alpha, p): for each scale t of T_VALUES, the
+    residual of t * V + sign * mu * T (V the profile, T the torsion
+    function; sign = -1 in zone 2, +1 otherwise) must have the sign
+    ``sign`` at every resolved node, up to 1e-6 times the local residual
+    scale.  mu is t times the least power of two >= 1 that makes the
+    linear part nonnegative in zone 1, and the least power of two in
+    [1, 2**MAX_DOUBLINGS] that works, found by doubling, in zones 2 and 3.
     """
     alpha, grid = matrix.alpha, matrix.grid
     regime = require_nonexistence(alpha, p, tau)
     zone = _zone_of(alpha, p, tau, regime.tau1)
+    sign = -1.0 if zone == 2 else 1.0
 
     profile = sample_profile(build_v_tau(tau, grid.delta), grid)
     applied = apply(matrix, profile)
     vals = profile.values
     tors = solve_torsion(matrix).values
-    D = distance_D(grid.nodes)
     checked = resolved_mask(grid)
     if checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")
     # the near-core certificate is needed where tau*p > tau - 2*alpha:
     # always in zone 2, never in zone 3
     core = core_mask(grid) if tau * p > tau - 2.0 * alpha else None
-    lift_scales = []
-    worst_margins = []
-    core_constants = []
+    if core is not None:
+        core_power = distance_D(grid.nodes)[core] ** (tau - 2.0 * alpha)
 
     if zone == 1:
-        # One torsion multiple making the linear part nonnegative works for
-        # every scale at once; a + lift >= -1e-6 (|a| + lift) is linear in it.
+        # a + lift >= -1e-6 (|a| + lift) is linear in the lift
         a = applied[checked]
         need = float(np.max((-a - 1e-6 * np.abs(a)) / (1.0 + 1e-6),
                             initial=1.0))
@@ -250,62 +253,42 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float, tau: float,
             raise AuditFail(f"no torsion multiple up to 2**{MAX_DOUBLINGS} made the lifted "
                             f"profile operator-nonnegative (alpha={alpha}, tau={tau})")
         lift = power_of_two_bracket(need)[1]
-        for t in t_values:
-            upper = t * (vals + lift * tors)
-            res = t * (applied + lift) + upper ** p
-            tol = 1e-6 * (t * (np.abs(applied) + lift) + upper ** p + 1.0)
-            if not np.all(res[checked] >= -tol[checked]):
-                raise AuditFail(
-                    f"zone-1 super residual failed at t={t} "
-                    f"(alpha={alpha}, p={p}, tau={tau})")
-            lift_scales.append(t * lift)
-            worst_margins.append(float(np.min(res[checked])))
-            if core is not None:
-                ratio = (t * (applied + lift))[core] / D[core] ** (tau - 2.0 * alpha)
-                if not np.all(ratio > 0.0):
-                    raise AuditFail(
-                        f"zone-1 near-core growth certificate failed at t={t}")
-                core_constants.append(float(np.min(ratio)))
-            else:
-                core_constants.append(None)
 
-    else:
-        # Zone 2 subtracts the torsion multiple (sub-solution), zone 3 adds
-        # it (super-solution); the residual sign sought follows the same sign.
-        direction = -1.0 if zone == 2 else 1.0
-        worst = np.max if zone == 2 else np.min
-
-        # The residual depends on mu through |w|**(p-1) w: mu is doubled.
-        for t in t_values:
-            for mu in (2.0 ** k for k in range(MAX_DOUBLINGS + 1)):
-                w = t * vals + (direction * mu) * tors
-                res = t * applied + direction * mu + np.abs(w) ** (p - 1.0) * w
-                tol = 1e-6 * (np.abs(t * applied) + mu + np.abs(w) ** p + 1.0)
-                if np.all(direction * res[checked] >= -tol[checked]):
-                    break
-            else:
-                raise AuditFail(
-                    f"zone-{zone} residual sign not achieved within "
-                    f"{MAX_DOUBLINGS} doublings at t={t} "
-                    f"(alpha={alpha}, p={p}, tau={tau})")
-            lift_scales.append(mu)
-            worst_margins.append(float(worst(res[checked])))
-            if core is not None:
-                lin = (t * applied - mu)[core]
-                ratio = -lin / D[core] ** (tau - 2.0 * alpha)
-                if not np.all(ratio > 0.0):
-                    raise AuditFail(
-                        f"zone-2 near-core decay certificate failed at t={t}")
-                core_constants.append(float(np.min(ratio)))
-            else:
-                core_constants.append(None)
+    lift_scales = []
+    worst_margins = []
+    core_constants = []
+    for t in T_VALUES:
+        mus = ((t * lift,) if zone == 1
+               else (2.0 ** k for k in range(MAX_DOUBLINGS + 1)))
+        for mu in mus:
+            res, size = comparison_residual(applied, vals, tors, p, t, sign * mu)
+            if np.all(sign * res[checked] >= -1e-6 * size[checked]):
+                break
+        else:
+            raise AuditFail(
+                f"zone-{zone} residual sign not achieved "
+                + ("with the closed-form lift" if zone == 1
+                   else f"within {MAX_DOUBLINGS} doublings")
+                + f" at t={t} (alpha={alpha}, p={p}, tau={tau})")
+        lift_scales.append(mu)
+        worst_margins.append(sign * float(np.min(sign * res[checked])))
+        if core is None:
+            core_constants.append(None)
+            continue
+        # zone 1: the linear part grows like D**(tau - 2*alpha) near the
+        # core; zone 2: it decays like minus that power
+        ratio = sign * (t * applied[core] + sign * mu) / core_power
+        if not np.all(ratio > 0.0):
+            raise AuditFail(
+                f"zone-{zone} near-core certificate failed at t={t}")
+        core_constants.append(float(np.min(ratio)))
 
     return ZoneAudit(
         alpha=float(alpha),
         p=float(p),
         tau=float(tau),
         zone=zone,
-        t_values=tuple(float(t) for t in t_values),
+        t_values=T_VALUES,
         lift_scales=tuple(lift_scales),
         worst_margins=tuple(worst_margins),
         core_constants=tuple(core_constants),

@@ -7,12 +7,13 @@ distance.  ``build_graded`` therefore clusters nodes algebraically toward
 0 and toward +-1 on each side, never placing a node on 0 or +-1 itself.
 
 ``GridFunction`` pairs node values with an explicit exterior extension
-(zero, constant, or a two-sided power tail) so that the nonlocal operator
-can integrate the declared behaviour on |x| >= 1 exactly.
+(zero, or a two-sided power tail; tau = 0 is a constant) so that the
+nonlocal operator can integrate the declared behaviour on |x| >= 1 exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import BadConfig, GridMismatch, OutOfDomain
 
 __all__ = [
-    "Zero", "Constant", "PowerTail", "Exterior",
+    "Zero", "PowerTail", "Exterior",
     "Grid", "GridFunction", "build_graded",
     "distance_D", "distance_d",
 ]
@@ -37,21 +38,21 @@ class Zero:
 
 
 @dataclass(frozen=True)
-class Constant:
-    """u(x) = value outside (-1, 1)."""
-
-    value: float
-
-
-@dataclass(frozen=True)
 class PowerTail:
-    """u(x) = amplitude * |x|**tau outside (-1, 1)."""
+    """u(x) = amplitude * |x|**tau outside (-1, 1); tau = 0 is the
+    constant amplitude."""
 
     tau: float
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tau) and math.isfinite(self.amplitude)):
+            raise BadConfig(
+                f"power-tail exponent and amplitude must be finite, got "
+                f"tau={self.tau}, amplitude={self.amplitude}")
 
-Exterior = Union[Zero, Constant, PowerTail]
+
+Exterior = Union[Zero, PowerTail]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +191,6 @@ class GridFunction:
                 f"({self.grid.nodes.shape})")
         if not np.all(np.isfinite(values)):
             raise BadConfig("grid-function values must be finite")
-        if not isinstance(self.exterior, (Zero, Constant, PowerTail)):
+        if not isinstance(self.exterior, (Zero, PowerTail)):
             raise BadConfig(f"unknown exterior extension {self.exterior!r}")
         self.values = values

@@ -17,11 +17,11 @@ over a partition of the real line:
   consistent for any integrable blow-up power);
 * linear bridges from the outermost nodes to the boundary value implied
   by the exterior extension;
-* the exterior |y| >= 1, in closed form for the zero and constant
-  extensions and via a Gauss hypergeometric identity for power tails,
-  whose F(a, b; b+1; z) ``specfun._gauss_2f1`` evaluates uniformly in
-  alpha: at alpha = 1/2 its connection formula has a logarithmic limit,
-  which the evaluator reaches continuously instead of by a branch.
+* the exterior |y| >= 1, in closed form for the zero extension and via
+  a Gauss hypergeometric identity for power tails, whose F(a, b; b+1; z)
+  ``specfun._gauss_2f1`` evaluates uniformly in alpha: at alpha = 1/2 its
+  connection formula has a logarithmic limit, which the evaluator reaches
+  continuously instead of by a branch.
 
 Every piece is accumulated in difference form (weights multiply
 u(x) - u(y-model)), so globally constant data is annihilated exactly up
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadConfig, GridMismatch
-from .mesh import Constant, Exterior, Grid, GridFunction, PowerTail, Zero
+from .mesh import Exterior, Grid, GridFunction, PowerTail, Zero
 from .specfun import _gauss_2f1
 
 __all__ = ["OperatorMatrix", "assemble", "apply",
@@ -91,11 +91,7 @@ def power_tail_moment(alpha: float, tau: float, x: float) -> float:
 
 def _exterior_limit(exterior: Exterior) -> float:
     """Boundary value the exterior extension implies at |x| -> 1+."""
-    if isinstance(exterior, Zero):
-        return 0.0
-    if isinstance(exterior, Constant):
-        return float(exterior.value)
-    return float(exterior.amplitude)
+    return 0.0 if isinstance(exterior, Zero) else float(exterior.amplitude)
 
 
 def _kernel_moments(A, B, alpha):
@@ -149,7 +145,7 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
         raise BadConfig(f"alpha must lie strictly in (0, 1), got {alpha}")
     if not isinstance(grid, Grid):
         raise BadConfig("grid must be a Grid instance")
-    if not isinstance(exterior, (Zero, Constant, PowerTail)):
+    if not isinstance(exterior, (Zero, PowerTail)):
         raise BadConfig(f"unknown exterior extension {exterior!r}")
     if isinstance(exterior, PowerTail) and exterior.tau >= 2.0 * alpha:
         raise BadConfig(
@@ -217,9 +213,7 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
         # exterior |y| >= 1: kernel mass to the diagonal, declared data to
         # the correction
         corr[i] = row[n] * E
-        if isinstance(exterior, Constant):
-            corr[i] -= exterior.value * mass
-        elif isinstance(exterior, PowerTail):
+        if isinstance(exterior, PowerTail):
             gap_sum = (power_tail_gap(alpha, exterior.tau, xi)
                        + power_tail_gap(alpha, exterior.tau, -xi))
             corr[i] -= exterior.amplitude * (mass - gap_sum)

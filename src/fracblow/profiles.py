@@ -6,9 +6,10 @@ distance to 0), like the squared boundary distance ``d**2`` near the ends
 of the interval, and join the two regimes with a quintic polynomial chosen
 so the whole profile is twice continuously differentiable.  The module
 also provides the discrete torsion function (the grid function the
-assembled operator maps to the constant 1), from which sub- and
-super-solution candidates are built together with these profiles, and
-the power-of-two rounding that sizes them.
+assembled operator maps to the constant 1), the residual of the
+comparison functions scale * profile + lift * torsion that both the
+sub/super pair and the nonexistence audits test, and the power-of-two
+rounding that sizes them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .operator import OperatorMatrix
 __all__ = [
     "ProfileSpec",
     "build_v_tau",
+    "comparison_residual",
     "evaluate_profile",
     "sample_profile",
     "solve_torsion",
@@ -149,12 +151,10 @@ def evaluate_profile(spec: ProfileSpec, x) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def sample_profile(spec: ProfileSpec, grid: Grid,
-                   scale: float = 1.0) -> GridFunction:
-    """Sample ``scale`` times the profile at the grid nodes, with the
-    zero exterior the profile itself has."""
-    values = float(scale) * evaluate_profile(spec, grid.nodes)
-    return GridFunction(grid, values, Zero())
+def sample_profile(spec: ProfileSpec, grid: Grid) -> GridFunction:
+    """Sample the profile at the grid nodes, with the zero exterior the
+    profile itself has."""
+    return GridFunction(grid, evaluate_profile(spec, grid.nodes), Zero())
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,20 @@ def core_mask(grid: Grid) -> np.ndarray:
             "no resolved nodes inside the matching radius; refine the grid "
             "or increase the grading exponent")
     return core
+
+
+def comparison_residual(applied: np.ndarray, vals: np.ndarray,
+                        torsion: np.ndarray, p: float, scale: float,
+                        lift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Residual  operator(w) + sign(w)|w|**p  of the comparison function
+    w = scale * V + lift * T, from ``applied`` = operator(V), the profile
+    values ``vals`` and the torsion values ``torsion`` (operator(T) = 1),
+    plus the size |scale * applied| + |lift| + |w|**p + 1 of its terms,
+    which the callers' sign tolerances multiply."""
+    w = scale * vals + lift * torsion
+    power = np.abs(w) ** p
+    residual = scale * applied + lift + np.copysign(power, w)
+    return residual, np.abs(scale * applied) + abs(lift) + power + 1.0
 
 
 def power_of_two_bracket(x: float) -> tuple[float, float]:

@@ -27,8 +27,9 @@ from .errors import (
 )
 from .mesh import Grid, GridFunction, Zero, distance_D
 from .operator import OperatorMatrix, apply
-from .profiles import (MAX_DOUBLINGS, build_v_tau, core_mask,
-                       power_of_two_bracket, sample_profile, solve_torsion)
+from .profiles import (MAX_DOUBLINGS, build_v_tau, comparison_residual,
+                       core_mask, power_of_two_bracket, sample_profile,
+                       solve_torsion)
 from .specfun import RegimeKind, _check_p, classify
 
 __all__ = [
@@ -176,17 +177,10 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     alpha, grid = matrix.alpha, matrix.grid
     tau = require_unique_existence(alpha, p)
     V = sample_profile(build_v_tau(tau, grid.delta), grid)
-    torsion = solve_torsion(matrix)
+    tors = solve_torsion(matrix).values
     applied = apply(matrix, V)
     core = core_mask(grid)
     vals = V.values
-
-    def residual(lam: float, lam_c: float = 0.0,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        linear = lam * applied
-        power = (lam * vals + lam_c * torsion.values) ** p
-        tol = 1e-8 * (np.abs(linear) + lam_c + power + 1.0)
-        return linear + lam_c + power, tol
 
     # At a core node the residual of lam * V is lam * a + (lam * v)**p:
     # nonpositive exactly for lam up to (-a / v**p)**(1/(p-1)), and for no
@@ -206,9 +200,10 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
                                f"p={p} leave [2**-{MAX_DOUBLINGS}, 2**{MAX_DOUBLINGS}]")
     # Powers of two make every multiple of the profile exact.
     lam_small, lam_big = power_of_two_bracket(lo)[0], power_of_two_bracket(hi)[1]
-    (res_sub, tol_sub), (res0, tol0) = residual(lam_small), residual(lam_big)
-    if not (np.all(res_sub[core] <= tol_sub[core])
-            and np.all(res0[core] >= -tol0[core])):
+    res_sub, size_sub = comparison_residual(applied, vals, tors, p, lam_small, 0.0)
+    res0, size0 = comparison_residual(applied, vals, tors, p, lam_big, 0.0)
+    if not (np.all(res_sub[core] <= 1e-8 * size_sub[core])
+            and np.all(res0[core] >= -1e-8 * size0[core])):
         raise NoAdmissiblePair(f"pair scales {lam_small}, {lam_big} fail the "
                                f"core residual test for alpha={alpha}, p={p}")
 
@@ -217,15 +212,14 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     # by lam_c everywhere (and the absorption term only grows with it);
     # the most negative residual is therefore the lift.
     lam_c = max(0.0, -float(np.min(res0)))
-    res, tol = residual(lam_big, lam_c)
-    if not np.all(res >= -tol):
+    res, size = comparison_residual(applied, vals, tors, p, lam_big, lam_c)
+    if not np.all(res >= -1e-8 * size):
         raise NoAdmissiblePair(
             f"torsion lift failed to globalize the super-solution for "
             f"alpha={alpha}, p={p}")
 
     sub = GridFunction(grid, lam_small * vals, Zero())
-    super_ = GridFunction(grid, lam_big * vals + lam_c * torsion.values,
-                          Zero())
+    super_ = GridFunction(grid, lam_big * vals + lam_c * tors, Zero())
     return sub, super_
 
 

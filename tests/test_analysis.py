@@ -18,7 +18,8 @@ from fracblow.analysis import (
 from fracblow.errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from fracblow.mesh import GridFunction, Zero, build_graded, distance_D
 from fracblow.operator import apply, assemble
-from fracblow.profiles import build_v_tau, resolved_mask, sample_profile
+from fracblow.profiles import (build_v_tau, resolved_mask, sample_profile,
+                               solve_torsion)
 
 GRID = build_graded(512, 2.4)
 D = distance_D(GRID.nodes)
@@ -193,18 +194,38 @@ def test_audit_lift_growth_at_most_linear(alpha, p, tau):
         assert lifts[t] <= 2.0 * t * lifts[1.0]
 
 
+@pytest.mark.parametrize("tau,zone", [(-0.4, 2), (-0.8, 3)])
+def test_zone23_lift_is_the_least_doubling(tau, zone):
+    # each stored torsion multiple mu passes the residual sign test of
+    # t V + sign mu T, and mu / 2 fails it unless mu = 1; the residual is
+    # written out here from the operator, not taken from the package
+    matrix = assemble(0.6, GRID, Zero())
+    p = 3.0
+    audit = audit_nonexistence(matrix, p, tau)
+    assert audit.zone == zone
+    sign = -1.0 if zone == 2 else 1.0
+    profile = sample_profile(build_v_tau(tau, GRID.delta), GRID)
+    a, v = apply(matrix, profile), profile.values
+    T = solve_torsion(matrix).values
+    checked = resolved_mask(GRID)
+
+    def passes(t, mu):
+        w = t * v + sign * mu * T
+        res = t * a + sign * mu + np.sign(w) * np.abs(w) ** p
+        tol = 1e-6 * (np.abs(t * a) + mu + np.abs(w) ** p + 1.0)
+        return bool(np.all(sign * res[checked] >= -tol[checked]))
+
+    for t, mu in zip(audit.t_values, audit.lift_scales):
+        assert passes(t, mu)
+        assert mu == 1.0 or not passes(t, mu / 2.0)
+    assert max(audit.lift_scales) > 1.0
+
+
 def test_audit_lift_beyond_the_scale_bound_fails(monkeypatch):
     # zone 2 at (0.6, 3, -0.4) needs torsion multiples 4 to 32
     monkeypatch.setattr(fracblow.analysis, "MAX_DOUBLINGS", 1)
     with pytest.raises(AuditFail, match="within 1 doublings at t=0.5"):
         audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.4)
-
-
-def test_audit_custom_t_values():
-    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.4, t_values=(1.0,))
-    assert audit.t_values == (1.0,)
-    assert len(audit.lift_scales) == 1
-    assert len(audit.worst_margins) == 1
 
 
 def test_audit_below_threshold_decides_the_regime_once(monkeypatch):
@@ -236,9 +257,10 @@ def test_audit_rejects_coarse_grid():
 
 
 def test_audit_as_dict_serializes():
-    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.8, t_values=(1.0, 2.0))
+    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.8)
     payload = json.loads(json.dumps(audit.as_dict()))
     assert payload["zone"] == 3
     assert payload["passed"] is True
-    assert payload["core_constants"] == [None, None]
+    assert payload["t_values"] == [0.5, 1.0, 2.0, 4.0]
+    assert payload["core_constants"] == [None] * 4
     assert isinstance(audit, ZoneAudit)

@@ -5,7 +5,6 @@ import pytest
 
 from fracblow.errors import BadConfig, GridMismatch, OutOfDomain
 from fracblow.mesh import (
-    Constant,
     Grid,
     GridFunction,
     PowerTail,
@@ -154,8 +153,20 @@ def test_grid_function_validation():
 def test_exterior_kinds():
     grid = build_graded(16, 1.0)
     vals = np.ones(grid.n_nodes)
-    assert GridFunction(grid, vals, Constant(2.0)).exterior.value == 2.0
+    constant = GridFunction(grid, vals, PowerTail(0.0, 2.0)).exterior
+    assert constant.tau == 0.0 and constant.amplitude == 2.0
     tail = GridFunction(grid, vals, PowerTail(-0.5, 3.0)).exterior
     assert tail.tau == -0.5 and tail.amplitude == 3.0
+
+
+@pytest.mark.parametrize("tau,amplitude", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0),
+    (-0.4, float("nan")), (-0.4, float("inf")), (-0.4, -float("inf")),
+])
+def test_power_tail_rejects_non_finite_parameters(tau, amplitude):
+    # a NaN exponent slips past assemble's tau < 2*alpha check and a
+    # non-finite amplitude scales the correction to inf or NaN
+    with pytest.raises(BadConfig, match="must be finite"):
+        PowerTail(tau, amplitude)
 
 

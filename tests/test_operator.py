@@ -14,7 +14,7 @@ from scipy import integrate
 
 import fracblow.operator
 from fracblow.errors import BadConfig, GridMismatch
-from fracblow.mesh import (Constant, Grid, GridFunction, PowerTail, Zero,
+from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero,
                            build_graded, distance_D)
 from fracblow.operator import (OperatorMatrix, _kernel_moments, apply,
                                assemble, power_tail_gap, power_tail_moment)
@@ -70,8 +70,8 @@ def resolved_mask(grid, spacing_grid=None, multiple=20.0):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_constant_annihilation_uniform(alpha):
     for grid in (build_graded(64, 1.0),) + HAND_GRIDS:
-        M = assemble(alpha, grid, Constant(3.7))
-        u = GridFunction(grid, np.full(grid.n_nodes, 3.7), Constant(3.7))
+        M = assemble(alpha, grid, PowerTail(0.0, 3.7))
+        u = GridFunction(grid, np.full(grid.n_nodes, 3.7), PowerTail(0.0, 3.7))
         assert np.max(np.abs(apply(M, u))) <= 1e-10, grid.nodes
 
 
@@ -81,8 +81,8 @@ def test_constant_annihilation_graded(alpha, gamma):
     # what float64 can cancel in a dense contraction, so each order is
     # paired with a grading whose row scale keeps rounding below the bar
     grid = build_graded(64, gamma)
-    M = assemble(alpha, grid, Constant(-1.25))
-    u = GridFunction(grid, np.full(grid.n_nodes, -1.25), Constant(-1.25))
+    M = assemble(alpha, grid, PowerTail(0.0, -1.25))
+    u = GridFunction(grid, np.full(grid.n_nodes, -1.25), PowerTail(0.0, -1.25))
     assert np.max(np.abs(apply(M, u))) <= 1e-10
 
 
@@ -102,7 +102,7 @@ def test_weight_mirror_symmetry(alpha):
     # the left-half rows are the reflection of the right-half ones, bit
     # for bit, under every exterior
     for grid in (build_graded(48, 2.0),) + HAND_GRIDS:
-        for exterior in (Zero(), Constant(-1.25), PowerTail(-0.4, 1.3)):
+        for exterior in (Zero(), PowerTail(0.0, -1.25), PowerTail(-0.4, 1.3)):
             M = assemble(alpha, grid, exterior)
             W = M.interior_weights
             assert np.array_equal(W, W[::-1, ::-1]), grid.nodes
@@ -396,7 +396,7 @@ def test_apply_grid_and_exterior_mismatch():
     with pytest.raises(GridMismatch):
         apply(M, GridFunction(other, np.zeros(other.n_nodes), Zero()))
     with pytest.raises(GridMismatch):
-        apply(M, GridFunction(grid, np.zeros(grid.n_nodes), Constant(1.0)))
+        apply(M, GridFunction(grid, np.zeros(grid.n_nodes), PowerTail(0.0)))
 
 
 def test_operator_matrix_fields():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from fracblow.errors import BadConfig
-from fracblow.mesh import (Constant, Grid, Zero, build_graded, distance_D,
-                           distance_d)
+from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero, build_graded,
+                           distance_D, distance_d)
 from fracblow.operator import apply, assemble
 from fracblow.profiles import (
     build_v_tau,
+    comparison_residual,
     evaluate_profile,
     power_of_two_bracket,
     sample_profile,
@@ -124,15 +125,12 @@ def test_junction_second_differences_converge():
 # Sampling.
 
 
-def test_sample_profile_scaling():
+def test_sample_profile_values_at_the_nodes():
     grid = build_graded(32, 2.0)
     spec = build_v_tau(-0.5)
-    zero = sample_profile(spec, grid, scale=0.0)
-    assert np.all(zero.values == 0.0)
-    one = sample_profile(spec, grid, scale=1.0)
-    two = sample_profile(spec, grid, scale=2.0)
-    assert np.array_equal(two.values, 2.0 * one.values)
-    assert isinstance(one.exterior, Zero)
+    sample = sample_profile(spec, grid)
+    assert np.array_equal(sample.values, evaluate_profile(spec, grid.nodes))
+    assert isinstance(sample.exterior, Zero)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +151,7 @@ def test_torsion_residual_is_one(alpha):
 def test_torsion_needs_zero_exterior_operator():
     grid = build_graded(32, 2.0)
     with pytest.raises(BadConfig):
-        solve_torsion(assemble(0.5, grid, Constant(1.0)))
+        solve_torsion(assemble(0.5, grid, PowerTail(0.0)))
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -253,6 +251,29 @@ def test_band_growth_bound_at_kernel_zero(alpha):
     assert constants[0] <= 3.0
     assert constants[1] <= 3.0
     assert abs(constants[1] / constants[0] - 1.0) <= 0.25
+
+
+# ---------------------------------------------------------------------------
+# Comparison residual.
+
+
+@pytest.mark.parametrize("scale,lift", [(2.0, 0.0), (0.5, 3.0), (1.0, -4.0)])
+def test_comparison_residual_of_a_lifted_profile(scale, lift):
+    # the residual of w = scale V + lift T is operator(w) + sign(w)|w|**p,
+    # with operator(w) read off apply; the lift T is the torsion function
+    grid = build_graded(128, 2.4)
+    matrix = assemble(0.6, grid, Zero())
+    profile = sample_profile(build_v_tau(-0.4, grid.delta), grid)
+    torsion = solve_torsion(matrix)
+    w = scale * profile.values + lift * torsion.values
+    a = apply(matrix, profile)
+    res, size = comparison_residual(a, profile.values, torsion.values, 3.0,
+                                    scale, lift)
+    direct = apply(matrix, GridFunction(grid, w, Zero())) + np.sign(w) * np.abs(w) ** 3
+    assert np.allclose(res, direct, rtol=1e-9, atol=1e-9 * np.max(size))
+    assert np.array_equal(size, np.abs(scale * a) + abs(lift) + np.abs(w) ** 3 + 1.0)
+    if lift < 0.0:
+        assert np.any(w < 0.0)     # the power term keeps the sign of w
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracblow.errors import BadConfig, GridMismatch, RegimeError
-from fracblow.mesh import (Constant, Grid, GridFunction, Zero, build_graded,
+from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero, build_graded,
                            distance_D)
 from fracblow.operator import apply, assemble
 from fracblow.profiles import (build_v_tau, core_mask, sample_profile,
@@ -138,7 +138,7 @@ def test_problem_spec_validation():
     with pytest.raises(GridMismatch):
         ProblemSpec(assemble(0.5, other, Zero()), 3.0, sub, sup)
 
-    bad_ext = GridFunction(GRID, sup.values, Constant(1.0))
+    bad_ext = GridFunction(GRID, sup.values, PowerTail(0.0))
     with pytest.raises(BadConfig):
         ProblemSpec(matrix, 3.0, sub, bad_ext)
 
@@ -187,7 +187,7 @@ def test_problem_spec_needs_even_bounds():
 def test_problem_spec_rejects_nonzero_exterior_operator():
     sub, sup, _ = _pair_and_spec(0.5, 3.0)
     with pytest.raises(BadConfig):
-        ProblemSpec(assemble(0.5, GRID, Constant(1.0)), 3.0, sub, sup)
+        ProblemSpec(assemble(0.5, GRID, PowerTail(0.0)), 3.0, sub, sup)
 
 
 # ---------------------------------------------------------------------------
