@@ -1,9 +1,10 @@
 """End-to-end blow-up solve with rate recovery.
 
 Builds a graded grid, constructs the default ordered sub/super-solution
-pair for (alpha, p) = (0.5, 3), runs the exhaustion solver, and fits the
-blow-up exponent of the computed solution against the distance to the
-singular interior point.  The fitted exponent should approach the
+pair for (alpha, p) = (0.5, 3), solves the one level that leaves out the
+core {D <= 2**-20} by Newton from the sub-solution, and fits the blow-up
+exponent of the computed solution against the distance to the singular
+interior point.  The fitted exponent should approach the
 predicted rate -2*alpha/(p-1) = -0.5.
 """
 
@@ -29,7 +30,7 @@ def main():
     sub, sup = default_sub_super(matrix, P)
     spec = ProblemSpec(matrix=matrix, p=P, sub=sub, super=sup)
 
-    report = solve_blowup(spec, n_start=8, n_end=2 ** 20)
+    report = solve_blowup(spec, 2 ** 20)
     print("solve report:")
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
 

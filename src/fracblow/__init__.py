@@ -8,7 +8,7 @@ that blow up at the interior point 0, where (-Lap)^a is the integral
 fractional Laplacian of order a in (0, 1).  It provides the kernel special
 functions and their critical exponents, a graded-mesh collocation
 discretization of the operator, explicit sub/super-solution profiles, a
-monotone exhaustion solver, and audit tools for the nonexistence regimes.
+one-level Newton solver, and audit tools for the nonexistence regimes.
 """
 
 from .errors import (

@@ -146,12 +146,19 @@ def _range_values(lo, hi, step, count):
 
 
 def _parse_schedule(text):
+    """The level END of a START:END schedule, the one level solved; START
+    is checked (at least 4, at most END) but no longer changes the
+    answer."""
     try:
         start_s, end_s = str(text).split(":", 1)
         start, end = int(start_s), int(end_s)
     except ValueError as exc:
         raise BadConfig(f"schedule must look like START:END, got {text!r}") from exc
-    return start, end
+    if start < 4:
+        raise BadConfig(f"starting level must be at least 4, got {start}")
+    if not start <= end:
+        raise BadConfig(f"levels must not decrease, got {start} -> {end}")
+    return end
 
 
 def _timestamp_field(payload, no_timestamp):
@@ -267,7 +274,8 @@ def _grid_from(ns, config):
 
 
 def cmd_solve(ns, config):
-    """Exhaustion solve: report JSON plus per-node profile CSV.
+    """Blow-up solve at the schedule's last level: report JSON plus
+    per-node profile CSV.
 
     With ``--out PREFIX`` the report goes to PREFIX.report.json and the
     profile to PREFIX.profile.csv; without it the report is printed and
@@ -275,7 +283,7 @@ def cmd_solve(ns, config):
     """
     alpha = _resolve(ns, config, "alpha", float, required=True)
     p = _resolve(ns, config, "p", float, required=True)
-    schedule = _parse_schedule(_resolve(ns, config, "schedule", default="8:65536"))
+    level = _parse_schedule(_resolve(ns, config, "schedule", default="8:65536"))
     out = _resolve(ns, config, "out")
     no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
 
@@ -284,7 +292,7 @@ def cmd_solve(ns, config):
     matrix = assemble(alpha, grid, Zero())
     sub, sup = default_sub_super(matrix, p)
     spec = ProblemSpec(matrix=matrix, p=p, sub=sub, super=sup)
-    report = solve_blowup(spec, schedule[0], schedule[1])
+    report = solve_blowup(spec, level)
 
     payload = {
         "alpha": alpha,
@@ -293,7 +301,6 @@ def cmd_solve(ns, config):
         "n_per_side": grid.n_per_side,
         "grading": grid.grading_exponent,
         "delta": grid.delta,
-        "schedule": list(schedule),
         "report": report.as_dict(),
     }
     _timestamp_field(payload, no_timestamp)
@@ -348,7 +355,10 @@ def _add_common(sub):
     sub.add_argument("--n-per-side", dest="n_per_side", type=int)
     sub.add_argument("--grading", type=float)
     sub.add_argument("--delta", type=float)
-    sub.add_argument("--schedule", help="exhaustion schedule START:END")
+    sub.add_argument("--schedule",
+                     help="levels START:END for solve (default 8:65536); only "
+                          "END, the core {D <= 1/END} left out, is solved, "
+                          "so START no longer changes the answer")
     sub.add_argument("--out", help="output path (prefix for solve)")
     sub.add_argument("--no-timestamp", dest="no_timestamp",
                      action="store_const", const=True, default=None,
@@ -370,7 +380,7 @@ def _build_parser():
             ("specfun", "CSV sweep of kernel constants c, C, T, c2"),
             ("critical", "JSON report of alpha0 and per-alpha tau0/tau1"),
             ("classify", "existence regime and predicted rate"),
-            ("solve", "exhaustion solve: report JSON + profile CSV"),
+            ("solve", "blow-up solve: report JSON + profile CSV"),
             ("audit", "nonexistence-zone residual audit JSON")):
         sub = commands.add_parser(name, help=summary)
         _add_common(sub)

@@ -49,7 +49,7 @@ class NewtonStall(NumericalError):
 
 
 class MonotoneViolation(NumericalError):
-    """An exhaustion iterate decreased somewhere it must not."""
+    """The solution fell below the sub-solution somewhere it must not."""
 
 
 class AuditFail(NumericalError):

@@ -221,6 +221,10 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
         row[i] += diag
         W[i] = row[:n]
 
+    if not np.all(np.isfinite(corr[h:])):
+        raise BadConfig(
+            f"exterior {exterior!r} overflows the exterior correction at "
+            f"alpha={alpha}: its data are too large for double precision")
     W[:h] = W[h:][::-1, ::-1]
     corr[:h] = corr[h:][::-1]
     return OperatorMatrix(alpha=alpha, grid=grid, interior_weights=W,

@@ -1,12 +1,16 @@
-"""Monotone exhaustion solver for the interior blow-up problem.
+"""Newton solver for the interior blow-up problem.
 
 The solver brackets a solution between an ordered sub/super-solution pair
-built from the comparison profiles, then solves the collocation system on
-the growing family of domains that exclude a shrinking neighbourhood of
-the singular point (nodes inside the excluded core stay frozen at the
-sub-solution).  Each domain is solved by damped Newton, warm-started from
-the previous level, and the levels are audited for ordering and
-monotonicity.  Every step works with one assembled operator, the one the
+built from the comparison profiles, then solves the collocation system
+once, on the domain that excludes the neighbourhood {D <= 1/level} of the
+singular point (nodes inside the excluded core stay frozen at the
+sub-solution), by damped Newton started from the sub-solution.  One level
+suffices: the assembled weights form a Z-matrix with positive row sums,
+so u -> W u + |u|^(p-1) u is an M-function (Ortega and Rheinboldt,
+*Iterative Solution of Nonlinear Equations*, 1970) and the system has
+exactly one solution for its frozen core data.  The result is audited
+for ordering against the pair and for not falling below the
+sub-solution.  Every step works with one assembled operator, the one the
 problem carries.
 """
 
@@ -115,10 +119,11 @@ class ProblemSpec:
 
 @dataclass(eq=False)
 class SolveReport:
-    """Outcome of an exhaustion run: final iterate plus the audit flags."""
+    """Outcome of a solve: final iterate plus the audit flags.  ``levels``,
+    ``newton_iters`` and ``active_nodes`` hold one entry, for the one
+    level solved."""
 
     final: GridFunction
-    n_exhaustion_levels: int
     newton_iters: list
     levels: list
     active_nodes: list
@@ -131,7 +136,6 @@ class SolveReport:
     def as_dict(self) -> dict:
         """JSON-ready summary (scalars only; the profile goes to CSV)."""
         return {
-            "n_exhaustion_levels": int(self.n_exhaustion_levels),
             "levels": [int(n) for n in self.levels],
             "newton_iters": [int(k) for k in self.newton_iters],
             "active_nodes": [int(k) for k in self.active_nodes],
@@ -168,10 +172,10 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     The sub-solution is ``lam_small * V_tau``, which must satisfy the
     discrete inequality  operator(W) + W**p <= tol  at every resolved node
     inside the matching radius (the profile is only a sub-solution near
-    the singular point; the exhaustion scheme never relies on it
-    elsewhere).  The super-solution is ``lam_big * V_tau``, which must
-    satisfy the reverse inequality there, plus a torsion-function lift
-    that pushes the residual nonnegative on the whole grid.  Both scales
+    the singular point; the solver never relies on it elsewhere).  The
+    super-solution is ``lam_big * V_tau``, which must satisfy the reverse
+    inequality there, plus a torsion-function lift that pushes the
+    residual nonnegative on the whole grid.  Both scales
     are closed forms rounded to powers of two, then checked.
     """
     alpha, grid = matrix.alpha, matrix.grid
@@ -224,7 +228,7 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
 
 
 # ---------------------------------------------------------------------------
-# Newton solve on one exhaustion domain.
+# Newton solve on one domain.
 
 
 def _even_residual(spec: ProblemSpec, first: int,
@@ -237,25 +241,25 @@ def _even_residual(spec: ProblemSpec, first: int,
             + np.abs(u[first:]) ** (spec.p - 1.0) * u[first:])
 
 
-def _newton_on_domain(spec: ProblemSpec, active: np.ndarray, start: np.ndarray,
+def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
                       ) -> tuple[np.ndarray, int, float, float]:
     """Damped Newton for  operator(u) + |u|^(p-1) u = 0  on the active
-    nodes, the rest frozen at the sub-solution.  Returns (values, iters,
-    residual_inf, tolerance), the sides of the stop test that ended it.
+    nodes, started from the sub-solution, which also holds the rest
+    frozen.  Returns (values, iters, residual_inf, tolerance), the sides
+    of the stop test that ended it.
 
     The active set is even and its right half is the nodes first, ...,
     n - 1.  The start is even, and so is every iterate: each step solves
     the half system of the trailing block of ``even_weights`` on that
     right half, Jacobian diagonal added, and applies the step mirrored
-    to both halves.  The block is copied once per level, and only when
-    the start fails the stop test."""
+    to both halves.  The block is copied once, and only when the start
+    fails the stop test."""
     p = spec.p
     idx = np.flatnonzero(active)
     first = idx[idx.size // 2]
     k = first - spec.grid.n_nodes // 2
 
-    u = start.copy()
-    u[~active] = spec.sub.values[~active]
+    u = spec.sub.values.copy()
 
     block = None
     res = _even_residual(spec, first, u)
@@ -272,8 +276,8 @@ def _newton_on_domain(spec: ProblemSpec, active: np.ndarray, start: np.ndarray,
             step = np.linalg.solve(block, -res)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
-                f"Newton Jacobian singular at level with "
-                f"{idx.size} active nodes") from exc
+                f"Newton Jacobian singular with {idx.size} active "
+                f"nodes") from exc
         damping = 1.0
         while damping >= _DAMPING_FLOOR:
             trial = u.copy()
@@ -292,66 +296,43 @@ def _newton_on_domain(spec: ProblemSpec, active: np.ndarray, start: np.ndarray,
         f"(residual {np.max(np.abs(res)):.3e})")
 
 
-def _active_mask(grid: Grid, n: int) -> np.ndarray:
-    return distance_D(grid.nodes) > 1.0 / n
-
-
 # ---------------------------------------------------------------------------
-# Exhaustion driver.
+# Driver.
 
 
-def solve_blowup(spec: ProblemSpec, n_start: int, n_end: int) -> SolveReport:
-    """Run the exhaustion scheme on a doubling schedule of levels from
-    ``n_start`` to ``n_end``, warm-starting each level from the previous
-    one, and audit ordering against the sub/super pair and monotone
-    growth across levels.  ``n_start == n_end`` solves the single domain
-    excluding the core {D <= 1/n_start}, starting from the sub-solution."""
-    n_start, n_end = int(n_start), int(n_end)
-    if n_start < 4:
-        raise BadConfig(f"starting level must be at least 4, got {n_start}")
-    if not n_start <= n_end:
-        raise BadConfig(
-            f"levels must not decrease, got {n_start} -> {n_end}")
-    if not np.any(_active_mask(spec.grid, n_start)):
-        raise BadConfig(f"no active nodes at starting level {n_start}")
-
-    levels = [n_start]
-    while levels[-1] < n_end:
-        levels.append(min(2 * levels[-1], n_end))
+def solve_blowup(spec: ProblemSpec, level: int) -> SolveReport:
+    """Solve the single domain excluding the core {D <= 1/level}, starting
+    from the sub-solution, and audit the result for ordering against the
+    sub/super pair and for not falling below the sub-solution (the
+    comparison principle on that domain)."""
+    level = int(level)
+    if level < 4:
+        raise BadConfig(f"level must be at least 4, got {level}")
+    active = distance_D(spec.grid.nodes) > 1.0 / level
+    if not np.any(active):
+        raise BadConfig(f"no active nodes at level {level}")
 
     sub_vals = spec.sub.values
     super_vals = spec.super.values
     node_scale = 1.0 + np.abs(sub_vals) + np.abs(super_vals)
 
-    u = sub_vals.copy()
-    newton_iters = []
-    active_nodes = []
-    ordering_ok = True
-    monotone_ok = True
-    for n in levels:
-        active = _active_mask(spec.grid, n)
-        u_new, iters, residual_inf, tolerance = _newton_on_domain(
-            spec, active, u)
-        newton_iters.append(iters)
-        active_nodes.append(int(np.count_nonzero(active)))
-        if np.any(u_new < sub_vals - _AUDIT_SLACK * node_scale) or \
-           np.any(u_new > super_vals + _AUDIT_SLACK * node_scale):
-            ordering_ok = False
-        drop = u - u_new
-        drop_scale = 1.0 + np.abs(u)
-        if np.any(drop > _ABORT_SLACK * drop_scale):
-            raise MonotoneViolation(
-                f"iterate decreased by {np.max(drop):.3e} at level {n}")
-        if np.any(drop > _AUDIT_SLACK * drop_scale):
-            monotone_ok = False
-        u = u_new
+    u, iters, residual_inf, tolerance = _newton_on_domain(spec, active)
+    ordering_ok = not (
+        np.any(u < sub_vals - _AUDIT_SLACK * node_scale)
+        or np.any(u > super_vals + _AUDIT_SLACK * node_scale))
+    drop = sub_vals - u
+    drop_scale = 1.0 + np.abs(sub_vals)
+    if np.any(drop > _ABORT_SLACK * drop_scale):
+        raise MonotoneViolation(
+            f"iterate decreased below the sub-solution by "
+            f"{np.max(drop):.3e} at level {level}")
+    monotone_ok = not np.any(drop > _AUDIT_SLACK * drop_scale)
 
     return SolveReport(
         final=GridFunction(spec.grid, u, Zero()),
-        n_exhaustion_levels=len(levels),
-        newton_iters=newton_iters,
-        levels=levels,
-        active_nodes=active_nodes,
+        newton_iters=[iters],
+        levels=[level],
+        active_nodes=[int(np.count_nonzero(active))],
         residual_inf=residual_inf,
         tolerance=tolerance,
         converged=residual_inf <= tolerance,

@@ -42,6 +42,7 @@ where its ``tau1`` is, is decided in one place, ``_interior_zero``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -254,12 +255,15 @@ def _lgamma_slope(y: float, eps: float) -> float:
     return r * ((y - 0.5) / y - tail) + math.log(y + eps) - 1.0
 
 
+@functools.lru_cache(maxsize=8)
 def _gamma_quotient_m1(b: float, eps: float) -> float:
     """(G - 1) / eps for G = Gamma(1+eps) Gamma(b) / Gamma(b+eps), b > 0
     and |eps| < 1; at eps = 0 it is psi(1) - psi(b).  G is the product of
     the factors (1+n)(b+n+eps) / ((1+n+eps)(b+n)) = 1 + eps*q_n, n <
     _STEPS, and of a Stirling quotient, and each factor minus 1 is taken
-    over eps in closed form, so nothing cancels as eps -> 0."""
+    over eps in closed form, so nothing cancels as eps -> 0.  Cached: it
+    does not depend on z, so the rows of one power-tail assembly, where
+    a and b are fixed, share one value."""
     gm1 = 0.0
     for n in range(_STEPS):
         q = (1.0 - b) / ((1.0 + n + eps) * (b + n))

@@ -176,7 +176,7 @@ def test_criterion_6_end_to_end_blowup_solve():
         matrix = assemble(alpha, grid, Zero())
         sub, sup = default_sub_super(matrix, p)
         spec = ProblemSpec(matrix=matrix, p=p, sub=sub, super=sup)
-        report = solve_blowup(spec, 8, 2 ** 20)
+        report = solve_blowup(spec, 2 ** 20)
         assert report.ordering_ok, alpha
         assert report.monotone_ok, alpha
         assert report.converged, alpha

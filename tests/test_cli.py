@@ -219,7 +219,7 @@ def test_solve_writes_report_and_profile(tmp_path):
     assert payload["report"]["ordering_ok"] is True
     assert payload["report"]["monotone_ok"] is True
     assert payload["report"]["converged"] is True
-    assert payload["report"]["levels"] == [8, 16, 32, 64, 128, 256, 512, 1024]
+    assert payload["report"]["levels"] == [1024]
     assert "timestamp" not in payload
     header, rows = _read_csv(tmp_path / "run.profile.csv")
     assert header == ["x", "D", "u", "sub", "super"]
@@ -262,6 +262,7 @@ def test_solve_bad_schedule_is_config_error():
     base = ["solve", "--alpha", "0.5", "--p", "3", "--n-per-side", "128"]
     assert main(base + ["--schedule", "abc"]) == EXIT_CONFIG
     assert main(base + ["--schedule", "64:8"]) == EXIT_CONFIG
+    assert main(base + ["--schedule", "3:64"]) == EXIT_CONFIG
 
 
 def test_solve_unresolvable_grading_names_the_grid(capsys):

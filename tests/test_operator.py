@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import fracblow.operator
+import fracblow.specfun
 from fracblow.errors import BadConfig, GridMismatch
 from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero,
                            build_graded, distance_D)
@@ -154,7 +155,7 @@ def test_even_block_solves_the_full_system(alpha):
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_even_weights_hold_every_level_block_exactly(alpha):
-    # every exhaustion level's active set {D > 1/n} is a symmetric band
+    # every level's active set {D > 1/n} is a symmetric band
     # around 0, so its even block W_RR + W_RM is a trailing block of the
     # stored even weights, bit for bit
     grid = build_graded(128, 2.4)
@@ -408,3 +409,50 @@ def test_operator_matrix_fields():
     assert M.interior_weights.shape == (grid.n_nodes, grid.n_nodes)
     assert M.exterior_correction.shape == (grid.n_nodes,)
     assert M.exterior == Zero()
+
+
+@pytest.mark.parametrize("n_per_side", [128, 512])
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_weights_are_a_z_matrix_with_positive_row_sums(alpha, n_per_side):
+    # the certificate behind the one-level solve: a Z-matrix with positive
+    # row sums plus the monotone absorption makes u -> W u + |u|^(p-1) u
+    # an M-function, so each level's system has exactly one solution;
+    # checked on the weights and on the even block of every level
+    grid = build_graded(n_per_side, 2.4)
+    M = assemble(alpha, grid, Zero())
+    D_right = distance_D(grid.nodes)[grid.n_nodes // 2:]
+    blocks = [M.interior_weights]
+    level = 8
+    while level <= 2 ** 20:
+        k = int(np.count_nonzero(D_right <= 1.0 / level))
+        blocks.append(M.even_weights[k:, k:])
+        level *= 2
+    for block in blocks:
+        off = block - np.diag(np.diag(block))
+        assert np.max(off) <= 0.0, block.shape
+        assert np.min(block.sum(axis=1)) > 0.0, block.shape
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_assemble_refuses_an_overflowing_exterior_correction():
+    # finite but huge exterior data overflow the correction to -inf
+    with pytest.raises(BadConfig, match="overflows the exterior correction"):
+        assemble(0.5, build_graded(16, 2.4), PowerTail(-0.4, 1e308))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_power_tail_assembly_shares_one_gamma_quotient(alpha, monkeypatch):
+    # the z-independent quotient of the 2F1 connection formula is computed
+    # once per power-tail assembly, and the matrix is bit for bit the one
+    # computed with the quotient evaluated afresh on every row
+    grid = build_graded(64, 2.4)
+    exterior = PowerTail(-0.4, 1.3)
+    cached = fracblow.specfun._gamma_quotient_m1
+    cached.cache_clear()
+    M = assemble(alpha, grid, exterior)
+    assert cached.cache_info().misses == 1 and cached.cache_info().hits > 0
+    monkeypatch.setattr(fracblow.specfun, "_gamma_quotient_m1",
+                        cached.__wrapped__)
+    fresh = assemble(alpha, grid, exterior)
+    assert np.array_equal(M.interior_weights, fresh.interior_weights)
+    assert np.array_equal(M.exterior_correction, fresh.exterior_correction)

@@ -1,4 +1,4 @@
-"""Tests for the sub/super-solution search and the exhaustion solver."""
+"""Tests for the sub/super-solution search and the one-level solver."""
 
 import json
 
@@ -31,8 +31,8 @@ def _pair_and_spec(alpha, p, grid=GRID):
 
 
 def _level(spec, n):
-    """Solution of the single exhaustion level n."""
-    return solve_blowup(spec, n, n).final
+    """Solution of the single level n."""
+    return solve_blowup(spec, n).final
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def test_problem_spec_rejects_nonzero_exterior_operator():
 def test_level_guards():
     _, _, spec = _pair_and_spec(0.5, 3.0)
     with pytest.raises(BadConfig):
-        solve_blowup(spec, 3, 3)
+        solve_blowup(spec, 3)
 
 
 def test_level_solution_is_fixed_point():
@@ -246,34 +246,33 @@ def test_stationarity_once_no_new_nodes():
 
 
 # ---------------------------------------------------------------------------
-# Exhaustion driver.
+# Driver.
 
 
 def test_solve_blowup_report_fields_and_audits():
     _, _, spec = _pair_and_spec(0.5, 3.0)
-    report = solve_blowup(spec, 8, 4096)
-    assert report.levels == [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-    assert report.n_exhaustion_levels == len(report.levels)
-    assert len(report.newton_iters) == len(report.levels)
-    # the exhaustion releases nodes level by level, in mirror pairs
+    report = solve_blowup(spec, 4096)
+    assert report.levels == [4096]
+    assert len(report.newton_iters) == 1 and report.newton_iters[0] > 0
+    # the active set {D > 1/level} comes in mirror pairs
     D = distance_D(GRID.nodes)
-    assert report.active_nodes == [int(np.count_nonzero(D > 1.0 / n))
-                                   for n in report.levels]
-    assert all(k % 2 == 0 for k in report.active_nodes)
-    assert report.active_nodes == sorted(report.active_nodes)
+    assert report.active_nodes == [int(np.count_nonzero(D > 1.0 / 4096))]
+    assert report.active_nodes[0] % 2 == 0
     assert report.converged
     assert report.residual_inf <= report.tolerance
     assert report.ordering_ok
     assert report.monotone_ok
     payload = report.as_dict()
+    assert payload["levels"] == [4096]
     assert payload["active_nodes"] == report.active_nodes
-    assert "newton_iters" in json.dumps(payload)
+    assert payload["newton_iters"] == report.newton_iters
+    assert "n_exhaustion_levels" not in json.dumps(payload)
 
 
 def test_solve_blowup_iterates_are_exactly_even():
     grid = build_graded(128, 2.4)
     _, _, spec = _pair_and_spec(0.5, 3.0, grid)
-    values = solve_blowup(spec, 8, 4096).final.values
+    values = solve_blowup(spec, 4096).final.values
     assert np.array_equal(values, values[::-1])
 
 
@@ -289,10 +288,11 @@ def test_newton_solves_one_half_system_per_iteration(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    report = solve_blowup(spec, 8, 4096)
-    # one solve per iteration (40 of each on this problem)
-    assert len(shapes) == sum(report.newton_iters) > 0
-    assert all(shape[0] <= grid.n_nodes // 2 for shape in shapes)
+    report = solve_blowup(spec, 4096)
+    # one solve per iteration, each of the level's half size
+    assert len(shapes) == report.newton_iters[0] > 0
+    half = report.active_nodes[0] // 2
+    assert all(shape == (half, half) for shape in shapes)
 
 
 @pytest.mark.parametrize("alpha,p", [(0.25, 1.75), (0.5, 3.0), (0.75, 3.0)])
@@ -318,20 +318,36 @@ def test_even_residual_row_view_matches_the_indexed_rows(alpha, p):
 
 def test_solve_blowup_validation():
     _, _, spec = _pair_and_spec(0.5, 3.0)
-    with pytest.raises(BadConfig):
-        solve_blowup(spec, 3, 64)
-    with pytest.raises(BadConfig):
-        solve_blowup(spec, 64, 8)
-    single = solve_blowup(spec, 64, 64)  # one level, from the sub-solution
-    assert single.levels == [64] and single.n_exhaustion_levels == 1
+    with pytest.raises(BadConfig, match="at least 4"):
+        solve_blowup(spec, 3)
+    # every node of this grid lies in the core {D <= 1/4}
+    inner = Grid(nodes=np.array([-0.2, 0.2]), grading_exponent=1.0,
+                 n_per_side=1, delta=0.25)
+    inner_spec = ProblemSpec(assemble(0.5, inner, Zero()), 3.0,
+                             GridFunction(inner, np.full(2, 20.0), Zero()),
+                             GridFunction(inner, np.full(2, 30.0), Zero()))
+    with pytest.raises(BadConfig, match="no active nodes"):
+        solve_blowup(inner_spec, 4)
+    single = solve_blowup(spec, 64)  # one level, from the sub-solution
+    assert single.levels == [64]
     assert len(single.newton_iters) == 1 and single.converged
 
 
+@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
+def test_criterion_6_anchors_solve_in_few_newton_steps(alpha, p):
+    # the one-level solve from the sub-solution needs no continuation:
+    # 4-10 steps on the acceptance anchors at their settings
+    _, _, spec = _pair_and_spec(alpha, p, build_graded(512, 2.4))
+    report = solve_blowup(spec, 2 ** 20)
+    assert report.converged
+    assert report.newton_iters[0] <= 12
+
+
 def test_solve_blowup_rate_recovery():
-    # With the exhaustion frontier pushed to the grid's resolution floor,
-    # a log-log fit over a mid-range window recovers the blow-up rate.
+    # With the excluded core shrunk to the grid's resolution floor, a
+    # log-log fit over a mid-range window recovers the blow-up rate.
     _, _, spec = _pair_and_spec(0.5, 3.0)
-    report = solve_blowup(spec, 8, 65536)
+    report = solve_blowup(spec, 65536)
     D = distance_D(GRID.nodes)
     window = (D >= 0.02) & (D <= 0.1)
     design = np.vstack([np.log(D[window]), np.ones(window.sum())]).T
