@@ -63,10 +63,20 @@ _MAX_SWEEP_CELLS = 10**6
 # Parameter plumbing.
 
 
-_KNOWN_KEYS = {
-    "alpha", "p", "tau", "n_per_side", "grading", "delta",
-    "schedule", "out", "no_timestamp", "step",
+# The parameter flags and their argparse options; a config file may set any.
+_FLAGS = {
+    "alpha": {"help": "order parameter (or lo:hi range for specfun)"},
+    "tau": {"help": "blow-up rate (or lo:hi range for specfun; "
+                    "write --tau=-0.9:0 for negative ranges)"},
+    "p": {"help": "absorption exponent"},
+    "n_per_side": {"type": int}, "grading": {"type": float},
+    "delta": {"type": float},
+    "schedule": {"help": "levels START:END (default 8:65536); only END, the "
+                         "core {D <= 1/END} left out, is solved, so START "
+                         "no longer changes the answer"},
+    "step": {"type": float, "help": "sweep step (default 0.1)"},
 }
+_KNOWN_KEYS = {*_FLAGS, "out", "no_timestamp"}
 
 
 def _load_config(path):
@@ -348,17 +358,6 @@ def cmd_audit(ns, config):
 
 
 def _add_common(sub):
-    sub.add_argument("--alpha", help="order parameter (or lo:hi range for specfun)")
-    sub.add_argument("--tau", help="blow-up rate (or lo:hi range for specfun; "
-                                   "write --tau=-0.9:0 for negative ranges)")
-    sub.add_argument("--p", help="absorption exponent")
-    sub.add_argument("--n-per-side", dest="n_per_side", type=int)
-    sub.add_argument("--grading", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--schedule",
-                     help="levels START:END for solve (default 8:65536); only "
-                          "END, the core {D <= 1/END} left out, is solved, "
-                          "so START no longer changes the answer")
     sub.add_argument("--out", help="output path (prefix for solve)")
     sub.add_argument("--no-timestamp", dest="no_timestamp",
                      action="store_const", const=True, default=None,
@@ -370,22 +369,27 @@ def _add_common(sub):
 def _build_parser():
     """The argument parser, built at the first call and shared after it:
     parsing leaves it unchanged, and ``main`` looks each command up by
-    name at call time."""
+    name at call time.  A subcommand takes only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="fracblow",
         description="Interior blow-up toolkit for the 1-D fractional "
                     "absorption equation.")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, summary in (
-            ("specfun", "CSV sweep of kernel constants c, C, T, c2"),
-            ("critical", "JSON report of alpha0 and per-alpha tau0/tau1"),
-            ("classify", "existence regime and predicted rate"),
-            ("solve", "blow-up solve: report JSON + profile CSV"),
-            ("audit", "nonexistence-zone residual audit JSON")):
+    for name, summary, flags in (
+            ("specfun", "CSV sweep of kernel constants c, C, T, c2",
+             "alpha tau step"),
+            ("critical", "JSON report of alpha0 and per-alpha tau0/tau1",
+             "alpha"),
+            ("classify", "existence regime and predicted rate", "alpha p tau"),
+            ("solve", "blow-up solve: report JSON + profile CSV",
+             "alpha p schedule n_per_side grading delta"),
+            ("audit", "nonexistence-zone residual audit JSON",
+             "alpha p tau n_per_side grading delta")):
         sub = commands.add_parser(name, help=summary)
+        for flag in flags.split():
+            sub.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                             **_FLAGS[flag])
         _add_common(sub)
-    commands.choices["specfun"].add_argument(
-        "--step", type=float, help="sweep step (default 0.1)")
     return parser
 
 

@@ -184,7 +184,7 @@ class GridFunction:
     exterior: Exterior = field(default_factory=Zero)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.ascontiguousarray(self.values, dtype=float)
         if values.shape != self.grid.nodes.shape:
             raise GridMismatch(
                 f"values shape {values.shape} does not match grid "

@@ -38,29 +38,23 @@ from .errors import BadConfig, GridMismatch
 from .mesh import Exterior, Grid, GridFunction, PowerTail, Zero
 from .specfun import _gauss_2f1
 
-__all__ = ["OperatorMatrix", "assemble", "apply",
+__all__ = ["OperatorMatrix", "assemble", "apply", "even_block",
            "power_tail_gap", "power_tail_moment"]
 
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """Dense discrete operator: apply(u) = interior_weights @ u.values +
-    exterior_correction, valid for grid functions with the same grid and
-    the same exterior extension used at assembly.
-
-    ``even_weights`` is the half operator on even vectors: with h the
-    number of left nodes, W_RR + W_RM = W[h:, h:] + W[h:, h-1::-1], read
-    off the right-half rows.  The weights commute with the node reversal,
-    so they map an even vector to an even one, and for every k the system
-    on the even vectors supported on the nodes h + k, ..., n - 1 and
-    their mirrors is the trailing block ``even_weights[k:, k:]``."""
+    """Dense discrete operator, stored as its right-half rows: with h the
+    number of left nodes, the operator at node h + j is rows[j] @ u.values
+    + correction[j], and at the mirror node h - 1 - j the same with the
+    row reversed.  Valid for grid functions with the grid and the
+    exterior extension used at assembly."""
 
     alpha: float
     grid: Grid
-    interior_weights: np.ndarray
-    exterior_correction: np.ndarray
+    rows: np.ndarray
+    correction: np.ndarray
     exterior: Exterior
-    even_weights: np.ndarray
 
 
 def power_tail_gap(alpha: float, tau: float, x: float) -> float:
@@ -87,11 +81,6 @@ def power_tail_moment(alpha: float, tau: float, x: float) -> float:
     |x| < 1 and tau < 2*alpha (use -x for the left exterior piece)."""
     gap = power_tail_gap(alpha, tau, x)  # checks x and tau first
     return (1.0 - x) ** (-2.0 * alpha) / (2.0 * alpha) - gap
-
-
-def _exterior_limit(exterior: Exterior) -> float:
-    """Boundary value the exterior extension implies at |x| -> 1+."""
-    return 0.0 if isinstance(exterior, Zero) else float(exterior.amplitude)
 
 
 def _kernel_moments(A, B, alpha):
@@ -133,13 +122,13 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     """Assemble the dense collocation matrix of the fractional Laplacian
     of order ``alpha`` on ``grid`` under the given exterior extension.
 
-    Only the right-half rows are computed; the grid is mirror-symmetric,
-    so the left half is their exact reflection and the matrix commutes
-    with the node reversal bit for bit.  Each row adds its piece weights
-    into one buffer of n + 1 slots whose last entry collects the weight
-    on the exterior's boundary value (slot -1).  Plain sums suffice:
-    every diagonal term is positive and every correction term has the
-    sign of minus that boundary value, so nothing cancels."""
+    Only the right-half rows are computed and stored; the grid is
+    mirror-symmetric, so the left half is their reflection.  Each row
+    adds its piece weights into one buffer of n + 1 slots whose last
+    entry collects the weight on the boundary value E the exterior
+    implies (slot -1).  Plain sums suffice: every diagonal term is
+    positive and every correction term has the sign of -E, so nothing
+    cancels."""
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise BadConfig(f"alpha must lie strictly in (0, 1), got {alpha}")
@@ -160,10 +149,10 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     # self-panel radius: free of other nodes, clear of 0 and of +-1
     radii = np.minimum(grid.local_spacing(),
                        np.minimum(np.abs(x) / 2.0, (1.0 - np.abs(x)) / 2.0))
-    E = _exterior_limit(exterior)
+    E = 0.0 if isinstance(exterior, Zero) else float(exterior.amplitude)
 
-    W = np.zeros((n, n))
-    corr = np.zeros(n)
+    W = np.zeros((n - h, n))
+    corr = np.zeros(n - h)
 
     for i in range(h, n):
         xi = x[i]
@@ -211,25 +200,23 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
                 row[slot] -= t
 
         # exterior |y| >= 1: kernel mass to the diagonal, declared data to
-        # the correction
-        corr[i] = row[n] * E
-        if isinstance(exterior, PowerTail):
-            gap_sum = (power_tail_gap(alpha, exterior.tau, xi)
-                       + power_tail_gap(alpha, exterior.tau, -xi))
-            corr[i] -= exterior.amplitude * (mass - gap_sum)
+        # the correction (an overflow is reported below)
+        with np.errstate(over="ignore"):
+            corr[i - h] = row[n] * E
+            if isinstance(exterior, PowerTail):
+                gap_sum = (power_tail_gap(alpha, exterior.tau, xi)
+                           + power_tail_gap(alpha, exterior.tau, -xi))
+                corr[i - h] -= exterior.amplitude * (mass - gap_sum)
 
         row[i] += diag
-        W[i] = row[:n]
+        W[i - h] = row[:n]
 
-    if not np.all(np.isfinite(corr[h:])):
+    if not np.all(np.isfinite(corr)):
         raise BadConfig(
             f"exterior {exterior!r} overflows the exterior correction at "
             f"alpha={alpha}: its data are too large for double precision")
-    W[:h] = W[h:][::-1, ::-1]
-    corr[:h] = corr[h:][::-1]
-    return OperatorMatrix(alpha=alpha, grid=grid, interior_weights=W,
-                          exterior_correction=corr, exterior=exterior,
-                          even_weights=W[h:, h:] + W[h:, h - 1::-1])
+    return OperatorMatrix(alpha=alpha, grid=grid, rows=W, correction=corr,
+                          exterior=exterior)
 
 
 def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:
@@ -240,4 +227,14 @@ def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:
         raise GridMismatch(
             f"operand exterior {u.exterior!r} differs from matrix "
             f"exterior {M.exterior!r}")
-    return M.interior_weights @ u.values + M.exterior_correction
+    # contiguous operands: BLAS sums both halves alike, so even maps to even
+    left = M.rows @ u.values[::-1].copy() + M.correction
+    return np.concatenate((left[::-1], M.rows @ u.values + M.correction))
+
+
+def even_block(M: OperatorMatrix, k: int = 0) -> np.ndarray:
+    """W_RR + W_RM, a fresh array: the operator on even vectors supported
+    on the right-half nodes h + k, ..., n - 1 and their mirrors, as every
+    level's active set {D > 1/level} is."""
+    h = M.rows.shape[0]
+    return M.rows[k:, h + k:] + M.rows[k:, :h - k][:, ::-1]

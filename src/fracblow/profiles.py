@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadConfig, SingularSystem
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix
+from .operator import OperatorMatrix, even_block
 
 __all__ = [
     "ProfileSpec",
@@ -168,14 +168,13 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
     toward the endpoints, and the bounded lift of comparison pairs.
 
     The grid is mirror-symmetric, so the right-hand side is even, the
-    solve is the half system of ``matrix.even_weights`` and the solution
+    solve is the half system of ``even_block(matrix)`` and the solution
     is exactly even."""
     if not isinstance(matrix.exterior, Zero):
         raise BadConfig("the torsion function needs the zero-exterior operator")
     alpha, grid = matrix.alpha, matrix.grid
-    rhs = 1.0 - matrix.exterior_correction[grid.n_nodes // 2:]
     try:
-        half = np.linalg.solve(matrix.even_weights, rhs)
+        half = np.linalg.solve(even_block(matrix), 1.0 - matrix.correction)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"torsion system is singular for alpha={alpha}") from exc

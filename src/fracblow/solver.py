@@ -30,7 +30,7 @@ from .errors import (
     SingularSystem,
 )
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix, apply
+from .operator import OperatorMatrix, apply, even_block
 from .profiles import (MAX_DOUBLINGS, build_v_tau, comparison_residual,
                        core_mask, power_of_two_bracket, sample_profile,
                        solve_torsion)
@@ -233,11 +233,11 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
 
 def _even_residual(spec: ProblemSpec, first: int,
                    u: np.ndarray) -> np.ndarray:
-    """Residual of  operator(u) + |u|^(p-1) u  at the nodes first, ...,
-    n - 1; for an exactly even u these rows are the whole system, since
-    the weights commute with the node reversal bit for bit."""
-    return (spec.matrix.interior_weights[first:] @ u
-            + spec.matrix.exterior_correction[first:]
+    """Residual of  operator(u) + |u|^(p-1) u  at the right-half nodes
+    first, ..., n - 1, a contiguous range of the stored rows; for an
+    exactly even u these rows are the whole system."""
+    k = first - spec.grid.n_nodes // 2
+    return (spec.matrix.rows[k:] @ u + spec.matrix.correction[k:]
             + np.abs(u[first:]) ** (spec.p - 1.0) * u[first:])
 
 
@@ -250,10 +250,10 @@ def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
 
     The active set is even and its right half is the nodes first, ...,
     n - 1.  The start is even, and so is every iterate: each step solves
-    the half system of the trailing block of ``even_weights`` on that
-    right half, Jacobian diagonal added, and applies the step mirrored
-    to both halves.  The block is copied once, and only when the start
-    fails the stop test."""
+    the half system of ``even_block`` on that right half, Jacobian
+    diagonal added, and applies the step mirrored to both halves.  The
+    block is folded once per solve, and only when the start fails the
+    stop test."""
     p = spec.p
     idx = np.flatnonzero(active)
     first = idx[idx.size // 2]
@@ -269,7 +269,7 @@ def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
         if norm <= tolerance:
             return u, iteration, norm, tolerance
         if block is None:
-            block = spec.matrix.even_weights[k:, k:].copy()
+            block = even_block(spec.matrix, k)
             diag = block.diagonal().copy()
         np.fill_diagonal(block, diag + p * np.abs(u[first:]) ** (p - 1.0))
         try:

@@ -508,6 +508,27 @@ def test_non_numeric_values_are_config_errors(argv, config, flag, tmp_path,
     assert err.startswith(f"configuration error: bad {flag} value "), err
 
 
+@pytest.mark.parametrize("argv,dropped", [
+    (["specfun"], "--p 3 --n-per-side 64 --grading 2 --delta 0.1 "
+                  "--schedule 8:64"),
+    (["critical", "--alpha", "0.3"], "--tau -0.4 --p 3 --n-per-side 64 "
+                                     "--grading 2 --delta 0.1 --schedule 8:64"),
+    (["classify", "--alpha", "0.5", "--p", "3"],
+     "--n-per-side 64 --grading 2 --delta 0.1 --schedule 8:64"),
+    (["solve", "--alpha", "0.5", "--p", "3"], "--tau -0.4"),
+    (["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4"], "--schedule 8:64"),
+], ids=["specfun", "critical", "classify", "solve", "audit"])
+def test_subcommands_refuse_the_flags_they_do_not_read(argv, dropped, capsys):
+    # each subcommand takes only the parameter flags its command reads, so
+    # a flag it would ignore is a parser error, refused before any work
+    tokens = dropped.split()
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        assert main(argv + [f"{flag}={value}"]) == EXIT_CONFIG, flag
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err, flag
+
+
 def test_parser_level_errors_map_to_config_exit():
     assert main([]) == EXIT_CONFIG
     assert main(["bogus"]) == EXIT_CONFIG

@@ -3,7 +3,9 @@ Laplacian: exact annihilation of constants, mirror symmetry, linearity,
 the power-function identity against the kernel-constant oracle, and the
 closed-form exterior moments."""
 
+import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +20,8 @@ from fracblow.errors import BadConfig, GridMismatch
 from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero,
                            build_graded, distance_D)
 from fracblow.operator import (OperatorMatrix, _kernel_moments, apply,
-                               assemble, power_tail_gap, power_tail_moment)
+                               assemble, even_block, power_tail_gap,
+                               power_tail_moment)
 from fracblow.specfun import c_tau
 
 BATTERY_ALPHAS = (0.25, 0.5, 0.75)
@@ -50,6 +53,12 @@ def identity_errors(grid, alpha, tau):
     want = -c_tau(alpha, tau) * np.abs(x) ** (tau - 2.0 * alpha)
     denom = np.maximum(np.abs(want), distance_D(x) ** (tau - 2.0 * alpha))
     return np.abs(out - want) / denom
+
+
+def full_weights(M):
+    """The full n x n weights, the stored right-half rows below their
+    mirror image: the row of node h - 1 - j is row h + j reversed."""
+    return np.vstack((M.rows[::-1, ::-1], M.rows))
 
 
 def resolved_mask(grid, spacing_grid=None, multiple=20.0):
@@ -100,15 +109,29 @@ def test_zero_function_zero_exterior_is_zero():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
 def test_weight_mirror_symmetry(alpha):
-    # the left-half rows are the reflection of the right-half ones, bit
-    # for bit, under every exterior
+    # the left half of the operator is the reflection of the right half:
+    # applying it to a reversed function reverses the result, bit for
+    # bit, under every exterior
+    rng = np.random.default_rng(3)
     for grid in (build_graded(48, 2.0),) + HAND_GRIDS:
         for exterior in (Zero(), PowerTail(0.0, -1.25), PowerTail(-0.4, 1.3)):
             M = assemble(alpha, grid, exterior)
-            W = M.interior_weights
-            assert np.array_equal(W, W[::-1, ::-1]), grid.nodes
-            corr = M.exterior_correction
-            assert np.array_equal(corr, corr[::-1]), grid.nodes
+            u = rng.normal(size=grid.n_nodes)
+            out = apply(M, GridFunction(grid, u, exterior))
+            mirrored = apply(M, GridFunction(grid, u[::-1], exterior))
+            assert np.array_equal(mirrored, out[::-1]), grid.nodes
+
+
+@pytest.mark.parametrize("exterior", [Zero(), PowerTail(-0.5)])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_apply_maps_an_even_function_to_an_exactly_even_one(alpha, exterior):
+    # both halves of the result are the same row sums in the same order
+    grid = build_graded(512, 2.4)
+    u = np.abs(grid.nodes) ** -0.5
+    assert np.array_equal(u, u[::-1])
+    out = apply(assemble(alpha, grid, exterior),
+                GridFunction(grid, u, exterior))
+    assert np.array_equal(out, out[::-1])
 
 
 def test_assemble_computes_each_mirror_pair_once(monkeypatch):
@@ -128,12 +151,12 @@ def test_assemble_computes_each_mirror_pair_once(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_even_block_solves_the_full_system(alpha):
     # Jacobian-shaped system W_aa + diag(d) with an even positive d and an
-    # even right-hand side: the even half solve on the trailing block of
-    # the stored even weights, mirrored, reproduces the full dense solve,
-    # on the whole grid and on a mirror-symmetric active subset
+    # even right-hand side: the even half solve on the even block,
+    # mirrored, reproduces the full dense solve, on the whole grid and on
+    # a mirror-symmetric active subset
     grid = build_graded(64, 2.4)
     M = assemble(alpha, grid, Zero())
-    W = M.interior_weights
+    W = full_weights(M)
     rng = np.random.default_rng(11)
     for idx in (np.arange(grid.n_nodes),
                 np.flatnonzero(distance_D(grid.nodes) > 1.0 / 64)):
@@ -146,7 +169,7 @@ def test_even_block_solves_the_full_system(alpha):
                                                      rhs_right)))
 
         k = idx[half] - grid.n_nodes // 2
-        block = M.even_weights[k:, k:]
+        block = even_block(M, k)
         assert block.shape == (half, half)
         x_right = np.linalg.solve(block + np.diag(d_right), rhs_right)
         got = np.concatenate((x_right[::-1], x_right))
@@ -154,21 +177,21 @@ def test_even_block_solves_the_full_system(alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-def test_even_weights_hold_every_level_block_exactly(alpha):
-    # every level's active set {D > 1/n} is a symmetric band
-    # around 0, so its even block W_RR + W_RM is a trailing block of the
-    # stored even weights, bit for bit
+def test_even_block_holds_every_level_block_exactly(alpha):
+    # every level's active set {D > 1/n} is a symmetric band around 0,
+    # and its even block W_RR + W_RM, folded from the full mirrored
+    # weights, is the even block of its first right-half node, bit for bit
     grid = build_graded(128, 2.4)
-    M = assemble(alpha, grid, Zero())
-    W, n = M.interior_weights, grid.n_nodes
-    assert M.even_weights.shape == (n // 2, n // 2)
+    M = assemble(alpha, grid, PowerTail(-0.4, 1.3))
+    W, n = full_weights(M), grid.n_nodes
+    assert np.array_equal(even_block(M), even_block(M, 0))
     level = 8
     while level <= 2 ** 20:
         idx = np.flatnonzero(distance_D(grid.nodes) > 1.0 / level)
         right = idx[idx.size // 2:]
         k = right[0] - n // 2
         want = W[np.ix_(right, right)] + W[np.ix_(right, n - 1 - right)]
-        assert np.array_equal(M.even_weights[k:, k:], want), level
+        assert np.array_equal(even_block(M, k), want), level
         level *= 2
 
 
@@ -195,7 +218,7 @@ def test_off_diagonal_sign(alpha):
     # negated operator has the non-negative off-diagonals a discrete
     # maximum principle needs
     for grid in (build_graded(48, 2.4),) + HAND_GRIDS:
-        W = assemble(alpha, grid, Zero()).interior_weights.copy()
+        W = full_weights(assemble(alpha, grid, Zero()))
         diag = np.diag(W).copy()
         np.fill_diagonal(W, 0.0)
         assert np.max(W) <= 0.0, grid.nodes
@@ -353,8 +376,8 @@ def test_power_tail_operator_continuous_across_one_half(delta, tau):
     at_half = assemble(0.5, grid, PowerTail(tau))
     moved = assemble(0.5 + delta, grid, PowerTail(tau))
     bound = CONTINUITY_K * abs(delta)
-    for old, new in ((at_half.interior_weights, moved.interior_weights),
-                     (at_half.exterior_correction, moved.exterior_correction)):
+    for old, new in ((at_half.rows, moved.rows),
+                     (at_half.correction, moved.correction)):
         assert np.all(np.abs(new - old) <= bound * np.abs(old))
 
 
@@ -406,8 +429,11 @@ def test_operator_matrix_fields():
     assert isinstance(M, OperatorMatrix)
     assert M.alpha == 0.3
     assert M.grid.same_as(grid)
-    assert M.interior_weights.shape == (grid.n_nodes, grid.n_nodes)
-    assert M.exterior_correction.shape == (grid.n_nodes,)
+    # one weight array: the right-half rows, and their correction
+    assert [f.name for f in dataclasses.fields(M)] == [
+        "alpha", "grid", "rows", "correction", "exterior"]
+    assert M.rows.shape == (grid.n_nodes // 2, grid.n_nodes)
+    assert M.correction.shape == (grid.n_nodes // 2,)
     assert M.exterior == Zero()
 
 
@@ -417,27 +443,32 @@ def test_weights_are_a_z_matrix_with_positive_row_sums(alpha, n_per_side):
     # the certificate behind the one-level solve: a Z-matrix with positive
     # row sums plus the monotone absorption makes u -> W u + |u|^(p-1) u
     # an M-function, so each level's system has exactly one solution;
-    # checked on the weights and on the even block of every level
+    # checked on the stored rows, whose diagonal sits h columns right, and
+    # on the even block of every level
     grid = build_graded(n_per_side, 2.4)
     M = assemble(alpha, grid, Zero())
-    D_right = distance_D(grid.nodes)[grid.n_nodes // 2:]
-    blocks = [M.interior_weights]
+    h = grid.n_nodes // 2
+    D_right = distance_D(grid.nodes)[h:]
+    blocks = [(M.rows, h)]
     level = 8
     while level <= 2 ** 20:
         k = int(np.count_nonzero(D_right <= 1.0 / level))
-        blocks.append(M.even_weights[k:, k:])
+        blocks.append((even_block(M, k), 0))
         level *= 2
-    for block in blocks:
-        off = block - np.diag(np.diag(block))
-        assert np.max(off) <= 0.0, block.shape
+    for block, offset in blocks:
+        diag = np.diag(np.diagonal(block, offset), offset)[:block.shape[0]]
+        assert np.max(block - diag) <= 0.0, block.shape
         assert np.min(block.sum(axis=1)) > 0.0, block.shape
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_assemble_refuses_an_overflowing_exterior_correction():
-    # finite but huge exterior data overflow the correction to -inf
-    with pytest.raises(BadConfig, match="overflows the exterior correction"):
-        assemble(0.5, build_graded(16, 2.4), PowerTail(-0.4, 1e308))
+    # finite but huge exterior data overflow the correction to -inf; the
+    # refusal is the BadConfig, with no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadConfig,
+                           match="overflows the exterior correction"):
+            assemble(0.5, build_graded(16, 2.4), PowerTail(-0.4, 1e308))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
@@ -454,5 +485,5 @@ def test_power_tail_assembly_shares_one_gamma_quotient(alpha, monkeypatch):
     monkeypatch.setattr(fracblow.specfun, "_gamma_quotient_m1",
                         cached.__wrapped__)
     fresh = assemble(alpha, grid, exterior)
-    assert np.array_equal(M.interior_weights, fresh.interior_weights)
-    assert np.array_equal(M.exterior_correction, fresh.exterior_correction)
+    assert np.array_equal(M.rows, fresh.rows)
+    assert np.array_equal(M.correction, fresh.correction)

@@ -297,12 +297,13 @@ def test_newton_solves_one_half_system_per_iteration(monkeypatch):
 
 @pytest.mark.parametrize("alpha,p", [(0.25, 1.75), (0.5, 3.0), (0.75, 3.0)])
 def test_even_residual_row_view_matches_the_indexed_rows(alpha, p):
-    # the residual reads the contiguous rows first, ..., n - 1 of the
-    # weights; at every level it equals the residual computed on the
-    # fancy-indexed copy of the right-half rows, bit for bit
+    # the residual reads the contiguous trailing range rows[k:] of the
+    # stored right-half rows; at every level it equals the residual
+    # computed on the fancy-indexed copy of those rows, bit for bit
     grid = build_graded(128, 2.4)
     sub, _, spec = _pair_and_spec(alpha, p, grid)
-    W, corr = spec.matrix.interior_weights, spec.matrix.exterior_correction
+    W, corr = spec.matrix.rows, spec.matrix.correction
+    h = grid.n_nodes // 2
     rng = np.random.default_rng(5)
     half = rng.uniform(0.5, 2.0, size=grid.n_nodes // 2)
     for u in (sub.values, sub.values * np.concatenate((half[::-1], half))):
@@ -310,7 +311,7 @@ def test_even_residual_row_view_matches_the_indexed_rows(alpha, p):
         while level <= 2 ** 20:
             idx = np.flatnonzero(distance_D(grid.nodes) > 1.0 / level)
             right = idx[idx.size // 2:]
-            want = (W[right] @ u + corr[right]
+            want = (W[right - h] @ u + corr[right - h]
                     + np.abs(u[right]) ** (p - 1.0) * u[right])
             assert np.array_equal(_even_residual(spec, right[0], u), want)
             level *= 2
