@@ -315,17 +315,15 @@ def cmd_solve(ns, config):
     }
     _timestamp_field(payload, no_timestamp)
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["x", "D", "u", "sub", "super"])
-    D = distance_D(grid.nodes)
-    for i, x in enumerate(grid.nodes):
-        writer.writerow([x, D[i], report.final.values[i],
-                         sub.values[i], sup.values[i]])
-
     if out is None:
         _write_text(_json_text(payload), None)
     else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["x", "D", "u", "sub", "super"])
+        columns = (grid.nodes, distance_D(grid.nodes), report.final.values,
+                   sub.values, sup.values)
+        writer.writerows(zip(*(c.tolist() for c in columns)))
         _write_text(_json_text(payload), f"{out}.report.json")
         _write_text(buffer.getvalue(), f"{out}.profile.csv")
     return EXIT_OK

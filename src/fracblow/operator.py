@@ -26,6 +26,10 @@ over a partition of the real line:
 Every piece is accumulated in difference form (weights multiply
 u(x) - u(y-model)), so globally constant data is annihilated exactly up
 to dot-product rounding.
+
+Rows are assembled in blocks, as (rows x pieces) arrays, and each is bit
+for bit the row a one-row-at-a-time evaluation gives: every sum keeps
+that evaluation's terms, lengths and order.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .specfun import _gauss_2f1
 
 __all__ = ["OperatorMatrix", "assemble", "apply", "even_block",
            "power_tail_gap", "power_tail_moment"]
+
+_BLOCK_ROWS = 32  # right-half rows evaluated together in assemble
 
 
 @dataclass(eq=False)
@@ -103,19 +109,34 @@ def _kernel_moments(A, B, alpha):
 
 
 def _build_pieces(grid: Grid):
-    """Global partition of (-1,1) into linear pieces (a, b, jl, jr): the
-    pieces run between consecutive breakpoints -1, left nodes, 0, right
-    nodes, 1, and the model value runs linearly from slot jl at a to slot
-    jr at b; slot -1 means the boundary value the exterior implies.  The
-    inner gaps next to 0 are frozen: both ends read their innermost node.
-    Node i closes piece i + [x_i > 0] and opens the next one."""
+    """Global partition of (-1,1) into linear pieces from pa[k] to pb[k]
+    between consecutive breakpoints -1, left nodes, 0, right nodes, 1.
+    The model value on piece k runs linearly from one slot at its a-end
+    to one at its b-end: slots k - 1 and k left of 0, k - 2 and k - 1
+    right of 0, where slot -1 (at -1 and 1) means the boundary value the
+    exterior implies.  The inner gaps next to 0 are frozen: both ends
+    read their innermost node, h - 1 on (x_{h-1}, 0) and h on (0, x_h),
+    with h the number of left nodes.  Node i closes piece i + [x_i > 0]
+    and opens the next one."""
     x = grid.nodes
-    n_left = x.size // 2
-    breaks = np.concatenate(([-1.0], x[:n_left], [0.0], x[n_left:], [1.0]))
-    ends = np.concatenate(([-1], np.arange(x.size), [-1]))
-    jl = np.insert(ends[:-1], n_left + 1, n_left)
-    jr = np.insert(ends[1:], n_left, n_left - 1)
-    return breaks[:-1], breaks[1:], jl, jr
+    h = x.size // 2
+    breaks = np.concatenate(([-1.0], x[:h], [0.0], x[h:], [1.0]))
+    return breaks[:-1], breaks[1:]
+
+
+def _kept_sums(keep, *weights):
+    """Per-row sums of each weight array over the entries ``keep`` marks,
+    to the bit what ``w[k][keep[k]].sum()`` gives row by row: numpy's
+    pairwise grouping follows the length of the summed array, so the kept
+    entries are compacted first, one group of rows per kept count."""
+    counts = np.count_nonzero(keep, axis=1)
+    sums = np.empty((len(weights), keep.shape[0]))
+    for m in np.unique(counts):
+        rows = counts == m
+        mask = keep & rows[:, None]
+        for s, w in zip(sums, weights):
+            s[rows] = w[mask].reshape(-1, m).sum(axis=1)
+    return sums
 
 
 def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
@@ -123,12 +144,13 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     of order ``alpha`` on ``grid`` under the given exterior extension.
 
     Only the right-half rows are computed and stored; the grid is
-    mirror-symmetric, so the left half is their reflection.  Each row
-    adds its piece weights into one buffer of n + 1 slots whose last
-    entry collects the weight on the boundary value E the exterior
-    implies (slot -1).  Plain sums suffice: every diagonal term is
-    positive and every correction term has the sign of -E, so nothing
-    cancels."""
+    mirror-symmetric, so the left half is their reflection.  They are
+    evaluated _BLOCK_ROWS at a time as (rows x pieces) arrays, bit for
+    bit what one row at a time gives.  Each row adds its piece weights
+    into n + 1 slots whose last entry collects the weight on the
+    boundary value E the exterior implies (slot -1).  Plain sums
+    suffice: every diagonal term is positive and every correction term
+    has the sign of -E, so nothing cancels."""
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise BadConfig(f"alpha must lie strictly in (0, 1), got {alpha}")
@@ -145,71 +167,90 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     n = x.size
     h = n // 2
     twoa = 2.0 * alpha
-    pa, pb, jl, jr = _build_pieces(grid)
+    pa, pb = _build_pieces(grid)
     # self-panel radius: free of other nodes, clear of 0 and of +-1
     radii = np.minimum(grid.local_spacing(),
                        np.minimum(np.abs(x) / 2.0, (1.0 - np.abs(x)) / 2.0))
     E = 0.0 if isinstance(exterior, Zero) else float(exterior.amplitude)
 
-    W = np.zeros((n - h, n))
-    corr = np.zeros(n - h)
+    # per-row scalars: numpy's array power rounds differently from the
+    # scalar one, so these stay scalar; the exterior tail is scalar too
+    mass = np.empty(n - h)
+    c_self = np.empty(n - h)
+    gap_sum = np.zeros(n - h)
+    for j, (xi, r) in enumerate(zip(x[h:], radii[h:])):
+        mass[j] = ((1.0 - xi) ** (-twoa) + (1.0 + xi) ** (-twoa)) / twoa
+        c_self[j] = r ** (-twoa) / (2.0 - twoa)
+        if isinstance(exterior, PowerTail):
+            gap_sum[j] = (power_tail_gap(alpha, exterior.tau, xi)
+                          + power_tail_gap(alpha, exterior.tau, -xi))
 
-    for i in range(h, n):
+    W = np.empty((n - h, n))
+    corr = np.empty(n - h)
+    full = pb - pa > 1e-300
+    for lo in range(h, n, _BLOCK_ROWS):
+        i = np.arange(lo, min(lo + _BLOCK_ROWS, n))
+        j = i - h
+        t = np.arange(i.size)
         xi = x[i]
         r = radii[i]
-        close = i + 1   # the piece ending at x_i
+        close = i + 1   # the piece ending at x_i; close + 1 opens there
 
         # trim the self panel out of the two pieces meeting at x_i, but
         # keep the linear model anchored at the ORIGINAL piece endpoints:
-        # only the integration limits shrink, not the interpolation line
-        ta = pa.copy()
-        tb = pb.copy()
-        ta[close + 1] = xi + r
-        tb[close] = xi - r
-        keep = tb - ta > 1e-300
-        ta, tb = ta[keep], tb[keep]
-        oa, ob = pa[keep], pb[keep]
+        # only the near integration limit moves, not the interpolation line
+        to_a = np.abs(pa - xi[:, None])
+        to_b = np.abs(pb - xi[:, None])
+        near = np.minimum(to_a, to_b)
+        far = np.maximum(to_a, to_b)
+        near[t, close] = xi - (xi - r)
+        near[t, close + 1] = (xi + r) - xi
+        keep = np.repeat(full[None, :], i.size, axis=0)
+        keep[t, close] = (xi - r) - pa[close] > 1e-300
+        keep[t, close + 1] = pb[close + 1] - (xi + r) > 1e-300
 
-        right_of = oa >= xi
-        dn = np.where(right_of, ta - xi, xi - tb)    # trimmed near limit
-        df = np.where(right_of, tb - xi, xi - ta)    # trimmed far limit
-        An = np.where(right_of, oa - xi, xi - ob)    # original near end
-        Af = np.where(right_of, ob - xi, xi - oa)    # original far end
-        J0, J1 = _kernel_moments(dn, df, alpha)
-        width = Af - An
-        w_near = (Af * J0 - J1) / width
-        w_far = (J1 - An * J0) / width
-        # map near/far weights back to the a-end and b-end of each piece
-        w_a = np.where(right_of, w_near, w_far)
-        w_b = np.where(right_of, w_far, w_near)
+        J0, J1 = _kernel_moments(near, far, alpha)
+        # weights on the a-end and b-end values of each piece; the signed
+        # width carries the side of x_i, and a dropped piece weighs 0,
+        # which the slot sums add exactly
+        span = to_b - to_a
+        w_a = np.where(keep, (to_b * J0 - J1) / span, 0.0)
+        w_b = np.where(keep, (J1 - to_a * J0) / span, 0.0)
 
-        mass = ((1.0 - xi) ** (-twoa) + (1.0 + xi) ** (-twoa)) / twoa
-        row = np.zeros(n + 1)
-        np.add.at(row, jl[keep], -w_a)
-        np.add.at(row, jr[keep], -w_b)
-        diag = mass + w_a.sum() + w_b.sum()
+        # the slot map of _build_pieces as slices, slot -1 stored at n:
+        # each slot takes its a-end terms, then its b-end terms, in piece
+        # order, as np.add.at over the map would add them
+        row = np.zeros((i.size, n + 1))
+        row[:, :h + 1] -= w_a[:, 1:h + 2]
+        row[:, h:n] -= w_a[:, h + 2:]
+        row[:, n] -= w_a[:, 0]
+        row[:, :h] -= w_b[:, :h]
+        row[:, h - 1:n] -= w_b[:, h:n + 1]
+        row[:, n] -= w_b[:, n + 1]
+        sum_a, sum_b = _kept_sums(keep, w_a, w_b)
+        diag = mass[j] + sum_a + sum_b
 
         # self panel: second-difference model with exact kernel moment,
         # reaching into the far end of each of the two pieces at x_i; a
-        # frozen inner gap (far slot i itself) adds nothing
-        c_self = r ** (-twoa) / (2.0 - twoa)
-        for k, slot in ((close, jl[close]), (close + 1, jr[close + 1])):
-            if slot != i:
-                t = c_self * (r / (pb[k] - pa[k]))
-                diag += t
-                row[slot] -= t
+        # frozen inner gap (the left piece of row h) adds nothing
+        cs = c_self[j]
+        inner = i > h
+        tl = cs[inner] * (r[inner] / (pb[close[inner]] - pa[close[inner]]))
+        diag[inner] += tl
+        row[t[inner], i[inner] - 1] -= tl
+        tr = cs * (r / (pb[close + 1] - pa[close + 1]))
+        diag += tr
+        row[t, i + 1] -= tr
 
         # exterior |y| >= 1: kernel mass to the diagonal, declared data to
         # the correction (an overflow is reported below)
         with np.errstate(over="ignore"):
-            corr[i - h] = row[n] * E
+            corr[j] = row[:, n] * E
             if isinstance(exterior, PowerTail):
-                gap_sum = (power_tail_gap(alpha, exterior.tau, xi)
-                           + power_tail_gap(alpha, exterior.tau, -xi))
-                corr[i - h] -= exterior.amplitude * (mass - gap_sum)
+                corr[j] -= exterior.amplitude * (mass[j] - gap_sum[j])
 
-        row[i] += diag
-        W[i - h] = row[:n]
+        row[t, i] += diag
+        W[j] = row[:, :n]
 
     if not np.all(np.isfinite(corr)):
         raise BadConfig(

@@ -135,17 +135,112 @@ def test_apply_maps_an_even_function_to_an_exactly_even_one(alpha, exterior):
 
 
 def test_assemble_computes_each_mirror_pair_once(monkeypatch):
-    # the kernel moments are evaluated for the right-half rows only
-    calls = []
+    # the kernel moments are evaluated for the right-half rows only, each
+    # once: in row i the far end of piece 0, which starts at -1, is 1 + x_i
+    nodes = []
     moments = fracblow.operator._kernel_moments
 
-    def counted(*args):
-        calls.append(1)
-        return moments(*args)
+    def recorded(A, B, alpha):
+        nodes.append(B[:, 0] - 1.0)
+        return moments(A, B, alpha)
 
-    monkeypatch.setattr(fracblow.operator, "_kernel_moments", counted)
-    assemble(0.4, build_graded(64, 2.0), Zero())
-    assert len(calls) == 64
+    monkeypatch.setattr(fracblow.operator, "_kernel_moments", recorded)
+    grid = build_graded(64, 2.0)
+    assemble(0.4, grid, Zero())
+    nodes = np.concatenate(nodes)
+    assert nodes.size == 64
+    assert np.all(nodes > 0.0)
+    np.testing.assert_allclose(nodes, grid.nodes[64:], rtol=0, atol=1e-15)
+
+
+def assemble_by_rows(alpha, grid, exterior):
+    """Reference oracle: the right-half rows and corrections evaluated
+    one row at a time, each piece weight added into its slot by
+    np.add.at.  ``assemble`` must give these bits."""
+    x = grid.nodes
+    n = x.size
+    h = n // 2
+    twoa = 2.0 * alpha
+    breaks = np.concatenate(([-1.0], x[:h], [0.0], x[h:], [1.0]))
+    ends = np.concatenate(([-1], np.arange(n), [-1]))
+    pa, pb = breaks[:-1], breaks[1:]
+    jl = np.insert(ends[:-1], h + 1, h)
+    jr = np.insert(ends[1:], h, h - 1)
+    radii = np.minimum(grid.local_spacing(),
+                       np.minimum(np.abs(x) / 2.0, (1.0 - np.abs(x)) / 2.0))
+    E = 0.0 if isinstance(exterior, Zero) else float(exterior.amplitude)
+    W = np.zeros((n - h, n))
+    corr = np.zeros(n - h)
+    for i in range(h, n):
+        xi = x[i]
+        r = radii[i]
+        close = i + 1
+        ta = pa.copy()
+        tb = pb.copy()
+        ta[close + 1] = xi + r
+        tb[close] = xi - r
+        keep = tb - ta > 1e-300
+        ta, tb = ta[keep], tb[keep]
+        oa, ob = pa[keep], pb[keep]
+        right_of = oa >= xi
+        dn = np.where(right_of, ta - xi, xi - tb)
+        df = np.where(right_of, tb - xi, xi - ta)
+        An = np.where(right_of, oa - xi, xi - ob)
+        Af = np.where(right_of, ob - xi, xi - oa)
+        J0, J1 = _kernel_moments(dn, df, alpha)
+        width = Af - An
+        w_near = (Af * J0 - J1) / width
+        w_far = (J1 - An * J0) / width
+        w_a = np.where(right_of, w_near, w_far)
+        w_b = np.where(right_of, w_far, w_near)
+        mass = ((1.0 - xi) ** (-twoa) + (1.0 + xi) ** (-twoa)) / twoa
+        row = np.zeros(n + 1)
+        np.add.at(row, jl[keep], -w_a)
+        np.add.at(row, jr[keep], -w_b)
+        diag = mass + w_a.sum() + w_b.sum()
+        c_self = r ** (-twoa) / (2.0 - twoa)
+        for k, slot in ((close, jl[close]), (close + 1, jr[close + 1])):
+            if slot != i:
+                t = c_self * (r / (pb[k] - pa[k]))
+                diag += t
+                row[slot] -= t
+        corr[i - h] = row[n] * E
+        if isinstance(exterior, PowerTail):
+            gap_sum = (power_tail_gap(alpha, exterior.tau, xi)
+                       + power_tail_gap(alpha, exterior.tau, -xi))
+            corr[i - h] -= exterior.amplitude * (mass - gap_sum)
+        row[i] += diag
+        W[i - h] = row[:n]
+    return W, corr
+
+
+# graded grids of a whole and a partial last row block, and the hand-made
+# grids, whose one-node-per-side case has a single row
+ORACLE_GRIDS = tuple(build_graded(n_per_side, gamma)
+                     for n_per_side in (16, 48, 128)
+                     for gamma in (1.0, 2.4, 4.0)) + HAND_GRIDS
+ORACLE_ALPHAS = (0.05, 0.25, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.75, 0.95)
+
+
+@pytest.mark.parametrize("exterior", [Zero(), PowerTail(-0.4, 1.3)])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS,
+                         ids=lambda g: f"{g.n_nodes}@{g.grading_exponent}")
+def test_assemble_matches_the_row_by_row_oracle_bit_for_bit(grid, exterior):
+    for alpha in ORACLE_ALPHAS:
+        M = assemble(alpha, grid, exterior)
+        W, corr = assemble_by_rows(alpha, grid, exterior)
+        assert np.array_equal(M.rows, W), alpha
+        assert np.array_equal(M.correction, corr), alpha
+
+
+@pytest.mark.parametrize("exterior", [Zero(), PowerTail(-0.4, 1.3)])
+def test_assemble_raises_no_warning(exterior):
+    # moments on the pieces the self panel empties stay inside assemble
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in ORACLE_GRIDS:
+            for alpha in ORACLE_ALPHAS:
+                assemble(alpha, grid, exterior)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
