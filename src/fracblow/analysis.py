@@ -7,16 +7,15 @@ profile builders and reduces them to small, JSON/CSV-friendly records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from .mesh import GridFunction, distance_D
-from .operator import OperatorMatrix, apply
-from .profiles import (MAX_DOUBLINGS, build_v_tau, comparison_residual,
-                       core_mask, power_of_two_bracket, resolved_mask,
-                       sample_profile, solve_torsion)
+from .operator import OperatorMatrix
+from .profiles import (MAX_DOUBLINGS, comparison_arrays, comparison_residual,
+                       core_mask, power_of_two_bracket, resolved_mask)
 from .specfun import Regime, RegimeKind, classify
 
 __all__ = [
@@ -50,13 +49,7 @@ class RateFit:
     n_nodes: int
 
     def as_dict(self) -> dict:
-        return {
-            "exponent": float(self.exponent),
-            "amplitude": float(self.amplitude),
-            "window": [float(self.window[0]), float(self.window[1])],
-            "residual_r2": float(self.residual_r2),
-            "n_nodes": int(self.n_nodes),
-        }
+        return asdict(self)
 
 
 def fit_rate(u: GridFunction, window: tuple) -> RateFit:
@@ -108,12 +101,7 @@ class BandReport:
     n_nodes: int
 
     def as_dict(self) -> dict:
-        return {
-            "min_ratio": float(self.min_ratio),
-            "max_ratio": float(self.max_ratio),
-            "sign_flips": int(self.sign_flips),
-            "n_nodes": int(self.n_nodes),
-        }
+        return asdict(self)
 
 
 def check_band(values: GridFunction, reference_exponent: float,
@@ -170,19 +158,7 @@ class ZoneAudit:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": float(self.alpha),
-            "p": float(self.p),
-            "tau": float(self.tau),
-            "zone": int(self.zone),
-            "t_values": [float(t) for t in self.t_values],
-            "lift_scales": [float(m) for m in self.lift_scales],
-            "worst_margins": [float(m) for m in self.worst_margins],
-            "core_constants": [None if c is None else float(c)
-                               for c in self.core_constants],
-            "checked_nodes": int(self.checked_nodes),
-            "passed": bool(self.passed),
-        }
+        return asdict(self)
 
 
 def _zone_of(alpha: float, p: float, tau: float, tau1: float | None) -> int:
@@ -231,10 +207,7 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float,
     zone = _zone_of(alpha, p, tau, regime.tau1)
     sign = -1.0 if zone == 2 else 1.0
 
-    profile = sample_profile(build_v_tau(tau, grid.delta), grid)
-    applied = apply(matrix, profile)
-    vals = profile.values
-    tors = solve_torsion(matrix).values
+    vals, applied, tors = comparison_arrays(matrix, tau)
     checked = resolved_mask(grid)
     if checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")

@@ -28,12 +28,12 @@ class OutOfDomain(ConfigError):
     """A coordinate query lies outside the open interval (-1, 1)."""
 
 
+class GridMismatch(ConfigError):
+    """Two objects built on different grids (or exterior extensions) were mixed."""
+
+
 class RegimeError(FracblowError):
     """The requested operation is undefined in the given parameter regime."""
-
-
-class GridMismatch(FracblowError):
-    """Two objects built on different grids (or exterior extensions) were mixed."""
 
 
 class SingularSystem(NumericalError):
@@ -41,7 +41,8 @@ class SingularSystem(NumericalError):
 
 
 class NoAdmissiblePair(NumericalError):
-    """The scaling search for an ordered sub/super-solution pair failed."""
+    """No ordered sub/super-solution pair: the closed-form pair scales
+    leave their range or fail the residual test."""
 
 
 class NewtonStall(NumericalError):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import BadConfig, GridMismatch
 from .mesh import Exterior, Grid, GridFunction, PowerTail, Zero
-from .specfun import _gauss_2f1
+from .specfun import _check_alpha, _gauss_2f1
 
 __all__ = ["OperatorMatrix", "assemble", "apply", "even_block",
            "power_tail_gap", "power_tail_moment"]
@@ -151,9 +151,7 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     boundary value E the exterior implies (slot -1).  Plain sums
     suffice: every diagonal term is positive and every correction term
     has the sign of -E, so nothing cancels."""
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise BadConfig(f"alpha must lie strictly in (0, 1), got {alpha}")
+    alpha = _check_alpha(alpha)
     if not isinstance(grid, Grid):
         raise BadConfig("grid must be a Grid instance")
     if not isinstance(exterior, (Zero, PowerTail)):

@@ -8,8 +8,9 @@ so the whole profile is twice continuously differentiable.  The module
 also provides the discrete torsion function (the grid function the
 assembled operator maps to the constant 1), the residual of the
 comparison functions scale * profile + lift * torsion that both the
-sub/super pair and the nonexistence audits test, and the power-of-two
-rounding that sizes them.
+sub/super pair and the nonexistence audits test, from the arrays
+``comparison_arrays`` builds for them, and the power-of-two rounding
+that sizes them.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import numpy as np
 
 from .errors import BadConfig, SingularSystem
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix, even_block
+from .operator import OperatorMatrix, apply, even_block
 
 __all__ = [
     "ProfileSpec",
     "build_v_tau",
+    "comparison_arrays",
     "comparison_residual",
     "evaluate_profile",
     "sample_profile",
@@ -210,6 +212,17 @@ def core_mask(grid: Grid) -> np.ndarray:
             "no resolved nodes inside the matching radius; refine the grid "
             "or increase the grading exponent")
     return core
+
+
+def comparison_arrays(matrix: OperatorMatrix, tau: float,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays (V, W V, T) every comparison function is tested from:
+    the values of the profile with core exponent ``tau`` and the grid's
+    matching radius, their operator values under the zero-exterior
+    ``matrix``, and the torsion values."""
+    profile = sample_profile(build_v_tau(tau, matrix.grid.delta), matrix.grid)
+    torsion = solve_torsion(matrix).values
+    return profile.values, apply(matrix, profile), torsion
 
 
 def comparison_residual(applied: np.ndarray, vals: np.ndarray,

@@ -30,10 +30,9 @@ from .errors import (
     SingularSystem,
 )
 from .mesh import Grid, GridFunction, Zero, distance_D
-from .operator import OperatorMatrix, apply, even_block
-from .profiles import (MAX_DOUBLINGS, build_v_tau, comparison_residual,
-                       core_mask, power_of_two_bracket, sample_profile,
-                       solve_torsion)
+from .operator import OperatorMatrix, even_block
+from .profiles import (MAX_DOUBLINGS, comparison_arrays, comparison_residual,
+                       core_mask, power_of_two_bracket)
 from .specfun import RegimeKind, _check_p, classify
 
 __all__ = [
@@ -179,12 +178,9 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     are closed forms rounded to powers of two, then checked.
     """
     alpha, grid = matrix.alpha, matrix.grid
-    tau = require_unique_existence(alpha, p)
-    V = sample_profile(build_v_tau(tau, grid.delta), grid)
-    tors = solve_torsion(matrix).values
-    applied = apply(matrix, V)
+    vals, applied, tors = comparison_arrays(
+        matrix, require_unique_existence(alpha, p))
     core = core_mask(grid)
-    vals = V.values
 
     # At a core node the residual of lam * V is lam * a + (lam * v)**p:
     # nonpositive exactly for lam up to (-a / v**p)**(1/(p-1)), and for no
@@ -228,61 +224,54 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
 
 
 # ---------------------------------------------------------------------------
-# Newton solve on one domain.
+# Newton solve on one band.
 
 
-def _even_residual(spec: ProblemSpec, first: int,
+def _even_residual(matrix: OperatorMatrix, p: float, k: int,
                    u: np.ndarray) -> np.ndarray:
     """Residual of  operator(u) + |u|^(p-1) u  at the right-half nodes
-    first, ..., n - 1, a contiguous range of the stored rows; for an
-    exactly even u these rows are the whole system."""
-    k = first - spec.grid.n_nodes // 2
-    return (spec.matrix.rows[k:] @ u + spec.matrix.correction[k:]
-            + np.abs(u[first:]) ** (spec.p - 1.0) * u[first:])
+    h + k, ..., n - 1, the contiguous trailing range rows[k:] of the
+    stored rows; for an exactly even u these rows are the whole system."""
+    first = matrix.rows.shape[0] + k
+    return (matrix.rows[k:] @ u + matrix.correction[k:]
+            + np.abs(u[first:]) ** (p - 1.0) * u[first:])
 
 
-def _newton_on_domain(spec: ProblemSpec, active: np.ndarray,
-                      ) -> tuple[np.ndarray, int, float, float]:
-    """Damped Newton for  operator(u) + |u|^(p-1) u = 0  on the active
-    nodes, started from the sub-solution, which also holds the rest
-    frozen.  Returns (values, iters, residual_inf, tolerance), the sides
-    of the stop test that ended it.
+def _newton(matrix: OperatorMatrix, p: float, start: np.ndarray, k: int,
+            ) -> tuple[np.ndarray, int, float, float]:
+    """Damped Newton for  operator(u) + |u|^(p-1) u = 0  on the band of
+    right-half nodes h + k, ..., n - 1 and their mirrors, started from the
+    even vector ``start``, which also holds the frozen core data off the
+    band.  Returns (values, iters, residual_inf, tolerance), the sides of
+    the stop test that ended it.
 
-    The active set is even and its right half is the nodes first, ...,
-    n - 1.  The start is even, and so is every iterate: each step solves
-    the half system of ``even_block`` on that right half, Jacobian
-    diagonal added, and applies the step mirrored to both halves.  The
-    block is folded once per solve, and only when the start fails the
-    stop test."""
-    p = spec.p
-    idx = np.flatnonzero(active)
-    first = idx[idx.size // 2]
-    k = first - spec.grid.n_nodes // 2
-
-    u = spec.sub.values.copy()
-
-    block = None
-    res = _even_residual(spec, first, u)
+    Every iterate stays even: each step solves the half system of
+    ``even_block(matrix, k)``, folded once, with the Jacobian diagonal
+    added, and applies the step to the band's right half and, reversed,
+    to its mirror."""
+    h = matrix.rows.shape[0]
+    u = start.copy()
+    block = even_block(matrix, k)
+    diag = block.diagonal().copy()
+    res = _even_residual(matrix, p, k, u)
     for iteration in range(_MAX_ITER + 1):
         norm = float(np.max(np.abs(res)))
-        tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[first:]))))
+        tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[h + k:]))))
         if norm <= tolerance:
             return u, iteration, norm, tolerance
-        if block is None:
-            block = even_block(spec.matrix, k)
-            diag = block.diagonal().copy()
-        np.fill_diagonal(block, diag + p * np.abs(u[first:]) ** (p - 1.0))
+        np.fill_diagonal(block, diag + p * np.abs(u[h + k:]) ** (p - 1.0))
         try:
             step = np.linalg.solve(block, -res)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
-                f"Newton Jacobian singular with {idx.size} active "
+                f"Newton Jacobian singular with {2 * (h - k)} active "
                 f"nodes") from exc
         damping = 1.0
         while damping >= _DAMPING_FLOOR:
             trial = u.copy()
-            trial[idx] += damping * np.concatenate((step[::-1], step))
-            trial_res = _even_residual(spec, first, trial)
+            trial[h + k:] += damping * step
+            trial[:h - k] += damping * step[::-1]
+            trial_res = _even_residual(matrix, p, k, trial)
             if np.max(np.abs(trial_res)) <= (1.0 - 0.25 * damping) * norm:
                 u, res = trial, trial_res
                 break
@@ -308,15 +297,17 @@ def solve_blowup(spec: ProblemSpec, level: int) -> SolveReport:
     level = int(level)
     if level < 4:
         raise BadConfig(f"level must be at least 4, got {level}")
-    active = distance_D(spec.grid.nodes) > 1.0 / level
-    if not np.any(active):
+    h = spec.grid.n_nodes // 2
+    k = int(np.count_nonzero(spec.grid.nodes[h:] <= 1.0 / level))
+    if k == h:
         raise BadConfig(f"no active nodes at level {level}")
 
     sub_vals = spec.sub.values
     super_vals = spec.super.values
     node_scale = 1.0 + np.abs(sub_vals) + np.abs(super_vals)
 
-    u, iters, residual_inf, tolerance = _newton_on_domain(spec, active)
+    u, iters, residual_inf, tolerance = _newton(spec.matrix, spec.p,
+                                                sub_vals, k)
     ordering_ok = not (
         np.any(u < sub_vals - _AUDIT_SLACK * node_scale)
         or np.any(u > super_vals + _AUDIT_SLACK * node_scale))
@@ -332,7 +323,7 @@ def solve_blowup(spec: ProblemSpec, level: int) -> SolveReport:
         final=GridFunction(spec.grid, u, Zero()),
         newton_iters=[iters],
         levels=[level],
-        active_nodes=[int(np.count_nonzero(active))],
+        active_nodes=[2 * (h - k)],
         residual_inf=residual_inf,
         tolerance=tolerance,
         converged=residual_inf <= tolerance,

@@ -425,7 +425,7 @@ _ERROR_EXITS = {
     "AuditFail": (EXIT_NUMERICAL, "numerical failure: "),
     "TooFewPoints": (EXIT_NUMERICAL, "numerical failure: "),
     "RegimeError": (EXIT_REGIME, "regime guard: "),
-    "GridMismatch": (EXIT_NUMERICAL, "error: "),
+    "GridMismatch": (EXIT_CONFIG, "configuration error: "),
 }
 
 

@@ -14,6 +14,7 @@ from fracblow.profiles import (build_v_tau, core_mask, sample_profile,
 from fracblow.solver import (
     ProblemSpec,
     _even_residual,
+    _newton,
     default_sub_super,
     require_unique_existence,
     solve_blowup,
@@ -313,8 +314,28 @@ def test_even_residual_row_view_matches_the_indexed_rows(alpha, p):
             right = idx[idx.size // 2:]
             want = (W[right - h] @ u + corr[right - h]
                     + np.abs(u[right]) ** (p - 1.0) * u[right])
-            assert np.array_equal(_even_residual(spec, right[0], u), want)
+            assert np.array_equal(
+                _even_residual(spec.matrix, p, right[0] - h, u), want)
             level *= 2
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
+@pytest.mark.parametrize("level", [2 ** 10, 2 ** 14, 2 ** 20])
+def test_raising_the_frozen_core_data_raises_the_solution(alpha, p, level):
+    # the band system is an M-function, so its solution is monotone in
+    # the frozen core data: doubling the core of the start raises the
+    # solution on every band node, strictly somewhere
+    sub, _, spec = _pair_and_spec(alpha, p)
+    h = GRID.n_nodes // 2
+    k = int(np.count_nonzero(GRID.nodes[h:] <= 1.0 / level))
+    assert 0 < k < h
+    raised = sub.values.copy()
+    raised[h - k:h + k] *= 2.0
+    low = _newton(spec.matrix, p, sub.values, k)[0]
+    high = _newton(spec.matrix, p, raised, k)[0]
+    band = np.r_[:h - k, h + k:GRID.n_nodes]
+    assert np.all(high[band] >= low[band])
+    assert np.any(high[band] > low[band])
 
 
 def test_solve_blowup_validation():
