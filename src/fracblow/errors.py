@@ -29,7 +29,7 @@ class OutOfDomain(ConfigError):
 
 
 class GridMismatch(ConfigError):
-    """Two objects built on different grids (or exterior extensions) were mixed."""
+    """Two objects built on different grids were mixed."""
 
 
 class RegimeError(FracblowError):

@@ -6,15 +6,15 @@ profiles behave like D(x)**tau with tau in (-1,0), and the outer boundary
 distance.  ``build_graded`` therefore clusters nodes algebraically toward
 0 and toward +-1 on each side, never placing a node on 0 or +-1 itself.
 
-``GridFunction`` pairs node values with an explicit exterior extension
-(zero, or a two-sided power tail; tau = 0 is a constant) so that the
-nonlocal operator can integrate the declared behaviour on |x| >= 1 exactly.
+``GridFunction`` is node values on a grid.  The behaviour on |x| >= 1
+(zero, or a two-sided power tail; tau = 0 is a constant) is an input of
+``operator.assemble``, which integrates it exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -177,11 +177,10 @@ def distance_d(x):
 
 @dataclass(eq=False)
 class GridFunction:
-    """Node samples plus the declared behaviour outside (-1,1)."""
+    """Node values on a grid."""
 
     grid: Grid
     values: np.ndarray
-    exterior: Exterior = field(default_factory=Zero)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -191,6 +190,4 @@ class GridFunction:
                 f"({self.grid.nodes.shape})")
         if not np.all(np.isfinite(values)):
             raise BadConfig("grid-function values must be finite")
-        if not isinstance(self.exterior, (Zero, PowerTail)):
-            raise BadConfig(f"unknown exterior extension {self.exterior!r}")
         self.values = values

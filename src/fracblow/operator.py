@@ -53,8 +53,8 @@ class OperatorMatrix:
     """Dense discrete operator, stored as its right-half rows: with h the
     number of left nodes, the operator at node h + j is rows[j] @ u.values
     + correction[j], and at the mirror node h - 1 - j the same with the
-    row reversed.  Valid for grid functions with the grid and the
-    exterior extension used at assembly."""
+    row reversed.  Valid for grid functions on ``grid``, extended outside
+    (-1,1) by ``exterior``."""
 
     alpha: float
     grid: Grid
@@ -152,6 +152,9 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     suffice: every diagonal term is positive and every correction term
     has the sign of -E, so nothing cancels."""
     alpha = _check_alpha(alpha)
+    if alpha < 2.0 ** -960:  # keeps 2**64 of headroom for data up to 2**54
+        raise BadConfig(f"alpha={alpha} is below 2**-960: the diagonal, about "
+                        f"1/alpha, overflows double precision on the data")
     if not isinstance(grid, Grid):
         raise BadConfig("grid must be a Grid instance")
     if not isinstance(exterior, (Zero, PowerTail)):
@@ -259,13 +262,9 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
 
 
 def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:
-    """Discrete fractional Laplacian of ``u`` at every grid node."""
+    """Discrete fractional Laplacian of ``u``, extended by ``M.exterior``."""
     if not M.grid.same_as(u.grid):
         raise GridMismatch("grid of the operand differs from the matrix grid")
-    if u.exterior != M.exterior:
-        raise GridMismatch(
-            f"operand exterior {u.exterior!r} differs from matrix "
-            f"exterior {M.exterior!r}")
     # contiguous operands: BLAS sums both halves alike, so even maps to even
     left = M.rows @ u.values[::-1].copy() + M.correction
     return np.concatenate((left[::-1], M.rows @ u.values + M.correction))

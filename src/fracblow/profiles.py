@@ -154,9 +154,8 @@ def evaluate_profile(spec: ProfileSpec, x) -> np.ndarray:
 
 
 def sample_profile(spec: ProfileSpec, grid: Grid) -> GridFunction:
-    """Sample the profile at the grid nodes, with the zero exterior the
-    profile itself has."""
-    return GridFunction(grid, evaluate_profile(spec, grid.nodes), Zero())
+    """Sample the profile at the grid nodes."""
+    return GridFunction(grid, evaluate_profile(spec, grid.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
         raise SingularSystem(
             "torsion solve produced negative values; the discretization "
             f"is unusable (min {np.min(values):.3e})")
-    return GridFunction(grid, values, Zero())
+    return GridFunction(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +231,16 @@ def comparison_residual(applied: np.ndarray, vals: np.ndarray,
     w = scale * V + lift * T, from ``applied`` = operator(V), the profile
     values ``vals`` and the torsion values ``torsion`` (operator(T) = 1),
     plus the size |scale * applied| + |lift| + |w|**p + 1 of its terms,
-    which the callers' sign tolerances multiply."""
+    which the callers' sign tolerances multiply.  Both saturate at the
+    largest double, so an overflowing residual passes a sign test only
+    when it has the required sign."""
     w = scale * vals + lift * torsion
-    power = np.abs(w) ** p
+    with np.errstate(over="ignore"):
+        power = np.abs(w) ** p
     residual = scale * applied + lift + np.copysign(power, w)
-    return residual, np.abs(scale * applied) + abs(lift) + power + 1.0
+    size = np.abs(scale * applied) + abs(lift) + power + 1.0
+    big = np.finfo(float).max
+    return np.clip(residual, -big, big), np.minimum(size, big)
 
 
 def power_of_two_bracket(x: float) -> tuple[float, float]:

@@ -69,9 +69,9 @@ class ProblemSpec:
     by an ordered sub/super-solution pair.
 
     ``sub`` must blow up toward the singular point (checked against
-    ``_BLOWUP_THRESHOLD`` at the innermost nodes) and both bounds must
-    vanish outside the interval, as the operator's exterior does.  Both
-    bounds must be exactly even, as the solver keeps its iterates.
+    ``_BLOWUP_THRESHOLD`` at the innermost nodes).  Both bounds take the
+    operator's zero exterior and must be exactly even, as the solver keeps
+    its iterates.
     """
 
     matrix: OperatorMatrix
@@ -92,10 +92,8 @@ class ProblemSpec:
         if not (self.sub.grid.same_as(self.grid)
                 and self.super.grid.same_as(self.grid)):
             raise GridMismatch("sub/super must live on the problem grid")
-        if not (self.matrix.exterior == self.sub.exterior
-                == self.super.exterior == Zero()):
-            raise BadConfig(
-                "operator and sub/super must vanish outside the interval")
+        if self.matrix.exterior != Zero():
+            raise BadConfig("the operator must vanish outside the interval")
         for bound in (self.sub.values, self.super.values):
             if not np.array_equal(bound, bound[::-1]):
                 raise BadConfig("sub/super must be exactly even")
@@ -218,8 +216,8 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
             f"torsion lift failed to globalize the super-solution for "
             f"alpha={alpha}, p={p}")
 
-    sub = GridFunction(grid, lam_small * vals, Zero())
-    super_ = GridFunction(grid, lam_big * vals + lam_c * tors, Zero())
+    sub = GridFunction(grid, lam_small * vals)
+    super_ = GridFunction(grid, lam_big * vals + lam_c * tors)
     return sub, super_
 
 
@@ -320,7 +318,7 @@ def solve_blowup(spec: ProblemSpec, level: int) -> SolveReport:
     monotone_ok = not np.any(drop > _AUDIT_SLACK * drop_scale)
 
     return SolveReport(
-        final=GridFunction(spec.grid, u, Zero()),
+        final=GridFunction(spec.grid, u),
         newton_iters=[iters],
         levels=[level],
         active_nodes=[2 * (h - k)],

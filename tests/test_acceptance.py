@@ -86,7 +86,7 @@ def _identity_errors(grid, alpha, tau):
     # so it stays defined where the kernel constant vanishes
     x = grid.nodes
     matrix = assemble(alpha, grid, PowerTail(tau))
-    u = GridFunction(grid, np.abs(x) ** tau, PowerTail(tau))
+    u = GridFunction(grid, np.abs(x) ** tau)
     want = -c_tau(alpha, tau) * np.abs(x) ** (tau - 2.0 * alpha)
     denom = np.maximum(np.abs(want), distance_D(x) ** (tau - 2.0 * alpha))
     return np.abs(apply(matrix, u) - want) / denom
@@ -125,7 +125,7 @@ def test_criterion_4_operator_fidelity():
         assert np.max(np.abs(apply(matrix, solved) - 1.0)[away]) <= 1e-6
         x = grid.nodes
         closed = GridFunction(
-            grid, math.sin(math.pi * alpha) / math.pi * (1.0 - x * x) ** alpha, Zero())
+            grid, math.sin(math.pi * alpha) / math.pi * (1.0 - x * x) ** alpha)
         assert np.max(np.abs(apply(matrix, closed) - 1.0)[away]) <= 0.02, alpha
     assert time.monotonic() - start < 120.0
 
@@ -143,7 +143,7 @@ def test_criterion_5_comparison_bands():
         def band_of(tau):
             prof = sample_profile(build_v_tau(tau, grid.delta), grid)
             applied = apply(matrix, prof)
-            return check_band(GridFunction(grid, -applied, Zero()),
+            return check_band(GridFunction(grid, -applied),
                               tau - 2.0 * alpha, window)
 
         steep = band_of(-0.8)        # below tau1: operator output negative

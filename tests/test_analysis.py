@@ -27,7 +27,7 @@ D = distance_D(GRID.nodes)
 
 def _power_sample(amplitude, exponent, grid=GRID):
     dist = distance_D(grid.nodes)
-    return GridFunction(grid, amplitude * dist ** exponent, Zero())
+    return GridFunction(grid, amplitude * dist ** exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_fit_rate_exact_power_independent_of_grading():
 def test_fit_rate_perturbed_power_stays_close():
     rng = np.random.default_rng(7)
     noise = 1.0 + 0.01 * rng.standard_normal(D.size)
-    u = GridFunction(GRID, 2.0 * D ** -0.5 * noise, Zero())
+    u = GridFunction(GRID, 2.0 * D ** -0.5 * noise)
     fit = fit_rate(u, (0.01, 0.2))
     assert abs(fit.exponent - (-0.5)) <= 0.01
     assert 0.9 < fit.residual_r2 <= 1.0
@@ -71,7 +71,7 @@ def test_fit_rate_rejects_bad_windows():
 def test_fit_rate_rejects_nonpositive_values():
     vals = D ** -0.5
     vals[GRID.nodes > 0.05] *= -1.0
-    u = GridFunction(GRID, vals, Zero())
+    u = GridFunction(GRID, vals)
     with pytest.raises(BadConfig):
         fit_rate(u, (0.01, 0.2))
 
@@ -106,7 +106,7 @@ def test_check_band_exact_power_collapses():
 
 
 def test_check_band_counts_sign_changes():
-    u = GridFunction(GRID, GRID.nodes.copy(), Zero())
+    u = GridFunction(GRID, GRID.nodes.copy())
     report = check_band(u, 0.0, (0.05, 0.8))
     assert report.sign_flips == 1
     assert report.min_ratio < 0.0 < report.max_ratio

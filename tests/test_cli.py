@@ -1,12 +1,17 @@
 """Tests for the command-line front end: outputs, exit codes, config."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracblow.analysis
 import fracblow.cli
@@ -352,6 +357,68 @@ def test_audit_zone_follows_classify_just_below_threshold(capsys):
     code = main(["audit", *argv, "--n-per-side", "128", "--no-timestamp"])
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["audit"]["zone"] == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha,p,tau", [
+    ("0.7", "100", "-0.9"),
+    # every checked residual of t = 4 overflows, so the worst margin did too
+    ("0.3", "1e6", "-0.9999999999999999"),
+])
+def test_audit_at_a_huge_exponent_keeps_finite_margins(alpha, p, tau, capsys):
+    # |w|**p overflows on the lifted comparison functions: the residual
+    # is still tested by its sign, without a floating-point warning
+    code = main(["audit", "--alpha", alpha, "--p", p, f"--tau={tau}",
+                 "--n-per-side", "128", "--no-timestamp"])
+    assert code == EXIT_OK
+    audit = json.loads(capsys.readouterr().out)["audit"]
+    assert audit["passed"] is True
+    assert all(math.isfinite(m) for m in audit["worst_margins"])
+
+
+# ---------------------------------------------------------------------------
+# exits over the documented domain
+
+ORDERS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                   exclude_max=True)
+EXPONENTS = st.floats(min_value=1.0, max_value=1e6, exclude_min=True)
+RATES = st.floats(min_value=-1.0, max_value=0.0, exclude_min=True,
+                  exclude_max=True)
+WINDOW_FRACTIONS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                             exclude_max=True)
+
+
+def _exit_of(argv):
+    """Exit code and stdout of one in-process CLI run, stderr dropped; an
+    exception escaping ``main`` fails the calling test."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--no-timestamp"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_REGIME)
+    if code == EXIT_OK:
+        text = out.getvalue()
+        assert "Infinity" not in text and "NaN" not in text
+    return code
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=ORDERS, p=EXPONENTS, tau=RATES)
+def test_audit_chooses_its_exit(alpha, p, tau):
+    _exit_of(["audit", "--alpha", repr(alpha), "--p", repr(p),
+              f"--tau={tau!r}", "--n-per-side", "128"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=ORDERS, fraction=WINDOW_FRACTIONS)
+def test_solve_chooses_its_exit(alpha, fraction):
+    # p inside the existence window (1 + 2 alpha, 1 + 2 alpha/(1 - 2 alpha)),
+    # unbounded above from alpha = 1/2 on, capped at 1e6
+    low = 1.0 + 2.0 * alpha
+    high = 1.0 + 2.0 * alpha / (1.0 - 2.0 * alpha) if alpha < 0.5 else 1e6
+    p = low + fraction * (min(high, 1e6) - low)
+    _exit_of(["solve", "--alpha", repr(alpha), "--p", repr(p),
+              "--n-per-side", "128", "--schedule", "4:256"])
 
 
 # ---------------------------------------------------------------------------

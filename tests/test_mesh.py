@@ -1,5 +1,7 @@
 """Tests for graded grid construction, distances, and grid functions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,25 +140,25 @@ def test_local_spacing_positive_and_small_near_zero():
 
 def test_grid_function_validation():
     grid = build_graded(16, 1.0)
-    u = GridFunction(grid, np.ones(grid.n_nodes), Zero())
-    assert u.exterior == Zero()
+    u = GridFunction(grid, np.ones(grid.n_nodes))
+    # a grid function is its grid and its values; the exterior belongs
+    # to the operator
+    assert [f.name for f in dataclasses.fields(u)] == ["grid", "values"]
     with pytest.raises(GridMismatch):
         GridFunction(grid, np.ones(grid.n_nodes + 1))
     bad = np.ones(grid.n_nodes)
     bad[0] = np.inf
     with pytest.raises(BadConfig):
         GridFunction(grid, bad)
-    with pytest.raises(BadConfig):
-        GridFunction(grid, np.ones(grid.n_nodes), exterior="zero")
 
 
 def test_exterior_kinds():
-    grid = build_graded(16, 1.0)
-    vals = np.ones(grid.n_nodes)
-    constant = GridFunction(grid, vals, PowerTail(0.0, 2.0)).exterior
+    constant = PowerTail(0.0, 2.0)
     assert constant.tau == 0.0 and constant.amplitude == 2.0
-    tail = GridFunction(grid, vals, PowerTail(-0.5, 3.0)).exterior
+    tail = PowerTail(-0.5, 3.0)
     assert tail.tau == -0.5 and tail.amplitude == 3.0
+    assert PowerTail(-0.5).amplitude == 1.0
+    assert Zero() == Zero() != PowerTail(0.0)
 
 
 @pytest.mark.parametrize("tau,amplitude", [

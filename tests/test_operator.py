@@ -48,7 +48,7 @@ def identity_errors(grid, alpha, tau):
     """
     x = grid.nodes
     M = assemble(alpha, grid, PowerTail(tau))
-    u = GridFunction(grid, np.abs(x) ** tau, PowerTail(tau))
+    u = GridFunction(grid, np.abs(x) ** tau)
     out = apply(M, u)
     want = -c_tau(alpha, tau) * np.abs(x) ** (tau - 2.0 * alpha)
     denom = np.maximum(np.abs(want), distance_D(x) ** (tau - 2.0 * alpha))
@@ -81,7 +81,7 @@ def resolved_mask(grid, spacing_grid=None, multiple=20.0):
 def test_constant_annihilation_uniform(alpha):
     for grid in (build_graded(64, 1.0),) + HAND_GRIDS:
         M = assemble(alpha, grid, PowerTail(0.0, 3.7))
-        u = GridFunction(grid, np.full(grid.n_nodes, 3.7), PowerTail(0.0, 3.7))
+        u = GridFunction(grid, np.full(grid.n_nodes, 3.7))
         assert np.max(np.abs(apply(M, u))) <= 1e-10, grid.nodes
 
 
@@ -92,14 +92,14 @@ def test_constant_annihilation_graded(alpha, gamma):
     # paired with a grading whose row scale keeps rounding below the bar
     grid = build_graded(64, gamma)
     M = assemble(alpha, grid, PowerTail(0.0, -1.25))
-    u = GridFunction(grid, np.full(grid.n_nodes, -1.25), PowerTail(0.0, -1.25))
+    u = GridFunction(grid, np.full(grid.n_nodes, -1.25))
     assert np.max(np.abs(apply(M, u))) <= 1e-10
 
 
 def test_zero_function_zero_exterior_is_zero():
     grid = build_graded(32, 2.0)
     M = assemble(0.4, grid, Zero())
-    u = GridFunction(grid, np.zeros(grid.n_nodes), Zero())
+    u = GridFunction(grid, np.zeros(grid.n_nodes))
     assert np.max(np.abs(apply(M, u))) == 0.0
 
 
@@ -117,8 +117,8 @@ def test_weight_mirror_symmetry(alpha):
         for exterior in (Zero(), PowerTail(0.0, -1.25), PowerTail(-0.4, 1.3)):
             M = assemble(alpha, grid, exterior)
             u = rng.normal(size=grid.n_nodes)
-            out = apply(M, GridFunction(grid, u, exterior))
-            mirrored = apply(M, GridFunction(grid, u[::-1], exterior))
+            out = apply(M, GridFunction(grid, u))
+            mirrored = apply(M, GridFunction(grid, u[::-1]))
             assert np.array_equal(mirrored, out[::-1]), grid.nodes
 
 
@@ -130,7 +130,7 @@ def test_apply_maps_an_even_function_to_an_exactly_even_one(alpha, exterior):
     u = np.abs(grid.nodes) ** -0.5
     assert np.array_equal(u, u[::-1])
     out = apply(assemble(alpha, grid, exterior),
-                GridFunction(grid, u, exterior))
+                GridFunction(grid, u))
     assert np.array_equal(out, out[::-1])
 
 
@@ -508,14 +508,27 @@ def test_assemble_validation():
         assemble(0.25, grid, PowerTail(0.7))
 
 
-def test_apply_grid_and_exterior_mismatch():
+def test_assemble_refuses_orders_without_headroom():
+    # the diagonal grows like 1/alpha: below 2**-960 the operator applied
+    # to the comparison data overflowed (apply warned at alpha = 1e-302,
+    # n_per_side 512), and below about 5.6e-309 the kernel mass itself did
+    grid = build_graded(512, 2.4)
+    for alpha in (5e-324, 1e-302, 2.0 ** -961):
+        with pytest.raises(BadConfig, match="below 2\\*\\*-960"):
+            assemble(alpha, grid, Zero())
+    M = assemble(2.0 ** -960, grid, Zero())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply(M, GridFunction(grid, distance_D(grid.nodes) ** -0.999))
+    assert np.all(np.isfinite(out)) and np.max(np.abs(out)) < 2.0 ** 1000
+
+
+def test_apply_grid_mismatch():
     grid = build_graded(32, 2.0)
     other = build_graded(32, 2.5)
     M = assemble(0.5, grid, Zero())
     with pytest.raises(GridMismatch):
-        apply(M, GridFunction(other, np.zeros(other.n_nodes), Zero()))
-    with pytest.raises(GridMismatch):
-        apply(M, GridFunction(grid, np.zeros(grid.n_nodes), PowerTail(0.0)))
+        apply(M, GridFunction(other, np.zeros(other.n_nodes)))
 
 
 def test_operator_matrix_fields():

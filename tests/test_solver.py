@@ -45,8 +45,6 @@ def test_default_pair_is_ordered_and_positive(alpha, p):
     sub, sup, _ = _pair_and_spec(alpha, p)
     assert np.all(sub.values > 0.0)
     assert np.all(sub.values <= sup.values)
-    assert isinstance(sub.exterior, Zero)
-    assert isinstance(sup.exterior, Zero)
 
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
@@ -105,7 +103,7 @@ def test_scaling_up_sub_breaks_inequality_near_core(alpha, p):
     matrix = assemble(alpha, GRID, Zero())
     core = core_mask(GRID)
     for factor in (2.0, 4.0, 8.0, 16.0, 32.0):
-        big = GridFunction(GRID, factor * sub.values, Zero())
+        big = GridFunction(GRID, factor * sub.values)
         res = apply(matrix, big) + big.values ** p
         tol = 1e-8 * (np.abs(apply(matrix, big)) + big.values ** p + 1.0)
         if np.any(res[core] > tol[core]):
@@ -139,15 +137,11 @@ def test_problem_spec_validation():
     with pytest.raises(GridMismatch):
         ProblemSpec(assemble(0.5, other, Zero()), 3.0, sub, sup)
 
-    bad_ext = GridFunction(GRID, sup.values, PowerTail(0.0))
-    with pytest.raises(BadConfig):
-        ProblemSpec(matrix, 3.0, sub, bad_ext)
-
     with pytest.raises(BadConfig):
         ProblemSpec(matrix, 3.0, sup, sub)  # reversed ordering
 
-    flat = GridFunction(GRID, np.full(GRID.n_nodes, 0.5), Zero())
-    big = GridFunction(GRID, np.full(GRID.n_nodes, 1.0), Zero())
+    flat = GridFunction(GRID, np.full(GRID.n_nodes, 0.5))
+    big = GridFunction(GRID, np.full(GRID.n_nodes, 1.0))
     with pytest.raises(BadConfig):
         ProblemSpec(matrix, 3.0, flat, big)  # no blow-up at the core
 
@@ -164,8 +158,8 @@ def test_problem_spec_needs_mirror_symmetric_grid():
     grid = Grid(nodes=np.array([-0.99, -0.41, -0.4, -0.001,
                                 0.001, 0.4, 0.41, 0.99]),
                 grading_exponent=1.0, n_per_side=1, delta=0.25)
-    sub = GridFunction(grid, np.full(grid.n_nodes, 20.0), Zero())
-    sup = GridFunction(grid, np.full(grid.n_nodes, 30.0), Zero())
+    sub = GridFunction(grid, np.full(grid.n_nodes, 20.0))
+    sup = GridFunction(grid, np.full(grid.n_nodes, 30.0))
     spec = ProblemSpec(assemble(0.5, grid, Zero()), 3.0, sub, sup)
     assert spec.grid.same_as(grid)
 
@@ -178,11 +172,10 @@ def test_problem_spec_needs_even_bounds():
     lopsided[0] *= 0.5
     with pytest.raises(BadConfig, match="exactly even"):
         ProblemSpec(spec.matrix, 3.0,
-                    GridFunction(GRID, lopsided, Zero()), sup)
+                    GridFunction(GRID, lopsided), sup)
     with pytest.raises(BadConfig, match="exactly even"):
         ProblemSpec(spec.matrix, 3.0, sub,
-                    GridFunction(GRID, sup.values * (1.0 + 1e-9 * GRID.nodes),
-                                 Zero()))
+                    GridFunction(GRID, sup.values * (1.0 + 1e-9 * GRID.nodes)))
 
 
 def test_problem_spec_rejects_nonzero_exterior_operator():
@@ -346,8 +339,8 @@ def test_solve_blowup_validation():
     inner = Grid(nodes=np.array([-0.2, 0.2]), grading_exponent=1.0,
                  n_per_side=1, delta=0.25)
     inner_spec = ProblemSpec(assemble(0.5, inner, Zero()), 3.0,
-                             GridFunction(inner, np.full(2, 20.0), Zero()),
-                             GridFunction(inner, np.full(2, 30.0), Zero()))
+                             GridFunction(inner, np.full(2, 20.0)),
+                             GridFunction(inner, np.full(2, 30.0)))
     with pytest.raises(BadConfig, match="no active nodes"):
         solve_blowup(inner_spec, 4)
     single = solve_blowup(spec, 64)  # one level, from the sub-solution
