@@ -29,7 +29,16 @@ to dot-product rounding.
 
 Rows are assembled in blocks, as (rows x pieces) arrays, and each is bit
 for bit the row a one-row-at-a-time evaluation gives: every sum keeps
-that evaluation's terms, lengths and order.
+that evaluation's terms, lengths and order.  A block makes few full-size
+array passes and allocates few temporaries: one table of distances from
+its nodes to every breakpoint, whose two column views are the distances
+to the pieces' a- and b-ends; the near and far ends copied from it by
+slice, with min/max only on the pieces between the block's first and
+last node; the kernel moments, computed in place over those two copies;
+the piece weights, formed in the buffers the moments free, with the
+pieces the self panel empties zeroed through one mask; and the kept
+sums, one compress per weight array when every row of the block keeps
+as many pieces, as nearly all do.
 """
 
 from __future__ import annotations
@@ -96,21 +105,38 @@ def _kernel_moments(A, B, alpha):
     L = log(B/A) = log1p((B-A)/A) as A^e expm1(e L)/e: the plain
     difference quotient loses digits for narrow pieces (B ~ A) and, in
     J1, as e -> 0 next to a = 1/2.  J1 uses exprel(x) = expm1(x)/x, taken
-    as its limit 1 where x = 0, so at a = 1/2 it is log(B/A) with no
-    branch on alpha."""
+    as its limit 1 where x = 0, so at a = 1/2 (where x = 0 everywhere)
+    it is log(B/A) with no branch on alpha.
+
+    A and B must be C-contiguous float arrays of one shape; both are
+    overwritten (they end as scratch), and J0 and J1 are two new arrays.
+    Every step runs in place on contiguous buffers, in the order of the
+    formulas above, so each element has the bits of the plain
+    expressions."""
     twoa = 2.0 * alpha
-    log_ratio = np.log1p((B - A) / A)
+    log_ratio = np.subtract(B, A, out=B)
+    log_ratio /= A
+    np.log1p(log_ratio, out=log_ratio)
     power = A ** -twoa
-    J0 = power * np.expm1(-twoa * log_ratio) / -twoa
-    x = (1.0 - twoa) * log_ratio
-    exprel = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-    J1 = power * A * log_ratio * exprel
+    J0 = np.multiply(log_ratio, -twoa)
+    np.expm1(J0, out=J0)
+    J0 *= power
+    J0 /= -twoa
+    J1 = np.multiply(power, A, out=power)
+    J1 *= log_ratio
+    x = np.multiply(log_ratio, 1.0 - twoa, out=A)
+    exprel = np.expm1(x, out=log_ratio)
+    with np.errstate(invalid="ignore"):  # 0/0 where x = 0, replaced next
+        exprel /= x
+    exprel[x == 0.0] = 1.0
+    J1 *= exprel
     return J0, J1
 
 
-def _build_pieces(grid: Grid):
-    """Global partition of (-1,1) into linear pieces from pa[k] to pb[k]
-    between consecutive breakpoints -1, left nodes, 0, right nodes, 1.
+def _breakpoints(grid: Grid):
+    """Global partition of (-1,1) into n + 2 linear pieces, piece k from
+    breakpoint k to breakpoint k + 1 of the n + 3 breakpoints -1, left
+    nodes, 0, right nodes, 1.
     The model value on piece k runs linearly from one slot at its a-end
     to one at its b-end: slots k - 1 and k left of 0, k - 2 and k - 1
     right of 0, where slot -1 (at -1 and 1) means the boundary value the
@@ -120,8 +146,7 @@ def _build_pieces(grid: Grid):
     and opens the next one."""
     x = grid.nodes
     h = x.size // 2
-    breaks = np.concatenate(([-1.0], x[:h], [0.0], x[h:], [1.0]))
-    return breaks[:-1], breaks[1:]
+    return np.concatenate(([-1.0], x[:h], [0.0], x[h:], [1.0]))
 
 
 def _kept_sums(keep, *weights):
@@ -130,8 +155,12 @@ def _kept_sums(keep, *weights):
     pairwise grouping follows the length of the summed array, so the kept
     entries are compacted first, one group of rows per kept count."""
     counts = np.count_nonzero(keep, axis=1)
+    groups = np.unique(counts)
+    if groups.size == 1:  # every row keeps as many: one compress each
+        return [w[keep].reshape(keep.shape[0], -1).sum(axis=1)
+                for w in weights]
     sums = np.empty((len(weights), keep.shape[0]))
-    for m in np.unique(counts):
+    for m in groups:
         rows = counts == m
         mask = keep & rows[:, None]
         for s, w in zip(sums, weights):
@@ -146,7 +175,8 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     Only the right-half rows are computed and stored; the grid is
     mirror-symmetric, so the left half is their reflection.  They are
     evaluated _BLOCK_ROWS at a time as (rows x pieces) arrays, bit for
-    bit what one row at a time gives.  Each row adds its piece weights
+    bit what one row at a time gives, each block in a few full-size
+    passes (see the module docstring).  Each row adds its piece weights
     into n + 1 slots whose last entry collects the weight on the
     boundary value E the exterior implies (slot -1).  Plain sums
     suffice: every diagonal term is positive and every correction term
@@ -168,18 +198,19 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     n = x.size
     h = n // 2
     twoa = 2.0 * alpha
-    pa, pb = _build_pieces(grid)
+    breaks = _breakpoints(grid)
+    pa, pb = breaks[:-1], breaks[1:]
     # self-panel radius: free of other nodes, clear of 0 and of +-1
     radii = np.minimum(grid.local_spacing(),
                        np.minimum(np.abs(x) / 2.0, (1.0 - np.abs(x)) / 2.0))
     E = 0.0 if isinstance(exterior, Zero) else float(exterior.amplitude)
 
-    # per-row scalars: numpy's array power rounds differently from the
-    # scalar one, so these stay scalar; the exterior tail is scalar too
+    # per-row scalars: numpy's array power rounds differently from libm's
+    # pow, so these are Python floats; the exterior tail is scalar too
     mass = np.empty(n - h)
     c_self = np.empty(n - h)
     gap_sum = np.zeros(n - h)
-    for j, (xi, r) in enumerate(zip(x[h:], radii[h:])):
+    for j, (xi, r) in enumerate(zip(x[h:].tolist(), radii[h:].tolist())):
         mass[j] = ((1.0 - xi) ** (-twoa) + (1.0 + xi) ** (-twoa)) / twoa
         c_self[j] = r ** (-twoa) / (2.0 - twoa)
         if isinstance(exterior, PowerTail):
@@ -190,20 +221,36 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     corr = np.empty(n - h)
     full = pb - pa > 1e-300
     for lo in range(h, n, _BLOCK_ROWS):
-        i = np.arange(lo, min(lo + _BLOCK_ROWS, n))
+        hi = min(lo + _BLOCK_ROWS, n)
+        i = np.arange(lo, hi)
         j = i - h
         t = np.arange(i.size)
-        xi = x[i]
-        r = radii[i]
+        xi = x[lo:hi]
+        r = radii[lo:hi]
         close = i + 1   # the piece ending at x_i; close + 1 opens there
 
+        # one distance table: piece k's ends lie at columns k and k + 1.
+        # Pieces up to close lie left of x_i (near end b), the rest right
+        # of it (near end a), and fl(a - b) = -fl(b - a), so min/max is
+        # needed only on the pieces between the block's first and last
+        # node; the moments get contiguous copies
+        dist = np.subtract(breaks, xi[:, None])
+        np.abs(dist, out=dist)
+        to_a, to_b = dist[:, :-1], dist[:, 1:]
+        near = np.empty_like(to_a)
+        far = np.empty_like(to_a)
+        left, right = lo + 2, hi + 1
+        near[:, :left] = to_b[:, :left]
+        far[:, :left] = to_a[:, :left]
+        np.minimum(to_a[:, left:right], to_b[:, left:right],
+                   out=near[:, left:right])
+        np.maximum(to_a[:, left:right], to_b[:, left:right],
+                   out=far[:, left:right])
+        near[:, right:] = to_a[:, right:]
+        far[:, right:] = to_b[:, right:]
         # trim the self panel out of the two pieces meeting at x_i, but
         # keep the linear model anchored at the ORIGINAL piece endpoints:
         # only the near integration limit moves, not the interpolation line
-        to_a = np.abs(pa - xi[:, None])
-        to_b = np.abs(pb - xi[:, None])
-        near = np.minimum(to_a, to_b)
-        far = np.maximum(to_a, to_b)
         near[t, close] = xi - (xi - r)
         near[t, close + 1] = (xi + r) - xi
         keep = np.repeat(full[None, :], i.size, axis=0)
@@ -211,14 +258,21 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
         keep[t, close + 1] = pb[close + 1] - (xi + r) > 1e-300
 
         J0, J1 = _kernel_moments(near, far, alpha)
-        # weights on the a-end and b-end values of each piece; the signed
-        # width carries the side of x_i, and a dropped piece weighs 0,
-        # which the slot sums add exactly
-        span = to_b - to_a
-        w_a = np.where(keep, (to_b * J0 - J1) / span, 0.0)
-        w_b = np.where(keep, (J1 - to_a * J0) / span, 0.0)
+        # weights on the a-end and b-end values of each piece, formed in
+        # the buffers the moments freed: (to_b J0 - J1) / span and
+        # (J1 - to_a J0) / span.  The signed width carries the side of
+        # x_i, and a dropped piece weighs 0, which the slot sums add exactly
+        span = np.subtract(to_b, to_a, out=near)
+        w_a = np.multiply(to_b, J0, out=far)
+        w_a -= J1
+        w_a /= span
+        w_b = np.subtract(J1, np.multiply(to_a, J0, out=J0), out=J1)
+        w_b /= span
+        drop = ~keep
+        np.copyto(w_a, 0.0, where=drop)
+        np.copyto(w_b, 0.0, where=drop)
 
-        # the slot map of _build_pieces as slices, slot -1 stored at n:
+        # the slot map of _breakpoints as slices, slot -1 stored at n:
         # each slot takes its a-end terms, then its b-end terms, in piece
         # order, as np.add.at over the map would add them
         row = np.zeros((i.size, n + 1))
@@ -251,7 +305,7 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
                 corr[j] -= exterior.amplitude * (mass[j] - gap_sum[j])
 
         row[t, i] += diag
-        W[j] = row[:, :n]
+        W[lo - h:hi - h] = row[:, :n]
 
     if not np.all(np.isfinite(corr)):
         raise BadConfig(

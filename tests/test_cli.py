@@ -310,6 +310,9 @@ def test_solve_nonnegative_core_operator_names_the_grid(tmp_path, capsys):
     assert err.startswith("configuration error: no positive sub-solution "
                           "scale for alpha=0.35, p=3.17")
     assert "delta" in err and "n_per_side" in err
+    assert "at 258 of 290 resolved core nodes" in err
+    assert "at delta=0.25, n_per_side=512;" in err
+    assert "refining the grid adds such nodes, so try a smaller --delta" in err
     assert not (tmp_path / "panel.report.json").exists()
 
 

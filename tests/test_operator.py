@@ -5,6 +5,7 @@ closed-form exterior moments."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -231,6 +232,37 @@ def test_assemble_matches_the_row_by_row_oracle_bit_for_bit(grid, exterior):
         W, corr = assemble_by_rows(alpha, grid, exterior)
         assert np.array_equal(M.rows, W), alpha
         assert np.array_equal(M.correction, corr), alpha
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 10 ** 6])
+@pytest.mark.parametrize("exterior", [Zero(), PowerTail(-0.4, 1.3)])
+def test_assemble_matches_the_oracle_at_every_block_size(block_rows, exterior,
+                                                        monkeypatch):
+    # one-row blocks, partial blocks whose rows keep different piece
+    # counts, and one block holding every right-half row: the near/far
+    # split and the kept sums hold at every block boundary, to the byte
+    monkeypatch.setattr(fracblow.operator, "_BLOCK_ROWS", block_rows)
+    for grid in ORACLE_GRIDS:
+        for alpha in (0.25, 0.5):
+            M = assemble(alpha, grid, exterior)
+            W, corr = assemble_by_rows(alpha, grid, exterior)
+            assert M.rows.tobytes() == W.tobytes(), (grid.n_nodes, alpha)
+            assert M.correction.tobytes() == corr.tobytes(), (grid.n_nodes,
+                                                              alpha)
+
+
+def test_assemble_keeps_its_scratch_small():
+    # the block buffers stay a fixed multiple of one row block: at
+    # n_per_side 512 they peak at about 2.8 MB beside the 4.19 MB of rows
+    grid = build_graded(512, 2.4)
+    assemble(0.5, grid, Zero())
+    tracemalloc.start()
+    try:
+        M = assemble(0.5, grid, Zero())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= M.rows.nbytes + 4.5e6
 
 
 @pytest.mark.parametrize("exterior", [Zero(), PowerTail(-0.4, 1.3)])
