@@ -87,7 +87,7 @@ def _load_config(path):
             config = json.load(fh)
     except OSError as exc:
         raise BadConfig(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise BadConfig(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise BadConfig(f"config file {path} must hold a JSON object")
@@ -180,9 +180,12 @@ def _timestamp_field(payload, no_timestamp):
 def _write_text(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise BadConfig(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _json_text(payload):

@@ -46,7 +46,7 @@ class NoAdmissiblePair(NumericalError):
 
 
 class NewtonStall(NumericalError):
-    """Damped Newton hit its damping floor without reducing the residual."""
+    """Newton did not meet its stop test within its iteration limit."""
 
 
 class MonotoneViolation(NumericalError):

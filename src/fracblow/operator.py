@@ -37,8 +37,8 @@ slice, with min/max only on the pieces between the block's first and
 last node; the kernel moments, computed in place over those two copies;
 the piece weights, formed in the buffers the moments free, with the
 pieces the self panel empties zeroed through one mask; and the kept
-sums, one compress per weight array when every row of the block keeps
-as many pieces, as nearly all do.
+sums, one compress per weight array and kept count, a single one where
+every row of the block keeps as many pieces, as nearly all do.
 """
 
 from __future__ import annotations
@@ -155,12 +155,8 @@ def _kept_sums(keep, *weights):
     pairwise grouping follows the length of the summed array, so the kept
     entries are compacted first, one group of rows per kept count."""
     counts = np.count_nonzero(keep, axis=1)
-    groups = np.unique(counts)
-    if groups.size == 1:  # every row keeps as many: one compress each
-        return [w[keep].reshape(keep.shape[0], -1).sum(axis=1)
-                for w in weights]
     sums = np.empty((len(weights), keep.shape[0]))
-    for m in groups:
+    for m in np.unique(counts):
         rows = counts == m
         mask = keep & rows[:, None]
         for s, w in zip(sums, weights):

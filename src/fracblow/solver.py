@@ -4,14 +4,16 @@ The solver brackets a solution between an ordered sub/super-solution pair
 built from the comparison profiles, then solves the collocation system
 once, on the domain that excludes the neighbourhood {D <= 1/level} of the
 singular point (nodes inside the excluded core stay frozen at the
-sub-solution), by damped Newton started from the sub-solution.  One level
-suffices: the assembled weights form a Z-matrix with positive row sums,
-so u -> W u + |u|^(p-1) u is an M-function (Ortega and Rheinboldt,
-*Iterative Solution of Nonlinear Equations*, 1970) and the system has
-exactly one solution for its frozen core data.  The result is audited
-for ordering against the pair and for not falling below the
-sub-solution.  Every step works with one assembled operator, the one the
-problem carries.
+sub-solution), by Newton with full steps started from the sub-solution.
+One level and no line search suffice: the assembled weights form a
+Z-matrix with positive row sums, so F(u) = W u + |u|^(p-1) u is a convex
+M-function on u > 0 (Ortega and Rheinboldt, *Iterative Solution of
+Nonlinear Equations*, 1970, ch. 13), with exactly one solution for its
+frozen core data, which Newton from a sub-solution reaches monotonically:
+the first full step lands above it and the iterates then fall.  The
+result is audited for ordering against the pair and for not falling
+below the sub-solution.  Every step works with one assembled operator,
+the one the problem carries.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ _BLOWUP_THRESHOLD = 10.0
 
 # Newton controls.
 _NEWTON_RTOL = 1e-9
-_DAMPING_FLOOR = 2.0 ** -20
 _MAX_ITER = 60
 
 # Audit slacks: the fine slack feeds the ordering/monotonicity report
@@ -240,16 +241,17 @@ def _even_residual(matrix: OperatorMatrix, p: float, k: int,
 
 def _newton(matrix: OperatorMatrix, p: float, start: np.ndarray, k: int,
             ) -> tuple[np.ndarray, int, float, float]:
-    """Damped Newton for  operator(u) + |u|^(p-1) u = 0  on the band of
+    """Newton for  operator(u) + |u|^(p-1) u = 0  on the band of
     right-half nodes h + k, ..., n - 1 and their mirrors, started from the
     even vector ``start``, which also holds the frozen core data off the
     band.  Returns (values, iters, residual_inf, tolerance), the sides of
     the stop test that ended it.
 
-    Every iterate stays even: each step solves the half system of
-    ``even_block(matrix, k)``, folded once, with the Jacobian diagonal
-    added, and applies the step to the band's right half and, reversed,
-    to its mirror."""
+    Every step is taken in full (the system is a convex M-function; see
+    the module docstring) and every iterate stays even: each step solves
+    the half system of ``even_block(matrix, k)``, folded once, with the
+    Jacobian diagonal added, and is added to the band's right half and,
+    reversed, to its mirror."""
     h = matrix.rows.shape[0]
     u = start.copy()
     block = even_block(matrix, k)
@@ -267,20 +269,9 @@ def _newton(matrix: OperatorMatrix, p: float, start: np.ndarray, k: int,
             raise SingularSystem(
                 f"Newton Jacobian singular with {2 * (h - k)} active "
                 f"nodes") from exc
-        damping = 1.0
-        while damping >= _DAMPING_FLOOR:
-            trial = u.copy()
-            trial[h + k:] += damping * step
-            trial[:h - k] += damping * step[::-1]
-            trial_res = _even_residual(matrix, p, k, trial)
-            if np.max(np.abs(trial_res)) <= (1.0 - 0.25 * damping) * norm:
-                u, res = trial, trial_res
-                break
-            damping *= 0.5
-        else:
-            raise NewtonStall(
-                f"damping floor reached with residual {norm:.3e} "
-                f"after {iteration} iterations")
+        u[h + k:] += step
+        u[:h - k] += step[::-1]
+        res = _even_residual(matrix, p, k, u)
     raise NewtonStall(
         f"no convergence in {_MAX_ITER} iterations "
         f"(residual {np.max(np.abs(res)):.3e})")

@@ -49,7 +49,7 @@ SUB_HALF = [(alpha, where) for alpha in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3,
 
 # (alpha, where) -> the error the case raises today
 KNOWN = {
-    # damped Newton reaches its floor at the rounding level (ROADMAP item 1)
+    # the stop test cannot be met at the rounding level (ROADMAP item 1)
     (0.55, 0.2): NewtonStall,
     **{(alpha, where): NewtonStall for alpha in (0.7, 0.9)
        for where in (0.2, 1.0, 1.8)},

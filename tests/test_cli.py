@@ -555,6 +555,34 @@ def test_config_errors(tmp_path):
     assert main(["classify", "--config", str(not_json)]) == EXIT_CONFIG
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # a UTF-16 byte-order mark does not decode as UTF-8
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe" + '{"alpha": 0.5}'.encode("utf-16-le"))
+    assert main(["classify", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"configuration error: config file {cfg} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["specfun", "--alpha", "0.3", "--tau=-0.5"],
+    ["critical", "--alpha", "0.3"],
+    ["classify", "--alpha", "0.5", "--p", "3"],
+    ["solve", "--alpha", "0.5", "--p", "3", "--n-per-side", "128"],
+    ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4",
+     "--n-per-side", "128"],
+], ids=["specfun", "critical", "classify", "solve", "audit"])
+def test_unwritable_out_is_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"configuration error: cannot write output {out}"), captured.err
+
+
 @pytest.mark.parametrize("argv,config,flag", [
     (["classify", "--alpha", "0.5", "--p", "x"], None, "--p"),
     (["solve", "--alpha", "abc", "--p", "3"], None, "--alpha"),

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from fracblow.errors import BadConfig, GridMismatch, RegimeError
+import fracblow.solver
+from fracblow.errors import BadConfig, GridMismatch, NewtonStall, RegimeError
 from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero, build_graded,
                            distance_D)
 from fracblow.operator import apply, assemble
@@ -356,6 +357,51 @@ def test_criterion_6_anchors_solve_in_few_newton_steps(alpha, p):
     report = solve_blowup(spec, 2 ** 20)
     assert report.converged
     assert report.newton_iters[0] <= 12
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
+def test_full_newton_steps_contract_the_residual_on_the_anchors(
+        alpha, p, monkeypatch):
+    # the system is a convex M-function, so Newton from the sub-solution
+    # needs no line search: on the acceptance anchors the first full step
+    # raises every band node, and every step lowers max|F| to at most 3/4
+    # of its previous value, the decrease the deleted search demanded
+    _, _, spec = _pair_and_spec(alpha, p, build_graded(512, 2.4))
+    iterates, norms = [], []
+
+    def recorded(matrix, p, k, u):
+        res = _even_residual(matrix, p, k, u)
+        iterates.append(u[matrix.rows.shape[0] + k:].copy())
+        norms.append(float(np.max(np.abs(res))))
+        return res
+
+    monkeypatch.setattr(fracblow.solver, "_even_residual", recorded)
+    report = solve_blowup(spec, 2 ** 20)
+    assert report.converged
+    assert len(norms) == report.newton_iters[0] + 1
+    assert np.all(iterates[1] > iterates[0])
+    assert all(after <= 0.75 * before
+               for before, after in zip(norms, norms[1:])), norms
+
+
+def test_newton_without_a_reachable_stop_ends_in_one_stall(monkeypatch):
+    # with a stop test that cannot be met, Newton keeps taking full steps,
+    # one half-size LU per loop pass, and stalls only at its iteration
+    # limit
+    grid = build_graded(128, 2.4)
+    _, _, spec = _pair_and_spec(0.5, 3.0, grid)
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(fracblow.solver, "_NEWTON_RTOL", 0.0)
+    with pytest.raises(NewtonStall, match="no convergence in "):
+        solve_blowup(spec, 4096)
+    assert len(calls) == fracblow.solver._MAX_ITER + 1
 
 
 def test_solve_blowup_rate_recovery():
