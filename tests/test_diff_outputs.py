@@ -86,11 +86,46 @@ def test_differing_fields_are_named(tmp_path, capsys):
                          "    report.json:line[1]: '{\"report\": {\"converged\": true}}' -> '<missing>'"]
     summary = solve[4:]
     assert summary[0] == "audit seeds 0-1: 4 operations, 0 identical, 4 differ"
-    assert summary[1:] == ["    profile.csv:line: 2 operations",
-                           "    rc: 1 operations",
-                           "    report.json:line: 1 operations",
-                           "    stderr:line: 1 operations",
-                           "    stdout:audit.worst_margins: 2 operations"]
+    assert summary[1:6] == ["    profile.csv:line: 2 operations",
+                            "    rc: 1 operations",
+                            "    report.json:line: 1 operations",
+                            "    stderr:line: 1 operations",
+                            "    stdout:audit.worst_margins: 2 operations"]
+    # the numeric JSON field and the CSV column that moved, by how much;
+    # the CSV of the failed solve is missing, so it adds no size
+    assert summary[6:] == ["largest relative differences:",
+                           "    profile.csv:u: 0.25",
+                           "    stdout:audit.worst_margins: 0.25"]
+
+
+def test_relative_differences_of_numbers_only():
+    assert diff_outputs.relative(2.0, 2.5) == 0.25
+    assert diff_outputs.relative(-4, -3) == 0.25
+    assert diff_outputs.relative(0.0, 1e-300) == float("inf")
+    assert diff_outputs.relative(float("inf"), float("inf")) == 0.0
+    for x, y in ((True, False), ("1", "2"), (None, 1.0), ([1.0], [2.0])):
+        assert diff_outputs.relative(x, y) is None
+
+
+def test_column_sizes_of_same_shape_numeric_csvs():
+    parent = "x,u,tag\n0.5,2.0,a\n0.25,8.0,b\n0.125,1.0,c\n"
+    change = "x,u,tag\n0.5,2.5,a\n0.25,7.0,d\n0.125,1.0,c\n"
+    # the largest over the rows of each numeric column that differs; the
+    # unchanged x and the text column tag give no size
+    assert diff_outputs.column_sizes("p.csv", parent, change) == {"p.csv:u": 0.25}
+    assert diff_outputs.column_sizes("p.csv", parent, parent) == {}
+    # another shape or header gives no sizes
+    for other in ("x,u,tag\n0.5,2.5,a\n",
+                  "x,v,tag\n0.5,2.5,a\n0.25,8.0,b\n0.125,1.0,c\n",
+                  "x,u\n0.5,2.5\n0.25,7.0\n0.125,1.0\n", ""):
+        assert diff_outputs.column_sizes("p.csv", parent, other) == {}
+
+
+def test_sizes_take_the_largest_over_list_entries():
+    found = [("stdout:a[0]", 1.0, 1.5), ("stdout:a[1]", 4.0, 2.0),
+             ("stdout:b", "x", "y"), ("rc", 0, 3)]
+    outcome = {"files": {}}
+    assert diff_outputs.op_sizes(outcome, outcome, found) == {"stdout:a": 0.5}
 
 
 def test_seed_ranges():

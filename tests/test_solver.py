@@ -1,6 +1,7 @@
 """Tests for the sub/super-solution search and the one-level solver."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fracblow.solver import (
     ProblemSpec,
     _even_residual,
     _newton,
+    _stretched_start,
     default_sub_super,
     require_unique_existence,
     solve_blowup,
@@ -351,12 +353,12 @@ def test_solve_blowup_validation():
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
 def test_criterion_6_anchors_solve_in_few_newton_steps(alpha, p):
-    # the one-level solve from the sub-solution needs no continuation:
-    # 4-10 steps on the acceptance anchors at their settings
+    # the one-level solve from the stretched sub-solution needs no
+    # continuation: 4-5 steps on the acceptance anchors at their settings
     _, _, spec = _pair_and_spec(alpha, p, build_graded(512, 2.4))
     report = solve_blowup(spec, 2 ** 20)
     assert report.converged
-    assert report.newton_iters[0] <= 12
+    assert report.newton_iters[0] <= 6
 
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
@@ -386,22 +388,158 @@ def test_full_newton_steps_contract_the_residual_on_the_anchors(
 
 def test_newton_without_a_reachable_stop_ends_in_one_stall(monkeypatch):
     # with a stop test that cannot be met, Newton keeps taking full steps,
-    # one half-size LU per loop pass, and stalls only at its iteration
-    # limit
+    # one half-size LU per loop pass, and stalls at its iteration limit:
+    # _MAX_ITER steps, each followed by a stop test, and the message
+    # quotes the residual of the last test
     grid = build_graded(128, 2.4)
     _, _, spec = _pair_and_spec(0.5, 3.0, grid)
-    calls = []
+    calls, norms = [], []
     solve = np.linalg.solve
 
     def counted(a, b):
         calls.append(a.shape)
         return solve(a, b)
 
+    def recorded(matrix, p, k, u):
+        res = _even_residual(matrix, p, k, u)
+        norms.append(float(np.max(np.abs(res))))
+        return res
+
     monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(fracblow.solver, "_even_residual", recorded)
     monkeypatch.setattr(fracblow.solver, "_NEWTON_RTOL", 0.0)
-    with pytest.raises(NewtonStall, match="no convergence in "):
+    with pytest.raises(NewtonStall, match="no convergence in ") as stall:
         solve_blowup(spec, 4096)
-    assert len(calls) == fracblow.solver._MAX_ITER + 1
+    assert len(calls) == fracblow.solver._MAX_ITER
+    assert len(norms) == fracblow.solver._MAX_ITER + 1
+    assert f"(residual {norms[-1]:.3e})" in str(stall.value)
+
+
+# ---------------------------------------------------------------------------
+# Newton's start: the sub-solution stretched on the band.
+
+
+# census case (0.45, 10%): p 10% of the way through the window (1.9, 10)
+CENSUS_P = 1.0 + 2.0 * 0.45 + 0.1 * (1.0 - 0.9 / (0.9 - 1.0) - 1.9)
+STRETCHED = [(0.5, 3.0), (0.25, 1.75), (0.45, CENSUS_P)]
+
+
+def _band(grid, level):
+    """k and the mask of the band {D > 1/level} of ``level``."""
+    h = grid.n_nodes // 2
+    k = int(np.count_nonzero(grid.nodes[h:] <= 1.0 / level))
+    band = np.zeros(grid.n_nodes, dtype=bool)
+    band[h + k:] = band[:h - k] = True
+    return k, band
+
+
+@pytest.mark.parametrize("alpha,p", STRETCHED)
+@pytest.mark.parametrize("level", [2 ** 10, 2 ** 20])
+def test_start_stretches_the_band_by_one_factor_in_1_to_2(alpha, p, level):
+    # the start is the sub-solution with its band multiplied by one c in
+    # [1, 2] and the excluded core left at the sub; it stays exactly even.
+    # At level 2**20, the level of every benchmark solve, c > 1; at 2**10
+    # the zeroed core leaves operator >= 0 at band core nodes next to the
+    # cut, so c = 1
+    grid = build_graded(512, 2.4)
+    sub, _, spec = _pair_and_spec(alpha, p, grid)
+    k, band = _band(grid, level)
+    start = _stretched_start(spec, k)
+    ratio = start[band] / sub.values[band]
+    assert 1.0 <= ratio.min() and ratio.max() <= 2.0
+    assert (ratio.min() > 1.0) == (level == 2 ** 20)
+    assert np.ptp(ratio) <= 1e-15
+    assert np.array_equal(start[~band], sub.values[~band])
+    assert np.array_equal(start, start[::-1])
+
+
+@pytest.mark.parametrize("alpha,p", STRETCHED)
+@pytest.mark.parametrize("level", [2 ** 10, 2 ** 20])
+def test_stretched_start_is_a_sub_solution_on_the_core(alpha, p, level):
+    # residual operator(u) + u**p <= 0 at every resolved core node, in the
+    # band and in the excluded core alike, up to rounding
+    grid = build_graded(512, 2.4)
+    sub, _, spec = _pair_and_spec(alpha, p, grid)
+    k, _ = _band(grid, level)
+    start = _stretched_start(spec, k)
+    applied = apply(spec.matrix, GridFunction(grid, start))
+    core = core_mask(grid)
+    residual = (applied + start ** p)[core]
+    size = (np.abs(applied) + start ** p + 1.0)[core]
+    assert np.all(residual <= 1e-12 * size)
+
+
+def test_start_stretch_is_capped_at_2():
+    # at (0.15, 1.3129), the benchmark panel's case, the core bound allows
+    # c near 900, which lifts the start far above the solution outside
+    # the matching radius: uncapped, Newton takes 7 steps; capped, 4
+    grid = build_graded(512, 2.4)
+    sub, _, spec = _pair_and_spec(0.15, 1.3129, grid)
+    k, band = _band(grid, 2 ** 20)
+    start = _stretched_start(spec, k)
+    assert np.array_equal(start[band], 2.0 * sub.values[band])
+    assert solve_blowup(spec, 2 ** 20).newton_iters[0] <= 4
+
+
+def test_start_is_the_sub_where_a_core_node_has_nonnegative_operator():
+    # a spike at one resolved core node pair makes operator(sub) >= 0
+    # there, which leaves no stretch: the start is the sub-solution
+    sub, sup, spec = _pair_and_spec(0.5, 3.0)
+    k, _ = _band(GRID, 2 ** 20)
+    assert _stretched_start(spec, k)[-1] > sub.values[-1]
+    h = GRID.n_nodes // 2
+    i = h + np.flatnonzero(core_mask(GRID)[h:])[10]
+    spiked = sub.values.copy()
+    spiked[[i, GRID.n_nodes - 1 - i]] *= 8.0
+    spiked_spec = ProblemSpec(spec.matrix, 3.0, GridFunction(GRID, spiked),
+                              GridFunction(GRID, 8.0 * sup.values))
+    assert apply(spec.matrix, spiked_spec.sub)[i] >= 0.0
+    assert np.array_equal(_stretched_start(spiked_spec, k),
+                          spiked)
+
+
+def test_start_is_the_sub_without_resolved_core_nodes():
+    # a hand-made grid with no resolved node inside the matching radius
+    # has no core bound: the start is the sub-solution and the solve runs
+    grid = Grid(nodes=np.array([-0.6, -0.2, 0.2, 0.6]), grading_exponent=1.0,
+                n_per_side=2, delta=0.25)
+    spec = ProblemSpec(assemble(0.5, grid, Zero()), 3.0,
+                       GridFunction(grid, np.array([0.1, 20.0, 20.0, 0.1])),
+                       GridFunction(grid, np.full(4, 30.0)))
+    with pytest.raises(BadConfig, match="no resolved nodes"):
+        core_mask(grid)
+    assert np.array_equal(_stretched_start(spec, 1), spec.sub.values)
+    assert solve_blowup(spec, 4).levels == [4]
+
+
+def test_start_stretch_ignores_an_overflowing_power():
+    # sub**p overflows on the whole core: the bound (-a / sub**p) is 0 and
+    # the start is the sub-solution, without a RuntimeWarning
+    sub, sup, spec = _pair_and_spec(0.5, 3.0)
+    big = 2.0 ** 600
+    huge = ProblemSpec(spec.matrix, 3.0, GridFunction(GRID, big * sub.values),
+                       GridFunction(GRID, big * sup.values))
+    k, _ = _band(GRID, 2 ** 20)
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(huge.sub.values[core_mask(GRID)] ** 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = _stretched_start(huge, k)
+    assert np.array_equal(start, huge.sub.values)
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
+def test_stretched_and_plain_starts_reach_the_same_solution(alpha, p):
+    # the stretch leaves the system and its one solution alone: on the
+    # criterion-6 anchors the band values agree within the stop test's
+    # reach, and the excluded core is the sub-solution's in both
+    grid = build_graded(512, 2.4)
+    sub, _, spec = _pair_and_spec(alpha, p, grid)
+    k, band = _band(grid, 2 ** 20)
+    plain = _newton(spec.matrix, p, sub.values, k)[0]
+    stretched = solve_blowup(spec, 2 ** 20).final.values
+    assert np.max(np.abs(stretched - plain)[band] / plain[band]) <= 1e-7
+    assert np.array_equal(stretched[~band], plain[~band])
 
 
 def test_solve_blowup_rate_recovery():

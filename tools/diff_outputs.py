@@ -16,13 +16,20 @@ operation that differs, naming the JSON fields that differ where the
 output is JSON and the first differing line otherwise, then a summary:
 the operations compared, identical and differing, and per differing
 field (list indices dropped) the number of operations it differs in.
+Last comes the largest relative difference |change - parent| / |parent|
+of every differing numeric JSON field (list indices dropped) and of
+every differing column of a CSV file whose two versions have the same
+header and shape and numbers in that column.
 Exit status 0 when every operation is identical, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -67,6 +74,7 @@ json.dump(outcomes, sys.stdout)
 """
 
 MISSING = "<missing>"
+INDEX = re.compile(r"\[\d+\]")      # list indices, dropped from field names
 
 
 def parse_args(argv):
@@ -147,6 +155,55 @@ def op_diffs(parent: dict, change: dict) -> list:
     return found
 
 
+def relative(x, y) -> float | None:
+    """|y - x| / |x|, infinite for x = 0; None unless both are numbers."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (x, y)):
+        return None
+    if x == y:
+        return 0.0
+    return abs(y - x) / abs(x) if x else math.inf
+
+
+def column_sizes(name: str, a: str, b: str) -> dict:
+    """Largest relative difference per differing numeric column of two
+    CSV texts with the same header and shape; {} for any other pair."""
+    rows_a = list(csv.reader(io.StringIO(a)))
+    rows_b = list(csv.reader(io.StringIO(b)))
+    if (not rows_a or len(rows_a) != len(rows_b) or rows_a[0] != rows_b[0]
+            or any(len(row) != len(rows_a[0]) for row in rows_a + rows_b)):
+        return {}
+    sizes = {}
+    for j, column in enumerate(rows_a[0]):
+        try:
+            pairs = [(float(x[j]), float(y[j]))
+                     for x, y in zip(rows_a[1:], rows_b[1:])]
+        except ValueError:
+            continue
+        differing = [relative(x, y) for x, y in pairs if x != y]
+        if differing:
+            sizes[f"{name}:{column}"] = max(differing)
+    return sizes
+
+
+def op_sizes(parent: dict, change: dict, found: list) -> dict:
+    """Largest relative difference per numeric output field (list
+    indices dropped) of ``found``, the differences of two outcomes, and
+    per differing column of their CSV files; the exit code is no output
+    field."""
+    sizes = {}
+    for name, x, y in found:
+        size = relative(x, y)
+        if size is not None and name != "rc":
+            key = INDEX.sub("", name)
+            sizes[key] = max(size, sizes.get(key, 0.0))
+    for suffix in set(parent["files"]) & set(change["files"]):
+        if suffix.endswith(".csv"):
+            sizes.update(column_sizes(suffix, parent["files"][suffix],
+                                      change["files"][suffix]))
+    return sizes
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -155,6 +212,7 @@ def main(argv=None) -> int:
 
     compared = differing = 0
     fields = Counter()
+    largest = {}
     for seed in args.seeds:
         runs = {side: run_ops(root, args.workload, seed, seconds)
                 for side, root in roots.items()}
@@ -174,12 +232,18 @@ def main(argv=None) -> int:
             print(f"seed {seed} op {k}: {' '.join(parent['argv'])}")
             for name, x, y in found:
                 print(f"    {name}: {x!r} -> {y!r}")
-            fields.update({re.sub(r"\[\d+\]", "", name) for name, _, _ in found})
+            fields.update({INDEX.sub("", name) for name, _, _ in found})
+            for key, size in op_sizes(parent, change, found).items():
+                largest[key] = max(size, largest.get(key, 0.0))
     print(f"{args.workload} seeds {args.seeds.start}-{args.seeds.stop - 1}: "
           f"{compared} operations, {compared - differing} identical, "
           f"{differing} differ")
     for name, count in sorted(fields.items()):
         print(f"    {name}: {count} operations")
+    if largest:
+        print("largest relative differences:")
+    for name, size in sorted(largest.items()):
+        print(f"    {name}: {size:.3g}")
     return 0 if differing == 0 else 1
 
 
