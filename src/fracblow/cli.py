@@ -2,10 +2,12 @@
 regime classification, blow-up solves, and nonexistence audits.
 
 Output conventions: CSV for per-node or per-cell tables, JSON for
-structured reports.  JSON reports carry a ``timestamp`` field unless
-``--no-timestamp`` is given; with it, identical invocations produce
-byte-identical outputs.  A JSON config file (``--config``) may set any
-parameter; explicit flags override the file.
+structured reports.  A CSV table has a header row, newline line ends
+and every float in its shortest round-trip repr.  JSON reports carry a
+``timestamp`` field unless ``--no-timestamp`` is given; with it,
+identical invocations produce byte-identical outputs.  A JSON config
+file (``--config``) may set any parameter; explicit flags override the
+file.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 regime guard.
@@ -14,13 +16,14 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
 from datetime import datetime, timezone
+from itertools import chain
+
+import numpy as np
 
 from .analysis import audit_nonexistence, require_nonexistence
 from .errors import (
@@ -30,7 +33,7 @@ from .errors import (
     NumericalError,
     RegimeError,
 )
-from .mesh import Zero, build_graded, distance_D
+from .mesh import Zero, build_graded
 from .operator import assemble
 from .solver import (
     ProblemSpec,
@@ -178,18 +181,52 @@ def _timestamp_field(payload, no_timestamp):
 
 
 def _write_text(text, out_path):
+    _write_lines((text,), out_path)
+
+
+def _write_lines(lines, out_path):
+    """Write the strings ``lines`` to ``out_path``, or to stdout without
+    one, one after another as they come."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise BadConfig(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_lines(header, rows):
+    """CSV lines of a header and rows of cells that are already strings,
+    made as they are read: cells joined by commas, each line ended by a
+    newline.  For cells that need no quoting, such as ``float.__repr__``
+    of a float (what ``csv.writer`` writes for a float) or an empty cell
+    beside others, these are the bytes of
+    ``csv.writer(buf, lineterminator="\\n")``."""
+    return map("{}\n".format, map(",".join, chain([header], rows)))
+
+
+def _profile_rows(x, *even):
+    """Rows x, D, *even of ``float.__repr__`` cells of the solve profile,
+    D = |x| the distance to 0.  The profile mirrors about 0 bit for bit:
+    ``Grid`` keeps x odd with a positive right half, and the ``even``
+    columns are even (``ProblemSpec`` holds an even pair and the solve
+    keeps u even).  So only the right half is formatted, the shortest repr
+    being most of the cost of a CSV line: there D's cells are x's, and a
+    left row is its mirror node's row with x negated."""
+    h = x.size // 2
+    cells = list(map(float.__repr__, np.concatenate(
+        [x[h:], *(c[h:] for c in even)]).tolist()))
+    right = [cells[k:k + h] for k in range(0, len(cells), h)]
+    right.insert(1, right[0])
+    left = zip(map("-".__add__, reversed(right[0])),
+               *map(reversed, right[1:]))
+    return chain(left, zip(*right))
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +263,21 @@ def cmd_specfun(ns, config):
             raise BadConfig(f"tau sweep value {t} outside (-1,0]")
     taus = [0.0 if abs(t) <= 1e-12 else t for t in taus]
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["alpha", "tau", "c", "C", "T", "c2"])
-    for a in alphas:
-        t_value = T_alpha(a)
-        for t in taus:
-            c2 = c_second_derivative(a, t) if t < 0.0 else ""
-            writer.writerow([a, t, c_tau(a, t), C_tau(a, t), t_value, c2])
-    _write_text(buffer.getvalue(), out)
+    # Every row is computed before the output is opened.
+    _write_lines(list(_csv_lines(("alpha", "tau", "c", "C", "T", "c2"),
+                                 _sweep_rows(alphas, taus))), out)
     return EXIT_OK
+
+
+def _sweep_rows(alphas, taus):
+    """The specfun sweep's rows of formatted cells, alpha-major."""
+    fmt = float.__repr__
+    for a in alphas:
+        t_value = fmt(T_alpha(a))
+        for t in taus:
+            c2 = fmt(c_second_derivative(a, t)) if t < 0.0 else ""
+            yield (fmt(a), fmt(t), fmt(c_tau(a, t)), fmt(C_tau(a, t)),
+                   t_value, c2)
 
 
 def cmd_critical(ns, config):
@@ -321,14 +363,11 @@ def cmd_solve(ns, config):
     if out is None:
         _write_text(_json_text(payload), None)
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["x", "D", "u", "sub", "super"])
-        columns = (grid.nodes, distance_D(grid.nodes), report.final.values,
-                   sub.values, sup.values)
-        writer.writerows(zip(*(c.tolist() for c in columns)))
+        rows = _profile_rows(grid.nodes, report.final.values, sub.values,
+                             sup.values)
         _write_text(_json_text(payload), f"{out}.report.json")
-        _write_text(buffer.getvalue(), f"{out}.profile.csv")
+        _write_lines(_csv_lines(("x", "D", "u", "sub", "super"), rows),
+                     f"{out}.profile.csv")
     return EXIT_OK
 
 

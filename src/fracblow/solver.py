@@ -128,7 +128,12 @@ class ProblemSpec:
 class SolveReport:
     """Outcome of a solve: final iterate plus the audit flags.  ``levels``,
     ``newton_iters`` and ``active_nodes`` hold one entry, for the one
-    level solved."""
+    level solved.  ``converged`` can only be true: ``solve_blowup``
+    returns only after its Newton stop test passed, and ``residual_inf``
+    and ``tolerance`` are the two sides of that test; a solve that does
+    not meet it raises ``NewtonStall`` instead.  The flag stays in the
+    report until a stop test with a meaning of its own (a certified
+    forward error) replaces it."""
 
     final: GridFunction
     newton_iters: list

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,9 @@ import fracblow.errors
 import fracblow.profiles
 import fracblow.solver
 from fracblow.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_REGIME, main
+from fracblow.mesh import Zero, build_graded, distance_D
+from fracblow.operator import assemble
+from fracblow.solver import ProblemSpec, default_sub_super, solve_blowup
 from fracblow.specfun import T_alpha
 
 # ---------------------------------------------------------------------------
@@ -105,6 +109,42 @@ def test_specfun_sweep_shape_and_identities(tmp_path):
             assert row[5] == ""                 # curvature needs tau < 0
         else:
             assert row[5] != ""
+
+
+def _csv_writer_bytes(path):
+    """The file's cells read back, as floats where not empty, and
+    rendered again by ``csv.writer``."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([float(cell) if cell else cell for cell in row]
+                     for row in rows)
+    return buffer.getvalue().encode()
+
+
+def test_specfun_csv_is_what_csv_writer_writes(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["specfun", "--out", str(out)]) == EXIT_OK  # tau from -0.9 to 0
+    data = out.read_bytes()
+    assert data.count(b",\n") == 9  # the empty c2 cell of each alpha at tau = 0
+    assert _csv_writer_bytes(out) == data
+
+
+def test_csv_lines_match_csv_writer_on_float_reprs():
+    values = [np.float64(0.1), -0.0, math.inf, -math.inf, math.nan, 1e-300]
+    cells = [float.__repr__(v) for v in values]
+    assert cells[:5] == ["0.1", "-0.0", "inf", "-inf", "nan"]
+    assert repr(values[0]) != "0.1"  # numpy's repr names the type
+    header = ("a", "b", "c", "d", "e", "f")
+    rows = [cells, cells[::-1], cells[:5] + [""]]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerows([header, values, values[::-1], values[:5] + [""]])
+    lines = fracblow.cli._csv_lines(header, iter(rows))
+    assert "".join(lines) == buffer.getvalue()
+    assert list(fracblow.cli._csv_lines(header, [])) == ["a,b,c,d,e,f\n"]
 
 
 def test_specfun_rerun_is_byte_identical(tmp_path):
@@ -234,6 +274,32 @@ def test_solve_writes_report_and_profile(tmp_path):
         assert abs(abs(x) - dist) <= 1e-15
         assert float(row[3]) <= float(row[2]) + 1e-9
         assert float(row[2]) <= float(row[4]) + 1e-9
+
+
+def test_solve_profile_is_every_node_as_csv_writer_writes_it(tmp_path):
+    assert main(_solve_args(tmp_path / "run", ["--no-timestamp"])) == EXIT_OK
+    profile = tmp_path / "run.profile.csv"
+    assert _csv_writer_bytes(profile) == profile.read_bytes()
+    grid = build_graded(128, 2.4, 0.25)
+    matrix = assemble(0.5, grid, Zero())
+    sub, sup = default_sub_super(matrix, 3.0)
+    report = solve_blowup(
+        ProblemSpec(matrix=matrix, p=3.0, sub=sub, super=sup), 1024)
+    columns = (grid.nodes, distance_D(grid.nodes), report.final.values,
+               sub.values, sup.values)
+    _, rows = _read_csv(profile)
+    assert rows == [list(map(float.__repr__, row))
+                    for row in zip(*(c.tolist() for c in columns))]
+
+
+def test_profile_rows_read_the_left_half_off_the_right():
+    right = np.array([0.25, 0.5, 0.75])
+    x = np.concatenate((-right[::-1], right))
+    even = [np.concatenate((v[::-1], v)) for v in (
+        np.array([1e-300, np.inf, 3.0]), np.array([0.0, 1.0 / 3.0, np.nan]))]
+    columns = (x, np.abs(x), *even)
+    expected = list(zip(*(map(float.__repr__, c.tolist()) for c in columns)))
+    assert list(fracblow.cli._profile_rows(x, *even)) == expected
 
 
 def test_solve_rerun_byte_identical(tmp_path):
