@@ -15,7 +15,8 @@ from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from .mesh import GridFunction, distance_D
 from .operator import OperatorMatrix
 from .profiles import (MAX_DOUBLINGS, comparison_arrays, comparison_residual,
-                       core_mask, power_of_two_bracket, resolved_mask)
+                       core_mask, power_of_two_bracket, resolved_mask,
+                       solve_torsion)
 from .specfun import Regime, RegimeKind, classify
 
 __all__ = [
@@ -207,7 +208,8 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float,
     zone = _zone_of(alpha, p, tau, regime.tau1)
     sign = -1.0 if zone == 2 else 1.0
 
-    vals, applied, tors = comparison_arrays(matrix, tau)
+    vals, applied = comparison_arrays(matrix, tau)
+    tors = solve_torsion(matrix).values
     checked = resolved_mask(grid)
     if checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")

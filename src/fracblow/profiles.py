@@ -6,11 +6,11 @@ distance to 0), like the squared boundary distance ``d**2`` near the ends
 of the interval, and join the two regimes with a quintic polynomial chosen
 so the whole profile is twice continuously differentiable.  The module
 also provides the discrete torsion function (the grid function the
-assembled operator maps to the constant 1), the residual of the
-comparison functions scale * profile + lift * torsion that both the
-sub/super pair and the nonexistence audits test, from the arrays
-``comparison_arrays`` builds for them, and the power-of-two rounding
-that sizes them.
+assembled operator maps to the constant 1), the arrays
+``comparison_arrays`` builds for the sub/super pair and the
+nonexistence audits, the residual of the comparison functions
+scale * profile + lift * torsion they test (the pair with no lift), and
+the power-of-two rounding that sizes them.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
     """Solve the dense collocation system  operator(v) = 1  for the
     zero-exterior ``matrix``.  The solution is the discrete torsion
     function, with zero exterior: positive inside the interval, vanishing
-    toward the endpoints, and the bounded lift of comparison pairs.
+    toward the endpoints, and the bounded lift of the audits.
 
     The grid is mirror-symmetric, so the right-hand side is even, the
     solve is the half system of ``even_block(matrix)`` and the solution
@@ -214,14 +214,12 @@ def core_mask(grid: Grid) -> np.ndarray:
 
 
 def comparison_arrays(matrix: OperatorMatrix, tau: float,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays (V, W V, T) every comparison function is tested from:
-    the values of the profile with core exponent ``tau`` and the grid's
-    matching radius, their operator values under the zero-exterior
-    ``matrix``, and the torsion values."""
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays (V, W V) of the pair's sub-solution and the audits: the
+    values of the profile with core exponent ``tau`` and the grid's
+    matching radius, and their operator values under ``matrix``."""
     profile = sample_profile(build_v_tau(tau, matrix.grid.delta), matrix.grid)
-    torsion = solve_torsion(matrix).values
-    return profile.values, apply(matrix, profile), torsion
+    return profile.values, apply(matrix, profile)
 
 
 def comparison_residual(applied: np.ndarray, vals: np.ndarray,
@@ -229,11 +227,11 @@ def comparison_residual(applied: np.ndarray, vals: np.ndarray,
                         lift: float) -> tuple[np.ndarray, np.ndarray]:
     """Residual  operator(w) + sign(w)|w|**p  of the comparison function
     w = scale * V + lift * T, from ``applied`` = operator(V), the profile
-    values ``vals`` and the torsion values ``torsion`` (operator(T) = 1),
-    plus the size |scale * applied| + |lift| + |w|**p + 1 of its terms,
-    which the callers' sign tolerances multiply.  Both saturate at the
-    largest double, so an overflowing residual passes a sign test only
-    when it has the required sign."""
+    values ``vals`` and the torsion values ``torsion`` (operator(T) = 1;
+    0.0 where ``lift`` is), plus the size |scale * applied| + |lift| +
+    |w|**p + 1 of its terms, which the callers' sign tolerances multiply.
+    Both saturate at the largest double, so an overflowing residual
+    passes a sign test only when it has the required sign."""
     w = scale * vals + lift * torsion
     with np.errstate(over="ignore"):
         power = np.abs(w) ** p

@@ -1,13 +1,13 @@
 """Newton solver for the interior blow-up problem.
 
-The solver brackets a solution between an ordered sub/super-solution pair
-built from the comparison profiles, then solves the collocation system
-once, on the domain that excludes the neighbourhood {D <= 1/level} of the
-singular point (nodes inside the excluded core stay frozen at the
-sub-solution), by Newton with full steps started from the sub-solution
-with its band values stretched by the largest factor up to 2 that keeps
-the band part alone a sub-solution on the resolved core, which takes back
-the power-of-two rounding of the pair's sub-solution scale.
+The solver brackets a solution between an ordered pair, a multiple of the
+bridged comparison profile below and one of D**tau above, then solves the
+collocation system once, on the domain that excludes the neighbourhood
+{D <= 1/level} of the singular point (nodes inside the excluded core stay
+frozen at the sub-solution), by Newton with full steps started from the
+sub-solution with its band values stretched by the largest factor up to 2
+that keeps the band part alone a sub-solution on the resolved core, which
+takes back the power-of-two rounding of the pair's sub-solution scale.
 One level and no line search suffice: the assembled weights form a
 Z-matrix with positive row sums, so F(u) = W u + |u|^(p-1) u is a convex
 M-function on u > 0 (Ortega and Rheinboldt, *Iterative Solution of
@@ -38,7 +38,7 @@ from .mesh import Grid, GridFunction, Zero, distance_D
 from .operator import OperatorMatrix, apply, even_block
 from .profiles import (MAX_DOUBLINGS, comparison_arrays, comparison_residual,
                        core_mask, power_of_two_bracket)
-from .specfun import RegimeKind, _check_p, classify
+from .specfun import RegimeKind, _check_p, c_tau, classify
 
 __all__ = [
     "ProblemSpec",
@@ -184,15 +184,15 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     The sub-solution is ``lam_small * V_tau``, which must satisfy the
     discrete inequality  operator(W) + W**p <= tol  at every resolved node
     inside the matching radius (the profile is only a sub-solution near
-    the singular point; the solver never relies on it elsewhere).  The
-    super-solution is ``lam_big * V_tau``, which must satisfy the reverse
-    inequality there, plus a torsion-function lift that pushes the
-    residual nonnegative on the whole grid.  Both scales
-    are closed forms rounded to powers of two, then checked.
+    the singular point; the solver never relies on it elsewhere), its
+    scale a closed form rounded down to a power of two.  The super-solution
+    is ``lam_sup * d``, d = D**tau with zero exterior, lam_sup the largest
+    of lam* = c(tau)**(1/(p-1)), the node bounds (-b_i / d_i**p)**(1/(p-1))
+    where b = operator(d) < 0, and max(sub / d), checked at every node.
     """
     alpha, grid = matrix.alpha, matrix.grid
-    vals, applied, tors = comparison_arrays(
-        matrix, require_unique_existence(alpha, p))
+    tau = require_unique_existence(alpha, p)
+    vals, applied = comparison_arrays(matrix, tau)
     core = core_mask(grid)
 
     # At a core node the residual of lam * V is lam * a + (lam * v)**p:
@@ -210,33 +210,32 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
             f"nodes, so try a smaller --delta")
     bounds = (-a / v ** p) ** (1.0 / (p - 1.0))
     lo = float(np.min(bounds, initial=1.0))
-    hi = float(np.max(bounds, initial=1.0))
-    if not 2.0 ** -MAX_DOUBLINGS <= lo <= hi <= 2.0 ** MAX_DOUBLINGS:
-        raise NoAdmissiblePair(f"pair scales {lo:.3g} to {hi:.3g} for alpha={alpha}, "
-                               f"p={p} leave [2**-{MAX_DOUBLINGS}, 2**{MAX_DOUBLINGS}]")
-    # Powers of two make every multiple of the profile exact.
-    lam_small, lam_big = power_of_two_bracket(lo)[0], power_of_two_bracket(hi)[1]
-    res_sub, size_sub = comparison_residual(applied, vals, tors, p, lam_small, 0.0)
-    res0, size0 = comparison_residual(applied, vals, tors, p, lam_big, 0.0)
+    if not lo >= 2.0 ** -MAX_DOUBLINGS:
+        raise NoAdmissiblePair(f"sub-solution scale {lo:.3g} for alpha="
+                               f"{alpha}, p={p} is below 2**-{MAX_DOUBLINGS}")
+    # A power of two makes the multiple of the profile exact.
+    lam_small = power_of_two_bracket(lo)[0]
+    sub = lam_small * vals
+
+    # An overflowing d**p makes its node bound 0; a rounding-level
+    # negative c must not become a complex power.
+    d = distance_D(grid.nodes) ** tau
+    b = apply(matrix, GridFunction(grid, d))
+    with np.errstate(over="ignore"):
+        lam_star = np.float64(max(c_tau(alpha, tau), 0.0)) ** (1.0 / (p - 1.0))
+        node = (-b[b < 0.0] / d[b < 0.0] ** p) ** (1.0 / (p - 1.0))
+        lam_sup = max(lam_star, np.max(node, initial=0.0), np.max(sub / d))
+        super_ = lam_sup * d
+    if not np.all(np.isfinite(super_)):
+        raise NoAdmissiblePair(f"super-solution scale {lam_sup:.3g} for "
+                               f"alpha={alpha}, p={p} overflows at the core")
+    res_sub, size_sub = comparison_residual(applied, vals, 0.0, p, lam_small, 0.0)
+    res_sup, size_sup = comparison_residual(b, d, 0.0, p, lam_sup, 0.0)
     if not (np.all(res_sub[core] <= 1e-8 * size_sub[core])
-            and np.all(res0[core] >= -1e-8 * size0[core])):
-        raise NoAdmissiblePair(f"pair scales {lam_small}, {lam_big} fail the "
-                               f"core residual test for alpha={alpha}, p={p}")
-
-    # Torsion lift: the assembled operator maps the torsion function to 1
-    # exactly, so adding lam_c of it raises the linear part of the residual
-    # by lam_c everywhere (and the absorption term only grows with it);
-    # the most negative residual is therefore the lift.
-    lam_c = max(0.0, -float(np.min(res0)))
-    res, size = comparison_residual(applied, vals, tors, p, lam_big, lam_c)
-    if not np.all(res >= -1e-8 * size):
-        raise NoAdmissiblePair(
-            f"torsion lift failed to globalize the super-solution for "
-            f"alpha={alpha}, p={p}")
-
-    sub = GridFunction(grid, lam_small * vals)
-    super_ = GridFunction(grid, lam_big * vals + lam_c * tors)
-    return sub, super_
+            and np.all(res_sup >= -1e-8 * size_sup)):
+        raise NoAdmissiblePair(f"pair scales {lam_small}, {lam_sup} fail the "
+                               f"residual test for alpha={alpha}, p={p}")
+    return GridFunction(grid, sub), GridFunction(grid, super_)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fracblow.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_REGIME, main
 from fracblow.mesh import Zero, build_graded, distance_D
 from fracblow.operator import assemble
 from fracblow.solver import ProblemSpec, default_sub_super, solve_blowup
-from fracblow.specfun import T_alpha
+from fracblow.specfun import T_alpha, existence_window
 
 # ---------------------------------------------------------------------------
 # classify
@@ -490,6 +490,18 @@ def test_solve_chooses_its_exit(alpha, fraction):
               "--n-per-side", "128", "--schedule", "4:256"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha,p", [
+    (0.45, existence_window(0.45)[1] * (1.0 - 1e-6)),
+    (0.05, existence_window(0.05)[0] * (1.0 + 1e-6)),
+    (0.7, 1e6),
+], ids=["below-p_hi", "above-p_lo", "huge-p"])
+def test_solve_at_the_window_edges_chooses_its_exit(alpha, p):
+    # c(tau) -> 0 below p_hi, lam* = c**(1/(p-1)) is 4e52 above p_lo, and
+    # p = 1e6: the default pair warns at none of them
+    _exit_of(["solve", "--alpha", repr(alpha), "--p", repr(p)])
+
+
 # ---------------------------------------------------------------------------
 # one assembled operator per command
 
@@ -533,6 +545,26 @@ def test_regime_guard_runs_before_assembly(argv, monkeypatch, capsys):
     assert main(argv) == EXIT_REGIME
     assert calls == []
     assert capsys.readouterr().err.startswith("regime guard: ")
+
+
+@pytest.mark.parametrize("argv,solves", [
+    (["solve", "--alpha", "0.5", "--p", "3", "--schedule", "8:256"], 0),
+    (["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8"], 1),
+], ids=["solve", "audit"])
+def test_only_the_audit_solves_the_torsion_function(argv, solves, monkeypatch,
+                                                    capsys):
+    calls = []
+    original = fracblow.profiles.solve_torsion
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (fracblow.profiles, fracblow.solver, fracblow.analysis):
+        if hasattr(module, "solve_torsion"):
+            monkeypatch.setattr(module, "solve_torsion", counting)
+    assert main(argv + ["--n-per-side", "128", "--no-timestamp"]) == EXIT_OK
+    assert len(calls) == solves
 
 
 def test_audit_assembles_once(monkeypatch, capsys):

@@ -76,7 +76,8 @@ def test_differing_fields_are_named(tmp_path, capsys):
     assert lines[0] == "seed 0 op 0: audit --seed 0 --no-timestamp"
     assert lines[1] == "    stdout:audit.worst_margins[1]: 2.0 -> 2.5"
     assert lines[2] == "seed 0 op 1: solve --seed 0 --no-timestamp --out op"
-    assert lines[3] == "    profile.csv:line[2]: '0.5,2.0' -> '0.5,2.5'"
+    # the profile keeps its header and shape, so its moved column is named
+    assert lines[3] == "    profile.csv:u: '2.0' -> '2.5'"
     # seed 1's solve fails on the change side: exit code, stderr and both
     # missing files show
     solve = lines[lines.index("seed 1 op 1: solve --seed 1 --no-timestamp --out op") + 1:]
@@ -86,14 +87,15 @@ def test_differing_fields_are_named(tmp_path, capsys):
                          "    report.json:line[1]: '{\"report\": {\"converged\": true}}' -> '<missing>'"]
     summary = solve[4:]
     assert summary[0] == "audit seeds 0-1: 4 operations, 0 identical, 4 differ"
-    assert summary[1:6] == ["    profile.csv:line: 2 operations",
+    assert summary[1:7] == ["    profile.csv:line: 1 operations",
+                            "    profile.csv:u: 1 operations",
                             "    rc: 1 operations",
                             "    report.json:line: 1 operations",
                             "    stderr:line: 1 operations",
                             "    stdout:audit.worst_margins: 2 operations"]
     # the numeric JSON field and the CSV column that moved, by how much;
     # the CSV of the failed solve is missing, so it adds no size
-    assert summary[6:] == ["largest relative differences:",
+    assert summary[7:] == ["largest relative differences:",
                            "    profile.csv:u: 0.25",
                            "    stdout:audit.worst_margins: 0.25"]
 
@@ -119,6 +121,23 @@ def test_column_sizes_of_same_shape_numeric_csvs():
                   "x,v,tag\n0.5,2.5,a\n0.25,8.0,b\n0.125,1.0,c\n",
                   "x,u\n0.5,2.5\n0.25,7.0\n0.125,1.0\n", ""):
         assert diff_outputs.column_sizes("p.csv", parent, other) == {}
+
+
+def test_csv_diffs_name_the_columns_that_moved():
+    parent = "x,sub,super\n0.5,2.0,9.0\n0.25,8.0,30.0\n0.125,1.0,4.0\n"
+    only_super = "x,sub,super\n0.5,2.0,9.0\n0.25,8.0,31.0\n0.125,1.0,5.0\n"
+    # one field for the one column that moved, with its first moved cells
+    assert diff_outputs.text_diffs("p.csv", parent, only_super) == [
+        ("p.csv:super", "30.0", "31.0")]
+    both = "x,sub,super\n0.5,2.5,9.0\n0.25,8.0,31.0\n0.125,1.0,4.0\n"
+    assert diff_outputs.text_diffs("p.csv", parent, both) == [
+        ("p.csv:sub", "2.0", "2.5"), ("p.csv:super", "30.0", "31.0")]
+    # another header or shape, or a text that is no CSV file, gives the
+    # first differing line
+    assert diff_outputs.text_diffs("p.csv", parent, "x,u\n0.5,2.0\n") == [
+        ("p.csv:line[1]", "x,sub,super", "x,u")]
+    assert diff_outputs.text_diffs("stdout", parent, only_super) == [
+        ("stdout:line[3]", "0.25,8.0,30.0", "0.25,8.0,31.0")]
 
 
 def test_sizes_take_the_largest_over_list_entries():

@@ -1,4 +1,4 @@
-"""Tests for the sub/super-solution search and the one-level solver."""
+"""Tests for the default sub/super-solution pair and the one-level solver."""
 
 import json
 import warnings
@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import fracblow.solver
-from fracblow.errors import BadConfig, GridMismatch, NewtonStall, RegimeError
+from fracblow.errors import (BadConfig, GridMismatch, NewtonStall,
+                             NoAdmissiblePair, RegimeError)
 from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero, build_graded,
                            distance_D)
 from fracblow.operator import apply, assemble
-from fracblow.profiles import (build_v_tau, core_mask, sample_profile,
-                               solve_torsion)
+from fracblow.profiles import build_v_tau, core_mask, sample_profile
 from fracblow.solver import (
     ProblemSpec,
     _even_residual,
@@ -22,7 +22,7 @@ from fracblow.solver import (
     require_unique_existence,
     solve_blowup,
 )
-from fracblow.specfun import find_tau1
+from fracblow.specfun import c_tau, find_tau1
 
 
 GRID = build_graded(256, 2.4)
@@ -53,7 +53,7 @@ def test_default_pair_is_ordered_and_positive(alpha, p):
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
 def test_default_pair_residual_signs(alpha, p):
     # Sub-inequality on the resolved near-core nodes, super-inequality
-    # (after the torsion lift) on the whole grid.
+    # on the whole grid.
     sub, sup, _ = _pair_and_spec(alpha, p)
     matrix = assemble(alpha, GRID, Zero())
     core = core_mask(GRID)
@@ -68,12 +68,27 @@ def test_default_pair_residual_signs(alpha, p):
     assert np.all(res_sup >= -tol)
 
 
+def _super_scales(spec):
+    """(d, b, lam_star, node bound, ordering bound) of the closed-form
+    super-solution lam * d, d = D**tau, b = operator(d)."""
+    alpha, p, tau = spec.alpha, spec.p, spec.tau
+    d = distance_D(GRID.nodes) ** tau
+    b = apply(spec.matrix, GridFunction(GRID, d))
+    neg = b < 0.0
+    node = np.max((-b[neg] / d[neg] ** p) ** (1.0 / (p - 1.0)))
+    return (d, b, c_tau(alpha, tau) ** (1.0 / (p - 1.0)), node,
+            np.max(spec.sub.values / d))
+
+
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75), (0.6, 3.2)])
 def test_default_pair_scales_bracket_the_node_bounds(alpha, p):
     # lam * V meets the sub-inequality at core node i exactly for
-    # lam <= (-a_i / v_i**p)**(1/(p-1)), a = operator(V): the pair scales
-    # are the powers of two at or below min(1, least bound) and at or
-    # above max(1, largest bound)
+    # lam <= (-a_i / v_i**p)**(1/(p-1)), a = operator(V): the sub scale is
+    # the power of two at or below min(1, least bound).  lam * d, d =
+    # D**tau, meets the super-inequality at node i for every lam > 0 where
+    # b_i = operator(d)_i >= 0, and for lam >= (-b_i / d_i**p)**(1/(p-1))
+    # elsewhere: the super scale is the largest of lam* = c(tau)**(1/(p-1)),
+    # those bounds, and max sub / d, which orders the pair
     sub, sup, spec = _pair_and_spec(alpha, p)
     profile = sample_profile(
         build_v_tau(require_unique_existence(alpha, p), GRID.delta), GRID)
@@ -84,17 +99,55 @@ def test_default_pair_scales_bracket_the_node_bounds(alpha, p):
     lam_small = 1.0
     while lam_small > bounds.min():
         lam_small /= 2.0
-    lam_big = 1.0
-    while lam_big < bounds.max():
-        lam_big *= 2.0
     assert np.array_equal(sub.values, lam_small * V)
-    # the super-solution is lam_big * V plus one multiple of the torsion
-    # function, read off away from both ends
+    d, _, lam_star, node, ordering = _super_scales(spec)
+    assert np.array_equal(sup.values, max(lam_star, node, ordering) * d)
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75), (0.6, 3.2)])
+@pytest.mark.parametrize("level", [2 ** 16, 2 ** 20])
+def test_closed_form_super_stays_within_10_of_the_solution(alpha, p, level):
+    # the super-solution is the paper's asymptotics lam * D**tau with lam
+    # near lam*, so over the fit window it is a small multiple of u
+    _, sup, spec = _pair_and_spec(alpha, p)
+    u = solve_blowup(spec, level).final.values
     D = distance_D(GRID.nodes)
-    mid = (D >= 0.3) & (D <= 0.7)
-    lift = (sup.values - lam_big * V)[mid] / solve_torsion(spec.matrix).values[mid]
-    assert np.min(lift) >= -1e-9
-    assert np.ptp(lift) <= 1e-9 * (1.0 + np.max(lift))
+    window = (D >= 0.02) & (D <= 0.1)
+    ratio = sup.values[window] / u[window]
+    assert np.all(ratio >= 1.0) and np.max(ratio) <= 10.0
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
+def test_super_scale_is_the_least_that_meets_a_binding_node_bound(alpha, p):
+    # where the discrete node bound sets the super scale, a scale 1e-6
+    # below it breaks the super-inequality: at the node that set it and
+    # at its mirror
+    _, sup, spec = _pair_and_spec(alpha, p)
+    _, _, lam_star, node, ordering = _super_scales(spec)
+    assert node > max(lam_star, ordering)
+    w = GridFunction(GRID, (1.0 - 1e-6) * sup.values)
+    a = apply(spec.matrix, w)
+    res = a + w.values ** p
+    failing = np.flatnonzero(res < -1e-8 * (np.abs(a) + w.values ** p + 1.0))
+    assert failing.size == 2
+    assert failing[0] + failing[1] == GRID.n_nodes - 1
+
+
+def test_super_scale_takes_a_negative_c_as_zero(monkeypatch):
+    # c(tau) can round below 0 near tau1; a negative base to the power
+    # 1/(p-1) is no real number, so lam* counts as 0
+    monkeypatch.setattr(fracblow.solver, "c_tau", lambda alpha, tau: -1e-300)
+    _, sup, spec = _pair_and_spec(0.25, 1.75)
+    d, _, _, node, ordering = _super_scales(spec)
+    assert np.array_equal(sup.values, max(node, ordering) * d)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_super_scale_beyond_the_double_range_is_no_pair(monkeypatch):
+    # lam* = (1e300)**(1/0.75) overflows: no pair, and no warning
+    monkeypatch.setattr(fracblow.solver, "c_tau", lambda alpha, tau: 1e300)
+    with pytest.raises(NoAdmissiblePair, match="super-solution scale inf"):
+        default_sub_super(assemble(0.25, GRID, Zero()), 1.75)
 
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])

@@ -13,7 +13,9 @@ subprocess per checkout and seed.  Every operation runs with
 same relative prefix on both sides.  The exit code, stdout, stderr and
 solve files of each operation are compared; the script prints every
 operation that differs, naming the JSON fields that differ where the
-output is JSON and the first differing line otherwise, then a summary:
+output is JSON, the columns that differ (with their first differing
+cells) where both versions of a CSV file have the same header and shape,
+and the first differing line otherwise, then a summary:
 the operations compared, identical and differing, and per differing
 field (list indices dropped) the number of operations it differs in.
 Last comes the largest relative difference |change - parent| / |parent|
@@ -118,6 +120,34 @@ def json_diffs(a, b, path: str = ""):
         yield path, a, b
 
 
+def csv_tables(a: str, b: str) -> tuple | None:
+    """Rows of two CSV texts with the same header and shape; None for any
+    other pair."""
+    rows_a = list(csv.reader(io.StringIO(a)))
+    rows_b = list(csv.reader(io.StringIO(b)))
+    if (not rows_a or len(rows_a) != len(rows_b) or rows_a[0] != rows_b[0]
+            or any(len(row) != len(rows_a[0]) for row in rows_a + rows_b)):
+        return None
+    return rows_a, rows_b
+
+
+def column_diffs(name: str, a: str, b: str) -> list:
+    """(name:column, parent, change) of the first differing cell of each
+    differing column of two CSV texts with the same header and shape; []
+    for any other pair."""
+    tables = csv_tables(a, b)
+    if tables is None:
+        return []
+    rows_a, rows_b = tables
+    found = []
+    for j, column in enumerate(rows_a[0]):
+        cells = [(x[j], y[j]) for x, y in zip(rows_a[1:], rows_b[1:])
+                 if x[j] != y[j]]
+        if cells:
+            found.append((f"{name}:{column}", *cells[0]))
+    return found
+
+
 def text_diffs(name: str, a: str, b: str) -> list:
     """(field, parent, change) differences of one output text."""
     if a == b:
@@ -129,6 +159,10 @@ def text_diffs(name: str, a: str, b: str) -> list:
     if parsed is not None:
         found = [(f"{name}:{path}", x, y)
                  for path, x, y in json_diffs(*parsed)]
+        if found:
+            return found
+    if name.endswith(".csv"):
+        found = column_diffs(name, a, b)
         if found:
             return found
     lines_a, lines_b = a.splitlines(), b.splitlines()
@@ -168,11 +202,10 @@ def relative(x, y) -> float | None:
 def column_sizes(name: str, a: str, b: str) -> dict:
     """Largest relative difference per differing numeric column of two
     CSV texts with the same header and shape; {} for any other pair."""
-    rows_a = list(csv.reader(io.StringIO(a)))
-    rows_b = list(csv.reader(io.StringIO(b)))
-    if (not rows_a or len(rows_a) != len(rows_b) or rows_a[0] != rows_b[0]
-            or any(len(row) != len(rows_a[0]) for row in rows_a + rows_b)):
+    tables = csv_tables(a, b)
+    if tables is None:
         return {}
+    rows_a, rows_b = tables
     sizes = {}
     for j, column in enumerate(rows_a[0]):
         try:
