@@ -41,8 +41,8 @@ class SingularSystem(NumericalError):
 
 
 class NoAdmissiblePair(NumericalError):
-    """No ordered sub/super-solution pair: a pair scale leaves the double
-    range it must fit in, or the pair fails the residual test."""
+    """No ordered sub/super-solution pair: the sub scale is below its
+    floor, the super overflows, or the pair fails the residual test."""
 
 
 class NewtonStall(NumericalError):

@@ -7,7 +7,7 @@ of the interval, and join the two regimes with a quintic polynomial chosen
 so the whole profile is twice continuously differentiable.  The module
 also provides the discrete torsion function (the grid function the
 assembled operator maps to the constant 1), the arrays
-``comparison_arrays`` builds for the sub/super pair and the
+``comparison_arrays`` builds for the pair's sub-solution and the
 nonexistence audits, the residual of the comparison functions
 scale * profile + lift * torsion they test (the pair with no lift), and
 the power-of-two rounding that sizes them.
