@@ -2,8 +2,8 @@
 
 Builds a graded grid, constructs the default ordered sub/super-solution
 pair for (alpha, p) = (0.5, 3), solves the one level that leaves out the
-core {D <= 2**-20} by Newton from the sub-solution stretched on the
-band (the excluded core stays frozen at the sub-solution), and fits the
+core {D <= 2**-20} by Newton from the sub-solution doubled on the band
+(the excluded core stays frozen at the sub-solution), and fits the
 blow-up exponent of the computed solution against the distance to the
 singular interior point.  The fitted exponent should approach the
 predicted rate -2*alpha/(p-1) = -0.5.

@@ -5,15 +5,15 @@ bridged comparison profile below and one of D**tau above, then solves the
 collocation system once, on the domain that excludes the neighbourhood
 {D <= 1/level} of the singular point (nodes inside the excluded core stay
 frozen at the sub-solution), by Newton with full steps started from the
-sub-solution with its band values stretched by the largest factor up to 2
-that keeps the band part alone a sub-solution on the resolved core, which
-takes back the power-of-two rounding of the pair's sub-solution scale.
+sub-solution with its band values doubled: the pair rounds its
+sub-solution scale down to a power of two, so twice it is the closed-form
+scale rounded up.
 One level and no line search suffice: the assembled weights form a
 Z-matrix with positive row sums, so F(u) = W u + |u|^(p-1) u is a convex
 M-function on u > 0 (Ortega and Rheinboldt, *Iterative Solution of
 Nonlinear Equations*, 1970, ch. 13), with exactly one solution for its
-frozen core data, which Newton from a sub-solution reaches monotonically:
-the first full step lands above it and the iterates then fall.  The
+frozen core data, which Newton from any positive start reaches: the first
+full step lands on or above it and the iterates then fall.  The
 result is audited for ordering against the pair and for not falling
 below the sub-solution.  Every step works with one assembled operator,
 the one the problem carries.
@@ -55,12 +55,6 @@ _BLOWUP_THRESHOLD = 10.0
 # Newton controls.
 _NEWTON_RTOL = 1e-9
 _MAX_ITER = 60
-# Cap of Newton's stretch of the sub-solution (``_stretched_start``).  The
-# pair rounds its sub-solution scale down to a power of two, which removes
-# less than a factor of 2; the core bound alone can allow far more near the
-# bottom of the p-window, which lifts the start far above the solution
-# outside the matching radius and costs Newton steps.
-_MAX_STRETCH = 2.0
 
 # Audit slacks: the fine slack feeds the ordering/monotonicity report
 # flags, the gross slack aborts the run (a drop that large means the
@@ -207,7 +201,9 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
             f"profile's operator is nonnegative at {np.count_nonzero(a >= 0.0)} "
             f"of {a.size} resolved core nodes at delta={grid.delta}, "
             f"n_per_side={grid.n_per_side}; refining the grid adds such "
-            f"nodes, so try a smaller --delta")
+            f"nodes, and a smaller --delta gives no solve either: the "
+            f"bridged profile has no sub-solution scale here, a known "
+            f"limit of the default pair")
     bounds = (-a / v ** p) ** (1.0 / (p - 1.0))
     lo = float(np.min(bounds, initial=1.0))
     if not lo >= 2.0 ** -MAX_DOUBLINGS:
@@ -257,9 +253,8 @@ def _newton(matrix: OperatorMatrix, p: float, start: np.ndarray, k: int,
     """Newton for  operator(u) + |u|^(p-1) u = 0  on the band of
     right-half nodes h + k, ..., n - 1 and their mirrors, started from the
     even vector ``start``, which also holds the frozen core data off the
-    band (``solve_blowup`` passes ``_stretched_start``, whose core data is
-    the sub-solution's).  Returns (values, iters, residual_inf,
-    tolerance), the sides of the stop test that ended it.
+    band.  Returns (values, iters, residual_inf, tolerance), the sides of
+    the stop test that ended it.
 
     Every step is taken in full (the system is a convex M-function; see
     the module docstring) and every iterate stays even: each step solves
@@ -291,44 +286,16 @@ def _newton(matrix: OperatorMatrix, p: float, start: np.ndarray, k: int,
         f"no convergence in {_MAX_ITER} iterations (residual {norm:.3e})")
 
 
-def _stretched_start(spec: ProblemSpec, k: int) -> np.ndarray:
-    """Newton's start on the band of right-half nodes h + k, ..., n - 1
-    and their mirrors: the sub-solution s, its band values times
-    c = min(_MAX_STRETCH, max(1, min_i (-a_i / s_i**p)**(1/(p-1)))) over
-    the band's resolved core nodes i, a the operator of s with the
-    excluded core zeroed; c = 1 where some a_i >= 0 or s_i <= 0, or there
-    is no such node.  c * s on the band alone is a sub-solution at these
-    nodes, so the start is one too (the operator's off-diagonal weights
-    are nonpositive).  The excluded core keeps the sub-solution's values,
-    so the system and its one solution stay those of the plain start."""
-    s = spec.sub.values
-    h = s.size // 2
-    band = np.zeros(s.size, dtype=bool)
-    band[h + k:] = band[:h - k] = True
-    try:
-        core = core_mask(spec.grid) & band
-    except BadConfig:
-        return s
-    banded = GridFunction(spec.grid, np.where(band, s, 0.0))
-    a, v = apply(spec.matrix, banded)[core], s[core]
-    if a.size == 0 or np.any(a >= 0.0) or np.any(v <= 0.0):
-        return s
-    with np.errstate(over="ignore", divide="ignore"):
-        bounds = (-a / v ** spec.p) ** (1.0 / (spec.p - 1.0))
-    stretch = min(_MAX_STRETCH, max(1.0, float(np.min(bounds))))
-    return np.where(band, stretch * s, s)
-
-
 # ---------------------------------------------------------------------------
 # Driver.
 
 
 def solve_blowup(spec: ProblemSpec, level: int) -> SolveReport:
     """Solve the single domain excluding the core {D <= 1/level}, starting
-    from the sub-solution stretched on the band (``_stretched_start``;
-    the excluded core stays frozen at the sub-solution), and audit the
-    result for ordering against the sub/super pair and for not falling
-    below the sub-solution (the comparison principle on that domain)."""
+    from the sub-solution with its band values doubled (the excluded core
+    stays frozen at the sub-solution), and audit the result for ordering
+    against the sub/super pair and for not falling below the sub-solution
+    (the comparison principle on that domain)."""
     level = int(level)
     if level < 4:
         raise BadConfig(f"level must be at least 4, got {level}")
@@ -341,8 +308,10 @@ def solve_blowup(spec: ProblemSpec, level: int) -> SolveReport:
     super_vals = spec.super.values
     node_scale = 1.0 + np.abs(sub_vals) + np.abs(super_vals)
 
-    u, iters, residual_inf, tolerance = _newton(
-        spec.matrix, spec.p, _stretched_start(spec, k), k)
+    start = sub_vals.copy()
+    start[h + k:] *= 2.0
+    start[:h - k] *= 2.0
+    u, iters, residual_inf, tolerance = _newton(spec.matrix, spec.p, start, k)
     ordering_ok = not (
         np.any(u < sub_vals - _AUDIT_SLACK * node_scale)
         or np.any(u > super_vals + _AUDIT_SLACK * node_scale))

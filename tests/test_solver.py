@@ -1,7 +1,6 @@
 """Tests for the default sub/super-solution pair and the one-level solver."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from fracblow.solver import (
     ProblemSpec,
     _even_residual,
     _newton,
-    _stretched_start,
     default_sub_super,
     require_unique_existence,
     solve_blowup,
@@ -37,6 +35,15 @@ def _pair_and_spec(alpha, p, grid=GRID):
 def _level(spec, n):
     """Solution of the single level n."""
     return solve_blowup(spec, n).final
+
+
+def _band(grid, level):
+    """k and the mask of the band {D > 1/level} of ``level``."""
+    h = grid.n_nodes // 2
+    k = int(np.count_nonzero(grid.nodes[h:] <= 1.0 / level))
+    band = np.zeros(grid.n_nodes, dtype=bool)
+    band[h + k:] = band[:h - k] = True
+    return k, band
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +258,19 @@ def test_level_guards():
 
 
 def test_level_solution_is_fixed_point():
-    # Feeding a level's own solution back in as the sub-solution makes it
-    # an exact root of the system, so Newton must return it unchanged.
+    # a level's own solution is an exact root of its system: Newton started
+    # there returns it unchanged after 0 steps, and the solve with it as
+    # the sub-solution, started at twice it on the band, falls back to it
+    # within the stop test's reach
     sub, sup, spec = _pair_and_spec(0.5, 3.0)
-    first = _level(spec, 32)
-    spec2 = ProblemSpec(spec.matrix, 3.0, first, sup)
-    again = _level(spec2, 32)
-    assert np.array_equal(again.values, first.values)
+    first = _level(spec, 32).values
+    k, band = _band(GRID, 32)
+    u, iters, _, _ = _newton(spec.matrix, 3.0, first, k)
+    assert iters == 0 and np.array_equal(u, first)
+    again = _level(ProblemSpec(spec.matrix, 3.0, GridFunction(GRID, first),
+                               sup), 32).values
+    assert np.max(np.abs(again - first)[band] / first[band]) <= 1e-7
+    assert np.array_equal(again[~band], first[~band])
 
 
 def test_level_solution_ordered_and_frozen():
@@ -406,21 +419,27 @@ def test_solve_blowup_validation():
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
 def test_criterion_6_anchors_solve_in_few_newton_steps(alpha, p):
-    # the one-level solve from the stretched sub-solution needs no
-    # continuation: 4-5 steps on the acceptance anchors at their settings
+    # the one-level solve from the sub-solution doubled on the band needs
+    # no continuation: 3-4 steps on the acceptance anchors at their settings
     _, _, spec = _pair_and_spec(alpha, p, build_graded(512, 2.4))
     report = solve_blowup(spec, 2 ** 20)
     assert report.converged
     assert report.newton_iters[0] <= 6
 
 
-@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
+# census case (0.45, 10%): p 10% of the way through the window (1.9, 10)
+CENSUS_P = 1.0 + 2.0 * 0.45 + 0.1 * (1.0 - 0.9 / (0.9 - 1.0) - 1.9)
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75),
+                                     (0.15, 1.3129), (0.45, CENSUS_P)])
 def test_full_newton_steps_contract_the_residual_on_the_anchors(
         alpha, p, monkeypatch):
-    # the system is a convex M-function, so Newton from the sub-solution
-    # needs no line search: on the acceptance anchors the first full step
-    # raises every band node, and every step lowers max|F| to at most 3/4
-    # of its previous value, the decrease the deleted search demanded
+    # the system is a convex M-function, so Newton from any positive start
+    # needs no line search: the first full step lands on or above the
+    # solution, after which no band node rises, and every step lowers
+    # max|F| to at most 3/4 of its previous value, the decrease the
+    # deleted search demanded
     _, _, spec = _pair_and_spec(alpha, p, build_graded(512, 2.4))
     iterates, norms = [], []
 
@@ -434,7 +453,8 @@ def test_full_newton_steps_contract_the_residual_on_the_anchors(
     report = solve_blowup(spec, 2 ** 20)
     assert report.converged
     assert len(norms) == report.newton_iters[0] + 1
-    assert np.all(iterates[1] > iterates[0])
+    assert all(np.all(after <= before)
+               for before, after in zip(iterates[1:], iterates[2:]))
     assert all(after <= 0.75 * before
                for before, after in zip(norms, norms[1:])), norms
 
@@ -469,91 +489,38 @@ def test_newton_without_a_reachable_stop_ends_in_one_stall(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Newton's start: the sub-solution stretched on the band.
+# Newton's start: the sub-solution doubled on the band.
 
 
-# census case (0.45, 10%): p 10% of the way through the window (1.9, 10)
-CENSUS_P = 1.0 + 2.0 * 0.45 + 0.1 * (1.0 - 0.9 / (0.9 - 1.0) - 1.9)
-STRETCHED = [(0.5, 3.0), (0.25, 1.75), (0.45, CENSUS_P)]
-
-
-def _band(grid, level):
-    """k and the mask of the band {D > 1/level} of ``level``."""
-    h = grid.n_nodes // 2
-    k = int(np.count_nonzero(grid.nodes[h:] <= 1.0 / level))
-    band = np.zeros(grid.n_nodes, dtype=bool)
-    band[h + k:] = band[:h - k] = True
-    return k, band
-
-
-@pytest.mark.parametrize("alpha,p", STRETCHED)
+@pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75),
+                                     (0.45, CENSUS_P)])
 @pytest.mark.parametrize("level", [2 ** 10, 2 ** 20])
-def test_start_stretches_the_band_by_one_factor_in_1_to_2(alpha, p, level):
-    # the start is the sub-solution with its band multiplied by one c in
-    # [1, 2] and the excluded core left at the sub; it stays exactly even.
-    # At level 2**20, the level of every benchmark solve, c > 1; at 2**10
-    # the zeroed core leaves operator >= 0 at band core nodes next to the
-    # cut, so c = 1
+def test_start_doubles_the_band_of_the_sub(alpha, p, level, monkeypatch):
+    # Newton starts at 2 * sub on the band and at the sub, bit for bit, on
+    # the excluded core; a factor of 2 is exact, so the start stays
+    # exactly even
     grid = build_graded(512, 2.4)
     sub, _, spec = _pair_and_spec(alpha, p, grid)
     k, band = _band(grid, level)
-    start = _stretched_start(spec, k)
-    ratio = start[band] / sub.values[band]
-    assert 1.0 <= ratio.min() and ratio.max() <= 2.0
-    assert (ratio.min() > 1.0) == (level == 2 ** 20)
-    assert np.ptp(ratio) <= 1e-15
+    calls = []
+    newton = fracblow.solver._newton
+
+    def recorded(matrix, p, start, k):
+        calls.append((start.copy(), k))
+        return newton(matrix, p, start, k)
+
+    monkeypatch.setattr(fracblow.solver, "_newton", recorded)
+    solve_blowup(spec, level)
+    [(start, k_used)] = calls
+    assert k_used == k
+    assert np.array_equal(start[band], 2.0 * sub.values[band])
     assert np.array_equal(start[~band], sub.values[~band])
     assert np.array_equal(start, start[::-1])
 
 
-@pytest.mark.parametrize("alpha,p", STRETCHED)
-@pytest.mark.parametrize("level", [2 ** 10, 2 ** 20])
-def test_stretched_start_is_a_sub_solution_on_the_core(alpha, p, level):
-    # residual operator(u) + u**p <= 0 at every resolved core node, in the
-    # band and in the excluded core alike, up to rounding
-    grid = build_graded(512, 2.4)
-    sub, _, spec = _pair_and_spec(alpha, p, grid)
-    k, _ = _band(grid, level)
-    start = _stretched_start(spec, k)
-    applied = apply(spec.matrix, GridFunction(grid, start))
-    core = core_mask(grid)
-    residual = (applied + start ** p)[core]
-    size = (np.abs(applied) + start ** p + 1.0)[core]
-    assert np.all(residual <= 1e-12 * size)
-
-
-def test_start_stretch_is_capped_at_2():
-    # at (0.15, 1.3129), the benchmark panel's case, the core bound allows
-    # c near 900, which lifts the start far above the solution outside
-    # the matching radius: uncapped, Newton takes 7 steps; capped, 4
-    grid = build_graded(512, 2.4)
-    sub, _, spec = _pair_and_spec(0.15, 1.3129, grid)
-    k, band = _band(grid, 2 ** 20)
-    start = _stretched_start(spec, k)
-    assert np.array_equal(start[band], 2.0 * sub.values[band])
-    assert solve_blowup(spec, 2 ** 20).newton_iters[0] <= 4
-
-
-def test_start_is_the_sub_where_a_core_node_has_nonnegative_operator():
-    # a spike at one resolved core node pair makes operator(sub) >= 0
-    # there, which leaves no stretch: the start is the sub-solution
-    sub, sup, spec = _pair_and_spec(0.5, 3.0)
-    k, _ = _band(GRID, 2 ** 20)
-    assert _stretched_start(spec, k)[-1] > sub.values[-1]
-    h = GRID.n_nodes // 2
-    i = h + np.flatnonzero(core_mask(GRID)[h:])[10]
-    spiked = sub.values.copy()
-    spiked[[i, GRID.n_nodes - 1 - i]] *= 8.0
-    spiked_spec = ProblemSpec(spec.matrix, 3.0, GridFunction(GRID, spiked),
-                              GridFunction(GRID, 8.0 * sup.values))
-    assert apply(spec.matrix, spiked_spec.sub)[i] >= 0.0
-    assert np.array_equal(_stretched_start(spiked_spec, k),
-                          spiked)
-
-
-def test_start_is_the_sub_without_resolved_core_nodes():
+def test_solve_runs_without_resolved_core_nodes():
     # a hand-made grid with no resolved node inside the matching radius
-    # has no core bound: the start is the sub-solution and the solve runs
+    # still solves
     grid = Grid(nodes=np.array([-0.6, -0.2, 0.2, 0.6]), grading_exponent=1.0,
                 n_per_side=2, delta=0.25)
     spec = ProblemSpec(assemble(0.5, grid, Zero()), 3.0,
@@ -561,38 +528,21 @@ def test_start_is_the_sub_without_resolved_core_nodes():
                        GridFunction(grid, np.full(4, 30.0)))
     with pytest.raises(BadConfig, match="no resolved nodes"):
         core_mask(grid)
-    assert np.array_equal(_stretched_start(spec, 1), spec.sub.values)
     assert solve_blowup(spec, 4).levels == [4]
 
 
-def test_start_stretch_ignores_an_overflowing_power():
-    # sub**p overflows on the whole core: the bound (-a / sub**p) is 0 and
-    # the start is the sub-solution, without a RuntimeWarning
-    sub, sup, spec = _pair_and_spec(0.5, 3.0)
-    big = 2.0 ** 600
-    huge = ProblemSpec(spec.matrix, 3.0, GridFunction(GRID, big * sub.values),
-                       GridFunction(GRID, big * sup.values))
-    k, _ = _band(GRID, 2 ** 20)
-    with np.errstate(over="ignore"):
-        assert np.all(np.isinf(huge.sub.values[core_mask(GRID)] ** 3.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        start = _stretched_start(huge, k)
-    assert np.array_equal(start, huge.sub.values)
-
-
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
-def test_stretched_and_plain_starts_reach_the_same_solution(alpha, p):
-    # the stretch leaves the system and its one solution alone: on the
+def test_doubled_and_plain_starts_reach_the_same_solution(alpha, p):
+    # the start leaves the system and its one solution alone: on the
     # criterion-6 anchors the band values agree within the stop test's
     # reach, and the excluded core is the sub-solution's in both
     grid = build_graded(512, 2.4)
     sub, _, spec = _pair_and_spec(alpha, p, grid)
     k, band = _band(grid, 2 ** 20)
     plain = _newton(spec.matrix, p, sub.values, k)[0]
-    stretched = solve_blowup(spec, 2 ** 20).final.values
-    assert np.max(np.abs(stretched - plain)[band] / plain[band]) <= 1e-7
-    assert np.array_equal(stretched[~band], plain[~band])
+    doubled = solve_blowup(spec, 2 ** 20).final.values
+    assert np.max(np.abs(doubled - plain)[band] / plain[band]) <= 1e-7
+    assert np.array_equal(doubled[~band], plain[~band])
 
 
 def test_solve_blowup_rate_recovery():
