@@ -7,8 +7,9 @@ The package studies positive solutions of
 that blow up at the interior point 0, where (-Lap)^a is the integral
 fractional Laplacian of order a in (0, 1).  It provides the kernel special
 functions and their critical exponents, a graded-mesh collocation
-discretization of the operator, explicit sub/super-solution profiles, a
-one-level Newton solver, and audit tools for the nonexistence regimes.
+discretization of the operator, explicit sub/super-solutions given by
+their node values, a one-level Newton solver, and audit tools for the
+nonexistence regimes.
 """
 
 from .errors import (
@@ -51,13 +52,7 @@ from .operator import (
     power_tail_gap,
     power_tail_moment,
 )
-from .profiles import (
-    ProfileSpec,
-    build_v_tau,
-    evaluate_profile,
-    sample_profile,
-    solve_torsion,
-)
+from .profiles import solve_torsion
 from . import quad  # noqa: F401  (kept importable by name; see its docstring)
 from .solver import (
     ProblemSpec,

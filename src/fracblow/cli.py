@@ -76,7 +76,8 @@ _FLAGS = {
     "delta": {"type": float},
     "schedule": {"help": "levels START:END (default 8:65536); only END, the "
                          "core {D <= 1/END} left out, is solved, so START "
-                         "no longer changes the answer"},
+                         "no longer changes the answer; END must leave at "
+                         "least one node in that core"},
     "step": {"type": float, "help": "sweep step (default 0.1)"},
 }
 _KNOWN_KEYS = {*_FLAGS, "out", "no_timestamp"}

@@ -63,12 +63,12 @@ Exterior = Union[Zero, PowerTail]
 class Grid:
     """Strictly increasing, mirror-symmetric nodes in (-1,1) excluding 0
     (``nodes == -nodes[::-1]`` exactly: the problem is invariant under
-    x -> -x and its blow-up solution is even), plus the grading metadata
-    and the comparison-band radius ``delta`` used downstream."""
+    x -> -x and its blow-up solution is even), plus the grading exponent
+    and the comparison-band radius ``delta`` used downstream;
+    ``n_per_side`` is read off the nodes."""
 
     nodes: np.ndarray
     grading_exponent: float
-    n_per_side: int
     delta: float
 
     def __post_init__(self):
@@ -90,6 +90,10 @@ class Grid:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
+
+    @property
+    def n_per_side(self) -> int:
+        return self.nodes.size // 2
 
     def same_as(self, other: "Grid") -> bool:
         return np.array_equal(self.nodes, other.nodes)
@@ -142,8 +146,7 @@ def build_graded(n_per_side: int, grading_exponent: float,
             f"nodes closer to 1 than double precision resolves; use fewer "
             f"nodes or a smaller exponent")
     nodes = np.concatenate([-right[::-1], right])
-    return Grid(nodes=nodes, grading_exponent=gamma, n_per_side=n,
-                delta=float(delta))
+    return Grid(nodes=nodes, grading_exponent=gamma, delta=float(delta))
 
 
 # ---------------------------------------------------------------------------

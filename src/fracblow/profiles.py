@@ -1,14 +1,14 @@
 """Comparison profiles used to sandwich blow-up solutions.
 
-The central object is a one-parameter family of positive, even profiles
-that behave like ``D**tau`` near the interior singular point (``D`` is the
-distance to 0), like the squared boundary distance ``d**2`` near the ends
-of the interval, and join the two regimes with a quintic polynomial chosen
-so the whole profile is twice continuously differentiable.  The module
-also provides the discrete torsion function (the grid function the
-assembled operator maps to the constant 1), the arrays
-``comparison_arrays`` builds for the pair's sub-solution and the
-nonexistence audits, the residual of the comparison functions
+The profile with core exponent ``tau`` is positive and even: ``D**tau``
+near the interior singular point (``D`` is the distance to 0), the
+squared boundary distance ``d**2`` near the ends of the interval, and a
+quintic bridge between, chosen so the profile is twice continuously
+differentiable.  It exists only as its values at the grid nodes, which
+``comparison_arrays`` returns with their operator values for the pair's
+sub-solution and the nonexistence audits.  The module also provides the
+discrete torsion function (the grid function the assembled operator maps
+to the constant 1), the residual of the comparison functions
 scale * profile + lift * torsion they test (the pair with no lift), and
 the power-of-two rounding that sizes them.
 """
@@ -16,7 +16,6 @@ the power-of-two rounding that sizes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +24,8 @@ from .mesh import Grid, GridFunction, Zero, distance_D
 from .operator import OperatorMatrix, apply, even_block
 
 __all__ = [
-    "ProfileSpec",
-    "build_v_tau",
     "comparison_arrays",
     "comparison_residual",
-    "evaluate_profile",
-    "sample_profile",
     "solve_torsion",
 ]
 
@@ -45,25 +40,6 @@ MAX_DOUBLINGS = 40
 
 # ---------------------------------------------------------------------------
 # Profile construction.
-
-
-@dataclass(frozen=True)
-class ProfileSpec:
-    """Recipe for one even comparison profile.
-
-    ``tau``     -- exponent of the core branch ``D**tau`` (negative).
-    ``delta``   -- matching radius: the core branch is used where
-                   ``D <= delta`` and the flat branch ``d**2`` where
-                   ``d <= delta``.
-    ``interpolant_coeffs`` -- length-6 vector of ascending monomial
-                   coefficients of the quintic bridge in the normalised
-                   coordinate ``s = (D - delta) / (1 - 2*delta)``; the
-                   profile is even, so both sides share it.
-    """
-
-    tau: float
-    delta: float
-    interpolant_coeffs: np.ndarray
 
 
 def _bridge_coeffs(tau: float, delta: float) -> np.ndarray | None:
@@ -99,63 +75,6 @@ def _bridge_coeffs(tau: float, delta: float) -> np.ndarray | None:
         [0.0, 0.0, 2.0, 6.0, 12.0, 20.0],  # q''(1)
     ])
     return np.linalg.solve(system, rhs)
-
-
-def build_v_tau(tau: float, delta: float = 0.25) -> ProfileSpec:
-    """Build the positive even profile with core exponent ``tau``.
-
-    ``delta`` is halved (at most 3 times) if the quintic bridge dips to
-    zero or below anywhere; a profile that still fails is rejected.  A
-    bridge that overflows (its data, or its values on [0, 1]) is rejected
-    at once, naming the ``delta`` the caller gave.
-    """
-    tau = float(tau)
-    delta = float(delta)
-    if not (-1.0 < tau < 0.0):
-        raise BadConfig(f"core exponent must lie in (-1, 0), got {tau}")
-    if not (0.0 < delta <= 0.25):
-        raise BadConfig(f"matching radius must lie in (0, 1/4], got {delta}")
-    s = np.linspace(0.0, 1.0, 4097)
-    for radius in (delta, delta / 2, delta / 4, delta / 8):
-        coeffs = _bridge_coeffs(tau, radius)
-        if coeffs is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                bridge = np.polynomial.polynomial.polyval(s, coeffs)
-        if coeffs is None or not np.isfinite(bridge).all():
-            raise BadConfig(f"matching radius delta={delta} is too small for "
-                            f"core exponent {tau}: D**tau overflows at {radius}")
-        if np.min(bridge) > 0.0:
-            return ProfileSpec(tau=tau, delta=radius, interpolant_coeffs=coeffs)
-    raise BadConfig(
-        f"no positive bridge found for core exponent {tau} "
-        f"after halving the matching radius 3 times")
-
-
-def evaluate_profile(spec: ProfileSpec, x) -> np.ndarray:
-    """Pointwise values of the profile; 0 outside [-1, 1], and the core
-    branch diverges at x = 0 (returned as inf there)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    dist_core = np.abs(x)
-    dist_edge = 1.0 - dist_core
-    out = np.zeros_like(x)
-    inside = dist_core < 1.0
-    core = inside & (dist_core <= spec.delta)
-    edge = inside & (dist_edge <= spec.delta)
-    mid = inside & ~core & ~edge
-    with np.errstate(divide="ignore"):
-        out[core] = dist_core[core] ** spec.tau
-    out[edge] = dist_edge[edge] ** 2
-    if np.any(mid):
-        s = (dist_core[mid] - spec.delta) / (1.0 - 2.0 * spec.delta)
-        out[mid] = np.polynomial.polynomial.polyval(s, spec.interpolant_coeffs)
-    return out[0] if scalar else out
-
-
-def sample_profile(spec: ProfileSpec, grid: Grid) -> GridFunction:
-    """Sample the profile at the grid nodes."""
-    return GridFunction(grid, evaluate_profile(spec, grid.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +135,44 @@ def core_mask(grid: Grid) -> np.ndarray:
 def comparison_arrays(matrix: OperatorMatrix, tau: float,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """The arrays (V, W V) of the pair's sub-solution and the audits: the
-    values of the profile with core exponent ``tau`` and the grid's
-    matching radius, and their operator values under ``matrix``."""
-    profile = sample_profile(build_v_tau(tau, matrix.grid.delta), matrix.grid)
+    values at the nodes of ``matrix``'s grid of the profile with core
+    exponent ``tau``, and their operator values under ``matrix``.
+
+    V is ``D**tau`` where D <= delta, ``d**2`` where d <= delta, and the
+    quintic bridge in s = (D - delta) / (1 - 2*delta) between, delta the
+    grid's matching radius, halved (at most 3 times) while the bridge dips
+    to zero or below on [0, 1]; a profile that still fails is rejected.
+    A bridge that overflows (its data, or its values on [0, 1]) is
+    rejected at once, naming the grid's delta."""
+    tau = float(tau)
+    if not (-1.0 < tau < 0.0):
+        raise BadConfig(f"core exponent must lie in (-1, 0), got {tau}")
+    grid, delta = matrix.grid, matrix.grid.delta
+    s = np.linspace(0.0, 1.0, 4097)
+    for radius in (delta, delta / 2, delta / 4, delta / 8):
+        coeffs = _bridge_coeffs(tau, radius)
+        if coeffs is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bridge = np.polynomial.polynomial.polyval(s, coeffs)
+        if coeffs is None or not np.isfinite(bridge).all():
+            raise BadConfig(f"matching radius delta={delta} is too small for "
+                            f"core exponent {tau}: D**tau overflows at {radius}")
+        if np.min(bridge) > 0.0:
+            break
+    else:
+        raise BadConfig(
+            f"no positive bridge found for core exponent {tau} "
+            f"after halving the matching radius 3 times")
+    D = np.abs(grid.nodes)
+    d = 1.0 - D
+    core, edge = D <= radius, d <= radius
+    mid = ~core & ~edge
+    vals = np.empty_like(D)
+    vals[core] = D[core] ** tau
+    vals[edge] = d[edge] ** 2
+    vals[mid] = np.polynomial.polynomial.polyval(
+        (D[mid] - radius) / (1.0 - 2.0 * radius), coeffs)
+    profile = GridFunction(grid, vals)
     return profile.values, apply(matrix, profile)
 
 

@@ -295,7 +295,8 @@ def solve_blowup(spec: ProblemSpec, level: int) -> SolveReport:
     from the sub-solution with its band values doubled (the excluded core
     stays frozen at the sub-solution), and audit the result for ordering
     against the sub/super pair and for not falling below the sub-solution
-    (the comparison principle on that domain)."""
+    (the comparison principle on that domain).  BadConfig when the
+    excluded core or the domain holds no node."""
     level = int(level)
     if level < 4:
         raise BadConfig(f"level must be at least 4, got {level}")
@@ -303,6 +304,17 @@ def solve_blowup(spec: ProblemSpec, level: int) -> SolveReport:
     k = int(np.count_nonzero(spec.grid.nodes[h:] <= 1.0 / level))
     if k == h:
         raise BadConfig(f"no active nodes at level {level}")
+    if k == 0:
+        # with no frozen node the band carries no blow-up data, and its
+        # one discrete solution is 0
+        innermost = float(spec.grid.nodes[h])
+        largest = int(1.0 / innermost)
+        if innermost > 1.0 / largest:
+            largest -= 1
+        raise BadConfig(
+            f"level {level} leaves no node in the excluded core: the "
+            f"innermost node lies at D = {innermost:.3g}, so the level "
+            f"can be at most {largest}")
 
     sub_vals = spec.sub.values
     super_vals = spec.super.values

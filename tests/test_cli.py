@@ -336,6 +336,18 @@ def test_solve_bad_schedule_is_config_error():
     assert main(base + ["--schedule", "3:64"]) == EXIT_CONFIG
 
 
+def test_solve_level_past_the_innermost_node_is_config_error(capsys):
+    # the innermost of 128 nodes per side sits at D = 4.38e-6, so level
+    # 2**20 leaves the excluded core empty: the band would carry no
+    # blow-up data, and its one discrete solution is 0
+    assert main(["solve", "--alpha", "0.5", "--p", "3", "--n-per-side", "128",
+                 "--schedule", "8:1048576"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: level 1048576 leaves no node in the excluded "
+        "core: the innermost node lies at D = 4.38e-06, so the level can be "
+        "at most 228209\n")
+
+
 def test_solve_unresolvable_grading_names_the_grid(capsys):
     # 512 nodes per side at exponent 6 crowd the outer nodes onto 1
     assert main(["solve", "--alpha", "0.5", "--p", "3", "--grading", "6"]) \

@@ -32,8 +32,7 @@ BATTERY_TAUS = (-0.2, -0.5, -0.8)
 # gap meet at the same node, and an irregular grid with a node next to
 # 0, a close pair and a node next to the boundary.
 HAND_GRIDS = tuple(
-    Grid(nodes=np.array(nodes), grading_exponent=1.0, n_per_side=1,
-         delta=0.25)
+    Grid(nodes=np.array(nodes), grading_exponent=1.0, delta=0.25)
     for nodes in ([-0.3, 0.3],
                   [-0.99, -0.41, -0.4, -0.001, 0.001, 0.4, 0.41, 0.99]))
 

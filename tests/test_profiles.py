@@ -10,14 +10,27 @@ from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero, build_graded,
                            distance_D, distance_d)
 from fracblow.operator import apply, assemble
 from fracblow.profiles import (
-    build_v_tau,
+    _bridge_coeffs,
+    comparison_arrays,
     comparison_residual,
-    evaluate_profile,
     power_of_two_bracket,
-    sample_profile,
     solve_torsion,
 )
 from fracblow.specfun import c_tau
+
+GRID = build_graded(32, 2.0)
+MATRIX = assemble(0.5, GRID, Zero())
+
+
+def _bridged(tau, delta, x):
+    """The profile at 0 < |x| < 1 with matching radius ``delta``, written
+    out from the bridge coefficients: D**tau where D <= delta, d**2 where
+    d <= delta, and the quintic in (D - delta) / (1 - 2 delta) between."""
+    D = np.abs(x)
+    d = 1.0 - D
+    s = (D - delta) / (1.0 - 2.0 * delta)
+    bridge = np.polynomial.polynomial.polyval(s, _bridge_coeffs(tau, delta))
+    return np.where(D <= delta, D ** tau, np.where(d <= delta, d ** 2, bridge))
 
 
 # ---------------------------------------------------------------------------
@@ -26,14 +39,19 @@ from fracblow.specfun import c_tau
 
 @pytest.mark.parametrize("tau", [-1.5, -1.0, 0.0, 0.5])
 def test_build_profile_rejects_bad_exponent(tau):
-    with pytest.raises(BadConfig):
-        build_v_tau(tau)
+    with pytest.raises(BadConfig, match="core exponent must lie in"):
+        comparison_arrays(MATRIX, tau)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, 0.3, 1.0])
 def test_build_profile_rejects_bad_radius(delta):
-    with pytest.raises(BadConfig):
-        build_v_tau(-0.5, delta)
+    # the profile takes the grid's matching radius, which the grid checks
+    with pytest.raises(BadConfig, match="delta must lie in"):
+        build_graded(32, 2.0, delta)
+
+
+def _matrix_with_radius(delta):
+    return assemble(0.5, build_graded(16, 1.0, delta), Zero())
 
 
 @pytest.mark.parametrize("tau,delta", [(-0.99, 1e-120), (-0.5, 1e-130),
@@ -41,7 +59,7 @@ def test_build_profile_rejects_bad_radius(delta):
 def test_build_profile_names_a_radius_too_small(tau, delta):
     # inside (0, 1/4], but the curvature of D**tau at D = delta overflows
     with pytest.raises(BadConfig, match=f"matching radius delta={delta!r}"):
-        build_v_tau(tau, delta)
+        comparison_arrays(_matrix_with_radius(delta), tau)
 
 
 def test_radius_too_small_after_halving_names_the_given_radius():
@@ -49,72 +67,83 @@ def test_radius_too_small_after_halving_names_the_given_radius():
     # values on [0, 1] overflow: that is the overflow case at the given
     # radius, not a dip that halving could cure (and numpy does not warn;
     # the suite turns no warnings into errors, so check that explicitly)
+    matrix = _matrix_with_radius(1e-134)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadConfig,
                            match="delta=1e-134 .* overflows at 1e-134$"):
-            build_v_tau(-0.3, 1e-134)
+            comparison_arrays(matrix, -0.3)
+
+
+def test_radius_halves_where_the_bridge_dips():
+    # at delta = 5e-4 the bridge for tau = -0.81 dips below 0 on [0, 1],
+    # and at delta / 2 too, so V is built with radius delta / 4: D**tau
+    # exactly up to it, the bridge of that radius beyond it
+    tau, delta = -0.81, 5e-4
+    s = np.linspace(0.0, 1.0, 4097)
+    for radius in (delta, delta / 2):
+        assert np.min(np.polynomial.polynomial.polyval(
+            s, _bridge_coeffs(tau, radius))) <= 0.0
+    grid = build_graded(32, 3.0, delta)
+    V = comparison_arrays(assemble(0.5, grid, Zero()), tau)[0]
+    D = distance_D(grid.nodes)
+    core = D <= delta / 4
+    between = (D > delta / 4) & (D <= delta)
+    assert np.any(core) and np.any(between)
+    assert np.array_equal(V[core], D[core] ** tau)
+    assert np.array_equal(V, _bridged(tau, delta / 4, grid.nodes))
+    assert np.all(V[between] != D[between] ** tau)
 
 
 @pytest.mark.parametrize("tau", [-0.2, -0.5, -0.9])
 def test_core_branch_exact(tau):
-    spec = build_v_tau(tau, 0.25)
-    assert spec.delta == 0.25
-    x = spec.delta / 2.0
-    assert evaluate_profile(spec, x) == x ** tau
-    assert evaluate_profile(spec, -x) == x ** tau
+    V = comparison_arrays(MATRIX, tau)[0]
+    D = distance_D(GRID.nodes)
+    core = D <= GRID.delta
+    assert np.count_nonzero(core[:32]) == np.count_nonzero(core[32:]) > 0
+    assert np.array_equal(V[core], D[core] ** tau)
 
 
 @pytest.mark.parametrize("tau", [-0.2, -0.5, -0.9])
 def test_edge_branch_exact(tau):
-    spec = build_v_tau(tau, 0.25)
-    d = spec.delta / 2.0
-    assert evaluate_profile(spec, 1.0 - d) == d ** 2
-    assert evaluate_profile(spec, -(1.0 - d)) == d ** 2
-
-
-def test_zero_outside_interval():
-    spec = build_v_tau(-0.5)
-    assert np.all(evaluate_profile(spec, np.array([-2.0, -1.0, 1.0, 1.3])) == 0.0)
+    V = comparison_arrays(MATRIX, tau)[0]
+    d = distance_d(GRID.nodes)
+    edge = d <= GRID.delta
+    assert np.count_nonzero(edge[:32]) == np.count_nonzero(edge[32:]) > 0
+    assert np.array_equal(V[edge], d[edge] ** 2)
 
 
 def test_profile_positive_everywhere_inside():
-    xs = np.linspace(-0.9995, 0.9995, 20001)
-    xs = xs[xs != 0.0]
+    matrix = assemble(0.5, build_graded(512, 1.0), Zero())
     for tau in np.linspace(-0.95, -0.05, 10):
-        spec = build_v_tau(tau)
-        assert np.min(evaluate_profile(spec, xs)) > 0.0
+        assert np.min(comparison_arrays(matrix, tau)[0]) > 0.0
 
 
 def test_interpolant_coefficients_shape_and_symmetry():
-    spec = build_v_tau(-0.4)
-    assert spec.interpolant_coeffs.shape == (6,)
+    assert _bridge_coeffs(-0.4, GRID.delta).shape == (6,)
     # one bridge serves both sides: the profile is even in x
-    xs = np.linspace(spec.delta, 1.0 - spec.delta, 101)
-    assert np.array_equal(evaluate_profile(spec, -xs), evaluate_profile(spec, xs))
+    V = comparison_arrays(MATRIX, -0.4)[0]
+    assert np.array_equal(V, V[::-1])
 
 
 def test_branch_continuity():
-    spec = build_v_tau(-0.5)
     eps = 1e-12
-    for x0 in (spec.delta, 1.0 - spec.delta):
-        left = evaluate_profile(spec, x0 - eps)
-        right = evaluate_profile(spec, x0 + eps)
+    for x0 in (0.25, 0.75):
+        left = _bridged(-0.5, 0.25, x0 - eps)
+        right = _bridged(-0.5, 0.25, x0 + eps)
         assert abs(left - right) <= 1e-9
 
 
 def test_junction_second_differences_converge():
     # C^2 matching: one-sided second differences agree to O(h) across both
     # junction points.
-    spec = build_v_tau(-0.5, 0.25)
-
     def gap(x0, h):
-        f = lambda t: evaluate_profile(spec, t)
+        f = lambda t: _bridged(-0.5, 0.25, t)
         fwd = (f(x0 + 2 * h) - 2 * f(x0 + h) + f(x0)) / h ** 2
         bwd = (f(x0) - 2 * f(x0 - h) + f(x0 - 2 * h)) / h ** 2
         return abs(fwd - bwd)
 
-    for x0 in (spec.delta, 1.0 - spec.delta):
+    for x0 in (0.25, 0.75):
         coarse = gap(x0, 1e-3)
         fine = gap(x0, 1e-4)
         assert coarse < 2.0
@@ -126,10 +155,10 @@ def test_junction_second_differences_converge():
 
 
 def test_sample_profile_values_at_the_nodes():
-    grid = build_graded(32, 2.0)
-    spec = build_v_tau(-0.5)
-    sample = sample_profile(spec, grid)
-    assert np.array_equal(sample.values, evaluate_profile(spec, grid.nodes))
+    # V is the profile at the nodes, and W V its operator values
+    V, applied = comparison_arrays(MATRIX, -0.5)
+    assert np.array_equal(V, _bridged(-0.5, GRID.delta, GRID.nodes))
+    assert np.array_equal(applied, apply(MATRIX, GridFunction(GRID, V)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +197,10 @@ def test_torsion_needs_mirror_symmetric_grid():
     # hand-made symmetric grid the torsion function is exactly even
     with pytest.raises(BadConfig, match="mirror-symmetric"):
         Grid(nodes=np.array([-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]),
-             grading_exponent=1.0, n_per_side=1, delta=0.25)
+             grading_exponent=1.0, delta=0.25)
     grid = Grid(nodes=np.array([-0.99, -0.41, -0.4, -0.001,
                                 0.001, 0.4, 0.41, 0.99]),
-                grading_exponent=1.0, n_per_side=1, delta=0.25)
+                grading_exponent=1.0, delta=0.25)
     v = solve_torsion(assemble(0.5, grid, Zero())).values
     assert np.array_equal(v, v[::-1]) and np.min(v) > 0.0
 
@@ -207,9 +236,7 @@ def test_torsion_boundary_decay_exponent(alpha):
 
 def _band_ratios(alpha, tau, n):
     grid = build_graded(n, 2.4)
-    profile = sample_profile(build_v_tau(tau, grid.delta), grid)
-    matrix = assemble(alpha, grid, Zero())
-    out = apply(matrix, profile)
+    out = comparison_arrays(assemble(alpha, grid, Zero()), tau)[1]
     D = distance_D(grid.nodes)
     window = (D > 20.0 * grid.local_spacing()) & (D < grid.delta / 4.0)
     assert window.sum() >= 8
@@ -262,12 +289,10 @@ def test_comparison_residual_of_a_lifted_profile(scale, lift):
     # with operator(w) read off apply; the lift T is the torsion function
     grid = build_graded(128, 2.4)
     matrix = assemble(0.6, grid, Zero())
-    profile = sample_profile(build_v_tau(-0.4, grid.delta), grid)
+    V, a = comparison_arrays(matrix, -0.4)
     torsion = solve_torsion(matrix)
-    w = scale * profile.values + lift * torsion.values
-    a = apply(matrix, profile)
-    res, size = comparison_residual(a, profile.values, torsion.values, 3.0,
-                                    scale, lift)
+    w = scale * V + lift * torsion.values
+    res, size = comparison_residual(a, V, torsion.values, 3.0, scale, lift)
     direct = apply(matrix, GridFunction(grid, w)) + np.sign(w) * np.abs(w) ** 3
     assert np.allclose(res, direct, rtol=1e-9, atol=1e-9 * np.max(size))
     assert np.array_equal(size, np.abs(scale * a) + abs(lift) + np.abs(w) ** 3 + 1.0)

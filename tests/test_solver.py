@@ -11,7 +11,7 @@ from fracblow.errors import (BadConfig, GridMismatch, NewtonStall,
 from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero, build_graded,
                            distance_D)
 from fracblow.operator import apply, assemble
-from fracblow.profiles import build_v_tau, core_mask, sample_profile
+from fracblow.profiles import comparison_arrays, core_mask
 from fracblow.solver import (
     ProblemSpec,
     _even_residual,
@@ -97,11 +97,9 @@ def test_default_pair_scales_bracket_the_node_bounds(alpha, p):
     # elsewhere: the super scale is the largest of lam* = c(tau)**(1/(p-1)),
     # those bounds, and max sub / d, which orders the pair
     sub, sup, spec = _pair_and_spec(alpha, p)
-    profile = sample_profile(
-        build_v_tau(require_unique_existence(alpha, p), GRID.delta), GRID)
+    V, a = comparison_arrays(spec.matrix, require_unique_existence(alpha, p))
     core = core_mask(GRID)
-    a = apply(spec.matrix, profile)[core]
-    V = profile.values
+    a = a[core]
     bounds = (-a / V[core] ** p) ** (1.0 / (p - 1.0))
     lam_small = 1.0
     while lam_small > bounds.min():
@@ -217,10 +215,10 @@ def test_problem_spec_needs_mirror_symmetric_grid():
     # an asymmetric node set is refused where the grid is made
     with pytest.raises(BadConfig, match="mirror-symmetric"):
         Grid(nodes=np.array([-0.9, -0.2, 0.001, 0.4, 0.41, 0.99]),
-             grading_exponent=1.0, n_per_side=1, delta=0.25)
+             grading_exponent=1.0, delta=0.25)
     grid = Grid(nodes=np.array([-0.99, -0.41, -0.4, -0.001,
                                 0.001, 0.4, 0.41, 0.99]),
-                grading_exponent=1.0, n_per_side=1, delta=0.25)
+                grading_exponent=1.0, delta=0.25)
     sub = GridFunction(grid, np.full(grid.n_nodes, 20.0))
     sup = GridFunction(grid, np.full(grid.n_nodes, 30.0))
     spec = ProblemSpec(assemble(0.5, grid, Zero()), 3.0, sub, sup)
@@ -405,8 +403,7 @@ def test_solve_blowup_validation():
     with pytest.raises(BadConfig, match="at least 4"):
         solve_blowup(spec, 3)
     # every node of this grid lies in the core {D <= 1/4}
-    inner = Grid(nodes=np.array([-0.2, 0.2]), grading_exponent=1.0,
-                 n_per_side=1, delta=0.25)
+    inner = Grid(nodes=np.array([-0.2, 0.2]), grading_exponent=1.0, delta=0.25)
     inner_spec = ProblemSpec(assemble(0.5, inner, Zero()), 3.0,
                              GridFunction(inner, np.full(2, 20.0)),
                              GridFunction(inner, np.full(2, 30.0)))
@@ -415,6 +412,20 @@ def test_solve_blowup_validation():
     single = solve_blowup(spec, 64)  # one level, from the sub-solution
     assert single.levels == [64]
     assert len(single.newton_iters) == 1 and single.converged
+
+
+def test_level_past_the_innermost_node_is_refused():
+    # with no node in the excluded core the band carries no blow-up data
+    # and its one discrete solution is 0; here the innermost node sits at
+    # exactly 2**-17, so level 2**17 freezes it and 2**17 + 1 freezes none
+    grid = build_graded(256, 2.0)
+    assert grid.nodes[256] == 2.0 ** -17
+    _, _, spec = _pair_and_spec(0.5, 3.0, grid)
+    with pytest.raises(BadConfig, match=r"level 131073 leaves no node in the "
+                       r"excluded core: the innermost node lies at "
+                       r"D = 7\.63e-06, so the level can be at most 131072$"):
+        solve_blowup(spec, 2 ** 17 + 1)
+    assert solve_blowup(spec, 2 ** 17).active_nodes == [2 * 255]
 
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
@@ -522,7 +533,7 @@ def test_solve_runs_without_resolved_core_nodes():
     # a hand-made grid with no resolved node inside the matching radius
     # still solves
     grid = Grid(nodes=np.array([-0.6, -0.2, 0.2, 0.6]), grading_exponent=1.0,
-                n_per_side=2, delta=0.25)
+                delta=0.25)
     spec = ProblemSpec(assemble(0.5, grid, Zero()), 3.0,
                        GridFunction(grid, np.array([0.1, 20.0, 20.0, 0.1])),
                        GridFunction(grid, np.full(4, 30.0)))
@@ -572,18 +583,16 @@ def test_special_regime_pair_residual_signs():
     assert tau1 < taubar < 0.0
 
     core = core_mask(GRID)
-    v1 = sample_profile(build_v_tau(tau1, GRID.delta), GRID)
-    vb = sample_profile(build_v_tau(taubar, GRID.delta), GRID)
     matrix = assemble(alpha, GRID, Zero())
-    applied1 = apply(matrix, v1)
-    appliedb = apply(matrix, vb)
+    v1, applied1 = comparison_arrays(matrix, tau1)
+    vb, appliedb = comparison_arrays(matrix, taubar)
 
-    res_super = applied1 + v1.values ** p
-    tol = 1e-8 * (np.abs(applied1) + v1.values ** p + 1.0)
+    res_super = applied1 + v1 ** p
+    tol = 1e-8 * (np.abs(applied1) + v1 ** p + 1.0)
     assert np.all(res_super[core] >= -tol[core])
 
     for mu in (1.0, 2.0, 4.0, 8.0):
-        w = v1.values - mu * vb.values
+        w = v1 - mu * vb
         res_sub = applied1 - mu * appliedb + np.abs(w) ** (p - 1.0) * w
         tol = 1e-8 * (np.abs(applied1) + mu * np.abs(appliedb)
                        + np.abs(w) ** p + 1.0)
