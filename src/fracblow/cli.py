@@ -7,7 +7,13 @@ and every float in its shortest round-trip repr.  JSON reports carry a
 ``timestamp`` field unless ``--no-timestamp`` is given; with it,
 identical invocations produce byte-identical outputs.  A JSON config
 file (``--config``) may set any parameter; explicit flags override the
-file.
+file, and a JSON null is the same as a missing key.  Flags and config
+values go through one converter, ``_resolve``.  Every unusable value
+exits 2: one its parameter cannot take (text that is not a number, a
+boolean where a number is meant, an ``out`` that is not a string) with
+``configuration error: bad --FLAG value ...``, an unwritable ``out``
+with ``configuration error: cannot write output ...``, and any other
+with a configuration error that names it.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 regime guard.
@@ -72,13 +78,12 @@ _FLAGS = {
     "tau": {"help": "blow-up rate (or lo:hi range for specfun; "
                     "write --tau=-0.9:0 for negative ranges)"},
     "p": {"help": "absorption exponent"},
-    "n_per_side": {"type": int}, "grading": {"type": float},
-    "delta": {"type": float},
+    "n_per_side": {}, "grading": {}, "delta": {},
     "schedule": {"help": "levels START:END (default 8:65536); only END, the "
                          "core {D <= 1/END} left out, is solved, so START "
                          "no longer changes the answer; END must leave at "
                          "least one node in that core"},
-    "step": {"type": float, "help": "sweep step (default 0.1)"},
+    "step": {"help": "sweep step (default 0.1)"},
 }
 _KNOWN_KEYS = {*_FLAGS, "out", "no_timestamp"}
 
@@ -101,28 +106,29 @@ def _load_config(path):
     return config
 
 
-def _resolve(ns, config, name, kind=None, *, default=None, required=False):
-    """Flag value if given, else config-file value, else default; converted
-    by ``kind`` (float, int, bool) when one is given and a value is set.
-    A conversion that would change the value's meaning is refused: only a
-    true boolean is a bool, and int() must not truncate a fraction."""
+def _resolve(ns, name, kind=None, *, default=None, required=False):
+    """Value of ``name`` in ``ns``, flag or folded-in config value, else
+    ``default``; converted by ``kind`` (str, float, int, bool) when one is
+    given and a value is set, the one conversion of every parameter.  A
+    value whose type cannot mean the kind is refused: only a true boolean
+    is a bool and no boolean is a number, only a string is a str (such
+    as a path), and int() must not truncate a fraction."""
     flag = "--" + name.replace("_", "-")
     value = getattr(ns, name, None)
     if value is None:
-        value = config.get(name, default)
-    if value is None:
         if required:
             raise BadConfig(f"missing required parameter {flag}")
-        return None
+        return default
     if kind is None:
         return value
-    if (kind is bool and not isinstance(value, bool)) or (
-            kind is int and isinstance(value, float)
+    if (isinstance(value, bool) != (kind is bool)
+            or kind is str and not isinstance(value, str)
+            or kind is int and isinstance(value, float)
             and not value.is_integer()):
         raise BadConfig(f"bad {flag} value {value!r}")
     try:
         return kind(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise BadConfig(f"bad {flag} value {value!r}") from exc
 
 
@@ -175,16 +181,6 @@ def _parse_schedule(text):
     return end
 
 
-def _timestamp_field(payload, no_timestamp):
-    if not no_timestamp:
-        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return payload
-
-
-def _write_text(text, out_path):
-    _write_lines((text,), out_path)
-
-
 def _write_lines(lines, out_path):
     """Write the strings ``lines`` to ``out_path``, or to stdout without
     one, one after another as they come."""
@@ -194,12 +190,17 @@ def _write_lines(lines, out_path):
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise BadConfig(f"cannot write output {out_path}: {exc}") from exc
 
 
-def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_json(payload, no_timestamp, out_path):
+    """Write ``payload`` as sorted, indented JSON, stamped with the time
+    unless ``no_timestamp``."""
+    if not no_timestamp:
+        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+    _write_lines((json.dumps(payload, indent=2, sort_keys=True) + "\n",),
+                 out_path)
 
 
 def _csv_lines(header, rows):
@@ -234,19 +235,20 @@ def _profile_rows(x, *even):
 # Subcommands.
 
 
-def cmd_specfun(ns, config):
+def cmd_specfun(ns):
     """CSV sweep of the kernel constants: alpha,tau,c,C,T,c2.
 
     The c2 cell is left empty at tau=0 (the curvature integral is defined
-    for tau<0 only).  A configuration error ends the command before it
-    writes anything.
+    for tau<0 only).  A configuration error, such as a sweep value outside
+    the domain the constants refuse, ends the command before it writes
+    anything.
     """
     alpha_lo, alpha_hi = _parse_range(
-        _resolve(ns, config, "alpha", default="0.1:0.9"), "alpha")
+        _resolve(ns, "alpha", default="0.1:0.9"), "alpha")
     tau_lo, tau_hi = _parse_range(
-        _resolve(ns, config, "tau", default="-0.9:0.0"), "tau")
-    step = _resolve(ns, config, "step", float, default=0.1)
-    out = _resolve(ns, config, "out")
+        _resolve(ns, "tau", default="-0.9:0.0"), "tau")
+    step = _resolve(ns, "step", float, default=0.1)
+    out = _resolve(ns, "out", str)
 
     n_alpha = _range_count(alpha_lo, alpha_hi, step)
     n_tau = _range_count(tau_lo, tau_hi, step)
@@ -255,14 +257,8 @@ def cmd_specfun(ns, config):
             f"--step {step} asks for more than {_MAX_SWEEP_CELLS} alpha x tau "
             f"cells; use a larger --step or narrower --alpha/--tau ranges")
     alphas = _range_values(alpha_lo, alpha_hi, step, n_alpha)
-    taus = _range_values(tau_lo, tau_hi, step, n_tau)
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise BadConfig(f"alpha sweep value {a} outside (0,1)")
-    for t in taus:
-        if not -1.0 < t <= 1e-12:
-            raise BadConfig(f"tau sweep value {t} outside (-1,0]")
-    taus = [0.0 if abs(t) <= 1e-12 else t for t in taus]
+    taus = [0.0 if abs(t) <= 1e-12 else t
+            for t in _range_values(tau_lo, tau_hi, step, n_tau)]
 
     # Every row is computed before the output is opened.
     _write_lines(list(_csv_lines(("alpha", "tau", "c", "C", "T", "c2"),
@@ -281,11 +277,11 @@ def _sweep_rows(alphas, taus):
                    t_value, c2)
 
 
-def cmd_critical(ns, config):
+def cmd_critical(ns):
     """JSON report of the critical order and per-alpha critical rates."""
-    alpha_arg = _resolve(ns, config, "alpha", required=True)
-    out = _resolve(ns, config, "out")
-    no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
+    alpha_arg = _resolve(ns, "alpha", required=True)
+    out = _resolve(ns, "out", str)
+    no_timestamp = _resolve(ns, "no_timestamp", bool, default=False)
 
     try:
         alphas = [float(tok) for tok in str(alpha_arg).split(",") if tok.strip()]
@@ -302,34 +298,32 @@ def cmd_critical(ns, config):
             entry["tau1"] = ce.tau1
         per_alpha[repr(float(a))] = entry
 
-    payload = _timestamp_field(
-        {"alpha0": find_alpha0(), "per_alpha": per_alpha},
-        no_timestamp)
-    _write_text(_json_text(payload), out)
+    _write_json({"alpha0": find_alpha0(), "per_alpha": per_alpha},
+                no_timestamp, out)
     return EXIT_OK
 
 
-def cmd_classify(ns, config):
+def cmd_classify(ns):
     """Regime line and predicted blow-up rate for (alpha, p[, tau])."""
-    alpha = _resolve(ns, config, "alpha", float, required=True)
-    p = _resolve(ns, config, "p", float, required=True)
-    tau = _resolve(ns, config, "tau", float)
-    out = _resolve(ns, config, "out")
+    alpha = _resolve(ns, "alpha", float, required=True)
+    p = _resolve(ns, "p", float, required=True)
+    tau = _resolve(ns, "tau", float)
+    out = _resolve(ns, "out", str)
 
     regime = classify(alpha, p, tau)
     rate = "none" if regime.predicted_rate is None else repr(regime.predicted_rate)
-    _write_text(f"regime: {regime.kind.value}\npredicted_rate: {rate}\n", out)
+    _write_lines((f"regime: {regime.kind.value}\npredicted_rate: {rate}\n",),
+                 out)
     return EXIT_OK
 
 
-def _grid_from(ns, config):
-    n_per_side = _resolve(ns, config, "n_per_side", int, default=512)
-    grading = _resolve(ns, config, "grading", float, default=2.4)
-    delta = _resolve(ns, config, "delta", float, default=0.25)
-    return build_graded(n_per_side, grading, delta)
+def _grid_from(ns):
+    return build_graded(_resolve(ns, "n_per_side", int, default=512),
+                        _resolve(ns, "grading", float, default=2.4),
+                        _resolve(ns, "delta", float, default=0.25))
 
 
-def cmd_solve(ns, config):
+def cmd_solve(ns):
     """Blow-up solve at the schedule's last level: report JSON plus
     per-node profile CSV.
 
@@ -337,13 +331,13 @@ def cmd_solve(ns, config):
     profile to PREFIX.profile.csv; without it the report is printed and
     the profile skipped.
     """
-    alpha = _resolve(ns, config, "alpha", float, required=True)
-    p = _resolve(ns, config, "p", float, required=True)
-    level = _parse_schedule(_resolve(ns, config, "schedule", default="8:65536"))
-    out = _resolve(ns, config, "out")
-    no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
+    alpha = _resolve(ns, "alpha", float, required=True)
+    p = _resolve(ns, "p", float, required=True)
+    level = _parse_schedule(_resolve(ns, "schedule", default="8:65536"))
+    out = _resolve(ns, "out", str)
+    no_timestamp = _resolve(ns, "no_timestamp", bool, default=False)
 
-    grid = _grid_from(ns, config)
+    grid = _grid_from(ns)
     require_unique_existence(alpha, p)
     matrix = assemble(alpha, grid, Zero())
     sub, sup = default_sub_super(matrix, p)
@@ -359,28 +353,25 @@ def cmd_solve(ns, config):
         "delta": grid.delta,
         "report": report.as_dict(),
     }
-    _timestamp_field(payload, no_timestamp)
-
-    if out is None:
-        _write_text(_json_text(payload), None)
-    else:
+    _write_json(payload, no_timestamp,
+                None if out is None else f"{out}.report.json")
+    if out is not None:
         rows = _profile_rows(grid.nodes, report.final.values, sub.values,
                              sup.values)
-        _write_text(_json_text(payload), f"{out}.report.json")
         _write_lines(_csv_lines(("x", "D", "u", "sub", "super"), rows),
                      f"{out}.profile.csv")
     return EXIT_OK
 
 
-def cmd_audit(ns, config):
+def cmd_audit(ns):
     """Nonexistence-zone residual audit, emitted as JSON."""
-    alpha = _resolve(ns, config, "alpha", float, required=True)
-    p = _resolve(ns, config, "p", float, required=True)
-    tau = _resolve(ns, config, "tau", float, required=True)
-    out = _resolve(ns, config, "out")
-    no_timestamp = _resolve(ns, config, "no_timestamp", bool, default=False)
+    alpha = _resolve(ns, "alpha", float, required=True)
+    p = _resolve(ns, "p", float, required=True)
+    tau = _resolve(ns, "tau", float, required=True)
+    out = _resolve(ns, "out", str)
+    no_timestamp = _resolve(ns, "no_timestamp", bool, default=False)
 
-    grid = _grid_from(ns, config)
+    grid = _grid_from(ns)
     require_nonexistence(alpha, p, tau)
     audit = audit_nonexistence(assemble(alpha, grid, Zero()), p, tau)
     payload = {
@@ -389,8 +380,7 @@ def cmd_audit(ns, config):
         "delta": grid.delta,
         "audit": audit.as_dict(),
     }
-    _timestamp_field(payload, no_timestamp)
-    _write_text(_json_text(payload), out)
+    _write_json(payload, no_timestamp, out)
     return EXIT_OK
 
 
@@ -410,7 +400,8 @@ def _add_common(sub):
 def _build_parser():
     """The argument parser, built at the first call and shared after it:
     parsing leaves it unchanged, and ``main`` looks each command up by
-    name at call time.  A subcommand takes only the flags it reads."""
+    name at call time.  A subcommand takes only the parameter flags it
+    reads, plus ``--out``, ``--no-timestamp`` and ``--config``."""
     parser = argparse.ArgumentParser(
         prog="fracblow",
         description="Interior blow-up toolkit for the 1-D fractional "
@@ -444,8 +435,11 @@ def main(argv=None) -> int:
             return EXIT_OK
         return EXIT_CONFIG
     try:
-        config = _load_config(getattr(ns, "config", None))
-        return globals()[f"cmd_{ns.command}"](ns, config)
+        # a config value fills only a flag left unset; null is unset
+        for name, value in _load_config(ns.config).items():
+            if getattr(ns, name, None) is None:
+                setattr(ns, name, value)
+        return globals()[f"cmd_{ns.command}"](ns)
     except RegimeError as exc:
         print(f"regime guard: {exc}", file=sys.stderr)
         return EXIT_REGIME

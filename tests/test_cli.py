@@ -5,13 +5,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fracblow.analysis
@@ -625,7 +626,7 @@ def test_exit_table_covers_every_error_class():
 
 @pytest.mark.parametrize("name", sorted(_ERROR_EXITS))
 def test_error_class_maps_to_exit_code(name, monkeypatch, capsys):
-    def failing(ns, config):
+    def failing(ns):
         raise getattr(fracblow.errors, name)("boom")
 
     monkeypatch.setattr(fracblow.cli, "cmd_classify", failing)
@@ -694,6 +695,14 @@ def test_unwritable_out_is_config_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(
         f"configuration error: cannot write output {out}"), captured.err
+    # open() refuses a path with a NUL in it by ValueError, not OSError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": "a\u0000b"}))
+    assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "configuration error: cannot write output a\u0000b"), captured.err
 
 
 @pytest.mark.parametrize("argv,config,flag", [
@@ -706,8 +715,24 @@ def test_unwritable_out_is_config_error(argv, tmp_path, capsys):
      "--no-timestamp"),
     (["solve", "--alpha", "0.5", "--p", "3"], {"n_per_side": 64.9},
      "--n-per-side"),
+    (["solve", "--alpha", "0.5", "--p", "3", "--n-per-side", "x"], None,
+     "--n-per-side"),
+    (["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4", "--grading", "x"],
+     None, "--grading"),
+    (["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4", "--delta", "x"],
+     None, "--delta"),
+    (["specfun", "--step", "x"], None, "--step"),
+    (["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4", "--n-per-side",
+      "64"], {"grading": True}, "--grading"),
+    (["classify", "--alpha", "0.5", "--p", "3"], {"out": True}, "--out"),
+    (["classify", "--alpha", "0.5", "--p", "3"], {"out": 2}, "--out"),
+    (["critical", "--alpha", "0.6"], {"out": []}, "--out"),
+    (["classify", "--alpha", "0.5"], {"p": 10**400}, "--p"),
 ], ids=["classify-flag", "solve-flag", "audit-flag", "config-text",
-        "config-list", "config-bool-text", "config-fractional-int"])
+        "config-list", "config-bool-text", "config-fractional-int",
+        "n-per-side-flag", "grading-flag", "delta-flag", "step-flag",
+        "config-bool-grading", "config-bool-out", "config-int-out",
+        "config-list-out", "config-int-past-float"])
 def test_non_numeric_values_are_config_errors(argv, config, flag, tmp_path,
                                               capsys):
     if config is not None:
@@ -717,6 +742,94 @@ def test_non_numeric_values_are_config_errors(argv, config, flag, tmp_path,
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: bad {flag} value "), err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["solve", "--alpha", "0.5", "--p", "3", "--schedule", "8:256"],
+     {"n_per_side": None}),
+    (["solve", "--alpha", "0.5", "--p", "3", "--schedule", "8:256",
+      "--n-per-side", "128"], {"grading": None, "delta": None}),
+    (["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4"],
+     {"n_per_side": None}),
+    (["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4", "--n-per-side",
+      "128"], {"grading": None, "delta": None}),
+    (["specfun", "--alpha", "0.3", "--tau=-0.5:0"], {"step": None}),
+], ids=["solve-n", "solve-grading-delta", "audit-n", "audit-grading-delta",
+        "specfun-step"])
+def test_null_config_value_is_a_missing_key(argv, config, tmp_path, capsys):
+    argv = argv + ["--no-timestamp"]
+    assert main(argv) == EXIT_OK
+    alone = capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(argv + ["--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr() == alone
+
+
+@contextlib.contextmanager
+def _closed_std_fds():
+    """Yield a list that, after the block, names the standard fds (0-2)
+    the block closed.  Each is then restored from a copy, so a command
+    that closes one does not take the test run's output with it."""
+    copies = [os.dup(fd) for fd in range(3)]
+    closed = []
+    try:
+        yield closed
+    finally:
+        for fd, copy in enumerate(copies):
+            try:
+                os.fstat(fd)
+            except OSError:
+                closed.append(fd)
+            os.dup2(copy, fd)
+            os.close(copy)
+
+
+@pytest.mark.parametrize("out", [True, 2], ids=["true", "two"])
+def test_refused_out_leaves_the_standard_fds_open(out, tmp_path, capsys):
+    # open(True) and open(2) would open fds 1 and 2, and close them after
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": out}))
+    with _closed_std_fds() as closed:
+        code = main(["classify", "--alpha", "0.5", "--p", "3",
+                     "--config", str(cfg)])
+    assert closed == []
+    assert code == EXIT_CONFIG
+
+
+# Any JSON value a config key may hold.  Texts hold no "/", so an out
+# path names a file in the working directory.
+CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(st.characters(exclude_characters="/"), max_size=6),
+    st.lists(st.integers() | st.floats() | st.text(max_size=3), max_size=3))
+CONFIGS = st.dictionaries(st.sampled_from(sorted(fracblow.cli._KNOWN_KEYS)),
+                          CONFIG_VALUES, max_size=3)
+CONFIG_COMMANDS = (["classify"], ["critical"], ["specfun"],
+                   ["solve", "--n-per-side", "128", "--schedule", "4:256"],
+                   ["audit", "--n-per-side", "128"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=CONFIGS)
+def test_any_config_ends_in_a_chosen_exit(config, tmp_path, monkeypatch):
+    # every command exits 0, 2, 3 or 4 on any config object over the known
+    # keys, raises nothing and leaves the standard fds open; the drawn keys
+    # replace those of a config every command runs on, so a value is
+    # reached past the parameters read before it
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config" / "cfg.json"
+    cfg.parent.mkdir(exist_ok=True)
+    cfg.write_text(json.dumps({"alpha": 0.6, "p": 3.0, "tau": -0.4, **config}))
+    for argv in CONFIG_COMMANDS:
+        with _closed_std_fds() as closed, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--config", str(cfg)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_REGIME)
+        assert closed == [], (argv, config)
 
 
 @pytest.mark.parametrize("argv,dropped", [
