@@ -1,6 +1,12 @@
 """Command-line front end: kernel-constant sweeps, critical exponents,
 regime classification, blow-up solves, and nonexistence audits.
 
+A command line is parsed once.  When its first word names a command,
+that command's own parser reads the rest; any other line (empty, help,
+an unknown command, an option before the command, a leading ``--``)
+goes to the top-level parser, which prints help or refuses it.  Either
+way a parse error reads as the top-level parser reports it and exits 2.
+
 Output conventions: CSV for per-node or per-cell tables, JSON for
 structured reports.  A CSV table has a header row, newline line ends
 and every float in its shortest round-trip repr.  JSON reports carry a
@@ -398,10 +404,12 @@ def _add_common(sub):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built at the first call and shared after it:
-    parsing leaves it unchanged, and ``main`` looks each command up by
-    name at call time.  A subcommand takes only the parameter flags it
-    reads, plus ``--out``, ``--no-timestamp`` and ``--config``."""
+    """The top-level argument parser and its ``{name: subparser}`` map
+    (the subparsers action's ``choices``), built at the first call and
+    shared after it: parsing leaves both unchanged, and ``main`` looks
+    each command up by name at call time.  A subcommand takes only the
+    parameter flags it reads, plus ``--out``, ``--no-timestamp`` and
+    ``--config``."""
     parser = argparse.ArgumentParser(
         prog="fracblow",
         description="Interior blow-up toolkit for the 1-D fractional "
@@ -422,13 +430,35 @@ def _build_parser():
             sub.add_argument("--" + flag.replace("_", "-"), dest=flag,
                              **_FLAGS[flag])
         _add_common(sub)
-    return parser
+    return parser, commands.choices
+
+
+def _parse(argv):
+    """The namespace of the command line ``argv``, parsed once.  A line
+    whose first word names a command goes straight to that command's
+    parser, and its leftover words are refused as the top-level parser
+    refuses them; the top-level parser would only have found the command
+    and handed it the rest.  Any other line goes to the top-level
+    parser.  A parse error or a help request raises ``SystemExit``."""
+    parser, subparsers = _build_parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    ns, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    ns.command = argv[0]
+    return ns
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run the command line ``argv`` (``sys.argv[1:]`` when None) and
+    return its exit code: parse it once (``_parse``), fold the config
+    file into the flags it left unset, and call the ``cmd_*`` of the
+    command; every parse error and every package error maps to its exit
+    code."""
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         code = exc.code
         if code is None or code == 0:

@@ -58,6 +58,12 @@ Exterior = Union[Zero, PowerTail]
 # ---------------------------------------------------------------------------
 # Grid.
 
+# Most nodes per side ``build_graded`` makes.  A solve or audit stores the
+# n/2 x n right-half operator rows, 16 * n_per_side**2 bytes (1 GiB at
+# this cap), and folds and factors a half-size copy; past the cap a grid
+# is refused before any array is built, the same on every host.
+_MAX_N_PER_SIDE = 2**13
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -129,11 +135,15 @@ def build_graded(n_per_side: int, grading_exponent: float,
     The innermost node sits at (1/n_per_side)**grading_exponent / 2, so
     the smallest gap to 0 matches the advertised power up to a factor 2;
     grading_exponent = 1 reproduces the uniform midpoint grid.
+    ``n_per_side`` must lie in [16, ``_MAX_N_PER_SIDE``].
     """
     n = int(n_per_side)
     gamma = float(grading_exponent)
     if n < 16:
         raise BadConfig(f"n_per_side must be at least 16, got {n}")
+    if n > _MAX_N_PER_SIDE:
+        raise BadConfig(
+            f"n_per_side must be at most {_MAX_N_PER_SIDE}, got {n}")
     if not (1.0 <= gamma <= 6.0):
         raise BadConfig(f"grading_exponent must lie in [1, 6], got {gamma}")
     xi = (np.arange(1, n + 1) - 0.5) / n

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: outputs, exit codes, config."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -366,13 +367,13 @@ def test_solve_tiny_delta_is_config_error(capsys):
     assert err.startswith("configuration error: matching radius delta=1e-300")
 
 
-def test_solve_overflowing_bridge_is_one_config_error_line():
+def test_solve_overflowing_bridge_is_one_config_error_line(child_env):
     # the bridge's data are finite at 1e-134 but its values overflow; a
     # fresh process shows everything that reaches stderr, warnings included
     proc = subprocess.run(
         [sys.executable, "-m", "fracblow.cli", "solve", "--alpha", "0.6",
          "--p", "5", "--n-per-side", "64", "--delta", "1e-134"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr == (
         "configuration error: matching radius delta=1e-134 is too small for "
@@ -430,6 +431,19 @@ def test_audit_without_core_nodes_is_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "matching radius" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "0.5", "--p", "3"],
+    ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4"],
+], ids=["solve", "audit"])
+def test_huge_grid_is_config_error(argv, capsys):
+    # refused as the grid is built, before any array of that size
+    assert main(argv + ["--n-per-side", "1000000000000000"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: n_per_side must be at most "
+                            "8192, got 1000000000000000\n")
 
 
 def test_audit_zone_follows_classify_just_below_threshold(capsys):
@@ -881,6 +895,73 @@ def test_repeated_calls_build_the_parser_once(monkeypatch, capsys):
     assert len(built) == first
 
 
+# The words of a command line: every command and an unknown one, help,
+# every flag, two abbreviations, a flag with its value attached, values
+# (one negative, one not a number) and the end-of-options marker.
+# Half the lines start with a command, and half of those go on in
+# flag-value pairs, so that many parse.
+COMMANDS = ("specfun", "critical", "classify", "solve", "audit")
+FLAG_WORDS = ("--alpha", "--tau", "--p", "--n-per-side", "--grading",
+              "--delta", "--schedule", "--step", "--out", "--no-timestamp",
+              "--config", "--alph", "--no-t")
+VALUE_WORDS = ("0.3", "-0.4", "x")
+ARGV_WORDS = st.sampled_from([*COMMANDS, "bogus", "-h", "--help",
+                              *FLAG_WORDS, "--tau=-0.5", *VALUE_WORDS, "--"])
+FLAG_PAIRS = st.lists(st.tuples(st.sampled_from(FLAG_WORDS),
+                                st.sampled_from(VALUE_WORDS)),
+                      max_size=4).map(lambda pairs: [w for p in pairs
+                                                     for w in p])
+ARGVS = (st.lists(ARGV_WORDS, max_size=8)
+         | st.builds(lambda command, rest: [command, *rest],
+                     st.sampled_from(COMMANDS),
+                     st.lists(ARGV_WORDS, max_size=7) | FLAG_PAIRS))
+
+
+def _parse_outcome(parse, argv):
+    """The fields of the namespace ``parse(argv)`` returns, or the code it
+    exits with, and what it wrote to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=ARGVS)
+def test_dispatch_parses_as_the_top_level_parser(argv):
+    # a command-first line skips the top-level parser, and every line
+    # still gives its namespace, or its exit code, help and error bytes
+    parser, _ = fracblow.cli._build_parser()
+    assert (_parse_outcome(fracblow.cli._parse, argv)
+            == _parse_outcome(parser.parse_args, argv))
+
+
+def test_command_first_lines_skip_the_top_level_parser(monkeypatch, capsys):
+    # the top-level parser would only find the command and hand it the
+    # rest, so only the command's own parser reads a command-first line
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(["classify", "--alpha", "0.5", "--p", "3"]) == EXIT_OK
+    assert main(["critical", "--alpha", "0.3", "--no-timestamp"]) == EXIT_OK
+    assert main(["classify", "--alpha", "0.5", "--p", "3", "x"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        "\nfracblow: error: unrecognized arguments: x\n")
+    assert progs == ["fracblow classify", "fracblow critical",
+                     "fracblow classify"]
+    # any other line goes to the top-level parser
+    assert main(["--help"]) == EXIT_OK
+    assert progs[3:] == ["fracblow"]
+
+
 def test_flags_do_not_leak_between_calls(tmp_path, capsys):
     # one parser serves every call, and each call parses into its own
     # namespace: nothing a call was given reaches the next one
@@ -913,21 +994,21 @@ def test_help_exits_zero():
     assert main(["--help"]) == EXIT_OK
 
 
-def test_importing_the_cli_loads_no_scipy():
+def test_importing_the_cli_loads_no_scipy(child_env):
     # scipy is a test-only dependency: no command may pay for importing it
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, fracblow.cli; print(sorted(m for m in sys.modules "
          "if m == 'scipy' or m.startswith('scipy.')))"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "fracblow.cli", "classify",
          "--alpha", "0.5", "--p", "3"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0
     assert "unique-existence" in proc.stdout

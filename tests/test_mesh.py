@@ -1,10 +1,12 @@
 """Tests for graded grid construction, distances, and grid functions."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fracblow.mesh
 from fracblow.errors import BadConfig, GridMismatch, OutOfDomain
 from fracblow.mesh import (
     Grid,
@@ -83,6 +85,23 @@ def test_build_graded_validates_arguments():
         build_graded(512, 6.0)
     grid = build_graded(456, 6.0)
     assert grid.nodes[-1] < 1.0 and np.all(np.diff(grid.nodes) > 0.0)
+
+
+def test_build_graded_refuses_past_the_node_cap_before_any_array():
+    # a grid past the cap would lead to operator rows of 16 n_per_side**2
+    # bytes; it is refused before even its nodes are built
+    cap = fracblow.mesh._MAX_N_PER_SIDE
+    assert build_graded(cap, 2.4).n_per_side == cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadConfig,
+                           match=f"n_per_side must be at most {cap}, got "
+                                 f"{cap + 1}$"):
+            build_graded(cap + 1, 2.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cap  # less than one array of cap doubles
 
 
 def test_grid_constructor_rejects_bad_nodes():

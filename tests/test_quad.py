@@ -20,14 +20,14 @@ from fracblow.operator import power_tail_gap, power_tail_moment
 from fracblow.specfun import C_tau, c_second_derivative, c_tau
 
 
-def test_module_is_kept_as_a_named_layer():
+def test_module_is_kept_as_a_named_layer(child_env):
     # tools that address the package layer by layer find it by name once
     # the package is imported; it defines nothing
     assert not [name for name in vars(fracblow.quad) if not name.startswith("__")]
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, fracblow; print('fracblow.quad' in sys.modules)"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.stdout == "True\n"
 
 
