@@ -202,6 +202,8 @@ def audit_nonexistence(matrix: OperatorMatrix, p: float,
     scale.  mu is t times the least power of two >= 1 that makes the
     linear part nonnegative in zone 1, and the least power of two in
     [1, 2**MAX_DOUBLINGS] that works, found by doubling, in zones 2 and 3.
+    T comes from ``solve_torsion``, solved once per (alpha, grid) in a
+    process.
     """
     alpha, grid = matrix.alpha, matrix.grid
     regime = require_nonexistence(alpha, p, tau)

@@ -16,6 +16,7 @@ the power-of-two rounding that sizes them.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -81,6 +82,12 @@ def _bridge_coeffs(tau: float, delta: float) -> np.ndarray | None:
 # Discrete torsion function.
 
 
+# Torsion half vectors, oldest first; the lock keeps evictions exact.
+_TORSION_MEMO: dict[tuple[float, bytes], np.ndarray] = {}
+_TORSION_MEMO_SIZE = 16
+_TORSION_LOCK = threading.Lock()
+
+
 def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
     """Solve the dense collocation system  operator(v) = 1  for the
     zero-exterior ``matrix``.  The solution is the discrete torsion
@@ -89,25 +96,40 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
 
     The grid is mirror-symmetric, so the right-hand side is even, the
     solve is the half system of ``even_block(matrix)`` and the solution
-    is exactly even."""
+    is exactly even.  The half solution depends only on the inputs of
+    ``assemble``, so it is kept for the last _TORSION_MEMO_SIZE keys
+    (alpha and a digest of the grid nodes; the zero exterior is the only
+    one admitted), and a repeated key gets a fresh GridFunction of the
+    kept half.  Any later input of ``assemble`` must join the key."""
     if not isinstance(matrix.exterior, Zero):
         raise BadConfig("the torsion function needs the zero-exterior operator")
+    try:  # the lean builtin, as in the random module: hashlib loads OpenSSL
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
     alpha, grid = matrix.alpha, matrix.grid
-    try:
-        half = np.linalg.solve(even_block(matrix), 1.0 - matrix.correction)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            f"torsion system is singular for alpha={alpha}") from exc
-    values = np.concatenate((half[::-1], half))
-    if not np.all(np.isfinite(values)):
-        raise SingularSystem(
-            f"torsion solve produced non-finite values for alpha={alpha}")
-    scale = float(np.max(np.abs(values)))
-    if np.min(values) < -1e-10 * scale:
-        raise SingularSystem(
-            "torsion solve produced negative values; the discretization "
-            f"is unusable (min {np.min(values):.3e})")
-    return GridFunction(grid, values)
+    nodes = np.ascontiguousarray(grid.nodes)
+    key = (alpha, blake2b(nodes, digest_size=32).digest())
+    half = _TORSION_MEMO.get(key)
+    if half is None:
+        try:
+            half = np.linalg.solve(even_block(matrix), 1.0 - matrix.correction)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(
+                f"torsion system is singular for alpha={alpha}") from exc
+        if not np.all(np.isfinite(half)):
+            raise SingularSystem(
+                f"torsion solve produced non-finite values for alpha={alpha}")
+        scale = float(np.max(np.abs(half)))
+        if np.min(half) < -1e-10 * scale:
+            raise SingularSystem(
+                "torsion solve produced negative values; the discretization "
+                f"is unusable (min {np.min(half):.3e})")
+        with _TORSION_LOCK:
+            if len(_TORSION_MEMO) >= _TORSION_MEMO_SIZE:
+                del _TORSION_MEMO[next(iter(_TORSION_MEMO))]
+            _TORSION_MEMO[key] = half
+    return GridFunction(grid, np.concatenate((half[::-1], half)))
 
 
 # ---------------------------------------------------------------------------

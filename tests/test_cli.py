@@ -597,6 +597,35 @@ def test_only_the_audit_solves_the_torsion_function(argv, solves, monkeypatch,
     assert len(calls) == solves
 
 
+def test_a_repeated_audit_reuses_its_torsion_solve(monkeypatch, capsys,
+                                                   child_env):
+    # the second audit on the same (alpha, grid) in one process solves no
+    # half-size system (the profile's 6 x 6 bridge system is still solved
+    # per audit), and prints what a fresh process prints
+    monkeypatch.setattr(fracblow.profiles, "_TORSION_MEMO", {})
+    argv = ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8",
+            "--n-per-side", "128", "--no-timestamp"]
+    shapes = []
+    original = np.linalg.solve
+
+    def counting(a, b):
+        shapes.append(np.shape(a))
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    half_solves, outs = [], []
+    for _ in range(2):
+        shapes.clear()
+        assert main(argv) == EXIT_OK
+        half_solves.append(shapes.count((128, 128)))
+        outs.append(capsys.readouterr().out.encode())
+    assert half_solves == [1, 0]
+    fresh = subprocess.run([sys.executable, "-m", "fracblow.cli", *argv],
+                           capture_output=True, timeout=120, env=child_env)
+    assert fresh.returncode == 0, fresh.stderr
+    assert outs[0] == outs[1] == fresh.stdout
+
+
 def test_audit_assembles_once(monkeypatch, capsys):
     calls = _count_assembles(monkeypatch)
     code = main(["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8",
@@ -1000,6 +1029,18 @@ def test_importing_the_cli_loads_no_scipy(child_env):
         [sys.executable, "-c",
          "import sys, fracblow.cli; print(sorted(m for m in sys.modules "
          "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_digest_module(child_env):
+    # the torsion memo imports its digest on the first torsion solve, so
+    # commands that solve none do not load it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracblow.cli; print(sorted(m for m in sys.modules "
+         "if m in ('hashlib', '_hashlib', '_blake2')))"],
         capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -1,14 +1,18 @@
 """Tests for the comparison profiles and the discrete torsion function."""
 
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fracblow import profiles
 from fracblow.errors import BadConfig
 from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero, build_graded,
                            distance_D, distance_d)
-from fracblow.operator import apply, assemble
+from fracblow.operator import apply, assemble, even_block
 from fracblow.profiles import (
     _bridge_coeffs,
     comparison_arrays,
@@ -228,6 +232,138 @@ def test_torsion_boundary_decay_exponent(alpha):
     design = np.vstack([np.log(d[mask]), np.ones(mask.sum())]).T
     exponent = np.linalg.lstsq(design, np.log(v[mask]), rcond=None)[0][0]
     assert abs(exponent - alpha) <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# The torsion memo: one half solve per (alpha, grid nodes) in a process.
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty torsion memo for one test; the process's own is put back
+    afterwards."""
+    fresh = {}
+    monkeypatch.setattr(profiles, "_TORSION_MEMO", fresh)
+    return fresh
+
+
+def _count_solves(monkeypatch):
+    """Shapes of the systems handed to ``np.linalg.solve`` from now on."""
+    shapes = []
+    original = np.linalg.solve
+
+    def counting(a, b):
+        shapes.append(np.shape(a))
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return shapes
+
+
+def _direct_torsion(matrix):
+    half = np.linalg.solve(even_block(matrix), 1.0 - matrix.correction)
+    return np.concatenate((half[::-1], half))
+
+
+def test_torsion_memo_hit_is_the_solve_bit_for_bit(memo, monkeypatch):
+    matrix = assemble(0.6, build_graded(64, 2.4), Zero())
+    want = _direct_torsion(matrix)
+    first = solve_torsion(matrix).values
+    solves = _count_solves(monkeypatch)
+    # a fresh assembly of the same (alpha, grid) is the same key
+    again = solve_torsion(assemble(0.6, build_graded(64, 2.4), Zero()))
+    assert solves == []
+    assert len(memo) == 1
+    assert np.array_equal(first, want)
+    assert np.array_equal(again.values, want)
+
+
+def test_torsion_memo_misses_on_another_alpha_or_grid(memo, monkeypatch):
+    grid = build_graded(64, 2.4)
+    solve_torsion(assemble(0.6, grid, Zero()))
+    others = [assemble(np.nextafter(0.6, 1.0), grid, Zero()),
+              assemble(0.6, build_graded(64, 2.0), Zero())]  # same n_per_side
+    wants = [_direct_torsion(matrix) for matrix in others]
+    solves = _count_solves(monkeypatch)
+    for matrix, want in zip(others, wants):
+        assert np.array_equal(solve_torsion(matrix).values, want)
+    assert solves == [(64, 64), (64, 64)]
+    assert len(memo) == 3
+
+
+def test_torsion_memo_still_refuses_a_power_tail(memo):
+    grid = build_graded(32, 2.0)
+    solve_torsion(assemble(0.5, grid, Zero()))
+    with pytest.raises(BadConfig, match="zero-exterior"):
+        solve_torsion(assemble(0.5, grid, PowerTail(0.0)))
+    assert len(memo) == 1
+
+
+def test_mutating_a_returned_torsion_leaves_the_memo(memo):
+    matrix = assemble(0.6, build_graded(64, 2.4), Zero())
+    want = _direct_torsion(matrix)
+    solve_torsion(matrix).values[:] = -1.0    # the miss's result
+    hit = solve_torsion(matrix)
+    assert np.array_equal(hit.values, want)
+    hit.values[::2] = np.nan                 # a hit's result
+    assert np.array_equal(solve_torsion(matrix).values, want)
+
+
+def test_torsion_memo_keeps_its_bound_first_in_first_out(memo):
+    grid = build_graded(16, 2.0)
+    bound = profiles._TORSION_MEMO_SIZE
+    alphas = [float(a) for a in np.linspace(0.1, 0.9, 2 * bound)]
+    for k, alpha in enumerate(alphas):
+        solve_torsion(assemble(alpha, grid, Zero()))
+        assert len(memo) == min(k + 1, bound)
+    assert [alpha for alpha, _ in memo] == alphas[-bound:]
+
+
+def test_torsion_memo_keeps_its_bound_under_concurrent_callers(memo):
+    # more threads than cores, switching as often as the interpreter
+    # allows, over eight times the bound of keys, each solved twice, from
+    # an empty memo 60 times; an eviction without the lock raised a
+    # KeyError within these rounds in 8 runs of 8
+    grid = build_graded(16, 2.0)
+    bound = profiles._TORSION_MEMO_SIZE
+    matrices = [assemble(alpha, grid, Zero())
+                for alpha in np.linspace(0.1, 0.9, 8 * bound)]
+    wants = [_direct_torsion(matrix) for matrix in matrices]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):
+            memo.clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda m: solve_torsion(m).values,
+                                    matrices + matrices, timeout=60))
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(got, wants + wants))
+            assert len(memo) <= bound
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_torsion_memo_retains_at_most_its_bound_of_half_vectors(memo):
+    # twice the bound of distinct alphas: what stays allocated afterwards
+    # is at most the bound's worth of n/2 doubles, plus a little per
+    # entry (the array header, the key and its dict slot)
+    grid = build_graded(64, 2.4)
+    bound = profiles._TORSION_MEMO_SIZE
+    matrices = [assemble(alpha, grid, Zero())
+                for alpha in np.linspace(0.1, 0.9, 2 * bound)]
+    solve_torsion(matrices[0])       # any first-call import happens here
+    memo.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for matrix in matrices:
+            solve_torsion(matrix)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(memo) == bound
+    assert retained <= bound * (grid.n_per_side * 8 + 512)
 
 
 # ---------------------------------------------------------------------------
