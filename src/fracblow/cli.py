@@ -23,6 +23,10 @@ with a configuration error that names it.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 regime guard.
+
+Only ``solve`` and ``audit`` import the grid modules (and with them
+numpy), when they run; ``specfun``, ``critical`` and ``classify`` need
+nothing but the closed forms of ``specfun``, so they load neither.
 """
 
 from __future__ import annotations
@@ -32,26 +36,14 @@ import functools
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from itertools import chain
 
-import numpy as np
-
-from .analysis import audit_nonexistence, require_nonexistence
 from .errors import (
     BadConfig,
     ConfigError,
     FracblowError,
     NumericalError,
     RegimeError,
-)
-from .mesh import Zero, build_graded
-from .operator import assemble
-from .solver import (
-    ProblemSpec,
-    default_sub_super,
-    require_unique_existence,
-    solve_blowup,
 )
 from .specfun import (
     C_tau,
@@ -204,6 +196,7 @@ def _write_json(payload, no_timestamp, out_path):
     """Write ``payload`` as sorted, indented JSON, stamped with the time
     unless ``no_timestamp``."""
     if not no_timestamp:
+        from datetime import datetime, timezone
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     _write_lines((json.dumps(payload, indent=2, sort_keys=True) + "\n",),
                  out_path)
@@ -228,9 +221,7 @@ def _profile_rows(x, *even):
     being most of the cost of a CSV line: there D's cells are x's, and a
     left row is its mirror node's row with x negated."""
     h = x.size // 2
-    cells = list(map(float.__repr__, np.concatenate(
-        [x[h:], *(c[h:] for c in even)]).tolist()))
-    right = [cells[k:k + h] for k in range(0, len(cells), h)]
+    right = [list(map(float.__repr__, c[h:].tolist())) for c in (x, *even)]
     right.insert(1, right[0])
     left = zip(map("-".__add__, reversed(right[0])),
                *map(reversed, right[1:]))
@@ -324,6 +315,7 @@ def cmd_classify(ns):
 
 
 def _grid_from(ns):
+    from .mesh import build_graded
     return build_graded(_resolve(ns, "n_per_side", int, default=512),
                         _resolve(ns, "grading", float, default=2.4),
                         _resolve(ns, "delta", float, default=0.25))
@@ -337,6 +329,11 @@ def cmd_solve(ns):
     profile to PREFIX.profile.csv; without it the report is printed and
     the profile skipped.
     """
+    from .mesh import Zero
+    from .operator import assemble
+    from .solver import (ProblemSpec, default_sub_super,
+                         require_unique_existence, solve_blowup)
+
     alpha = _resolve(ns, "alpha", float, required=True)
     p = _resolve(ns, "p", float, required=True)
     level = _parse_schedule(_resolve(ns, "schedule", default="8:65536"))
@@ -371,6 +368,10 @@ def cmd_solve(ns):
 
 def cmd_audit(ns):
     """Nonexistence-zone residual audit, emitted as JSON."""
+    from .analysis import audit_nonexistence, require_nonexistence
+    from .mesh import Zero
+    from .operator import assemble
+
     alpha = _resolve(ns, "alpha", float, required=True)
     p = _resolve(ns, "p", float, required=True)
     tau = _resolve(ns, "tau", float, required=True)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import fracblow.analysis
 import fracblow.cli
 import fracblow.errors
+import fracblow.operator
 import fracblow.profiles
 import fracblow.solver
 from fracblow.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_REGIME, main
@@ -537,14 +538,15 @@ def test_solve_at_the_window_edges_chooses_its_exit(alpha, p):
 
 
 def _count_assembles(monkeypatch):
+    # the commands import assemble from the operator module when they run
     calls = []
-    original = fracblow.cli.assemble
+    original = fracblow.operator.assemble
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fracblow.cli, "assemble", counting)
+    monkeypatch.setattr(fracblow.operator, "assemble", counting)
     return calls
 
 
@@ -1044,6 +1046,43 @@ def test_importing_the_cli_loads_no_digest_module(child_env):
         capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+GRID_MODULES = ["fracblow.analysis", "fracblow.mesh", "fracblow.operator",
+                "fracblow.profiles", "fracblow.solver", "numpy"]
+
+# Runs main on each argv of the JSON list argv[1] in one fresh process and
+# prints, per run, its exit code and the GRID_MODULES loaded after it.
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from fracblow.cli import main
+grid = json.loads(sys.argv[2])
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    runs.append([code, [m for m in grid if m in sys.modules]])
+print(json.dumps(runs))
+"""
+
+
+def test_only_the_grid_commands_load_numpy_and_the_grid(child_env):
+    # classify, critical and specfun load none of them; solve loads all
+    # but the audit's module, and audit the rest
+    argvs = [["classify", "--alpha", "0.3", "--p", "2"],
+             ["critical", "--alpha", "0.3", "--no-timestamp"],
+             ["specfun"],
+             ["solve", "--alpha", "0.5", "--p", "3", "--n-per-side", "128",
+              "--schedule", "8:256", "--no-timestamp"],
+             ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4",
+              "--n-per-side", "128", "--no-timestamp"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs),
+         json.dumps(GRID_MODULES)],
+        capture_output=True, text=True, timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, []]] * 3 + [
+        [0, GRID_MODULES[1:]], [0, GRID_MODULES]]
 
 
 def test_module_entry_point_runs(child_env):
