@@ -13,7 +13,6 @@ import json
 
 from fracblow import (
     ProblemSpec,
-    Zero,
     assemble,
     build_graded,
     default_sub_super,
@@ -27,7 +26,7 @@ P = 3.0
 
 def main():
     grid = build_graded(n_per_side=512, grading_exponent=2.4)
-    matrix = assemble(ALPHA, grid, Zero())   # shared by every step below
+    matrix = assemble(ALPHA, grid)   # shared by every step below
     sub, sup = default_sub_super(matrix, P)
     spec = ProblemSpec(matrix=matrix, p=P, sub=sub, super=sup)
 

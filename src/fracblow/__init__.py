@@ -42,10 +42,8 @@ _MODULE_OF = {
     for module, names in (
         ("analysis", "BandReport RateFit ZoneAudit audit_nonexistence "
                      "check_band fit_rate"),
-        ("mesh", "Exterior Grid GridFunction PowerTail Zero build_graded "
-                 "distance_D distance_d"),
-        ("operator", "OperatorMatrix apply assemble power_tail_gap "
-                     "power_tail_moment"),
+        ("mesh", "Grid GridFunction build_graded distance_D distance_d"),
+        ("operator", "OperatorMatrix apply assemble power_tail_gap"),
         ("profiles", "solve_torsion"),
         ("solver", "ProblemSpec SolveReport default_sub_super solve_blowup"),
         ("specfun", "CriticalExponents Regime RegimeKind C_tau T_alpha "

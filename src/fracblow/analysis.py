@@ -193,7 +193,7 @@ def require_nonexistence(alpha: float, p: float, tau: float) -> Regime:
 
 def audit_nonexistence(matrix: OperatorMatrix, p: float,
                        tau: float) -> ZoneAudit:
-    """Certify discretely, on the zero-exterior operator ``matrix``, the
+    """Certify discretely, on the operator ``matrix``, the
     comparison-function inequalities that rule out solutions with rate
     ``tau`` for the given (alpha, p): for each scale t of T_VALUES, the
     residual of t * V + sign * mu * T (V the profile, T the torsion

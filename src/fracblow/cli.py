@@ -329,7 +329,6 @@ def cmd_solve(ns):
     profile to PREFIX.profile.csv; without it the report is printed and
     the profile skipped.
     """
-    from .mesh import Zero
     from .operator import assemble
     from .solver import (ProblemSpec, default_sub_super,
                          require_unique_existence, solve_blowup)
@@ -342,7 +341,7 @@ def cmd_solve(ns):
 
     grid = _grid_from(ns)
     require_unique_existence(alpha, p)
-    matrix = assemble(alpha, grid, Zero())
+    matrix = assemble(alpha, grid)
     sub, sup = default_sub_super(matrix, p)
     spec = ProblemSpec(matrix=matrix, p=p, sub=sub, super=sup)
     report = solve_blowup(spec, level)
@@ -369,7 +368,6 @@ def cmd_solve(ns):
 def cmd_audit(ns):
     """Nonexistence-zone residual audit, emitted as JSON."""
     from .analysis import audit_nonexistence, require_nonexistence
-    from .mesh import Zero
     from .operator import assemble
 
     alpha = _resolve(ns, "alpha", float, required=True)
@@ -380,7 +378,7 @@ def cmd_audit(ns):
 
     grid = _grid_from(ns)
     require_nonexistence(alpha, p, tau)
-    audit = audit_nonexistence(assemble(alpha, grid, Zero()), p, tau)
+    audit = audit_nonexistence(assemble(alpha, grid), p, tau)
     payload = {
         "n_per_side": grid.n_per_side,
         "grading": grid.grading_exponent,

@@ -6,53 +6,23 @@ profiles behave like D(x)**tau with tau in (-1,0), and the outer boundary
 distance.  ``build_graded`` therefore clusters nodes algebraically toward
 0 and toward +-1 on each side, never placing a node on 0 or +-1 itself.
 
-``GridFunction`` is node values on a grid.  The behaviour on |x| >= 1
-(zero, or a two-sided power tail; tau = 0 is a constant) is an input of
-``operator.assemble``, which integrates it exactly.
+``GridFunction`` is node values on a grid; the problem poses every
+function as 0 on |x| >= 1, and ``operator.assemble`` integrates that
+exterior exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .errors import BadConfig, GridMismatch, OutOfDomain
 
 __all__ = [
-    "Zero", "PowerTail", "Exterior",
     "Grid", "GridFunction", "build_graded",
     "distance_D", "distance_d",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Exterior extensions for |x| >= 1.
-
-
-@dataclass(frozen=True)
-class Zero:
-    """u(x) = 0 outside (-1, 1)."""
-
-
-@dataclass(frozen=True)
-class PowerTail:
-    """u(x) = amplitude * |x|**tau outside (-1, 1); tau = 0 is the
-    constant amplitude."""
-
-    tau: float
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and math.isfinite(self.amplitude)):
-            raise BadConfig(
-                f"power-tail exponent and amplitude must be finite, got "
-                f"tau={self.tau}, amplitude={self.amplitude}")
-
-
-Exterior = Union[Zero, PowerTail]
 
 
 # ---------------------------------------------------------------------------

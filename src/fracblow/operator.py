@@ -1,6 +1,6 @@
 """Dense collocation discretization of the 1-D integral fractional
-Laplacian on the punctured interval, honouring a declared exterior
-extension exactly.
+Laplacian on the punctured interval, for functions that vanish outside
+(-1,1), as the problem poses them.
 
 For a node x the operator value is assembled from exact kernel moments
 over a partition of the real line:
@@ -15,17 +15,13 @@ over a partition of the real line:
   is frozen at its innermost node value (the gap width shrinks
   algebraically under refinement, so the frozen-value rule is
   consistent for any integrable blow-up power);
-* linear bridges from the outermost nodes to the boundary value implied
-  by the exterior extension;
-* the exterior |y| >= 1, in closed form for the zero extension and via
-  a Gauss hypergeometric identity for power tails, whose F(a, b; b+1; z)
-  ``specfun._gauss_2f1`` evaluates uniformly in alpha: at alpha = 1/2 its
-  connection formula has a logarithmic limit, which the evaluator reaches
-  continuously instead of by a branch.
+* linear bridges from the outermost nodes to the boundary value 0;
+* the exterior |y| >= 1, where the function is 0: its kernel mass, in
+  closed form.
 
 Every piece is accumulated in difference form (weights multiply
-u(x) - u(y-model)), so globally constant data is annihilated exactly up
-to dot-product rounding.
+u(x) - u(y-model)), so a row and its weight on the boundary value sum
+to the exterior kernel mass up to dot-product rounding.
 
 Rows are assembled in blocks, as (rows x pieces) arrays, and each is bit
 for bit the row a one-row-at-a-time evaluation gives: every sum keeps
@@ -44,15 +40,16 @@ every row of the block keeps as many pieces, as nearly all do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import BadConfig, GridMismatch
-from .mesh import Exterior, Grid, GridFunction, PowerTail, Zero
+from .mesh import Grid, GridFunction
 from .specfun import _check_alpha, _gauss_2f1
 
 __all__ = ["OperatorMatrix", "assemble", "apply", "even_block",
-           "power_tail_gap", "power_tail_moment"]
+           "power_tail_gap"]
 
 _BLOCK_ROWS = 32  # right-half rows evaluated together in assemble
 
@@ -60,26 +57,29 @@ _BLOCK_ROWS = 32  # right-half rows evaluated together in assemble
 @dataclass(eq=False)
 class OperatorMatrix:
     """Dense discrete operator, stored as its right-half rows: with h the
-    number of left nodes, the operator at node h + j is rows[j] @ u.values
-    + correction[j], and at the mirror node h - 1 - j the same with the
-    row reversed.  Valid for grid functions on ``grid``, extended outside
-    (-1,1) by ``exterior``."""
+    number of left nodes, the operator at node h + j is rows[j] @ u.values,
+    and at the mirror node h - 1 - j the same with the row reversed.
+    Valid for grid functions on ``grid``, extended by 0 outside (-1,1)."""
 
     alpha: float
     grid: Grid
     rows: np.ndarray
-    correction: np.ndarray
-    exterior: Exterior
+    # read only by the assembly probe of perfbench/spans.py, which keys
+    # assemblies by it; goes when that probe keys by alpha and grid alone
+    exterior: ClassVar[str] = "zero"
 
 
 def power_tail_gap(alpha: float, tau: float, x: float) -> float:
     """Closed form of integral_1^inf (1 - z^tau) (z - x)^(-1-2*alpha) dz
     for |x| < 1 and tau < 2*alpha (use -x for the left exterior piece).
 
-    The integrand vanishes at z = 1, so this stays bounded (or mildly
+    The operator of |x|^tau - 1, which vanishes outside (-1,1), is that
+    of the power, -c(tau)|x|^(tau-2*alpha), less gap(x) + gap(-x).  The
+    integrand vanishes at z = 1, so this stays bounded (or mildly
     singular) as x -> 1 where the raw tail moment blows up like the
     kernel mass; computing the difference directly avoids a catastrophic
-    cancellation between two large hypergeometric values.
+    cancellation between two large hypergeometric values, which
+    ``specfun._gauss_2f1`` evaluates uniformly in alpha.
     """
     if not (-1.0 < x < 1.0):
         raise BadConfig(f"collocation point must lie in (-1,1), got {x}")
@@ -89,13 +89,6 @@ def power_tail_gap(alpha: float, tau: float, x: float) -> float:
             f"power-tail exponent {tau} must lie below 2*alpha = {2*alpha}")
     # by parts: (-tau / 2a) * integral_1^inf z^(tau-1) (z-x)^(-2a) dz
     return (-tau / (2.0 * alpha)) * _gauss_2f1(2.0 * alpha, c, x) / c
-
-
-def power_tail_moment(alpha: float, tau: float, x: float) -> float:
-    """Closed form of integral_1^inf z^tau (z - x)^(-1-2*alpha) dz for
-    |x| < 1 and tau < 2*alpha (use -x for the left exterior piece)."""
-    gap = power_tail_gap(alpha, tau, x)  # checks x and tau first
-    return (1.0 - x) ** (-2.0 * alpha) / (2.0 * alpha) - gap
 
 
 def _kernel_moments(A, B, alpha):
@@ -139,10 +132,10 @@ def _breakpoints(grid: Grid):
     nodes, 0, right nodes, 1.
     The model value on piece k runs linearly from one slot at its a-end
     to one at its b-end: slots k - 1 and k left of 0, k - 2 and k - 1
-    right of 0, where slot -1 (at -1 and 1) means the boundary value the
-    exterior implies.  The inner gaps next to 0 are frozen: both ends
-    read their innermost node, h - 1 on (x_{h-1}, 0) and h on (0, x_h),
-    with h the number of left nodes.  Node i closes piece i + [x_i > 0]
+    right of 0, where slot -1 (at -1 and 1) means the boundary value 0.
+    The inner gaps next to 0 are frozen: both ends read their innermost
+    node, h - 1 on (x_{h-1}, 0) and h on (0, x_h), with h the number of
+    left nodes.  Node i closes piece i + [x_i > 0]
     and opens the next one."""
     x = grid.nodes
     h = x.size // 2
@@ -164,31 +157,26 @@ def _kept_sums(keep, *weights):
     return sums
 
 
-def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
+def assemble(alpha: float, grid: Grid) -> OperatorMatrix:
     """Assemble the dense collocation matrix of the fractional Laplacian
-    of order ``alpha`` on ``grid`` under the given exterior extension.
+    of order ``alpha`` on ``grid`` for functions that vanish outside
+    (-1,1).
 
     Only the right-half rows are computed and stored; the grid is
     mirror-symmetric, so the left half is their reflection.  They are
     evaluated _BLOCK_ROWS at a time as (rows x pieces) arrays, bit for
     bit what one row at a time gives, each block in a few full-size
     passes (see the module docstring).  Each row adds its piece weights
-    into n + 1 slots whose last entry collects the weight on the
-    boundary value E the exterior implies (slot -1).  Plain sums
-    suffice: every diagonal term is positive and every correction term
-    has the sign of -E, so nothing cancels."""
+    into n + 1 slots; the last stands for the boundary value 0 (slot
+    -1), which the outermost node's self panel reaches, and is dropped.
+    Plain sums suffice: every diagonal term is positive, so nothing
+    cancels."""
     alpha = _check_alpha(alpha)
     if alpha < 2.0 ** -960:  # keeps 2**64 of headroom for data up to 2**54
         raise BadConfig(f"alpha={alpha} is below 2**-960: the diagonal, about "
                         f"1/alpha, overflows double precision on the data")
     if not isinstance(grid, Grid):
         raise BadConfig("grid must be a Grid instance")
-    if not isinstance(exterior, (Zero, PowerTail)):
-        raise BadConfig(f"unknown exterior extension {exterior!r}")
-    if isinstance(exterior, PowerTail) and exterior.tau >= 2.0 * alpha:
-        raise BadConfig(
-            f"power-tail exponent {exterior.tau} must lie below "
-            f"2*alpha = {2.0 * alpha} for an integrable exterior")
 
     x = grid.nodes
     n = x.size
@@ -199,22 +187,16 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
     # self-panel radius: free of other nodes, clear of 0 and of +-1
     radii = np.minimum(grid.local_spacing(),
                        np.minimum(np.abs(x) / 2.0, (1.0 - np.abs(x)) / 2.0))
-    E = 0.0 if isinstance(exterior, Zero) else float(exterior.amplitude)
 
     # per-row scalars: numpy's array power rounds differently from libm's
-    # pow, so these are Python floats; the exterior tail is scalar too
+    # pow, so these are Python floats
     mass = np.empty(n - h)
     c_self = np.empty(n - h)
-    gap_sum = np.zeros(n - h)
     for j, (xi, r) in enumerate(zip(x[h:].tolist(), radii[h:].tolist())):
         mass[j] = ((1.0 - xi) ** (-twoa) + (1.0 + xi) ** (-twoa)) / twoa
         c_self[j] = r ** (-twoa) / (2.0 - twoa)
-        if isinstance(exterior, PowerTail):
-            gap_sum[j] = (power_tail_gap(alpha, exterior.tau, xi)
-                          + power_tail_gap(alpha, exterior.tau, -xi))
 
     W = np.empty((n - h, n))
-    corr = np.empty(n - h)
     full = pb - pa > 1e-300
     for lo in range(h, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
@@ -268,16 +250,15 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
         np.copyto(w_a, 0.0, where=drop)
         np.copyto(w_b, 0.0, where=drop)
 
-        # the slot map of _breakpoints as slices, slot -1 stored at n:
-        # each slot takes its a-end terms, then its b-end terms, in piece
-        # order, as np.add.at over the map would add them
+        # the slot map of _breakpoints as slices, slot -1 (the boundary
+        # value 0) at n and left out: each slot takes its a-end terms,
+        # then its b-end terms, in piece order, as np.add.at over the map
+        # would add them
         row = np.zeros((i.size, n + 1))
         row[:, :h + 1] -= w_a[:, 1:h + 2]
         row[:, h:n] -= w_a[:, h + 2:]
-        row[:, n] -= w_a[:, 0]
         row[:, :h] -= w_b[:, :h]
         row[:, h - 1:n] -= w_b[:, h:n + 1]
-        row[:, n] -= w_b[:, n + 1]
         sum_a, sum_b = _kept_sums(keep, w_a, w_b)
         diag = mass[j] + sum_a + sum_b
 
@@ -293,31 +274,20 @@ def assemble(alpha: float, grid: Grid, exterior: Exterior) -> OperatorMatrix:
         diag += tr
         row[t, i + 1] -= tr
 
-        # exterior |y| >= 1: kernel mass to the diagonal, declared data to
-        # the correction (an overflow is reported below)
-        with np.errstate(over="ignore"):
-            corr[j] = row[:, n] * E
-            if isinstance(exterior, PowerTail):
-                corr[j] -= exterior.amplitude * (mass[j] - gap_sum[j])
-
         row[t, i] += diag
         W[lo - h:hi - h] = row[:, :n]
 
-    if not np.all(np.isfinite(corr)):
-        raise BadConfig(
-            f"exterior {exterior!r} overflows the exterior correction at "
-            f"alpha={alpha}: its data are too large for double precision")
-    return OperatorMatrix(alpha=alpha, grid=grid, rows=W, correction=corr,
-                          exterior=exterior)
+    return OperatorMatrix(alpha=alpha, grid=grid, rows=W)
 
 
 def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:
-    """Discrete fractional Laplacian of ``u``, extended by ``M.exterior``."""
+    """Discrete fractional Laplacian of ``u``, extended by 0 outside
+    (-1,1)."""
     if not M.grid.same_as(u.grid):
         raise GridMismatch("grid of the operand differs from the matrix grid")
     # contiguous operands: BLAS sums both halves alike, so even maps to even
-    left = M.rows @ u.values[::-1].copy() + M.correction
-    return np.concatenate((left[::-1], M.rows @ u.values + M.correction))
+    left = M.rows @ u.values[::-1].copy()
+    return np.concatenate((left[::-1], M.rows @ u.values))
 
 
 def even_block(M: OperatorMatrix, k: int = 0) -> np.ndarray:

@@ -21,7 +21,7 @@ import threading
 import numpy as np
 
 from .errors import BadConfig, SingularSystem
-from .mesh import Grid, GridFunction, Zero, distance_D
+from .mesh import Grid, GridFunction, distance_D
 from .operator import OperatorMatrix, apply, even_block
 
 __all__ = [
@@ -89,20 +89,18 @@ _TORSION_LOCK = threading.Lock()
 
 
 def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
-    """Solve the dense collocation system  operator(v) = 1  for the
-    zero-exterior ``matrix``.  The solution is the discrete torsion
-    function, with zero exterior: positive inside the interval, vanishing
-    toward the endpoints, and the bounded lift of the audits.
+    """Solve the dense collocation system  operator(v) = 1  for
+    ``matrix``.  The solution is the discrete torsion function, with zero
+    exterior: positive inside the interval, vanishing toward the
+    endpoints, and the bounded lift of the audits.
 
     The grid is mirror-symmetric, so the right-hand side is even, the
     solve is the half system of ``even_block(matrix)`` and the solution
     is exactly even.  The half solution depends only on the inputs of
     ``assemble``, so it is kept for the last _TORSION_MEMO_SIZE keys
-    (alpha and a digest of the grid nodes; the zero exterior is the only
-    one admitted), and a repeated key gets a fresh GridFunction of the
+    (alpha and a digest of the grid nodes, the whole input of
+    ``assemble``), and a repeated key gets a fresh GridFunction of the
     kept half.  Any later input of ``assemble`` must join the key."""
-    if not isinstance(matrix.exterior, Zero):
-        raise BadConfig("the torsion function needs the zero-exterior operator")
     try:  # the lean builtin, as in the random module: hashlib loads OpenSSL
         from _blake2 import blake2b
     except ImportError:
@@ -113,7 +111,8 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
     half = _TORSION_MEMO.get(key)
     if half is None:
         try:
-            half = np.linalg.solve(even_block(matrix), 1.0 - matrix.correction)
+            half = np.linalg.solve(even_block(matrix),
+                                   np.ones(matrix.rows.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
                 f"torsion system is singular for alpha={alpha}") from exc

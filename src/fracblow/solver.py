@@ -34,7 +34,7 @@ from .errors import (
     RegimeError,
     SingularSystem,
 )
-from .mesh import Grid, GridFunction, Zero, distance_D
+from .mesh import Grid, GridFunction, distance_D
 from .operator import OperatorMatrix, apply, even_block
 from .profiles import (MAX_DOUBLINGS, comparison_arrays, comparison_residual,
                        core_mask, power_of_two_bracket)
@@ -69,13 +69,13 @@ _ABORT_SLACK = 1e-6
 
 @dataclass(eq=False)
 class ProblemSpec:
-    """Blow-up problem on the zero-exterior operator ``matrix``, bracketed
-    by an ordered sub/super-solution pair.
+    """Blow-up problem on the operator ``matrix``, bracketed by an
+    ordered sub/super-solution pair.
 
     ``sub`` must blow up toward the singular point (checked against
-    ``_BLOWUP_THRESHOLD`` at the innermost nodes).  Both bounds take the
-    operator's zero exterior and must be exactly even, as the solver keeps
-    its iterates.
+    ``_BLOWUP_THRESHOLD`` at the innermost nodes).  Both bounds vanish
+    outside the interval, as every grid function does, and must be
+    exactly even, as the solver keeps its iterates.
     """
 
     matrix: OperatorMatrix
@@ -96,8 +96,6 @@ class ProblemSpec:
         if not (self.sub.grid.same_as(self.grid)
                 and self.super.grid.same_as(self.grid)):
             raise GridMismatch("sub/super must live on the problem grid")
-        if self.matrix.exterior != Zero():
-            raise BadConfig("the operator must vanish outside the interval")
         for bound in (self.sub.values, self.super.values):
             if not np.array_equal(bound, bound[::-1]):
                 raise BadConfig("sub/super must be exactly even")
@@ -173,7 +171,7 @@ def require_unique_existence(alpha: float, p: float) -> float:
 def default_sub_super(matrix: OperatorMatrix, p: float,
                       ) -> tuple[GridFunction, GridFunction]:
     """Ordered pair bracketing the blow-up solution in the unique-existence
-    regime, for the zero-exterior operator ``matrix``.
+    regime, for the operator ``matrix``.
 
     The sub-solution is ``lam_small * V_tau``, which must satisfy the
     discrete inequality  operator(W) + W**p <= tol  at every resolved node
@@ -244,7 +242,7 @@ def _even_residual(matrix: OperatorMatrix, p: float, k: int,
     h + k, ..., n - 1, the contiguous trailing range rows[k:] of the
     stored rows; for an exactly even u these rows are the whole system."""
     first = matrix.rows.shape[0] + k
-    return (matrix.rows[k:] @ u + matrix.correction[k:]
+    return (matrix.rows[k:] @ u
             + np.abs(u[first:]) ** (p - 1.0) * u[first:])
 
 

@@ -28,11 +28,11 @@ too: alpha0 = 1/2, tau1 = 2*alpha - 1 (the zero of 1/Gamma((1+tau)/2 -
 alpha)) and tau0 = alpha - 1, the boundary blow-up rate of Chen, Felmer
 and Quaas (Ann. IHP (C) 32, 2015).
 
-The power-tail exterior of ``operator`` needs one more special function,
-the Gauss function F(a, b; b+1; z) on (-1, 1); ``_gauss_2f1`` evaluates
-it with no branch at a = 1 (alpha = 1/2), where its connection formula
-has a logarithmic limit.  Everything here uses Python's ``math`` module
-alone.
+The exterior of a power, ``operator.power_tail_gap``, needs one more
+special function, the Gauss function F(a, b; b+1; z) on (-1, 1);
+``_gauss_2f1`` evaluates it with no branch at a = 1 (alpha = 1/2), where
+its connection formula has a logarithmic limit.  Everything here uses
+Python's ``math`` module alone.
 
 ``classify`` combines these thresholds into the existence /
 special-existence / nonexistence verdict for a given (alpha, p) pair and
@@ -42,7 +42,6 @@ where its ``tau1`` is, is decided in one place, ``_interior_zero``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -229,7 +228,7 @@ def c_second_derivative(alpha: float, tau: float) -> float:
 
 # ---------------------------------------------------------------------------
 # The Gauss function F(a, b; b+1; z) = b z^(-b) B_z(b, 1-a), the family of
-# the power-tail exterior moments in ``operator``.
+# the exterior moments of a power, ``operator.power_tail_gap``.
 
 
 def _series(a: float, b: float, c: float, z: float) -> float:
@@ -255,15 +254,12 @@ def _lgamma_slope(y: float, eps: float) -> float:
     return r * ((y - 0.5) / y - tail) + math.log(y + eps) - 1.0
 
 
-@functools.lru_cache(maxsize=8)
 def _gamma_quotient_m1(b: float, eps: float) -> float:
     """(G - 1) / eps for G = Gamma(1+eps) Gamma(b) / Gamma(b+eps), b > 0
     and |eps| < 1; at eps = 0 it is psi(1) - psi(b).  G is the product of
     the factors (1+n)(b+n+eps) / ((1+n+eps)(b+n)) = 1 + eps*q_n, n <
     _STEPS, and of a Stirling quotient, and each factor minus 1 is taken
-    over eps in closed form, so nothing cancels as eps -> 0.  Cached: it
-    does not depend on z, so the rows of one power-tail assembly, where
-    a and b are fixed, share one value."""
+    over eps in closed form, so nothing cancels as eps -> 0."""
     gm1 = 0.0
     for n in range(_STEPS):
         q = (1.0 - b) / ((1.0 + n + eps) * (b + n))

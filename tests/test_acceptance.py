@@ -11,15 +11,8 @@ import numpy as np
 import oracles
 from fracblow.analysis import audit_nonexistence, check_band, fit_rate
 from fracblow.cli import EXIT_OK, main
-from fracblow.mesh import (
-    GridFunction,
-    PowerTail,
-    Zero,
-    build_graded,
-    distance_D,
-    distance_d,
-)
-from fracblow.operator import apply, assemble
+from fracblow.mesh import GridFunction, build_graded, distance_D, distance_d
+from fracblow.operator import apply, assemble, power_tail_gap
 from fracblow.profiles import comparison_arrays, solve_torsion
 from fracblow.solver import ProblemSpec, default_sub_super, solve_blowup
 from fracblow.specfun import (
@@ -83,13 +76,17 @@ def test_criterion_3_critical_exponents():
 
 def _identity_errors(grid, alpha, tau):
     # error of the discrete power identity, normalized by the local scale
-    # so it stays defined where the kernel constant vanishes
+    # so it stays defined where the kernel constant vanishes: the operator
+    # of w = |x|**tau - 1, which vanishes outside (-1,1), against the
+    # power's value -c(tau)|x|**(tau-2a) less its exterior g(x) + g(-x)
     x = grid.nodes
-    matrix = assemble(alpha, grid, PowerTail(tau))
-    u = GridFunction(grid, np.abs(x) ** tau)
-    want = -c_tau(alpha, tau) * np.abs(x) ** (tau - 2.0 * alpha)
-    denom = np.maximum(np.abs(want), distance_D(x) ** (tau - 2.0 * alpha))
-    return np.abs(apply(matrix, u) - want) / denom
+    matrix = assemble(alpha, grid)
+    w = GridFunction(grid, np.abs(x) ** tau - 1.0)
+    power = -c_tau(alpha, tau) * np.abs(x) ** (tau - 2.0 * alpha)
+    gaps = np.array([power_tail_gap(alpha, tau, xv)
+                     + power_tail_gap(alpha, tau, -xv) for xv in x.tolist()])
+    denom = np.maximum(np.abs(power), distance_D(x) ** (tau - 2.0 * alpha))
+    return np.abs(apply(matrix, w) - (power - gaps)) / denom
 
 
 def _resolved_mask(grid, spacing_grid=None, multiple=20.0):
@@ -119,7 +116,7 @@ def test_criterion_4_operator_fidelity():
     # reproduce the unit right-hand side away from the boundary
     for alpha in (0.25, 0.5, 0.75):
         grid = build_graded(256, 2.4)
-        matrix = assemble(alpha, grid, Zero())
+        matrix = assemble(alpha, grid)
         away = distance_d(grid.nodes) >= 0.1
         solved = solve_torsion(matrix)
         assert np.max(np.abs(apply(matrix, solved) - 1.0)[away]) <= 1e-6
@@ -137,7 +134,7 @@ def test_criterion_5_comparison_bands():
     growth_constants = {}
     for n in (512, 1024):
         grid = build_graded(n, 2.4)
-        matrix = assemble(alpha, grid, Zero())
+        matrix = assemble(alpha, grid)
         window = (1e-6, grid.delta / 4.0)
 
         def band_of(tau):
@@ -171,7 +168,7 @@ def test_criterion_6_end_to_end_blowup_solve():
         p_lo, p_hi = existence_window(alpha)
         p = p_lo + 1.0 if math.isinf(p_hi) else 0.5 * (p_lo + p_hi)
         grid = build_graded(512, 2.4)
-        matrix = assemble(alpha, grid, Zero())
+        matrix = assemble(alpha, grid)
         sub, sup = default_sub_super(matrix, p)
         spec = ProblemSpec(matrix=matrix, p=p, sub=sub, super=sup)
         report = solve_blowup(spec, 2 ** 20)
@@ -191,7 +188,7 @@ def test_criterion_7_nonexistence_zone_audits():
     grid = build_graded(512, 2.4)
     zones = {}
     for alpha, p, tau in ((0.25, 1.3, -0.3), (0.6, 3.0, -0.4), (0.6, 3.0, -0.8)):
-        audit = audit_nonexistence(assemble(alpha, grid, Zero()), p, tau)
+        audit = audit_nonexistence(assemble(alpha, grid), p, tau)
         assert audit.passed, (alpha, p, tau)
         zones[audit.zone] = audit
     assert sorted(zones) == [1, 2, 3]

@@ -16,7 +16,7 @@ from fracblow.analysis import (
     fit_rate,
 )
 from fracblow.errors import AuditFail, BadConfig, RegimeError, TooFewPoints
-from fracblow.mesh import GridFunction, Zero, build_graded, distance_D
+from fracblow.mesh import GridFunction, build_graded, distance_D
 from fracblow.operator import assemble
 from fracblow.profiles import comparison_arrays, resolved_mask, solve_torsion
 
@@ -134,7 +134,7 @@ def test_check_band_as_dict_serializes():
 
 
 def test_zone1_audit_small_alpha_shallow_rate():
-    audit = audit_nonexistence(assemble(0.25, GRID, Zero()), 1.3, -0.3)
+    audit = audit_nonexistence(assemble(0.25, GRID), 1.3, -0.3)
     assert audit.zone == 1
     assert audit.passed
     assert audit.t_values == (0.5, 1.0, 2.0, 4.0)
@@ -152,7 +152,7 @@ def test_zone1_lift_is_the_closed_form_power_of_two():
     # nodes exactly from lift = max (-a - 1e-6 |a|) / (1 + 1e-6) up; the
     # audit takes the least power of two >= 1 there, which doubling from 1
     # finds too
-    matrix = assemble(0.25, GRID, Zero())
+    matrix = assemble(0.25, GRID)
     audit = audit_nonexistence(matrix, 1.3, -0.3)
     a = comparison_arrays(matrix, -0.3)[1][resolved_mask(GRID)]
     need = np.max((-a - 1e-6 * np.abs(a)) / (1.0 + 1e-6))
@@ -164,7 +164,7 @@ def test_zone1_lift_is_the_closed_form_power_of_two():
 
 
 def test_zone2_audit_sub_solution_family():
-    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.4)
+    audit = audit_nonexistence(assemble(0.6, GRID), 3.0, -0.4)
     assert audit.zone == 2
     assert audit.passed
     assert all(m < 0.0 for m in audit.worst_margins)
@@ -172,7 +172,7 @@ def test_zone2_audit_sub_solution_family():
 
 
 def test_zone3_audit_super_solution_family():
-    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.8)
+    audit = audit_nonexistence(assemble(0.6, GRID), 3.0, -0.8)
     assert audit.zone == 3
     assert audit.passed
     assert all(m > 0.0 for m in audit.worst_margins)
@@ -186,7 +186,7 @@ def test_zone3_audit_super_solution_family():
     (0.6, 3.0, -0.8),
 ])
 def test_audit_lift_growth_at_most_linear(alpha, p, tau):
-    audit = audit_nonexistence(assemble(alpha, GRID, Zero()), p, tau)
+    audit = audit_nonexistence(assemble(alpha, GRID), p, tau)
     lifts = dict(zip(audit.t_values, audit.lift_scales))
     for t in (2.0, 4.0):
         assert lifts[t] <= 2.0 * t * lifts[1.0]
@@ -197,7 +197,7 @@ def test_zone23_lift_is_the_least_doubling(tau, zone):
     # each stored torsion multiple mu passes the residual sign test of
     # t V + sign mu T, and mu / 2 fails it unless mu = 1; the residual is
     # written out here from the operator, not taken from the package
-    matrix = assemble(0.6, GRID, Zero())
+    matrix = assemble(0.6, GRID)
     p = 3.0
     audit = audit_nonexistence(matrix, p, tau)
     assert audit.zone == zone
@@ -222,11 +222,11 @@ def test_audit_lift_beyond_the_scale_bound_fails(monkeypatch):
     # zone 2 at (0.6, 3, -0.4) needs torsion multiples 4 to 32
     monkeypatch.setattr(fracblow.analysis, "MAX_DOUBLINGS", 1)
     with pytest.raises(AuditFail, match="within 1 doublings at t=0.5"):
-        audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.4)
+        audit_nonexistence(assemble(0.6, GRID), 3.0, -0.4)
 
 
 def test_audit_below_threshold_decides_the_regime_once(monkeypatch):
-    matrix = assemble(0.25, build_graded(128, 2.4), Zero())
+    matrix = assemble(0.25, build_graded(128, 2.4))
     calls = []
     original = fracblow.specfun._interior_zero
 
@@ -242,19 +242,19 @@ def test_audit_below_threshold_decides_the_regime_once(monkeypatch):
 
 def test_audit_rejects_existence_regimes():
     with pytest.raises(RegimeError):
-        audit_nonexistence(assemble(0.5, GRID, Zero()), 3.0, -0.5)
+        audit_nonexistence(assemble(0.5, GRID), 3.0, -0.5)
     with pytest.raises(RegimeError):
-        audit_nonexistence(assemble(0.25, GRID, Zero()), 1.75, -2.0 * 0.25 / 0.75)
+        audit_nonexistence(assemble(0.25, GRID), 1.75, -2.0 * 0.25 / 0.75)
 
 
 def test_audit_rejects_coarse_grid():
     grid = build_graded(16, 1.0)
     with pytest.raises(BadConfig):
-        audit_nonexistence(assemble(0.6, grid, Zero()), 3.0, -0.4)
+        audit_nonexistence(assemble(0.6, grid), 3.0, -0.4)
 
 
 def test_audit_as_dict_serializes():
-    audit = audit_nonexistence(assemble(0.6, GRID, Zero()), 3.0, -0.8)
+    audit = audit_nonexistence(assemble(0.6, GRID), 3.0, -0.8)
     payload = json.loads(json.dumps(audit.as_dict()))
     assert payload["zone"] == 3
     assert payload["passed"] is True

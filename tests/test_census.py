@@ -21,7 +21,7 @@ import pytest
 
 from fracblow.analysis import fit_rate
 from fracblow.errors import BadConfig, MonotoneViolation, NewtonStall
-from fracblow.mesh import Zero, build_graded
+from fracblow.mesh import build_graded
 from fracblow.operator import assemble
 from fracblow.solver import ProblemSpec, default_sub_super, solve_blowup
 
@@ -77,7 +77,7 @@ def _case(alpha, where):
 
 @functools.lru_cache(maxsize=1)    # the cases run alpha by alpha
 def _matrix(alpha):
-    return assemble(alpha, GRID, Zero())
+    return assemble(alpha, GRID)
 
 
 @pytest.mark.parametrize("alpha,where",

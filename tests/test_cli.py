@@ -23,7 +23,7 @@ import fracblow.operator
 import fracblow.profiles
 import fracblow.solver
 from fracblow.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_REGIME, main
-from fracblow.mesh import Zero, build_graded, distance_D
+from fracblow.mesh import build_graded, distance_D
 from fracblow.operator import assemble
 from fracblow.solver import ProblemSpec, default_sub_super, solve_blowup
 from fracblow.specfun import T_alpha, existence_window
@@ -284,7 +284,7 @@ def test_solve_profile_is_every_node_as_csv_writer_writes_it(tmp_path):
     profile = tmp_path / "run.profile.csv"
     assert _csv_writer_bytes(profile) == profile.read_bytes()
     grid = build_graded(128, 2.4, 0.25)
-    matrix = assemble(0.5, grid, Zero())
+    matrix = assemble(0.5, grid)
     sub, sup = default_sub_super(matrix, 3.0)
     report = solve_blowup(
         ProblemSpec(matrix=matrix, p=3.0, sub=sub, super=sup), 1024)

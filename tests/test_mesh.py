@@ -11,8 +11,6 @@ from fracblow.errors import BadConfig, GridMismatch, OutOfDomain
 from fracblow.mesh import (
     Grid,
     GridFunction,
-    PowerTail,
-    Zero,
     build_graded,
     distance_D,
     distance_d,
@@ -156,8 +154,8 @@ def test_local_spacing_positive_and_small_near_zero():
 def test_grid_function_validation():
     grid = build_graded(16, 1.0)
     u = GridFunction(grid, np.ones(grid.n_nodes))
-    # a grid function is its grid and its values; the exterior belongs
-    # to the operator
+    # a grid function is its grid and its values; it vanishes outside
+    # (-1,1), as the operator assumes
     assert [f.name for f in dataclasses.fields(u)] == ["grid", "values"]
     with pytest.raises(GridMismatch):
         GridFunction(grid, np.ones(grid.n_nodes + 1))
@@ -165,25 +163,4 @@ def test_grid_function_validation():
     bad[0] = np.inf
     with pytest.raises(BadConfig):
         GridFunction(grid, bad)
-
-
-def test_exterior_kinds():
-    constant = PowerTail(0.0, 2.0)
-    assert constant.tau == 0.0 and constant.amplitude == 2.0
-    tail = PowerTail(-0.5, 3.0)
-    assert tail.tau == -0.5 and tail.amplitude == 3.0
-    assert PowerTail(-0.5).amplitude == 1.0
-    assert Zero() == Zero() != PowerTail(0.0)
-
-
-@pytest.mark.parametrize("tau,amplitude", [
-    (float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0),
-    (-0.4, float("nan")), (-0.4, float("inf")), (-0.4, -float("inf")),
-])
-def test_power_tail_rejects_non_finite_parameters(tau, amplitude):
-    # a NaN exponent slips past assemble's tau < 2*alpha check and a
-    # non-finite amplitude scales the correction to inf or NaN
-    with pytest.raises(BadConfig, match="must be finite"):
-        PowerTail(tau, amplitude)
-
 

@@ -1,7 +1,7 @@
 """Tests for the dense collocation discretization of the fractional
-Laplacian: exact annihilation of constants, mirror symmetry, linearity,
+Laplacian: the difference form on constants, mirror symmetry, linearity,
 the power-function identity against the kernel-constant oracle, and the
-closed-form exterior moments."""
+closed-form exterior moments of a power."""
 
 import dataclasses
 import math
@@ -16,13 +16,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import fracblow.operator
-import fracblow.specfun
 from fracblow.errors import BadConfig, GridMismatch
-from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero,
-                           build_graded, distance_D)
+from fracblow.mesh import Grid, GridFunction, build_graded, distance_D
 from fracblow.operator import (OperatorMatrix, _kernel_moments, apply,
-                               assemble, even_block, power_tail_gap,
-                               power_tail_moment)
+                               assemble, even_block, power_tail_gap)
 from fracblow.specfun import c_tau
 
 BATTERY_ALPHAS = (0.25, 0.5, 0.75)
@@ -40,19 +37,24 @@ HAND_GRIDS = tuple(
 def identity_errors(grid, alpha, tau):
     """Normalized error of the discrete power identity at every node.
 
-    The scheme applied to |x|^tau (with the matching power-tail exterior)
-    should reproduce -c(tau)*|x|^(tau-2a).  The error is normalized by
-    max(|expected|, D^(tau-2a)): the plain relative error is undefined at
-    parameters where the kernel constant vanishes (it does at alpha=0.25,
-    tau=-0.5), and D^(tau-2a) is the natural local scale of the identity.
+    The fractional Laplacian of |x|^tau is -c(tau)*|x|^(tau-2a).  The
+    scheme applies to w = |x|^tau - 1, which vanishes outside (-1,1), so
+    it should reproduce that value less the exterior of the power,
+    g(x) + g(-x) with g = ``power_tail_gap``.  The error is normalized by
+    max(|power value|, D^(tau-2a)): the plain relative error is undefined
+    at parameters where the kernel constant vanishes (it does at
+    alpha=0.25, tau=-0.5), and D^(tau-2a) is the natural local scale of
+    the identity.
     """
     x = grid.nodes
-    M = assemble(alpha, grid, PowerTail(tau))
-    u = GridFunction(grid, np.abs(x) ** tau)
-    out = apply(M, u)
-    want = -c_tau(alpha, tau) * np.abs(x) ** (tau - 2.0 * alpha)
-    denom = np.maximum(np.abs(want), distance_D(x) ** (tau - 2.0 * alpha))
-    return np.abs(out - want) / denom
+    M = assemble(alpha, grid)
+    w = GridFunction(grid, np.abs(x) ** tau - 1.0)
+    out = apply(M, w)
+    power = -c_tau(alpha, tau) * np.abs(x) ** (tau - 2.0 * alpha)
+    gaps = np.array([power_tail_gap(alpha, tau, xv)
+                     + power_tail_gap(alpha, tau, -xv) for xv in x.tolist()])
+    denom = np.maximum(np.abs(power), distance_D(x) ** (tau - 2.0 * alpha))
+    return np.abs(out - (power - gaps)) / denom
 
 
 def full_weights(M):
@@ -74,15 +76,34 @@ def resolved_mask(grid, spacing_grid=None, multiple=20.0):
 
 
 # ---------------------------------------------------------------------------
-# Row property: constants are annihilated.
+# Row property: the difference form annihilates constants.
+
+
+def constant_residual(alpha, grid, c):
+    """The operator of the constant c less c * (mass - b) at every node,
+    with mass the closed-form kernel mass of the exterior |y| >= 1 and b
+    the oracle's boundary slot: the weight, negated, that the outer
+    bridges and the self panel put on the boundary value 0.
+
+    Every piece is weighted in difference form, so a row and its boundary
+    slot sum to the mass, and this residual is 0 up to dot-product
+    rounding.  Without the slot the rows sum to more than the mass (6.5
+    times it at the outermost node of a uniform grid, alpha = 0.75)."""
+    _, boundary = assemble_by_rows(alpha, grid)
+    twoa = 2.0 * alpha
+    mass = np.array([((1.0 - xi) ** (-twoa) + (1.0 + xi) ** (-twoa)) / twoa
+                     for xi in grid.nodes[grid.n_nodes // 2:].tolist()])
+    rest = boundary * c - c * mass
+    out = apply(assemble(alpha, grid),
+                GridFunction(grid, np.full(grid.n_nodes, c)))
+    return out + np.concatenate((rest[::-1], rest))
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_constant_annihilation_uniform(alpha):
     for grid in (build_graded(64, 1.0),) + HAND_GRIDS:
-        M = assemble(alpha, grid, PowerTail(0.0, 3.7))
-        u = GridFunction(grid, np.full(grid.n_nodes, 3.7))
-        assert np.max(np.abs(apply(M, u))) <= 1e-10, grid.nodes
+        assert np.max(np.abs(constant_residual(alpha, grid, 3.7))) <= 1e-10, \
+            grid.nodes
 
 
 @pytest.mark.parametrize("alpha,gamma", [(0.25, 2.4), (0.5, 2.0)])
@@ -91,14 +112,12 @@ def test_constant_annihilation_graded(alpha, gamma):
     # what float64 can cancel in a dense contraction, so each order is
     # paired with a grading whose row scale keeps rounding below the bar
     grid = build_graded(64, gamma)
-    M = assemble(alpha, grid, PowerTail(0.0, -1.25))
-    u = GridFunction(grid, np.full(grid.n_nodes, -1.25))
-    assert np.max(np.abs(apply(M, u))) <= 1e-10
+    assert np.max(np.abs(constant_residual(alpha, grid, -1.25))) <= 1e-10
 
 
 def test_zero_function_zero_exterior_is_zero():
     grid = build_graded(32, 2.0)
-    M = assemble(0.4, grid, Zero())
+    M = assemble(0.4, grid)
     u = GridFunction(grid, np.zeros(grid.n_nodes))
     assert np.max(np.abs(apply(M, u))) == 0.0
 
@@ -110,27 +129,23 @@ def test_zero_function_zero_exterior_is_zero():
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
 def test_weight_mirror_symmetry(alpha):
     # the left half of the operator is the reflection of the right half:
-    # applying it to a reversed function reverses the result, bit for
-    # bit, under every exterior
+    # applying it to a reversed function reverses the result, bit for bit
     rng = np.random.default_rng(3)
     for grid in (build_graded(48, 2.0),) + HAND_GRIDS:
-        for exterior in (Zero(), PowerTail(0.0, -1.25), PowerTail(-0.4, 1.3)):
-            M = assemble(alpha, grid, exterior)
-            u = rng.normal(size=grid.n_nodes)
-            out = apply(M, GridFunction(grid, u))
-            mirrored = apply(M, GridFunction(grid, u[::-1]))
-            assert np.array_equal(mirrored, out[::-1]), grid.nodes
+        M = assemble(alpha, grid)
+        u = rng.normal(size=grid.n_nodes)
+        out = apply(M, GridFunction(grid, u))
+        mirrored = apply(M, GridFunction(grid, u[::-1]))
+        assert np.array_equal(mirrored, out[::-1]), grid.nodes
 
 
-@pytest.mark.parametrize("exterior", [Zero(), PowerTail(-0.5)])
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-def test_apply_maps_an_even_function_to_an_exactly_even_one(alpha, exterior):
+def test_apply_maps_an_even_function_to_an_exactly_even_one(alpha):
     # both halves of the result are the same row sums in the same order
     grid = build_graded(512, 2.4)
     u = np.abs(grid.nodes) ** -0.5
     assert np.array_equal(u, u[::-1])
-    out = apply(assemble(alpha, grid, exterior),
-                GridFunction(grid, u))
+    out = apply(assemble(alpha, grid), GridFunction(grid, u))
     assert np.array_equal(out, out[::-1])
 
 
@@ -146,17 +161,18 @@ def test_assemble_computes_each_mirror_pair_once(monkeypatch):
 
     monkeypatch.setattr(fracblow.operator, "_kernel_moments", recorded)
     grid = build_graded(64, 2.0)
-    assemble(0.4, grid, Zero())
+    assemble(0.4, grid)
     nodes = np.concatenate(nodes)
     assert nodes.size == 64
     assert np.all(nodes > 0.0)
     np.testing.assert_allclose(nodes, grid.nodes[64:], rtol=0, atol=1e-15)
 
 
-def assemble_by_rows(alpha, grid, exterior):
-    """Reference oracle: the right-half rows and corrections evaluated
-    one row at a time, each piece weight added into its slot by
-    np.add.at.  ``assemble`` must give these bits."""
+def assemble_by_rows(alpha, grid):
+    """Reference oracle: the right-half rows evaluated one row at a time,
+    each piece weight added into its slot by np.add.at, and each row's
+    weight on the boundary value 0 (slot n), which ``assemble`` drops.
+    ``assemble`` must give these rows' bits."""
     x = grid.nodes
     n = x.size
     h = n // 2
@@ -168,9 +184,8 @@ def assemble_by_rows(alpha, grid, exterior):
     jr = np.insert(ends[1:], h, h - 1)
     radii = np.minimum(grid.local_spacing(),
                        np.minimum(np.abs(x) / 2.0, (1.0 - np.abs(x)) / 2.0))
-    E = 0.0 if isinstance(exterior, Zero) else float(exterior.amplitude)
     W = np.zeros((n - h, n))
-    corr = np.zeros(n - h)
+    boundary = np.zeros(n - h)
     for i in range(h, n):
         xi = x[i]
         r = radii[i]
@@ -204,14 +219,10 @@ def assemble_by_rows(alpha, grid, exterior):
                 t = c_self * (r / (pb[k] - pa[k]))
                 diag += t
                 row[slot] -= t
-        corr[i - h] = row[n] * E
-        if isinstance(exterior, PowerTail):
-            gap_sum = (power_tail_gap(alpha, exterior.tau, xi)
-                       + power_tail_gap(alpha, exterior.tau, -xi))
-            corr[i - h] -= exterior.amplitude * (mass - gap_sum)
+        boundary[i - h] = row[n]
         row[i] += diag
         W[i - h] = row[:n]
-    return W, corr
+    return W, boundary
 
 
 # graded grids of a whole and a partial last row block, and the hand-made
@@ -222,20 +233,17 @@ ORACLE_GRIDS = tuple(build_graded(n_per_side, gamma)
 ORACLE_ALPHAS = (0.05, 0.25, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.75, 0.95)
 
 
-@pytest.mark.parametrize("exterior", [Zero(), PowerTail(-0.4, 1.3)])
 @pytest.mark.parametrize("grid", ORACLE_GRIDS,
                          ids=lambda g: f"{g.n_nodes}@{g.grading_exponent}")
-def test_assemble_matches_the_row_by_row_oracle_bit_for_bit(grid, exterior):
+def test_assemble_matches_the_row_by_row_oracle_bit_for_bit(grid):
     for alpha in ORACLE_ALPHAS:
-        M = assemble(alpha, grid, exterior)
-        W, corr = assemble_by_rows(alpha, grid, exterior)
+        M = assemble(alpha, grid)
+        W, _ = assemble_by_rows(alpha, grid)
         assert np.array_equal(M.rows, W), alpha
-        assert np.array_equal(M.correction, corr), alpha
 
 
 @pytest.mark.parametrize("block_rows", [1, 5, 10 ** 6])
-@pytest.mark.parametrize("exterior", [Zero(), PowerTail(-0.4, 1.3)])
-def test_assemble_matches_the_oracle_at_every_block_size(block_rows, exterior,
+def test_assemble_matches_the_oracle_at_every_block_size(block_rows,
                                                         monkeypatch):
     # one-row blocks, partial blocks whose rows keep different piece
     # counts, and one block holding every right-half row: the near/far
@@ -243,35 +251,32 @@ def test_assemble_matches_the_oracle_at_every_block_size(block_rows, exterior,
     monkeypatch.setattr(fracblow.operator, "_BLOCK_ROWS", block_rows)
     for grid in ORACLE_GRIDS:
         for alpha in (0.25, 0.5):
-            M = assemble(alpha, grid, exterior)
-            W, corr = assemble_by_rows(alpha, grid, exterior)
+            M = assemble(alpha, grid)
+            W, _ = assemble_by_rows(alpha, grid)
             assert M.rows.tobytes() == W.tobytes(), (grid.n_nodes, alpha)
-            assert M.correction.tobytes() == corr.tobytes(), (grid.n_nodes,
-                                                              alpha)
 
 
 def test_assemble_keeps_its_scratch_small():
     # the block buffers stay a fixed multiple of one row block: at
     # n_per_side 512 they peak at about 2.8 MB beside the 4.19 MB of rows
     grid = build_graded(512, 2.4)
-    assemble(0.5, grid, Zero())
+    assemble(0.5, grid)
     tracemalloc.start()
     try:
-        M = assemble(0.5, grid, Zero())
+        M = assemble(0.5, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= M.rows.nbytes + 4.5e6
 
 
-@pytest.mark.parametrize("exterior", [Zero(), PowerTail(-0.4, 1.3)])
-def test_assemble_raises_no_warning(exterior):
+def test_assemble_raises_no_warning():
     # moments on the pieces the self panel empties stay inside assemble
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for grid in ORACLE_GRIDS:
             for alpha in ORACLE_ALPHAS:
-                assemble(alpha, grid, exterior)
+                assemble(alpha, grid)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -281,7 +286,7 @@ def test_even_block_solves_the_full_system(alpha):
     # mirrored, reproduces the full dense solve, on the whole grid and on
     # a mirror-symmetric active subset
     grid = build_graded(64, 2.4)
-    M = assemble(alpha, grid, Zero())
+    M = assemble(alpha, grid)
     W = full_weights(M)
     rng = np.random.default_rng(11)
     for idx in (np.arange(grid.n_nodes),
@@ -308,7 +313,7 @@ def test_even_block_holds_every_level_block_exactly(alpha):
     # and its even block W_RR + W_RM, folded from the full mirrored
     # weights, is the even block of its first right-half node, bit for bit
     grid = build_graded(128, 2.4)
-    M = assemble(alpha, grid, PowerTail(-0.4, 1.3))
+    M = assemble(alpha, grid)
     W, n = full_weights(M), grid.n_nodes
     assert np.array_equal(even_block(M), even_block(M, 0))
     level = 8
@@ -344,7 +349,7 @@ def test_off_diagonal_sign(alpha):
     # negated operator has the non-negative off-diagonals a discrete
     # maximum principle needs
     for grid in (build_graded(48, 2.4),) + HAND_GRIDS:
-        W = full_weights(assemble(alpha, grid, Zero()))
+        W = full_weights(assemble(alpha, grid))
         diag = np.diag(W).copy()
         np.fill_diagonal(W, 0.0)
         assert np.max(W) <= 0.0, grid.nodes
@@ -353,7 +358,7 @@ def test_off_diagonal_sign(alpha):
 
 def test_linearity_and_reflection():
     grid = build_graded(48, 2.0)
-    M = assemble(0.6, grid, Zero())
+    M = assemble(0.6, grid)
     rng = np.random.default_rng(7)
     u = GridFunction(grid, rng.normal(size=grid.n_nodes))
     v = GridFunction(grid, rng.normal(size=grid.n_nodes))
@@ -408,6 +413,13 @@ def test_power_identity_improves_under_doubling():
 # Exterior closed forms against adaptive quadrature.
 
 
+def tail_moment(alpha, tau, x):
+    """integral_1^inf z^tau (z-x)^(-1-2a) dz in closed form: the kernel
+    mass of the right exterior less the gap."""
+    return (1.0 - x) ** (-2.0 * alpha) / (2.0 * alpha) - power_tail_gap(
+        alpha, tau, x)
+
+
 def quad_exterior_moment(alpha, tau, x):
     """integral_1^inf z^tau (z-x)^(-1-2a) dz by scipy's adaptive
     quadrature in t = z - 1, split where the kernel factor
@@ -425,16 +437,18 @@ def quad_exterior_moment(alpha, tau, x):
                                        (0.5, -0.8), (0.75, -0.2)])
 @pytest.mark.parametrize("x", [-0.999, -0.4, 0.0, 0.6, 0.999])
 def test_power_tail_moment_matches_quad(alpha, tau, x):
-    closed = power_tail_moment(alpha, tau, x)
+    closed = tail_moment(alpha, tau, x)
     ref = quad_exterior_moment(alpha, tau, x)
     assert closed == pytest.approx(ref, rel=1e-10)
 
 
 def test_power_tail_gap_identity():
-    # gap + moment = kernel mass, and the tau=0 gap vanishes identically
+    # gap + moment = kernel mass, the moment by adaptive quadrature, and
+    # the tau=0 gap vanishes identically
     for alpha, tau, x in ((0.3, -0.6, 0.97), (0.5, -0.35, -0.5)):
         mass = (1.0 - x) ** (-2.0 * alpha) / (2.0 * alpha)
-        total = power_tail_gap(alpha, tau, x) + power_tail_moment(alpha, tau, x)
+        total = power_tail_gap(alpha, tau, x) + quad_exterior_moment(alpha,
+                                                                     tau, x)
         assert total == pytest.approx(mass, rel=1e-13)
     assert power_tail_gap(0.4, 0.0, 0.9) == 0.0
 
@@ -477,8 +491,7 @@ def test_power_tail_gap_matches_mpmath_near_alpha_one():
 
 # Continuity in alpha across 1/2.  K is about twice the relative slope
 # measured at delta = +-1e-4, where the library 2F1 was still accurate:
-# 19.6 for the gap at these x, 21.7 for W and 22.1 for the correction of
-# the PowerTail operator at n_per_side 64.
+# 19.6 for the gap at these x and 21.7 for the weights W at n_per_side 64.
 CONTINUITY_K = 45.0
 HALF_OFFSETS = st.builds(lambda sign, e: sign * 10.0 ** e,
                          st.sampled_from((-1.0, 1.0)),
@@ -496,15 +509,14 @@ def test_power_tail_gap_continuous_across_one_half(delta, tau):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(delta=HALF_OFFSETS, tau=CORE_RATES)
-def test_power_tail_operator_continuous_across_one_half(delta, tau):
+@given(delta=HALF_OFFSETS)
+def test_operator_continuous_across_one_half(delta):
+    # the weights of the operator the power identity applies
     grid = build_graded(64, 2.4)
-    at_half = assemble(0.5, grid, PowerTail(tau))
-    moved = assemble(0.5 + delta, grid, PowerTail(tau))
+    at_half = assemble(0.5, grid).rows
+    moved = assemble(0.5 + delta, grid).rows
     bound = CONTINUITY_K * abs(delta)
-    for old, new in ((at_half.rows, moved.rows),
-                     (at_half.correction, moved.correction)):
-        assert np.all(np.abs(new - old) <= bound * np.abs(old))
+    assert np.all(np.abs(moved - at_half) <= bound * np.abs(at_half))
 
 
 def test_exterior_band_mass_matches_quad():
@@ -527,16 +539,11 @@ def test_exterior_band_mass_matches_quad():
 def test_assemble_validation():
     grid = build_graded(32, 2.0)
     with pytest.raises(BadConfig):
-        assemble(0.0, grid, Zero())
+        assemble(0.0, grid)
     with pytest.raises(BadConfig):
-        assemble(1.0, grid, Zero())
+        assemble(1.0, grid)
     with pytest.raises(BadConfig):
-        assemble(0.5, "not a grid", Zero())
-    with pytest.raises(BadConfig):
-        assemble(0.5, grid, "not an exterior")
-    with pytest.raises(BadConfig):
-        # power tail must be dominated by the kernel decay
-        assemble(0.25, grid, PowerTail(0.7))
+        assemble(0.5, "not a grid")
 
 
 def test_assemble_refuses_orders_without_headroom():
@@ -546,8 +553,8 @@ def test_assemble_refuses_orders_without_headroom():
     grid = build_graded(512, 2.4)
     for alpha in (5e-324, 1e-302, 2.0 ** -961):
         with pytest.raises(BadConfig, match="below 2\\*\\*-960"):
-            assemble(alpha, grid, Zero())
-    M = assemble(2.0 ** -960, grid, Zero())
+            assemble(alpha, grid)
+    M = assemble(2.0 ** -960, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = apply(M, GridFunction(grid, distance_D(grid.nodes) ** -0.999))
@@ -557,23 +564,20 @@ def test_assemble_refuses_orders_without_headroom():
 def test_apply_grid_mismatch():
     grid = build_graded(32, 2.0)
     other = build_graded(32, 2.5)
-    M = assemble(0.5, grid, Zero())
+    M = assemble(0.5, grid)
     with pytest.raises(GridMismatch):
         apply(M, GridFunction(other, np.zeros(other.n_nodes)))
 
 
 def test_operator_matrix_fields():
     grid = build_graded(16, 1.0)
-    M = assemble(0.3, grid, Zero())
+    M = assemble(0.3, grid)
     assert isinstance(M, OperatorMatrix)
     assert M.alpha == 0.3
     assert M.grid.same_as(grid)
-    # one weight array: the right-half rows, and their correction
-    assert [f.name for f in dataclasses.fields(M)] == [
-        "alpha", "grid", "rows", "correction", "exterior"]
+    # one weight array: the right-half rows
+    assert [f.name for f in dataclasses.fields(M)] == ["alpha", "grid", "rows"]
     assert M.rows.shape == (grid.n_nodes // 2, grid.n_nodes)
-    assert M.correction.shape == (grid.n_nodes // 2,)
-    assert M.exterior == Zero()
 
 
 @pytest.mark.parametrize("n_per_side", [128, 512])
@@ -585,7 +589,7 @@ def test_weights_are_a_z_matrix_with_positive_row_sums(alpha, n_per_side):
     # checked on the stored rows, whose diagonal sits h columns right, and
     # on the even block of every level
     grid = build_graded(n_per_side, 2.4)
-    M = assemble(alpha, grid, Zero())
+    M = assemble(alpha, grid)
     h = grid.n_nodes // 2
     D_right = distance_D(grid.nodes)[h:]
     blocks = [(M.rows, h)]
@@ -598,31 +602,3 @@ def test_weights_are_a_z_matrix_with_positive_row_sums(alpha, n_per_side):
         diag = np.diag(np.diagonal(block, offset), offset)[:block.shape[0]]
         assert np.max(block - diag) <= 0.0, block.shape
         assert np.min(block.sum(axis=1)) > 0.0, block.shape
-
-
-def test_assemble_refuses_an_overflowing_exterior_correction():
-    # finite but huge exterior data overflow the correction to -inf; the
-    # refusal is the BadConfig, with no numpy warning before it
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BadConfig,
-                           match="overflows the exterior correction"):
-            assemble(0.5, build_graded(16, 2.4), PowerTail(-0.4, 1e308))
-
-
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
-def test_power_tail_assembly_shares_one_gamma_quotient(alpha, monkeypatch):
-    # the z-independent quotient of the 2F1 connection formula is computed
-    # once per power-tail assembly, and the matrix is bit for bit the one
-    # computed with the quotient evaluated afresh on every row
-    grid = build_graded(64, 2.4)
-    exterior = PowerTail(-0.4, 1.3)
-    cached = fracblow.specfun._gamma_quotient_m1
-    cached.cache_clear()
-    M = assemble(alpha, grid, exterior)
-    assert cached.cache_info().misses == 1 and cached.cache_info().hits > 0
-    monkeypatch.setattr(fracblow.specfun, "_gamma_quotient_m1",
-                        cached.__wrapped__)
-    fresh = assemble(alpha, grid, exterior)
-    assert np.array_equal(M.rows, fresh.rows)
-    assert np.array_equal(M.correction, fresh.correction)

@@ -10,8 +10,8 @@ import pytest
 
 from fracblow import profiles
 from fracblow.errors import BadConfig
-from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero, build_graded,
-                           distance_D, distance_d)
+from fracblow.mesh import (Grid, GridFunction, build_graded, distance_D,
+                           distance_d)
 from fracblow.operator import apply, assemble, even_block
 from fracblow.profiles import (
     _bridge_coeffs,
@@ -23,7 +23,7 @@ from fracblow.profiles import (
 from fracblow.specfun import c_tau
 
 GRID = build_graded(32, 2.0)
-MATRIX = assemble(0.5, GRID, Zero())
+MATRIX = assemble(0.5, GRID)
 
 
 def _bridged(tau, delta, x):
@@ -55,7 +55,7 @@ def test_build_profile_rejects_bad_radius(delta):
 
 
 def _matrix_with_radius(delta):
-    return assemble(0.5, build_graded(16, 1.0, delta), Zero())
+    return assemble(0.5, build_graded(16, 1.0, delta))
 
 
 @pytest.mark.parametrize("tau,delta", [(-0.99, 1e-120), (-0.5, 1e-130),
@@ -89,7 +89,7 @@ def test_radius_halves_where_the_bridge_dips():
         assert np.min(np.polynomial.polynomial.polyval(
             s, _bridge_coeffs(tau, radius))) <= 0.0
     grid = build_graded(32, 3.0, delta)
-    V = comparison_arrays(assemble(0.5, grid, Zero()), tau)[0]
+    V = comparison_arrays(assemble(0.5, grid), tau)[0]
     D = distance_D(grid.nodes)
     core = D <= delta / 4
     between = (D > delta / 4) & (D <= delta)
@@ -118,7 +118,7 @@ def test_edge_branch_exact(tau):
 
 
 def test_profile_positive_everywhere_inside():
-    matrix = assemble(0.5, build_graded(512, 1.0), Zero())
+    matrix = assemble(0.5, build_graded(512, 1.0))
     for tau in np.linspace(-0.95, -0.05, 10):
         assert np.min(comparison_arrays(matrix, tau)[0]) > 0.0
 
@@ -172,7 +172,7 @@ def test_sample_profile_values_at_the_nodes():
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_residual_is_one(alpha):
     grid = build_graded(128, 2.0)
-    matrix = assemble(alpha, grid, Zero())
+    matrix = assemble(alpha, grid)
     torsion = solve_torsion(matrix)
     residual = apply(matrix, torsion) - 1.0
     away = distance_d(grid.nodes) >= 0.1
@@ -180,16 +180,10 @@ def test_torsion_residual_is_one(alpha):
     assert np.max(np.abs(residual[away])) <= 1e-6  # dense solve is exact
 
 
-def test_torsion_needs_zero_exterior_operator():
-    grid = build_graded(32, 2.0)
-    with pytest.raises(BadConfig):
-        solve_torsion(assemble(0.5, grid, PowerTail(0.0)))
-
-
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_symmetric_and_nonnegative(alpha):
     grid = build_graded(128, 2.0)
-    v = solve_torsion(assemble(alpha, grid, Zero())).values
+    v = solve_torsion(assemble(alpha, grid)).values
     assert np.max(np.abs(v - v[::-1])) <= 1e-10 * np.max(v)
     assert np.array_equal(v, v[::-1])  # the even half solve is exactly even
     assert np.min(v) > 0.0
@@ -205,7 +199,7 @@ def test_torsion_needs_mirror_symmetric_grid():
     grid = Grid(nodes=np.array([-0.99, -0.41, -0.4, -0.001,
                                 0.001, 0.4, 0.41, 0.99]),
                 grading_exponent=1.0, delta=0.25)
-    v = solve_torsion(assemble(0.5, grid, Zero())).values
+    v = solve_torsion(assemble(0.5, grid)).values
     assert np.array_equal(v, v[::-1]) and np.min(v) > 0.0
 
 
@@ -214,7 +208,7 @@ def test_torsion_matches_closed_form(alpha, tol):
     # The exact solution of  operator(v) = 1  on the interval with the
     # bare second-difference kernel is  sin(pi*alpha)/pi * (1 - x^2)^alpha.
     grid = build_graded(256, 2.4)
-    v = solve_torsion(assemble(alpha, grid, Zero())).values
+    v = solve_torsion(assemble(alpha, grid)).values
     x = grid.nodes
     exact = np.sin(np.pi * alpha) / np.pi * (1.0 - x ** 2) ** alpha
     away = distance_d(x) >= 0.01
@@ -225,7 +219,7 @@ def test_torsion_matches_closed_form(alpha, tol):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_boundary_decay_exponent(alpha):
     grid = build_graded(256, 2.4)
-    v = solve_torsion(assemble(alpha, grid, Zero())).values
+    v = solve_torsion(assemble(alpha, grid)).values
     x = grid.nodes
     d = distance_d(x)
     mask = (x > 0) & (d > 1e-3) & (d < 3e-2)
@@ -261,17 +255,17 @@ def _count_solves(monkeypatch):
 
 
 def _direct_torsion(matrix):
-    half = np.linalg.solve(even_block(matrix), 1.0 - matrix.correction)
+    half = np.linalg.solve(even_block(matrix), np.ones(matrix.rows.shape[0]))
     return np.concatenate((half[::-1], half))
 
 
 def test_torsion_memo_hit_is_the_solve_bit_for_bit(memo, monkeypatch):
-    matrix = assemble(0.6, build_graded(64, 2.4), Zero())
+    matrix = assemble(0.6, build_graded(64, 2.4))
     want = _direct_torsion(matrix)
     first = solve_torsion(matrix).values
     solves = _count_solves(monkeypatch)
     # a fresh assembly of the same (alpha, grid) is the same key
-    again = solve_torsion(assemble(0.6, build_graded(64, 2.4), Zero()))
+    again = solve_torsion(assemble(0.6, build_graded(64, 2.4)))
     assert solves == []
     assert len(memo) == 1
     assert np.array_equal(first, want)
@@ -280,9 +274,9 @@ def test_torsion_memo_hit_is_the_solve_bit_for_bit(memo, monkeypatch):
 
 def test_torsion_memo_misses_on_another_alpha_or_grid(memo, monkeypatch):
     grid = build_graded(64, 2.4)
-    solve_torsion(assemble(0.6, grid, Zero()))
-    others = [assemble(np.nextafter(0.6, 1.0), grid, Zero()),
-              assemble(0.6, build_graded(64, 2.0), Zero())]  # same n_per_side
+    solve_torsion(assemble(0.6, grid))
+    others = [assemble(np.nextafter(0.6, 1.0), grid),
+              assemble(0.6, build_graded(64, 2.0))]  # same n_per_side
     wants = [_direct_torsion(matrix) for matrix in others]
     solves = _count_solves(monkeypatch)
     for matrix, want in zip(others, wants):
@@ -291,16 +285,9 @@ def test_torsion_memo_misses_on_another_alpha_or_grid(memo, monkeypatch):
     assert len(memo) == 3
 
 
-def test_torsion_memo_still_refuses_a_power_tail(memo):
-    grid = build_graded(32, 2.0)
-    solve_torsion(assemble(0.5, grid, Zero()))
-    with pytest.raises(BadConfig, match="zero-exterior"):
-        solve_torsion(assemble(0.5, grid, PowerTail(0.0)))
-    assert len(memo) == 1
-
 
 def test_mutating_a_returned_torsion_leaves_the_memo(memo):
-    matrix = assemble(0.6, build_graded(64, 2.4), Zero())
+    matrix = assemble(0.6, build_graded(64, 2.4))
     want = _direct_torsion(matrix)
     solve_torsion(matrix).values[:] = -1.0    # the miss's result
     hit = solve_torsion(matrix)
@@ -314,7 +301,7 @@ def test_torsion_memo_keeps_its_bound_first_in_first_out(memo):
     bound = profiles._TORSION_MEMO_SIZE
     alphas = [float(a) for a in np.linspace(0.1, 0.9, 2 * bound)]
     for k, alpha in enumerate(alphas):
-        solve_torsion(assemble(alpha, grid, Zero()))
+        solve_torsion(assemble(alpha, grid))
         assert len(memo) == min(k + 1, bound)
     assert [alpha for alpha, _ in memo] == alphas[-bound:]
 
@@ -326,7 +313,7 @@ def test_torsion_memo_keeps_its_bound_under_concurrent_callers(memo):
     # KeyError within these rounds in 8 runs of 8
     grid = build_graded(16, 2.0)
     bound = profiles._TORSION_MEMO_SIZE
-    matrices = [assemble(alpha, grid, Zero())
+    matrices = [assemble(alpha, grid)
                 for alpha in np.linspace(0.1, 0.9, 8 * bound)]
     wants = [_direct_torsion(matrix) for matrix in matrices]
     interval = sys.getswitchinterval()
@@ -350,7 +337,7 @@ def test_torsion_memo_retains_at_most_its_bound_of_half_vectors(memo):
     # entry (the array header, the key and its dict slot)
     grid = build_graded(64, 2.4)
     bound = profiles._TORSION_MEMO_SIZE
-    matrices = [assemble(alpha, grid, Zero())
+    matrices = [assemble(alpha, grid)
                 for alpha in np.linspace(0.1, 0.9, 2 * bound)]
     solve_torsion(matrices[0])       # any first-call import happens here
     memo.clear()
@@ -372,7 +359,7 @@ def test_torsion_memo_retains_at_most_its_bound_of_half_vectors(memo):
 
 def _band_ratios(alpha, tau, n):
     grid = build_graded(n, 2.4)
-    out = comparison_arrays(assemble(alpha, grid, Zero()), tau)[1]
+    out = comparison_arrays(assemble(alpha, grid), tau)[1]
     D = distance_D(grid.nodes)
     window = (D > 20.0 * grid.local_spacing()) & (D < grid.delta / 4.0)
     assert window.sum() >= 8
@@ -424,7 +411,7 @@ def test_comparison_residual_of_a_lifted_profile(scale, lift):
     # the residual of w = scale V + lift T is operator(w) + sign(w)|w|**p,
     # with operator(w) read off apply; the lift T is the torsion function
     grid = build_graded(128, 2.4)
-    matrix = assemble(0.6, grid, Zero())
+    matrix = assemble(0.6, grid)
     V, a = comparison_arrays(matrix, -0.4)
     torsion = solve_torsion(matrix)
     w = scale * V + lift * torsion.values

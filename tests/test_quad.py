@@ -2,7 +2,8 @@
 
 ``fracblow.quad`` stays as an empty, importable module.  The kernel
 integrals it used to compute are the closed forms of ``specfun`` and the
-exterior tail moments of ``operator``; they are checked here against the
+exterior tail moments, the kernel mass less ``operator.power_tail_gap``;
+they are checked here against the
 same frozen reference values (from the independent reference integrator
 in oracles.py) and textbook integrals, with the same argument checks.
 """
@@ -16,7 +17,7 @@ from scipy.integrate import quad as scipy_quad
 
 import fracblow.quad
 from fracblow.errors import BadConfig
-from fracblow.operator import power_tail_gap, power_tail_moment
+from fracblow.operator import power_tail_gap
 from fracblow.specfun import C_tau, c_second_derivative, c_tau
 
 
@@ -72,29 +73,36 @@ def test_beta_integral_two_singular_endpoints():
 # exterior tail moments, integral_1^inf z**tau (z - x)**(-1-2*alpha) dz
 
 
+def tail_moment(alpha, tau, x):
+    """The tail moment as the kernel mass (1-x)**(-2a) / (2a) less the
+    gap integral_1^inf (1 - z**tau) (z - x)**(-1-2a) dz."""
+    return (1.0 - x) ** (-2.0 * alpha) / (2.0 * alpha) - power_tail_gap(
+        alpha, tau, x)
+
+
 def test_tail_closed_forms():
     # x = 0: integral_1^inf z**(tau-1-2a) dz = 1/(2a - tau)
     for alpha, tau in [(0.25, -0.5), (0.5, 0.0), (0.75, -1.0), (0.1, -0.9)]:
         want = 1.0 / (2.0 * alpha - tau)
-        got = power_tail_moment(alpha, tau, 0.0)
+        got = tail_moment(alpha, tau, 0.0)
         assert abs(got - want) <= 1e-15 * want, (alpha, tau)
     # tau = 0: integral_1^inf (z - x)**(-1-2a) dz = (1-x)**(-2a) / (2a)
     for alpha, x in [(0.25, 0.5), (0.5, -0.9), (0.8, 0.99)]:
         want = (1.0 - x) ** (-2.0 * alpha) / (2.0 * alpha)
-        got = power_tail_moment(alpha, 0.0, x)
+        got = tail_moment(alpha, 0.0, x)
         assert abs(got - want) <= 1e-15 * want, (alpha, x)
     # a = 1/2, tau = -1: partial fractions give log(1-x)/x**2 + 1/(x(1-x));
     # x = 0.75 and 0.9 take the logarithmic case of the Gauss function
     for x in (-0.5, 0.2, 0.5, 0.75, 0.9):
         want = math.log1p(-x) / (x * x) + 1.0 / (x * (1.0 - x))
-        got = power_tail_moment(0.5, -1.0, x)
+        got = tail_moment(0.5, -1.0, x)
         assert abs(got - want) <= 1e-15 * want, x
 
 
 def test_tail_rejects_divergent_power():
     # z**tau (z - x)**(-1-2a) decays like z**(tau-1-2a): no tail for tau >= 2a
     with pytest.raises(BadConfig):
-        power_tail_moment(0.25, 0.5, 0.0)
+        power_tail_gap(0.25, 0.5, 0.0)
     with pytest.raises(BadConfig):
         power_tail_gap(0.25, 0.6, 0.3)
 
@@ -102,7 +110,7 @@ def test_tail_rejects_divergent_power():
 def test_tail_rejects_bad_cut():
     # the tail starts at z = 1, so the point must lie strictly inside it
     with pytest.raises(BadConfig):
-        power_tail_moment(0.25, -0.5, 1.0)
+        power_tail_gap(0.25, -0.5, 1.0)
     with pytest.raises(BadConfig):
         power_tail_gap(0.25, -0.5, -1.0)
     with pytest.raises(BadConfig):

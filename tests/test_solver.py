@@ -8,8 +8,7 @@ import pytest
 import fracblow.solver
 from fracblow.errors import (BadConfig, GridMismatch, NewtonStall,
                              NoAdmissiblePair, RegimeError)
-from fracblow.mesh import (Grid, GridFunction, PowerTail, Zero, build_graded,
-                           distance_D)
+from fracblow.mesh import Grid, GridFunction, build_graded, distance_D
 from fracblow.operator import apply, assemble
 from fracblow.profiles import comparison_arrays, core_mask
 from fracblow.solver import (
@@ -27,7 +26,7 @@ GRID = build_graded(256, 2.4)
 
 
 def _pair_and_spec(alpha, p, grid=GRID):
-    matrix = assemble(alpha, grid, Zero())
+    matrix = assemble(alpha, grid)
     sub, sup = default_sub_super(matrix, p)
     return sub, sup, ProblemSpec(matrix, p, sub, sup)
 
@@ -62,7 +61,7 @@ def test_default_pair_residual_signs(alpha, p):
     # Sub-inequality on the resolved near-core nodes, super-inequality
     # on the whole grid.
     sub, sup, _ = _pair_and_spec(alpha, p)
-    matrix = assemble(alpha, GRID, Zero())
+    matrix = assemble(alpha, GRID)
     core = core_mask(GRID)
     assert np.any(core)
 
@@ -152,7 +151,7 @@ def test_super_scale_beyond_the_double_range_is_no_pair(monkeypatch):
     # lam* = (1e300)**(1/0.75) overflows: no pair, and no warning
     monkeypatch.setattr(fracblow.solver, "c_tau", lambda alpha, tau: 1e300)
     with pytest.raises(NoAdmissiblePair, match="super-solution scale inf"):
-        default_sub_super(assemble(0.25, GRID, Zero()), 1.75)
+        default_sub_super(assemble(0.25, GRID), 1.75)
 
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
@@ -161,7 +160,7 @@ def test_scaling_up_sub_breaks_inequality_near_core(alpha, p):
     # rate, so a large enough multiple of the sub-solution must violate
     # the sub-inequality at some resolved near-core node.
     sub, _, _ = _pair_and_spec(alpha, p)
-    matrix = assemble(alpha, GRID, Zero())
+    matrix = assemble(alpha, GRID)
     core = core_mask(GRID)
     for factor in (2.0, 4.0, 8.0, 16.0, 32.0):
         big = GridFunction(GRID, factor * sub.values)
@@ -175,13 +174,13 @@ def test_scaling_up_sub_breaks_inequality_near_core(alpha, p):
 @pytest.mark.parametrize("alpha,p", [(0.6, 2.1), (0.25, 2.5), (0.25, 1.2)])
 def test_default_pair_regime_guard(alpha, p):
     with pytest.raises(RegimeError):
-        default_sub_super(assemble(alpha, GRID, Zero()), p)
+        default_sub_super(assemble(alpha, GRID), p)
 
 
 def test_default_pair_needs_resolved_core():
     coarse = build_graded(16, 1.0)
     with pytest.raises(BadConfig):
-        default_sub_super(assemble(0.5, coarse, Zero()), 3.0)
+        default_sub_super(assemble(0.5, coarse), 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,7 @@ def test_problem_spec_validation():
 
     other = build_graded(256, 2.0)
     with pytest.raises(GridMismatch):
-        ProblemSpec(assemble(0.5, other, Zero()), 3.0, sub, sup)
+        ProblemSpec(assemble(0.5, other), 3.0, sub, sup)
 
     with pytest.raises(BadConfig):
         ProblemSpec(matrix, 3.0, sup, sub)  # reversed ordering
@@ -221,7 +220,7 @@ def test_problem_spec_needs_mirror_symmetric_grid():
                 grading_exponent=1.0, delta=0.25)
     sub = GridFunction(grid, np.full(grid.n_nodes, 20.0))
     sup = GridFunction(grid, np.full(grid.n_nodes, 30.0))
-    spec = ProblemSpec(assemble(0.5, grid, Zero()), 3.0, sub, sup)
+    spec = ProblemSpec(assemble(0.5, grid), 3.0, sub, sup)
     assert spec.grid.same_as(grid)
 
 
@@ -237,12 +236,6 @@ def test_problem_spec_needs_even_bounds():
     with pytest.raises(BadConfig, match="exactly even"):
         ProblemSpec(spec.matrix, 3.0, sub,
                     GridFunction(GRID, sup.values * (1.0 + 1e-9 * GRID.nodes)))
-
-
-def test_problem_spec_rejects_nonzero_exterior_operator():
-    sub, sup, _ = _pair_and_spec(0.5, 3.0)
-    with pytest.raises(BadConfig):
-        ProblemSpec(assemble(0.5, GRID, PowerTail(0.0)), 3.0, sub, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +356,7 @@ def test_even_residual_row_view_matches_the_indexed_rows(alpha, p):
     # computed on the fancy-indexed copy of those rows, bit for bit
     grid = build_graded(128, 2.4)
     sub, _, spec = _pair_and_spec(alpha, p, grid)
-    W, corr = spec.matrix.rows, spec.matrix.correction
+    W = spec.matrix.rows
     h = grid.n_nodes // 2
     rng = np.random.default_rng(5)
     half = rng.uniform(0.5, 2.0, size=grid.n_nodes // 2)
@@ -372,7 +365,7 @@ def test_even_residual_row_view_matches_the_indexed_rows(alpha, p):
         while level <= 2 ** 20:
             idx = np.flatnonzero(distance_D(grid.nodes) > 1.0 / level)
             right = idx[idx.size // 2:]
-            want = (W[right - h] @ u + corr[right - h]
+            want = (W[right - h] @ u
                     + np.abs(u[right]) ** (p - 1.0) * u[right])
             assert np.array_equal(
                 _even_residual(spec.matrix, p, right[0] - h, u), want)
@@ -404,7 +397,7 @@ def test_solve_blowup_validation():
         solve_blowup(spec, 3)
     # every node of this grid lies in the core {D <= 1/4}
     inner = Grid(nodes=np.array([-0.2, 0.2]), grading_exponent=1.0, delta=0.25)
-    inner_spec = ProblemSpec(assemble(0.5, inner, Zero()), 3.0,
+    inner_spec = ProblemSpec(assemble(0.5, inner), 3.0,
                              GridFunction(inner, np.full(2, 20.0)),
                              GridFunction(inner, np.full(2, 30.0)))
     with pytest.raises(BadConfig, match="no active nodes"):
@@ -534,7 +527,7 @@ def test_solve_runs_without_resolved_core_nodes():
     # still solves
     grid = Grid(nodes=np.array([-0.6, -0.2, 0.2, 0.6]), grading_exponent=1.0,
                 delta=0.25)
-    spec = ProblemSpec(assemble(0.5, grid, Zero()), 3.0,
+    spec = ProblemSpec(assemble(0.5, grid), 3.0,
                        GridFunction(grid, np.array([0.1, 20.0, 20.0, 0.1])),
                        GridFunction(grid, np.full(4, 30.0)))
     with pytest.raises(BadConfig, match="no resolved nodes"):
@@ -583,7 +576,7 @@ def test_special_regime_pair_residual_signs():
     assert tau1 < taubar < 0.0
 
     core = core_mask(GRID)
-    matrix = assemble(alpha, GRID, Zero())
+    matrix = assemble(alpha, GRID)
     v1, applied1 = comparison_arrays(matrix, tau1)
     vb, appliedb = comparison_arrays(matrix, taubar)
 
