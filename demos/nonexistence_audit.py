@@ -14,7 +14,7 @@ inequality that excludes it:
 
 import json
 
-from fracblow import assemble, audit_nonexistence, build_graded
+from fracblow import audit_nonexistence, build_graded
 
 INSTANCES = (
     (0.25, 1.3, -0.3),
@@ -26,7 +26,7 @@ INSTANCES = (
 def main():
     grid = build_graded(n_per_side=512, grading_exponent=2.4)
     for alpha, p, tau in INSTANCES:
-        audit = audit_nonexistence(assemble(alpha, grid), p, tau)
+        audit = audit_nonexistence(alpha, grid, p, tau)
         print(f"alpha={alpha} p={p} tau={tau} -> zone {audit.zone}")
         print(json.dumps(audit.as_dict(), indent=2, sort_keys=True))
         print()

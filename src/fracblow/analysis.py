@@ -12,11 +12,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
-from .mesh import GridFunction, distance_D
-from .operator import OperatorMatrix
-from .profiles import (MAX_DOUBLINGS, comparison_arrays, comparison_residual,
-                       core_mask, power_of_two_bracket, resolved_mask,
-                       solve_torsion)
+from .mesh import Grid, GridFunction, distance_D
+from .profiles import (MAX_DOUBLINGS, comparison_profile, comparison_residual,
+                       core_mask, even_operator, power_of_two_bracket,
+                       resolved_mask, solve_torsion)
 from .specfun import Regime, RegimeKind, classify
 
 __all__ = [
@@ -191,27 +190,32 @@ def require_nonexistence(alpha: float, p: float, tau: float) -> Regime:
     return regime
 
 
-def audit_nonexistence(matrix: OperatorMatrix, p: float,
+def audit_nonexistence(alpha: float, grid: Grid, p: float,
                        tau: float) -> ZoneAudit:
-    """Certify discretely, on the operator ``matrix``, the
-    comparison-function inequalities that rule out solutions with rate
-    ``tau`` for the given (alpha, p): for each scale t of T_VALUES, the
-    residual of t * V + sign * mu * T (V the profile, T the torsion
+    """Certify discretely, on the operator of order ``alpha`` on ``grid``,
+    the comparison-function inequalities that rule out solutions with
+    rate ``tau`` for the given (alpha, p): for each scale t of T_VALUES,
+    the residual of t * V + sign * mu * T (V the profile, T the torsion
     function; sign = -1 in zone 2, +1 otherwise) must have the sign
     ``sign`` at every resolved node, up to 1e-6 times the local residual
     scale.  mu is t times the least power of two >= 1 that makes the
     linear part nonnegative in zone 1, and the least power of two in
     [1, 2**MAX_DOUBLINGS] that works, found by doubling, in zones 2 and 3.
-    T comes from ``solve_torsion``, solved once per (alpha, grid) in a
-    process.
+
+    V and T are even, so the audit needs only the even operator, the
+    fold ``even_operator`` keeps per (alpha, grid) in a process: W V is
+    the fold times the right half of V, mirrored, and T comes from
+    ``solve_torsion`` on the same fold, also kept.
     """
-    alpha, grid = matrix.alpha, matrix.grid
     regime = require_nonexistence(alpha, p, tau)
     zone = _zone_of(alpha, p, tau, regime.tau1)
     sign = -1.0 if zone == 2 else 1.0
 
-    vals, applied = comparison_arrays(matrix, tau)
-    tors = solve_torsion(matrix).values
+    fold = even_operator(alpha, grid)
+    vals = comparison_profile(grid, tau).values
+    half = fold @ vals[fold.shape[0]:]
+    applied = np.concatenate((half[::-1], half))
+    tors = solve_torsion(alpha, grid, fold).values
     checked = resolved_mask(grid)
     if checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")

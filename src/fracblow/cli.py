@@ -366,9 +366,10 @@ def cmd_solve(ns):
 
 
 def cmd_audit(ns):
-    """Nonexistence-zone residual audit, emitted as JSON."""
+    """Nonexistence-zone residual audit, emitted as JSON.  It assembles
+    no rows: the audit reads the even operator that ``profiles`` keeps per
+    (alpha, grid) in the process."""
     from .analysis import audit_nonexistence, require_nonexistence
-    from .operator import assemble
 
     alpha = _resolve(ns, "alpha", float, required=True)
     p = _resolve(ns, "p", float, required=True)
@@ -378,7 +379,7 @@ def cmd_audit(ns):
 
     grid = _grid_from(ns)
     require_nonexistence(alpha, p, tau)
-    audit = audit_nonexistence(assemble(alpha, grid), p, tau)
+    audit = audit_nonexistence(alpha, grid, p, tau)
     payload = {
         "n_per_side": grid.n_per_side,
         "grading": grid.grading_exponent,

@@ -35,6 +35,11 @@ the piece weights, formed in the buffers the moments free, with the
 pieces the self panel empties zeroed through one mask; and the kept
 sums, one compress per weight array and kept count, a single one where
 every row of the block keeps as many pieces, as nearly all do.
+
+One generator produces the blocks for two consumers: ``assemble`` stores
+them as the n/2 x n right-half rows the solver reads, and
+``assemble_even`` folds each into the h x h even operator as it is
+produced, for the callers that apply the operator to even vectors only.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ from .errors import BadConfig, GridMismatch
 from .mesh import Grid, GridFunction
 from .specfun import _check_alpha, _gauss_2f1
 
-__all__ = ["OperatorMatrix", "assemble", "apply", "even_block",
-           "power_tail_gap"]
+__all__ = ["OperatorMatrix", "assemble", "assemble_even", "apply",
+           "even_block", "power_tail_gap"]
 
-_BLOCK_ROWS = 32  # right-half rows evaluated together in assemble
+_BLOCK_ROWS = 32  # right-half rows evaluated together
 
 
 @dataclass(eq=False)
@@ -157,27 +162,29 @@ def _kept_sums(keep, *weights):
     return sums
 
 
-def assemble(alpha: float, grid: Grid) -> OperatorMatrix:
-    """Assemble the dense collocation matrix of the fractional Laplacian
-    of order ``alpha`` on ``grid`` for functions that vanish outside
-    (-1,1).
-
-    Only the right-half rows are computed and stored; the grid is
-    mirror-symmetric, so the left half is their reflection.  They are
-    evaluated _BLOCK_ROWS at a time as (rows x pieces) arrays, bit for
-    bit what one row at a time gives, each block in a few full-size
-    passes (see the module docstring).  Each row adds its piece weights
-    into n + 1 slots; the last stands for the boundary value 0 (slot
-    -1), which the outermost node's self panel reaches, and is dropped.
-    Plain sums suffice: every diagonal term is positive, so nothing
-    cancels."""
+def _checked_alpha(alpha: float, grid: Grid) -> float:
+    """``alpha`` as a float, once it and ``grid`` pass the checks of every
+    assembly."""
     alpha = _check_alpha(alpha)
     if alpha < 2.0 ** -960:  # keeps 2**64 of headroom for data up to 2**54
         raise BadConfig(f"alpha={alpha} is below 2**-960: the diagonal, about "
                         f"1/alpha, overflows double precision on the data")
     if not isinstance(grid, Grid):
         raise BadConfig("grid must be a Grid instance")
+    return alpha
 
+
+def _row_blocks(alpha: float, grid: Grid):
+    """The right-half rows of the operator of order ``alpha`` (checked) on
+    ``grid``, _BLOCK_ROWS at a time: yields (j, block), ``block`` the
+    rows j, j + 1, ... as a (rows x n) view of a buffer of its own.
+
+    Each block is evaluated as (rows x pieces) arrays, bit for bit what
+    one row at a time gives, in a few full-size passes (see the module
+    docstring).  Each row adds its piece weights into n + 1 slots; the
+    last stands for the boundary value 0 (slot -1), which the outermost
+    node's self panel reaches, and is dropped.  Plain sums suffice:
+    every diagonal term is positive, so nothing cancels."""
     x = grid.nodes
     n = x.size
     h = n // 2
@@ -196,7 +203,6 @@ def assemble(alpha: float, grid: Grid) -> OperatorMatrix:
         mass[j] = ((1.0 - xi) ** (-twoa) + (1.0 + xi) ** (-twoa)) / twoa
         c_self[j] = r ** (-twoa) / (2.0 - twoa)
 
-    W = np.empty((n - h, n))
     full = pb - pa > 1e-300
     for lo in range(h, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
@@ -275,9 +281,37 @@ def assemble(alpha: float, grid: Grid) -> OperatorMatrix:
         row[t, i + 1] -= tr
 
         row[t, i] += diag
-        W[lo - h:hi - h] = row[:, :n]
+        yield lo - h, row[:, :n]
 
+
+def assemble(alpha: float, grid: Grid) -> OperatorMatrix:
+    """Assemble the dense collocation matrix of the fractional Laplacian
+    of order ``alpha`` on ``grid`` for functions that vanish outside
+    (-1,1), as the solver's Newton residual reads it.
+
+    Only the right-half rows are computed and stored; the grid is
+    mirror-symmetric, so the left half is their reflection."""
+    alpha = _checked_alpha(alpha, grid)
+    n = grid.nodes.size
+    W = np.empty((n // 2, n))
+    for j, block in _row_blocks(alpha, grid):
+        W[j:j + block.shape[0]] = block
     return OperatorMatrix(alpha=alpha, grid=grid, rows=W)
+
+
+def assemble_even(alpha: float, grid: Grid) -> np.ndarray:
+    """The h x h even fold W_RR + W_RM of the operator ``assemble(alpha,
+    grid)`` stores, byte for byte ``even_block(assemble(alpha, grid))``:
+    the operator on even vectors, read on the right-half nodes.  Each row
+    block is folded as it is produced, so the n/2 x n rows are never
+    held."""
+    alpha = _checked_alpha(alpha, grid)
+    h = grid.nodes.size // 2
+    fold = np.empty((h, h))
+    for j, block in _row_blocks(alpha, grid):
+        np.add(block[:, h:], block[:, :h][:, ::-1],
+               out=fold[j:j + block.shape[0]])
+    return fold
 
 
 def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:
@@ -285,9 +319,14 @@ def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:
     (-1,1)."""
     if not M.grid.same_as(u.grid):
         raise GridMismatch("grid of the operand differs from the matrix grid")
-    # contiguous operands: BLAS sums both halves alike, so even maps to even
-    left = M.rows @ u.values[::-1].copy()
-    return np.concatenate((left[::-1], M.rows @ u.values))
+    # contiguous operands: BLAS sums both halves alike, so even maps to
+    # even, and an operand that equals its reversal byte for byte (an even
+    # one) gives both halves from one product
+    right = M.rows @ u.values
+    bits = u.values.view(np.int64)
+    left = (right if np.array_equal(bits, bits[::-1])
+            else M.rows @ u.values[::-1].copy())
+    return np.concatenate((left[::-1], right))
 
 
 def even_block(M: OperatorMatrix, k: int = 0) -> np.ndarray:

@@ -4,13 +4,15 @@ The profile with core exponent ``tau`` is positive and even: ``D**tau``
 near the interior singular point (``D`` is the distance to 0), the
 squared boundary distance ``d**2`` near the ends of the interval, and a
 quintic bridge between, chosen so the profile is twice continuously
-differentiable.  It exists only as its values at the grid nodes, which
-``comparison_arrays`` returns with their operator values for the pair's
-sub-solution and the nonexistence audits.  The module also provides the
-discrete torsion function (the grid function the assembled operator maps
-to the constant 1), the residual of the comparison functions
-scale * profile + lift * torsion they test (the pair with no lift), and
-the power-of-two rounding that sizes them.
+differentiable.  It exists only as its values at the grid nodes
+(``comparison_profile``), which ``comparison_arrays`` returns with their
+operator values for the pair's sub-solution; the nonexistence audits
+apply the even operator to them instead.  The module also keeps, per
+process, each (alpha, grid)'s even operator (``even_operator``) and
+discrete torsion function (the grid function the operator maps to the
+constant 1, ``solve_torsion``), and provides the residual of the
+comparison functions scale * profile + lift * torsion they test (the
+pair with no lift) and the power-of-two rounding that sizes them.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ import numpy as np
 
 from .errors import BadConfig, SingularSystem
 from .mesh import Grid, GridFunction, distance_D
-from .operator import OperatorMatrix, apply, even_block
+from .operator import OperatorMatrix, _checked_alpha, apply, assemble_even
 
 __all__ = [
     "comparison_arrays",
+    "comparison_profile",
     "comparison_residual",
+    "even_operator",
     "solve_torsion",
 ]
 
@@ -79,40 +83,102 @@ def _bridge_coeffs(tau: float, delta: float) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# Discrete torsion function.
+# The even operator and the discrete torsion function, kept per process.
 
 
-# Torsion half vectors, oldest first; the lock keeps evictions exact.
-_TORSION_MEMO: dict[tuple[float, bytes], np.ndarray] = {}
-_TORSION_MEMO_SIZE = 16
-_TORSION_LOCK = threading.Lock()
+# Per key (alpha and a digest of the grid nodes, the whole input of the
+# assembly), oldest first: [torsion half or None, read-only fold or None].
+# The last _MEMO_SIZE keys keep their torsion half, and the newest keep
+# their fold while the folds fit in _FOLD_BUDGET bytes (4 at n_per_side
+# 512, 1 at 1024, none from 2048 up).  The lock keeps evictions exact.
+_MEMO: dict[tuple[float, bytes], list] = {}
+_MEMO_SIZE = 16
+_FOLD_BUDGET = 8 << 20
+_LOCK = threading.Lock()
 
 
-def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
-    """Solve the dense collocation system  operator(v) = 1  for
-    ``matrix``.  The solution is the discrete torsion function, with zero
-    exterior: positive inside the interval, vanishing toward the
-    endpoints, and the bounded lift of the audits.
-
-    The grid is mirror-symmetric, so the right-hand side is even, the
-    solve is the half system of ``even_block(matrix)`` and the solution
-    is exactly even.  The half solution depends only on the inputs of
-    ``assemble``, so it is kept for the last _TORSION_MEMO_SIZE keys
-    (alpha and a digest of the grid nodes, the whole input of
-    ``assemble``), and a repeated key gets a fresh GridFunction of the
-    kept half.  Any later input of ``assemble`` must join the key."""
+def _key(alpha: float, grid: Grid) -> tuple[float, bytes]:
     try:  # the lean builtin, as in the random module: hashlib loads OpenSSL
         from _blake2 import blake2b
     except ImportError:
         from hashlib import blake2b
-    alpha, grid = matrix.alpha, matrix.grid
+    alpha = _checked_alpha(alpha, grid)
     nodes = np.ascontiguousarray(grid.nodes)
-    key = (alpha, blake2b(nodes, digest_size=32).digest())
-    half = _TORSION_MEMO.get(key)
+    return alpha, blake2b(nodes, digest_size=32).digest()
+
+
+def _entry(key: tuple[float, bytes]) -> list:
+    """The memo entry of ``key``, made (evicting the oldest key when the
+    memo is full) if there is none; call under the lock."""
+    entry = _MEMO.get(key)
+    if entry is None:
+        if len(_MEMO) >= _MEMO_SIZE:
+            del _MEMO[next(iter(_MEMO))]
+        entry = _MEMO[key] = [None, None]
+    return entry
+
+
+def _make_room(nbytes: int) -> bool:
+    """Drop the folds of the oldest keys until ``nbytes`` more fit in the
+    budget; False, dropping nothing, when they never fit.  Call under the
+    lock."""
+    if nbytes > _FOLD_BUDGET:
+        return False
+    held = sum(e[1].nbytes for e in _MEMO.values() if e[1] is not None)
+    for entry in _MEMO.values():
+        if held + nbytes <= _FOLD_BUDGET:
+            break
+        if entry[1] is not None:
+            held -= entry[1].nbytes
+            entry[1] = None
+    return True
+
+
+def even_operator(alpha: float, grid: Grid) -> np.ndarray:
+    """The read-only h x h even fold of the operator of order ``alpha`` on
+    ``grid``, ``assemble_even``'s, the operator on even vectors read on
+    the right-half nodes, as the audits and the torsion solve use it.
+
+    It is assembled once per key while the memo keeps it (see _MEMO).
+    Older folds are dropped before a new one is assembled, so the process
+    holds at most _FOLD_BUDGET bytes of kept folds beside the one being
+    assembled."""
+    key = _key(alpha, grid)
+    nbytes = 8 * (grid.nodes.size // 2) ** 2
+    with _LOCK:
+        entry = _MEMO.get(key)
+        if entry is not None and entry[1] is not None:
+            return entry[1]
+        _make_room(nbytes)
+    fold = assemble_even(key[0], grid)
+    fold.flags.writeable = False
+    with _LOCK:  # a concurrent caller may have stored a fold meanwhile
+        if _make_room(nbytes):
+            _entry(key)[1] = fold
+    return fold
+
+
+def solve_torsion(alpha: float, grid: Grid,
+                  fold: np.ndarray | None = None) -> GridFunction:
+    """Solve the dense collocation system  operator(v) = 1  of order
+    ``alpha`` on ``grid``.  The solution is the discrete torsion
+    function, with zero exterior: positive inside the interval, vanishing
+    toward the endpoints, and the bounded lift of the audits.
+
+    The grid is mirror-symmetric, so the right-hand side is even, the
+    solve is the half system of the even fold (``even_operator``, or
+    ``fold`` when the caller holds it) and the solution is exactly even.
+    The half solution is kept for the last _MEMO_SIZE keys, and a
+    repeated key gets a fresh GridFunction of the kept half.  Any later
+    input of the assembly must join the key."""
+    key = _key(alpha, grid)
+    entry = _MEMO.get(key)
+    half = None if entry is None else entry[0]
     if half is None:
+        if fold is None:
+            fold = even_operator(alpha, grid)
         try:
-            half = np.linalg.solve(even_block(matrix),
-                                   np.ones(matrix.rows.shape[0]))
+            half = np.linalg.solve(fold, np.ones(fold.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
                 f"torsion system is singular for alpha={alpha}") from exc
@@ -124,10 +190,8 @@ def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
             raise SingularSystem(
                 "torsion solve produced negative values; the discretization "
                 f"is unusable (min {np.min(half):.3e})")
-        with _TORSION_LOCK:
-            if len(_TORSION_MEMO) >= _TORSION_MEMO_SIZE:
-                del _TORSION_MEMO[next(iter(_TORSION_MEMO))]
-            _TORSION_MEMO[key] = half
+        with _LOCK:
+            _entry(key)[0] = half
     return GridFunction(grid, np.concatenate((half[::-1], half)))
 
 
@@ -153,11 +217,9 @@ def core_mask(grid: Grid) -> np.ndarray:
     return core
 
 
-def comparison_arrays(matrix: OperatorMatrix, tau: float,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays (V, W V) of the pair's sub-solution and the audits: the
-    values at the nodes of ``matrix``'s grid of the profile with core
-    exponent ``tau``, and their operator values under ``matrix``.
+def comparison_profile(grid: Grid, tau: float) -> GridFunction:
+    """The values V at the nodes of ``grid`` of the comparison profile
+    with core exponent ``tau``, the one place the profile is built.
 
     V is ``D**tau`` where D <= delta, ``d**2`` where d <= delta, and the
     quintic bridge in s = (D - delta) / (1 - 2*delta) between, delta the
@@ -168,7 +230,7 @@ def comparison_arrays(matrix: OperatorMatrix, tau: float,
     tau = float(tau)
     if not (-1.0 < tau < 0.0):
         raise BadConfig(f"core exponent must lie in (-1, 0), got {tau}")
-    grid, delta = matrix.grid, matrix.grid.delta
+    delta = grid.delta
     s = np.linspace(0.0, 1.0, 4097)
     for radius in (delta, delta / 2, delta / 4, delta / 8):
         coeffs = _bridge_coeffs(tau, radius)
@@ -193,7 +255,15 @@ def comparison_arrays(matrix: OperatorMatrix, tau: float,
     vals[edge] = d[edge] ** 2
     vals[mid] = np.polynomial.polynomial.polyval(
         (D[mid] - radius) / (1.0 - 2.0 * radius), coeffs)
-    profile = GridFunction(grid, vals)
+    return GridFunction(grid, vals)
+
+
+def comparison_arrays(matrix: OperatorMatrix, tau: float,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays (V, W V) of the pair's sub-solution: the profile values
+    of ``comparison_profile`` on ``matrix``'s grid, and their operator
+    values under ``matrix``."""
+    profile = comparison_profile(matrix.grid, tau)
     return profile.values, apply(matrix, profile)
 
 

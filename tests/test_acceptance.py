@@ -118,7 +118,7 @@ def test_criterion_4_operator_fidelity():
         grid = build_graded(256, 2.4)
         matrix = assemble(alpha, grid)
         away = distance_d(grid.nodes) >= 0.1
-        solved = solve_torsion(matrix)
+        solved = solve_torsion(alpha, grid)
         assert np.max(np.abs(apply(matrix, solved) - 1.0)[away]) <= 1e-6
         x = grid.nodes
         closed = GridFunction(
@@ -188,7 +188,7 @@ def test_criterion_7_nonexistence_zone_audits():
     grid = build_graded(512, 2.4)
     zones = {}
     for alpha, p, tau in ((0.25, 1.3, -0.3), (0.6, 3.0, -0.4), (0.6, 3.0, -0.8)):
-        audit = audit_nonexistence(assemble(alpha, grid), p, tau)
+        audit = audit_nonexistence(alpha, grid, p, tau)
         assert audit.passed, (alpha, p, tau)
         zones[audit.zone] = audit
     assert sorted(zones) == [1, 2, 3]

@@ -538,15 +538,16 @@ def test_solve_at_the_window_edges_chooses_its_exit(alpha, p):
 
 
 def _count_assembles(monkeypatch):
-    # the commands import assemble from the operator module when they run
+    # the commands import assemble from the operator module when they run;
+    # the audit's memo binds assemble_even in the profiles module
     calls = []
-    original = fracblow.operator.assemble
+    for module, name in ((fracblow.operator, "assemble"),
+                         (fracblow.profiles, "assemble_even")):
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls.append((_name, *args))
+            return _original(*args)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(fracblow.operator, "assemble", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -601,12 +602,14 @@ def test_only_the_audit_solves_the_torsion_function(argv, solves, monkeypatch,
 
 def test_a_repeated_audit_reuses_its_torsion_solve(monkeypatch, capsys,
                                                    child_env):
-    # the second audit on the same (alpha, grid) in one process solves no
-    # half-size system (the profile's 6 x 6 bridge system is still solved
-    # per audit), and prints what a fresh process prints
-    monkeypatch.setattr(fracblow.profiles, "_TORSION_MEMO", {})
+    # the second audit on the same (alpha, grid) in one process assembles
+    # nothing and solves no half-size system (the profile's 6 x 6 bridge
+    # system is still solved per audit), and prints what a fresh process
+    # prints
+    monkeypatch.setattr(fracblow.profiles, "_MEMO", {})
     argv = ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8",
             "--n-per-side", "128", "--no-timestamp"]
+    assembles = _count_assembles(monkeypatch)
     shapes = []
     original = np.linalg.solve
 
@@ -615,12 +618,15 @@ def test_a_repeated_audit_reuses_its_torsion_solve(monkeypatch, capsys,
         return original(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
-    half_solves, outs = [], []
+    builds, half_solves, outs = [], [], []
     for _ in range(2):
         shapes.clear()
+        assembles.clear()
         assert main(argv) == EXIT_OK
+        builds.append(len(assembles))
         half_solves.append(shapes.count((128, 128)))
         outs.append(capsys.readouterr().out.encode())
+    assert builds == [1, 0]
     assert half_solves == [1, 0]
     fresh = subprocess.run([sys.executable, "-m", "fracblow.cli", *argv],
                            capture_output=True, timeout=120, env=child_env)
@@ -628,11 +634,35 @@ def test_a_repeated_audit_reuses_its_torsion_solve(monkeypatch, capsys,
     assert outs[0] == outs[1] == fresh.stdout
 
 
+def test_audits_sharing_nodes_across_deltas_match_fresh_processes(
+        monkeypatch, capsys, child_env):
+    # delta moves the profile, not the nodes, so it is no part of the
+    # memo key: the second audit reuses the first one's fold and torsion
+    # function, and each prints what a fresh process prints
+    monkeypatch.setattr(fracblow.profiles, "_MEMO", {})
+    assembles = _count_assembles(monkeypatch)
+    base = ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4",
+            "--n-per-side", "256", "--no-timestamp"]
+    for delta, builds in (("0.25", 1), ("0.125", 0)):
+        argv = base + ["--delta", delta]
+        assembles.clear()
+        assert main(argv) == EXIT_OK
+        assert len(assembles) == builds
+        fresh = subprocess.run([sys.executable, "-m", "fracblow.cli", *argv],
+                               capture_output=True, timeout=120, env=child_env)
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out.encode() == fresh.stdout
+
+
 def test_audit_assembles_once(monkeypatch, capsys):
+    # its even operator only, never the rows; none at all once it is kept
+    monkeypatch.setattr(fracblow.profiles, "_MEMO", {})
     calls = _count_assembles(monkeypatch)
-    code = main(["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8",
-                 "--n-per-side", "64", "--no-timestamp"])
-    assert code == EXIT_OK
+    argv = ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8",
+            "--n-per-side", "64", "--no-timestamp"]
+    assert main(argv) == EXIT_OK
+    assert [call[0] for call in calls] == ["assemble_even"]
+    assert main(argv) == EXIT_OK
     assert len(calls) == 1
 
 

@@ -19,7 +19,8 @@ import fracblow.operator
 from fracblow.errors import BadConfig, GridMismatch
 from fracblow.mesh import Grid, GridFunction, build_graded, distance_D
 from fracblow.operator import (OperatorMatrix, _kernel_moments, apply,
-                               assemble, even_block, power_tail_gap)
+                               assemble, assemble_even, even_block,
+                               power_tail_gap)
 from fracblow.specfun import c_tau
 
 BATTERY_ALPHAS = (0.25, 0.5, 0.75)
@@ -149,6 +150,32 @@ def test_apply_maps_an_even_function_to_an_exactly_even_one(alpha):
     assert np.array_equal(out, out[::-1])
 
 
+def test_apply_takes_one_product_for_an_even_operand(monkeypatch):
+    # an operand equal to its reversal byte for byte gives both halves
+    # from one product, bit for bit the two products it replaces; a
+    # -0.0 mirrored by +0.0 is not such an operand
+    grid = build_graded(64, 2.4)
+    M = assemble(0.6, grid)
+    even = np.abs(grid.nodes) ** -0.5
+    signed_zero = np.zeros(grid.n_nodes)
+    signed_zero[0] = -0.0
+    for u in (even, signed_zero, grid.nodes):
+        want = np.concatenate(((M.rows @ u[::-1].copy())[::-1], M.rows @ u))
+        assert apply(M, GridFunction(grid, u)).tobytes() == want.tobytes()
+    rows = M.rows
+    products = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other)
+            return rows @ other
+
+    M = dataclasses.replace(M, rows=rows.view(Counting))
+    apply(M, GridFunction(grid, even))
+    apply(M, GridFunction(grid, signed_zero))
+    assert len(products) == 3
+
+
 def test_assemble_computes_each_mirror_pair_once(monkeypatch):
     # the kernel moments are evaluated for the right-half rows only, each
     # once: in row i the far end of piece 0, which starts at -1, is 1 + x_i
@@ -268,6 +295,33 @@ def test_assemble_keeps_its_scratch_small():
     finally:
         tracemalloc.stop()
     assert peak <= M.rows.nbytes + 4.5e6
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 32, 10 ** 6])
+def test_assemble_even_is_the_fold_of_assemble_byte_for_byte(block_rows,
+                                                              monkeypatch):
+    monkeypatch.setattr(fracblow.operator, "_BLOCK_ROWS", block_rows)
+    for grid in ORACLE_GRIDS:
+        for alpha in (0.05, 0.5, 0.75):
+            fold = assemble_even(alpha, grid)
+            want = even_block(assemble(alpha, grid))
+            assert fold.tobytes() == want.tobytes(), (grid.n_nodes, alpha)
+
+
+def test_assemble_even_never_holds_the_rows():
+    # the fold is built block by block: at n_per_side 512 its peak stays
+    # below the 4.19 MB of rows plus the 2.10 MB fold that folding a
+    # stored operator would hold
+    grid = build_graded(512, 2.4)
+    assemble_even(0.5, grid)
+    tracemalloc.start()
+    try:
+        fold = assemble_even(0.5, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (512 * 1024 + 512 * 512)
+    assert peak < fold.nbytes + 4.5e6
 
 
 def test_assemble_raises_no_warning():
@@ -544,6 +598,10 @@ def test_assemble_validation():
         assemble(1.0, grid)
     with pytest.raises(BadConfig):
         assemble(0.5, "not a grid")
+    for alpha, bad in ((0.0, grid), (1.0, grid), (0.5, "not a grid"),
+                       (2.0 ** -961, grid)):
+        with pytest.raises(BadConfig):
+            assemble_even(alpha, bad)
 
 
 def test_assemble_refuses_orders_without_headroom():

@@ -173,7 +173,7 @@ def test_sample_profile_values_at_the_nodes():
 def test_torsion_residual_is_one(alpha):
     grid = build_graded(128, 2.0)
     matrix = assemble(alpha, grid)
-    torsion = solve_torsion(matrix)
+    torsion = solve_torsion(alpha, grid)
     residual = apply(matrix, torsion) - 1.0
     away = distance_d(grid.nodes) >= 0.1
     assert np.max(np.abs(residual[away])) <= 0.02
@@ -183,7 +183,7 @@ def test_torsion_residual_is_one(alpha):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_symmetric_and_nonnegative(alpha):
     grid = build_graded(128, 2.0)
-    v = solve_torsion(assemble(alpha, grid)).values
+    v = solve_torsion(alpha, grid).values
     assert np.max(np.abs(v - v[::-1])) <= 1e-10 * np.max(v)
     assert np.array_equal(v, v[::-1])  # the even half solve is exactly even
     assert np.min(v) > 0.0
@@ -199,7 +199,7 @@ def test_torsion_needs_mirror_symmetric_grid():
     grid = Grid(nodes=np.array([-0.99, -0.41, -0.4, -0.001,
                                 0.001, 0.4, 0.41, 0.99]),
                 grading_exponent=1.0, delta=0.25)
-    v = solve_torsion(assemble(0.5, grid)).values
+    v = solve_torsion(0.5, grid).values
     assert np.array_equal(v, v[::-1]) and np.min(v) > 0.0
 
 
@@ -208,7 +208,7 @@ def test_torsion_matches_closed_form(alpha, tol):
     # The exact solution of  operator(v) = 1  on the interval with the
     # bare second-difference kernel is  sin(pi*alpha)/pi * (1 - x^2)^alpha.
     grid = build_graded(256, 2.4)
-    v = solve_torsion(assemble(alpha, grid)).values
+    v = solve_torsion(alpha, grid).values
     x = grid.nodes
     exact = np.sin(np.pi * alpha) / np.pi * (1.0 - x ** 2) ** alpha
     away = distance_d(x) >= 0.01
@@ -219,7 +219,7 @@ def test_torsion_matches_closed_form(alpha, tol):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_boundary_decay_exponent(alpha):
     grid = build_graded(256, 2.4)
-    v = solve_torsion(assemble(alpha, grid)).values
+    v = solve_torsion(alpha, grid).values
     x = grid.nodes
     d = distance_d(x)
     mask = (x > 0) & (d > 1e-3) & (d < 3e-2)
@@ -229,15 +229,16 @@ def test_torsion_boundary_decay_exponent(alpha):
 
 
 # ---------------------------------------------------------------------------
-# The torsion memo: one half solve per (alpha, grid nodes) in a process.
+# The memo: one fold and one torsion solve per (alpha, grid nodes) in a
+# process.
 
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty torsion memo for one test; the process's own is put back
+    """An empty memo for one test; the process's own is put back
     afterwards."""
     fresh = {}
-    monkeypatch.setattr(profiles, "_TORSION_MEMO", fresh)
+    monkeypatch.setattr(profiles, "_MEMO", fresh)
     return fresh
 
 
@@ -254,54 +255,71 @@ def _count_solves(monkeypatch):
     return shapes
 
 
+def _count_folds(monkeypatch):
+    """The alphas of the folds assembled from now on, with the bytes of
+    folds the memo held as each assembly began."""
+    calls = []
+    original = profiles.assemble_even
+
+    def counting(alpha, grid):
+        calls.append((alpha, _held()))
+        return original(alpha, grid)
+
+    monkeypatch.setattr(profiles, "assemble_even", counting)
+    return calls
+
+
+def _held():
+    return sum(e[1].nbytes for e in profiles._MEMO.values() if e[1] is not None)
+
+
 def _direct_torsion(matrix):
     half = np.linalg.solve(even_block(matrix), np.ones(matrix.rows.shape[0]))
     return np.concatenate((half[::-1], half))
 
 
 def test_torsion_memo_hit_is_the_solve_bit_for_bit(memo, monkeypatch):
-    matrix = assemble(0.6, build_graded(64, 2.4))
-    want = _direct_torsion(matrix)
-    first = solve_torsion(matrix).values
+    want = _direct_torsion(assemble(0.6, build_graded(64, 2.4)))
+    first = solve_torsion(0.6, build_graded(64, 2.4)).values
     solves = _count_solves(monkeypatch)
-    # a fresh assembly of the same (alpha, grid) is the same key
-    again = solve_torsion(assemble(0.6, build_graded(64, 2.4)))
-    assert solves == []
+    folds = _count_folds(monkeypatch)
+    # a fresh grid with the same nodes is the same key
+    again = solve_torsion(0.6, build_graded(64, 2.4))
+    assert solves == [] and folds == []
     assert len(memo) == 1
-    assert np.array_equal(first, want)
-    assert np.array_equal(again.values, want)
+    assert first.tobytes() == want.tobytes()
+    assert again.values.tobytes() == want.tobytes()
 
 
 def test_torsion_memo_misses_on_another_alpha_or_grid(memo, monkeypatch):
     grid = build_graded(64, 2.4)
-    solve_torsion(assemble(0.6, grid))
-    others = [assemble(np.nextafter(0.6, 1.0), grid),
-              assemble(0.6, build_graded(64, 2.0))]  # same n_per_side
-    wants = [_direct_torsion(matrix) for matrix in others]
+    solve_torsion(0.6, grid)
+    others = [(np.nextafter(0.6, 1.0), grid),
+              (0.6, build_graded(64, 2.0))]  # same n_per_side
+    wants = [_direct_torsion(assemble(*key)) for key in others]
     solves = _count_solves(monkeypatch)
-    for matrix, want in zip(others, wants):
-        assert np.array_equal(solve_torsion(matrix).values, want)
+    for key, want in zip(others, wants):
+        assert np.array_equal(solve_torsion(*key).values, want)
     assert solves == [(64, 64), (64, 64)]
     assert len(memo) == 3
 
 
-
 def test_mutating_a_returned_torsion_leaves_the_memo(memo):
-    matrix = assemble(0.6, build_graded(64, 2.4))
-    want = _direct_torsion(matrix)
-    solve_torsion(matrix).values[:] = -1.0    # the miss's result
-    hit = solve_torsion(matrix)
+    grid = build_graded(64, 2.4)
+    want = _direct_torsion(assemble(0.6, grid))
+    solve_torsion(0.6, grid).values[:] = -1.0    # the miss's result
+    hit = solve_torsion(0.6, grid)
     assert np.array_equal(hit.values, want)
     hit.values[::2] = np.nan                 # a hit's result
-    assert np.array_equal(solve_torsion(matrix).values, want)
+    assert np.array_equal(solve_torsion(0.6, grid).values, want)
 
 
 def test_torsion_memo_keeps_its_bound_first_in_first_out(memo):
     grid = build_graded(16, 2.0)
-    bound = profiles._TORSION_MEMO_SIZE
+    bound = profiles._MEMO_SIZE
     alphas = [float(a) for a in np.linspace(0.1, 0.9, 2 * bound)]
     for k, alpha in enumerate(alphas):
-        solve_torsion(assemble(alpha, grid))
+        solve_torsion(alpha, grid)
         assert len(memo) == min(k + 1, bound)
     assert [alpha for alpha, _ in memo] == alphas[-bound:]
 
@@ -312,18 +330,17 @@ def test_torsion_memo_keeps_its_bound_under_concurrent_callers(memo):
     # an empty memo 60 times; an eviction without the lock raised a
     # KeyError within these rounds in 8 runs of 8
     grid = build_graded(16, 2.0)
-    bound = profiles._TORSION_MEMO_SIZE
-    matrices = [assemble(alpha, grid)
-                for alpha in np.linspace(0.1, 0.9, 8 * bound)]
-    wants = [_direct_torsion(matrix) for matrix in matrices]
+    bound = profiles._MEMO_SIZE
+    alphas = [float(a) for a in np.linspace(0.1, 0.9, 8 * bound)]
+    wants = [_direct_torsion(assemble(alpha, grid)) for alpha in alphas]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(60):
             memo.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(lambda m: solve_torsion(m).values,
-                                    matrices + matrices, timeout=60))
+                got = list(pool.map(lambda a: solve_torsion(a, grid).values,
+                                    alphas + alphas, timeout=60))
             assert all(np.array_equal(g, w)
                        for g, w in zip(got, wants + wants))
             assert len(memo) <= bound
@@ -334,23 +351,100 @@ def test_torsion_memo_keeps_its_bound_under_concurrent_callers(memo):
 def test_torsion_memo_retains_at_most_its_bound_of_half_vectors(memo):
     # twice the bound of distinct alphas: what stays allocated afterwards
     # is at most the bound's worth of n/2 doubles, plus a little per
-    # entry (the array header, the key and its dict slot)
+    # entry (two array headers, the key, the entry and its dict slot),
+    # plus the data of the folds the memo still holds, within the budget
     grid = build_graded(64, 2.4)
-    bound = profiles._TORSION_MEMO_SIZE
-    matrices = [assemble(alpha, grid)
-                for alpha in np.linspace(0.1, 0.9, 2 * bound)]
-    solve_torsion(matrices[0])       # any first-call import happens here
+    bound = profiles._MEMO_SIZE
+    alphas = [float(a) for a in np.linspace(0.1, 0.9, 2 * bound)]
+    solve_torsion(alphas[0], grid)   # any first-call import happens here
     memo.clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for matrix in matrices:
-            solve_torsion(matrix)
+        for alpha in alphas:
+            solve_torsion(alpha, grid)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(memo) == bound
-    assert retained <= bound * (grid.n_per_side * 8 + 512)
+    assert _held() <= profiles._FOLD_BUDGET
+    assert retained <= bound * (grid.n_per_side * 8 + 1024) + _held()
+
+
+def test_even_operator_is_the_read_only_fold_kept_per_key(memo, monkeypatch):
+    grid = build_graded(64, 2.4)
+    fold = profiles.even_operator(0.6, grid)
+    assert fold.tobytes() == even_block(assemble(0.6, grid)).tobytes()
+    assert not fold.flags.writeable
+    with pytest.raises(ValueError):
+        fold[0, 0] = 0.0
+    folds = _count_folds(monkeypatch)
+    assert profiles.even_operator(0.6, build_graded(64, 2.4)) is fold
+    # the torsion solve of that key runs on the kept fold
+    assert solve_torsion(0.6, grid).values.tobytes() == \
+        _direct_torsion(assemble(0.6, grid)).tobytes()
+    assert folds == []
+
+
+def test_a_fifth_fold_at_512_drops_the_oldest_fold_before_assembling(
+        memo, monkeypatch):
+    # 8 MiB keeps four 512 x 512 folds: the fifth alpha's fold is
+    # assembled only after the oldest fold is dropped, and the oldest key
+    # keeps its torsion half, so its torsion is no new assembly or solve
+    grid = build_graded(512, 2.4)
+    nbytes = 8 * 512 * 512
+    alphas = [0.3, 0.4, 0.6, 0.7, 0.8]
+    folds = _count_folds(monkeypatch)
+    for alpha in alphas:
+        solve_torsion(alpha, grid)
+    assert [a for a, _ in folds] == alphas
+    assert [held for _, held in folds] == [k * nbytes for k in (0, 1, 2, 3, 3)]
+    assert _held() == profiles._FOLD_BUDGET == 4 * nbytes
+    assert [e[1] is None for e in memo.values()] == [True] + [False] * 4
+    assert all(e[0] is not None for e in memo.values())
+    solves = _count_solves(monkeypatch)
+    solve_torsion(alphas[0], grid)
+    assert solves == [] and len(folds) == 5
+
+
+@pytest.mark.parametrize("n_per_side,kept", [(512, 4), (1024, 1), (2048, 0)])
+def test_the_fold_budget_keeps_the_newest_folds_that_fit(
+        n_per_side, kept, memo, monkeypatch):
+    # the budget arithmetic alone, on stand-in folds of the right size
+    grid = build_graded(n_per_side, 2.4)
+    monkeypatch.setattr(profiles, "assemble_even",
+                        lambda alpha, grid: np.zeros((n_per_side,) * 2))
+    alphas = [0.2, 0.3, 0.4, 0.6, 0.7, 0.8]
+    for alpha in alphas:
+        profiles.even_operator(alpha, grid)
+    held = [alpha for alpha, e in zip(alphas, memo.values()) if e[1] is not None]
+    assert held == alphas[len(alphas) - kept:]
+    assert _held() <= profiles._FOLD_BUDGET
+
+
+def test_even_operator_keeps_its_budget_under_concurrent_callers(
+        memo, monkeypatch):
+    # a budget of three 16 x 16 folds, twelve keys each asked for three
+    # times by eight threads: every caller gets the fold of its key, and
+    # the memo never holds more than the budget once the callers are done
+    grid = build_graded(16, 2.0)
+    monkeypatch.setattr(profiles, "_FOLD_BUDGET", 3 * 8 * 16 * 16)
+    alphas = [float(a) for a in np.linspace(0.1, 0.9, 12)]
+    wants = [even_block(assemble(alpha, grid)) for alpha in alphas]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            memo.clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(
+                    lambda a: profiles.even_operator(a, grid), 3 * alphas,
+                    timeout=60))
+            assert all(np.array_equal(g, w) for g, w in zip(got, 3 * wants))
+            assert _held() <= profiles._FOLD_BUDGET
+            assert len(memo) <= profiles._MEMO_SIZE
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +507,7 @@ def test_comparison_residual_of_a_lifted_profile(scale, lift):
     grid = build_graded(128, 2.4)
     matrix = assemble(0.6, grid)
     V, a = comparison_arrays(matrix, -0.4)
-    torsion = solve_torsion(matrix)
+    torsion = solve_torsion(0.6, grid)
     w = scale * V + lift * torsion.values
     res, size = comparison_residual(a, V, torsion.values, 3.0, scale, lift)
     direct = apply(matrix, GridFunction(grid, w)) + np.sign(w) * np.abs(w) ** 3
