@@ -40,9 +40,8 @@ from .errors import (
 _MODULE_OF = {
     name: module
     for module, names in (
-        ("analysis", "BandReport RateFit ZoneAudit audit_nonexistence "
-                     "check_band fit_rate"),
-        ("mesh", "Grid GridFunction build_graded distance_D distance_d"),
+        ("analysis", "RateFit ZoneAudit audit_nonexistence fit_rate"),
+        ("mesh", "Grid GridFunction build_graded distance_D"),
         ("operator", "OperatorMatrix apply assemble power_tail_gap"),
         ("profiles", "solve_torsion"),
         ("solver", "ProblemSpec SolveReport default_sub_super solve_blowup"),

@@ -1,5 +1,5 @@
-"""Post-processing: blow-up-rate fits, sign-band reports, and the
-residual-sign audits certifying the nonexistence zones.
+"""Post-processing: blow-up-rate fits and the residual-sign audits
+certifying the nonexistence zones.
 
 Everything here consumes grid functions produced by the solver or the
 profile builders and reduces them to small, JSON/CSV-friendly records.
@@ -20,10 +20,8 @@ from .specfun import Regime, RegimeKind, classify
 
 __all__ = [
     "RateFit",
-    "BandReport",
     "ZoneAudit",
     "fit_rate",
-    "check_band",
     "audit_nonexistence",
     "require_nonexistence",
 ]
@@ -87,48 +85,6 @@ def fit_rate(u: GridFunction, window: tuple) -> RateFit:
 
 
 # ---------------------------------------------------------------------------
-# Sign-band reports.
-
-
-@dataclass(frozen=True)
-class BandReport:
-    """Extremes and sign changes of values(x)/D(x)**exponent over a
-    window of resolved nodes."""
-
-    min_ratio: float
-    max_ratio: float
-    sign_flips: int
-    n_nodes: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def check_band(values: GridFunction, reference_exponent: float,
-               window: tuple) -> BandReport:
-    """Ratio band of node values against a reference power of the
-    distance to the singular point, restricted to resolved window nodes."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi):
-        raise BadConfig(f"window must satisfy 0 < D_min < D_max, got ({lo}, {hi})")
-    grid = values.grid
-    D = distance_D(grid.nodes)
-    mask = (D >= lo) & (D <= hi) & resolved_mask(grid)
-    if mask.sum() < 8:
-        raise TooFewPoints(
-            f"only {int(mask.sum())} resolved nodes in window ({lo}, {hi})")
-    ratio = values.values[mask] / D[mask] ** float(reference_exponent)
-    signs = np.sign(ratio)
-    flips = int(np.sum(signs[1:] != signs[:-1]))
-    return BandReport(
-        min_ratio=float(np.min(ratio)),
-        max_ratio=float(np.max(ratio)),
-        sign_flips=flips,
-        n_nodes=int(mask.sum()),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Nonexistence-zone audits.
 
 
@@ -177,9 +133,8 @@ def _zone_of(alpha: float, p: float, tau: float, tau1: float | None) -> int:
 
 def require_nonexistence(alpha: float, p: float, tau: float) -> Regime:
     """Verdict of ``classify`` for the audit; RegimeError unless it is one
-    of the nonexistence kinds.  The regime guard of
-    ``audit_nonexistence``, cheap enough to run before an operator is
-    assembled."""
+    of the nonexistence kinds.  The regime guard ``audit_nonexistence``
+    runs before it touches any operator."""
     regime = classify(alpha, p, tau)
     if regime.kind not in (RegimeKind.NONEXISTENCE_A,
                            RegimeKind.NONEXISTENCE_B,

@@ -131,29 +131,29 @@ def _resolve(ns, name, kind=None, *, default=None, required=False):
 
 
 def _parse_range(text, what):
-    """Either a single float or an inclusive 'lo:hi' range token."""
+    """Either a single finite float or an inclusive 'lo:hi' range token
+    of finite floats."""
     text = str(text)
-    if ":" in text:
-        lo_s, hi_s = text.split(":", 1)
-        try:
-            lo, hi = float(lo_s), float(hi_s)
-        except ValueError as exc:
-            raise BadConfig(f"bad {what} range {text!r}") from exc
-        if not lo <= hi:
-            raise BadConfig(f"{what} range must be increasing, got {text!r}")
-        return lo, hi
+    tokens = text.split(":", 1)
     try:
-        value = float(text)
+        values = [float(token) for token in tokens]
     except ValueError as exc:
-        raise BadConfig(f"bad {what} value {text!r}") from exc
-    return value, value
+        kind = "range" if len(tokens) > 1 else "value"
+        raise BadConfig(f"bad {what} {kind} {text!r}") from exc
+    for token, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise BadConfig(f"bad {what} value {token!r}")
+    lo, hi = values[0], values[-1]
+    if not lo <= hi:
+        raise BadConfig(f"{what} range must be increasing, got {text!r}")
+    return lo, hi
 
 
 def _range_count(lo, hi, step):
     """Number of values lo, lo + step, ... up to hi; inf once one axis
     alone passes the cell cap, so a tiny step reaches no int() or list."""
-    if not step > 0.0:
-        raise BadConfig(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise BadConfig(f"step must be positive and finite, got {step}")
     span = (hi - lo) / step
     return round(span) + 1 if span <= _MAX_SWEEP_CELLS else math.inf
 
@@ -369,7 +369,7 @@ def cmd_audit(ns):
     """Nonexistence-zone residual audit, emitted as JSON.  It assembles
     no rows: the audit reads the even operator that ``profiles`` keeps per
     (alpha, grid) in the process."""
-    from .analysis import audit_nonexistence, require_nonexistence
+    from .analysis import audit_nonexistence
 
     alpha = _resolve(ns, "alpha", float, required=True)
     p = _resolve(ns, "p", float, required=True)
@@ -378,7 +378,6 @@ def cmd_audit(ns):
     no_timestamp = _resolve(ns, "no_timestamp", bool, default=False)
 
     grid = _grid_from(ns)
-    require_nonexistence(alpha, p, tau)
     audit = audit_nonexistence(alpha, grid, p, tau)
     payload = {
         "n_per_side": grid.n_per_side,

@@ -8,7 +8,8 @@ distance.  ``build_graded`` therefore clusters nodes algebraically toward
 
 ``GridFunction`` is node values on a grid; the problem poses every
 function as 0 on |x| >= 1, and ``operator.assemble`` integrates that
-exterior exactly.
+exterior exactly.  ``distance_D`` is the distance to the singular point;
+the boundary distance of a point of (-1,1) is 1 - |x|.
 """
 
 from __future__ import annotations
@@ -19,10 +20,7 @@ import numpy as np
 
 from .errors import BadConfig, GridMismatch, OutOfDomain
 
-__all__ = [
-    "Grid", "GridFunction", "build_graded",
-    "distance_D", "distance_d",
-]
+__all__ = ["Grid", "GridFunction", "build_graded", "distance_D"]
 
 
 # ---------------------------------------------------------------------------
@@ -130,27 +128,14 @@ def build_graded(n_per_side: int, grading_exponent: float,
 
 
 # ---------------------------------------------------------------------------
-# Distances to the interior singular point and to the outer boundary.
-
-
-def _check_domain(x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) >= 1.0):
-        raise OutOfDomain(f"point outside (-1,1): {x}")
-    return arr
+# Distance to the interior singular point.
 
 
 def distance_D(x):
-    """Distance to the interior singular point 0."""
-    arr = _check_domain(x)
-    out = np.abs(arr)
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
-
-
-def distance_d(x):
-    """Distance to the outer boundary {-1, +1}."""
-    arr = _check_domain(x)
-    out = np.minimum(1.0 - arr, 1.0 + arr)
+    """Distance to the interior singular point 0, for points of (-1,1)."""
+    out = np.abs(np.asarray(x, dtype=float))
+    if np.any(out >= 1.0):
+        raise OutOfDomain(f"point outside (-1,1): {x}")
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 

@@ -5,14 +5,14 @@ near the interior singular point (``D`` is the distance to 0), the
 squared boundary distance ``d**2`` near the ends of the interval, and a
 quintic bridge between, chosen so the profile is twice continuously
 differentiable.  It exists only as its values at the grid nodes
-(``comparison_profile``), which ``comparison_arrays`` returns with their
-operator values for the pair's sub-solution; the nonexistence audits
-apply the even operator to them instead.  The module also keeps, per
-process, each (alpha, grid)'s even operator (``even_operator``) and
-discrete torsion function (the grid function the operator maps to the
-constant 1, ``solve_torsion``), and provides the residual of the
-comparison functions scale * profile + lift * torsion they test (the
-pair with no lift) and the power-of-two rounding that sizes them.
+(``comparison_profile``); the pair's sub-solution applies the operator
+rows to them, the nonexistence audits the even operator.  The module
+also keeps, per process, each (alpha, grid)'s even operator
+(``even_operator``) and discrete torsion function (the grid function the
+operator maps to the constant 1, ``solve_torsion``), keyed by alpha and
+the exact node bytes, and provides the residual of the comparison
+functions scale * profile + lift * torsion they test (the pair with no
+lift) and the power-of-two rounding that sizes them.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import BadConfig, SingularSystem
 from .mesh import Grid, GridFunction, distance_D
-from .operator import OperatorMatrix, _checked_alpha, apply, assemble_even
+from .operator import _checked_alpha, assemble_even
 
 __all__ = [
-    "comparison_arrays",
     "comparison_profile",
     "comparison_residual",
     "even_operator",
@@ -35,8 +34,8 @@ __all__ = [
 ]
 
 # A node is resolved when its distance to the singular point is at least
-# this multiple of the local spacing; the solver, the band reports and the
-# audits all trust only resolved nodes.
+# this multiple of the local spacing; the solver and the audits trust only
+# resolved nodes.
 RESOLUTION_MULTIPLE = 20.0
 
 # Comparison scales are powers of two in [2**-MAX_DOUBLINGS, 2**MAX_DOUBLINGS].
@@ -86,7 +85,7 @@ def _bridge_coeffs(tau: float, delta: float) -> np.ndarray | None:
 # The even operator and the discrete torsion function, kept per process.
 
 
-# Per key (alpha and a digest of the grid nodes, the whole input of the
+# Per key (alpha and the bytes of the grid nodes, the whole input of the
 # assembly), oldest first: [torsion half or None, read-only fold or None].
 # The last _MEMO_SIZE keys keep their torsion half, and the newest keep
 # their fold while the folds fit in _FOLD_BUDGET bytes (4 at n_per_side
@@ -98,13 +97,7 @@ _LOCK = threading.Lock()
 
 
 def _key(alpha: float, grid: Grid) -> tuple[float, bytes]:
-    try:  # the lean builtin, as in the random module: hashlib loads OpenSSL
-        from _blake2 import blake2b
-    except ImportError:
-        from hashlib import blake2b
-    alpha = _checked_alpha(alpha, grid)
-    nodes = np.ascontiguousarray(grid.nodes)
-    return alpha, blake2b(nodes, digest_size=32).digest()
+    return _checked_alpha(alpha, grid), grid.nodes.tobytes()
 
 
 def _entry(key: tuple[float, bytes]) -> list:
@@ -256,15 +249,6 @@ def comparison_profile(grid: Grid, tau: float) -> GridFunction:
     vals[mid] = np.polynomial.polynomial.polyval(
         (D[mid] - radius) / (1.0 - 2.0 * radius), coeffs)
     return GridFunction(grid, vals)
-
-
-def comparison_arrays(matrix: OperatorMatrix, tau: float,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays (V, W V) of the pair's sub-solution: the profile values
-    of ``comparison_profile`` on ``matrix``'s grid, and their operator
-    values under ``matrix``."""
-    profile = comparison_profile(matrix.grid, tau)
-    return profile.values, apply(matrix, profile)
 
 
 def comparison_residual(applied: np.ndarray, vals: np.ndarray,

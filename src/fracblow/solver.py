@@ -36,7 +36,7 @@ from .errors import (
 )
 from .mesh import Grid, GridFunction, distance_D
 from .operator import OperatorMatrix, apply, even_block
-from .profiles import (MAX_DOUBLINGS, comparison_arrays, comparison_residual,
+from .profiles import (MAX_DOUBLINGS, comparison_profile, comparison_residual,
                        core_mask, power_of_two_bracket)
 from .specfun import RegimeKind, _check_p, c_tau, classify
 
@@ -184,7 +184,8 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
     """
     alpha, grid = matrix.alpha, matrix.grid
     tau = require_unique_existence(alpha, p)
-    vals, applied = comparison_arrays(matrix, tau)
+    profile = comparison_profile(grid, tau)
+    vals, applied = profile.values, apply(matrix, profile)
     core = core_mask(grid)
 
     # At a core node the residual of lam * V is lam * a + (lam * v)**p:

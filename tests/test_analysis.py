@@ -1,4 +1,4 @@
-"""Tests for rate fitting, band reports, and nonexistence-zone audits."""
+"""Tests for rate fitting and nonexistence-zone audits."""
 
 import json
 
@@ -7,18 +7,11 @@ import pytest
 
 import fracblow.analysis
 import fracblow.specfun
-from fracblow.analysis import (
-    BandReport,
-    RateFit,
-    ZoneAudit,
-    audit_nonexistence,
-    check_band,
-    fit_rate,
-)
+from fracblow.analysis import RateFit, ZoneAudit, audit_nonexistence, fit_rate
 from fracblow.errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from fracblow.mesh import GridFunction, build_graded, distance_D
-from fracblow.operator import assemble
-from fracblow.profiles import comparison_arrays, resolved_mask, solve_torsion
+from fracblow.operator import apply, assemble
+from fracblow.profiles import comparison_profile, resolved_mask, solve_torsion
 
 GRID = build_graded(512, 2.4)
 D = distance_D(GRID.nodes)
@@ -91,45 +84,6 @@ def test_fit_rate_as_dict_serializes():
 
 
 # ---------------------------------------------------------------------------
-# check_band
-
-
-def test_check_band_exact_power_collapses():
-    u = _power_sample(3.7, -0.43)
-    report = check_band(u, -0.43, (0.01, 0.2))
-    assert abs(report.min_ratio - 3.7) <= 1e-9
-    assert abs(report.max_ratio - 3.7) <= 1e-9
-    assert report.sign_flips == 0
-    assert report.n_nodes >= 8
-    assert isinstance(report, BandReport)
-
-
-def test_check_band_counts_sign_changes():
-    u = GridFunction(GRID, GRID.nodes.copy())
-    report = check_band(u, 0.0, (0.05, 0.8))
-    assert report.sign_flips == 1
-    assert report.min_ratio < 0.0 < report.max_ratio
-
-
-def test_check_band_too_few_points_when_window_unresolved():
-    u = _power_sample(1.0, -0.5)
-    with pytest.raises(TooFewPoints):
-        check_band(u, -0.5, (1e-6, 1e-5))
-
-
-def test_check_band_rejects_bad_window():
-    u = _power_sample(1.0, -0.5)
-    with pytest.raises(BadConfig):
-        check_band(u, -0.5, (0.1, 0.05))
-
-
-def test_check_band_as_dict_serializes():
-    report = check_band(_power_sample(2.0, -0.3), -0.3, (0.01, 0.2))
-    payload = json.loads(json.dumps(report.as_dict()))
-    assert payload["sign_flips"] == 0
-
-
-# ---------------------------------------------------------------------------
 # audit_nonexistence
 
 
@@ -153,7 +107,8 @@ def test_zone1_lift_is_the_closed_form_power_of_two():
     # audit takes the least power of two >= 1 there, which doubling from 1
     # finds too
     audit = audit_nonexistence(0.25, GRID, 1.3, -0.3)
-    a = comparison_arrays(assemble(0.25, GRID), -0.3)[1][resolved_mask(GRID)]
+    a = apply(assemble(0.25, GRID),
+              comparison_profile(GRID, -0.3))[resolved_mask(GRID)]
     need = np.max((-a - 1e-6 * np.abs(a)) / (1.0 + 1e-6))
     lift = 1.0
     while not np.all(a + lift >= -1e-6 * (np.abs(a) + lift)):
@@ -201,7 +156,8 @@ def test_zone23_lift_is_the_least_doubling(tau, zone):
     audit = audit_nonexistence(0.6, GRID, p, tau)
     assert audit.zone == zone
     sign = -1.0 if zone == 2 else 1.0
-    v, a = comparison_arrays(matrix, tau)
+    profile = comparison_profile(GRID, tau)
+    v, a = profile.values, apply(matrix, profile)
     T = solve_torsion(0.6, GRID).values
     checked = resolved_mask(GRID)
 

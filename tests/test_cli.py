@@ -159,10 +159,20 @@ def test_specfun_rerun_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_specfun_rejects_out_of_domain_sweep():
+def test_specfun_rejects_out_of_domain_sweep(capsys):
     assert main(["specfun", "--alpha", "0.5:1.5", "--step", "0.5"]) == EXIT_CONFIG
     assert main(["specfun", "--tau=0.2:0.4", "--step", "0.1"]) == EXIT_CONFIG
     assert main(["specfun", "--alpha", "0.5", "--step", "-0.1"]) == EXIT_CONFIG
+    # a non-finite step, value or bound is refused by name, with no output
+    for arg, err in (("--step=inf", "step must be positive and finite, got inf"),
+                     ("--alpha=nan", "bad alpha value 'nan'"),
+                     ("--alpha=inf", "bad alpha value 'inf'"),
+                     ("--tau=nan", "bad tau value 'nan'"),
+                     ("--alpha=-inf:inf", "bad alpha value '-inf'"),
+                     ("--tau=-0.5:nan", "bad tau value 'nan'")):
+        capsys.readouterr()
+        assert main(["specfun", arg]) == EXIT_CONFIG, arg
+        assert capsys.readouterr() == ("", f"configuration error: {err}\n")
 
 
 def test_specfun_refuses_oversized_sweep_before_any_row(monkeypatch, capsys):
@@ -1067,8 +1077,8 @@ def test_importing_the_cli_loads_no_scipy(child_env):
 
 
 def test_importing_the_cli_loads_no_digest_module(child_env):
-    # the torsion memo imports its digest on the first torsion solve, so
-    # commands that solve none do not load it
+    # no command needs a digest: the torsion memo keys by the node bytes,
+    # and importing the CLI must not load one through any other module
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, fracblow.cli; print(sorted(m for m in sys.modules "

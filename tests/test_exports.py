@@ -53,7 +53,8 @@ def test_star_import_binds_every_package_name(child_env):
                            " False\n[]\n")
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "even_block", "np"])
+@pytest.mark.parametrize("name", ["no_such_name", "even_block", "np",
+                                  "check_band", "BandReport", "distance_d"])
 def test_an_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(fracblow, name)

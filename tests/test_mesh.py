@@ -8,13 +8,7 @@ import pytest
 
 import fracblow.mesh
 from fracblow.errors import BadConfig, GridMismatch, OutOfDomain
-from fracblow.mesh import (
-    Grid,
-    GridFunction,
-    build_graded,
-    distance_D,
-    distance_d,
-)
+from fracblow.mesh import Grid, GridFunction, build_graded, distance_D
 
 
 def test_uniform_grid_at_unit_grading():
@@ -62,7 +56,7 @@ def test_band_node_sets_are_disjoint():
     for delta in (0.1, 0.25):
         grid = build_graded(64, 2.0, delta)
         near_zero = np.abs(grid.nodes) < delta
-        near_boundary = distance_d(grid.nodes) < delta
+        near_boundary = 1.0 - np.abs(grid.nodes) < delta
         assert not np.any(near_zero & near_boundary)
 
 
@@ -120,27 +114,21 @@ def test_grid_constructor_rejects_bad_nodes():
 
 def test_distances():
     assert distance_D(0.3) == 0.3
-    assert abs(distance_d(0.3) - 0.7) < 1e-15
     assert distance_D(-0.9) == 0.9
-    assert abs(distance_d(-0.9) - 0.1) < 1e-15
     assert distance_D(1e-12) == 1e-12
     xs = np.array([-0.5, 0.25])
     assert np.allclose(distance_D(xs), [0.5, 0.25])
-    assert np.allclose(distance_d(xs), [0.5, 0.75])
 
 
 def test_distances_reject_exterior_points():
     for bad in (1.0, -1.0, 1.5, -2.0):
         with pytest.raises(OutOfDomain):
             distance_D(bad)
-        with pytest.raises(OutOfDomain):
-            distance_d(bad)
 
 
 def test_all_nodes_have_positive_distances():
     grid = build_graded(64, 3.0)
     assert np.all(distance_D(grid.nodes) > 0.0)
-    assert np.all(distance_d(grid.nodes) > 0.0)
 
 
 def test_local_spacing_positive_and_small_near_zero():

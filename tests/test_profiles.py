@@ -10,12 +10,11 @@ import pytest
 
 from fracblow import profiles
 from fracblow.errors import BadConfig
-from fracblow.mesh import (Grid, GridFunction, build_graded, distance_D,
-                           distance_d)
+from fracblow.mesh import Grid, GridFunction, build_graded, distance_D
 from fracblow.operator import apply, assemble, even_block
 from fracblow.profiles import (
     _bridge_coeffs,
-    comparison_arrays,
+    comparison_profile,
     comparison_residual,
     power_of_two_bracket,
     solve_torsion,
@@ -23,7 +22,6 @@ from fracblow.profiles import (
 from fracblow.specfun import c_tau
 
 GRID = build_graded(32, 2.0)
-MATRIX = assemble(0.5, GRID)
 
 
 def _bridged(tau, delta, x):
@@ -44,7 +42,7 @@ def _bridged(tau, delta, x):
 @pytest.mark.parametrize("tau", [-1.5, -1.0, 0.0, 0.5])
 def test_build_profile_rejects_bad_exponent(tau):
     with pytest.raises(BadConfig, match="core exponent must lie in"):
-        comparison_arrays(MATRIX, tau)
+        comparison_profile(GRID, tau)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, 0.3, 1.0])
@@ -54,16 +52,12 @@ def test_build_profile_rejects_bad_radius(delta):
         build_graded(32, 2.0, delta)
 
 
-def _matrix_with_radius(delta):
-    return assemble(0.5, build_graded(16, 1.0, delta))
-
-
 @pytest.mark.parametrize("tau,delta", [(-0.99, 1e-120), (-0.5, 1e-130),
                                        (-0.1, 1e-200), (-0.5, 1e-300)])
 def test_build_profile_names_a_radius_too_small(tau, delta):
     # inside (0, 1/4], but the curvature of D**tau at D = delta overflows
     with pytest.raises(BadConfig, match=f"matching radius delta={delta!r}"):
-        comparison_arrays(_matrix_with_radius(delta), tau)
+        comparison_profile(build_graded(16, 1.0, delta), tau)
 
 
 def test_radius_too_small_after_halving_names_the_given_radius():
@@ -71,12 +65,12 @@ def test_radius_too_small_after_halving_names_the_given_radius():
     # values on [0, 1] overflow: that is the overflow case at the given
     # radius, not a dip that halving could cure (and numpy does not warn;
     # the suite turns no warnings into errors, so check that explicitly)
-    matrix = _matrix_with_radius(1e-134)
+    grid = build_graded(16, 1.0, 1e-134)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadConfig,
                            match="delta=1e-134 .* overflows at 1e-134$"):
-            comparison_arrays(matrix, -0.3)
+            comparison_profile(grid, -0.3)
 
 
 def test_radius_halves_where_the_bridge_dips():
@@ -89,7 +83,7 @@ def test_radius_halves_where_the_bridge_dips():
         assert np.min(np.polynomial.polynomial.polyval(
             s, _bridge_coeffs(tau, radius))) <= 0.0
     grid = build_graded(32, 3.0, delta)
-    V = comparison_arrays(assemble(0.5, grid), tau)[0]
+    V = comparison_profile(grid, tau).values
     D = distance_D(grid.nodes)
     core = D <= delta / 4
     between = (D > delta / 4) & (D <= delta)
@@ -101,7 +95,7 @@ def test_radius_halves_where_the_bridge_dips():
 
 @pytest.mark.parametrize("tau", [-0.2, -0.5, -0.9])
 def test_core_branch_exact(tau):
-    V = comparison_arrays(MATRIX, tau)[0]
+    V = comparison_profile(GRID, tau).values
     D = distance_D(GRID.nodes)
     core = D <= GRID.delta
     assert np.count_nonzero(core[:32]) == np.count_nonzero(core[32:]) > 0
@@ -110,23 +104,23 @@ def test_core_branch_exact(tau):
 
 @pytest.mark.parametrize("tau", [-0.2, -0.5, -0.9])
 def test_edge_branch_exact(tau):
-    V = comparison_arrays(MATRIX, tau)[0]
-    d = distance_d(GRID.nodes)
+    V = comparison_profile(GRID, tau).values
+    d = 1.0 - np.abs(GRID.nodes)
     edge = d <= GRID.delta
     assert np.count_nonzero(edge[:32]) == np.count_nonzero(edge[32:]) > 0
     assert np.array_equal(V[edge], d[edge] ** 2)
 
 
 def test_profile_positive_everywhere_inside():
-    matrix = assemble(0.5, build_graded(512, 1.0))
+    grid = build_graded(512, 1.0)
     for tau in np.linspace(-0.95, -0.05, 10):
-        assert np.min(comparison_arrays(matrix, tau)[0]) > 0.0
+        assert np.min(comparison_profile(grid, tau).values) > 0.0
 
 
 def test_interpolant_coefficients_shape_and_symmetry():
     assert _bridge_coeffs(-0.4, GRID.delta).shape == (6,)
     # one bridge serves both sides: the profile is even in x
-    V = comparison_arrays(MATRIX, -0.4)[0]
+    V = comparison_profile(GRID, -0.4).values
     assert np.array_equal(V, V[::-1])
 
 
@@ -159,10 +153,9 @@ def test_junction_second_differences_converge():
 
 
 def test_sample_profile_values_at_the_nodes():
-    # V is the profile at the nodes, and W V its operator values
-    V, applied = comparison_arrays(MATRIX, -0.5)
+    # V is the profile at the nodes
+    V = comparison_profile(GRID, -0.5).values
     assert np.array_equal(V, _bridged(-0.5, GRID.delta, GRID.nodes))
-    assert np.array_equal(applied, apply(MATRIX, GridFunction(GRID, V)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +168,7 @@ def test_torsion_residual_is_one(alpha):
     matrix = assemble(alpha, grid)
     torsion = solve_torsion(alpha, grid)
     residual = apply(matrix, torsion) - 1.0
-    away = distance_d(grid.nodes) >= 0.1
+    away = 1.0 - np.abs(grid.nodes) >= 0.1
     assert np.max(np.abs(residual[away])) <= 0.02
     assert np.max(np.abs(residual[away])) <= 1e-6  # dense solve is exact
 
@@ -211,7 +204,7 @@ def test_torsion_matches_closed_form(alpha, tol):
     v = solve_torsion(alpha, grid).values
     x = grid.nodes
     exact = np.sin(np.pi * alpha) / np.pi * (1.0 - x ** 2) ** alpha
-    away = distance_d(x) >= 0.01
+    away = 1.0 - np.abs(x) >= 0.01
     rel = np.abs(v - exact) / exact
     assert np.max(rel[away]) <= tol
 
@@ -221,7 +214,7 @@ def test_torsion_boundary_decay_exponent(alpha):
     grid = build_graded(256, 2.4)
     v = solve_torsion(alpha, grid).values
     x = grid.nodes
-    d = distance_d(x)
+    d = 1.0 - np.abs(x)
     mask = (x > 0) & (d > 1e-3) & (d < 3e-2)
     design = np.vstack([np.log(d[mask]), np.ones(mask.sum())]).T
     exponent = np.linalg.lstsq(design, np.log(v[mask]), rcond=None)[0][0]
@@ -294,14 +287,21 @@ def test_torsion_memo_hit_is_the_solve_bit_for_bit(memo, monkeypatch):
 def test_torsion_memo_misses_on_another_alpha_or_grid(memo, monkeypatch):
     grid = build_graded(64, 2.4)
     solve_torsion(0.6, grid)
+    # the same nodes but the innermost mirror pair, one ulp further out
+    nodes = grid.nodes.copy()
+    nodes[64] = np.nextafter(nodes[64], 1.0)
+    nodes[63] = -nodes[64]
+    moved = Grid(nodes=nodes, grading_exponent=grid.grading_exponent,
+                 delta=grid.delta)
     others = [(np.nextafter(0.6, 1.0), grid),
-              (0.6, build_graded(64, 2.0))]  # same n_per_side
+              (0.6, build_graded(64, 2.0)),  # same n_per_side
+              (0.6, moved)]
     wants = [_direct_torsion(assemble(*key)) for key in others]
     solves = _count_solves(monkeypatch)
     for key, want in zip(others, wants):
         assert np.array_equal(solve_torsion(*key).values, want)
-    assert solves == [(64, 64), (64, 64)]
-    assert len(memo) == 3
+    assert solves == [(64, 64)] * 3
+    assert len(memo) == 4
 
 
 def test_mutating_a_returned_torsion_leaves_the_memo(memo):
@@ -350,9 +350,10 @@ def test_torsion_memo_keeps_its_bound_under_concurrent_callers(memo):
 
 def test_torsion_memo_retains_at_most_its_bound_of_half_vectors(memo):
     # twice the bound of distinct alphas: what stays allocated afterwards
-    # is at most the bound's worth of n/2 doubles, plus a little per
-    # entry (two array headers, the key, the entry and its dict slot),
-    # plus the data of the folds the memo still holds, within the budget
+    # is at most the bound's worth of n/2 doubles of torsion half and of n
+    # doubles of key (the node bytes), plus a little per entry (two array
+    # headers, the key tuple, the entry and its dict slot), plus the data
+    # of the folds the memo still holds, within the budget
     grid = build_graded(64, 2.4)
     bound = profiles._MEMO_SIZE
     alphas = [float(a) for a in np.linspace(0.1, 0.9, 2 * bound)]
@@ -368,7 +369,8 @@ def test_torsion_memo_retains_at_most_its_bound_of_half_vectors(memo):
         tracemalloc.stop()
     assert len(memo) == bound
     assert _held() <= profiles._FOLD_BUDGET
-    assert retained <= bound * (grid.n_per_side * 8 + 1024) + _held()
+    assert retained <= (bound * (grid.n_per_side * 8 + grid.nodes.nbytes + 1024)
+                        + _held())
 
 
 def test_even_operator_is_the_read_only_fold_kept_per_key(memo, monkeypatch):
@@ -453,7 +455,7 @@ def test_even_operator_keeps_its_budget_under_concurrent_callers(
 
 def _band_ratios(alpha, tau, n):
     grid = build_graded(n, 2.4)
-    out = comparison_arrays(assemble(alpha, grid), tau)[1]
+    out = apply(assemble(alpha, grid), comparison_profile(grid, tau))
     D = distance_D(grid.nodes)
     window = (D > 20.0 * grid.local_spacing()) & (D < grid.delta / 4.0)
     assert window.sum() >= 8
@@ -506,7 +508,8 @@ def test_comparison_residual_of_a_lifted_profile(scale, lift):
     # with operator(w) read off apply; the lift T is the torsion function
     grid = build_graded(128, 2.4)
     matrix = assemble(0.6, grid)
-    V, a = comparison_arrays(matrix, -0.4)
+    profile = comparison_profile(grid, -0.4)
+    V, a = profile.values, apply(matrix, profile)
     torsion = solve_torsion(0.6, grid)
     w = scale * V + lift * torsion.values
     res, size = comparison_residual(a, V, torsion.values, 3.0, scale, lift)

@@ -10,7 +10,7 @@ from fracblow.errors import (BadConfig, GridMismatch, NewtonStall,
                              NoAdmissiblePair, RegimeError)
 from fracblow.mesh import Grid, GridFunction, build_graded, distance_D
 from fracblow.operator import apply, assemble
-from fracblow.profiles import comparison_arrays, core_mask
+from fracblow.profiles import comparison_profile, core_mask
 from fracblow.solver import (
     ProblemSpec,
     _even_residual,
@@ -96,7 +96,9 @@ def test_default_pair_scales_bracket_the_node_bounds(alpha, p):
     # elsewhere: the super scale is the largest of lam* = c(tau)**(1/(p-1)),
     # those bounds, and max sub / d, which orders the pair
     sub, sup, spec = _pair_and_spec(alpha, p)
-    V, a = comparison_arrays(spec.matrix, require_unique_existence(alpha, p))
+    profile = comparison_profile(spec.matrix.grid,
+                                 require_unique_existence(alpha, p))
+    V, a = profile.values, apply(spec.matrix, profile)
     core = core_mask(GRID)
     a = a[core]
     bounds = (-a / V[core] ** p) ** (1.0 / (p - 1.0))
@@ -577,8 +579,9 @@ def test_special_regime_pair_residual_signs():
 
     core = core_mask(GRID)
     matrix = assemble(alpha, GRID)
-    v1, applied1 = comparison_arrays(matrix, tau1)
-    vb, appliedb = comparison_arrays(matrix, taubar)
+    prof1, profb = comparison_profile(GRID, tau1), comparison_profile(GRID, taubar)
+    v1, applied1 = prof1.values, apply(matrix, prof1)
+    vb, appliedb = profb.values, apply(matrix, profb)
 
     res_super = applied1 + v1 ** p
     tol = 1e-8 * (np.abs(applied1) + v1 ** p + 1.0)
