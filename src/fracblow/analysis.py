@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from .mesh import Grid, GridFunction, distance_D
+from .operator import apply
 from .profiles import (MAX_DOUBLINGS, comparison_profile, comparison_residual,
                        core_mask, even_operator, power_of_two_bracket,
                        resolved_mask, solve_torsion)
@@ -157,20 +158,18 @@ def audit_nonexistence(alpha: float, grid: Grid, p: float,
     linear part nonnegative in zone 1, and the least power of two in
     [1, 2**MAX_DOUBLINGS] that works, found by doubling, in zones 2 and 3.
 
-    V and T are even, so the audit needs only the even operator, the
-    fold ``even_operator`` keeps per (alpha, grid) in a process: W V is
-    the fold times the right half of V, mirrored, and T comes from
-    ``solve_torsion`` on the same fold, also kept.
+    V and T are even, so the audit applies the operator that
+    ``even_operator`` keeps per (alpha, grid) in a process, and T comes
+    from ``solve_torsion`` on the same operator, also kept.
     """
     regime = require_nonexistence(alpha, p, tau)
     zone = _zone_of(alpha, p, tau, regime.tau1)
     sign = -1.0 if zone == 2 else 1.0
 
-    fold = even_operator(alpha, grid)
-    vals = comparison_profile(grid, tau).values
-    half = fold @ vals[fold.shape[0]:]
-    applied = np.concatenate((half[::-1], half))
-    tors = solve_torsion(alpha, grid, fold).values
+    matrix = even_operator(alpha, grid)
+    profile = comparison_profile(grid, tau)
+    vals, applied = profile.values, apply(matrix, profile)
+    tors = solve_torsion(alpha, grid, matrix).values
     checked = resolved_mask(grid)
     if checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")

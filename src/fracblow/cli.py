@@ -366,9 +366,9 @@ def cmd_solve(ns):
 
 
 def cmd_audit(ns):
-    """Nonexistence-zone residual audit, emitted as JSON.  It assembles
-    no rows: the audit reads the even operator that ``profiles`` keeps per
-    (alpha, grid) in the process."""
+    """Nonexistence-zone residual audit, emitted as JSON.  The audit
+    reads the operator that ``profiles`` keeps per (alpha, grid) in the
+    process, so it assembles only for an (alpha, grid) not kept."""
     from .analysis import audit_nonexistence
 
     alpha = _resolve(ns, "alpha", float, required=True)

@@ -27,9 +27,9 @@ __all__ = ["Grid", "GridFunction", "build_graded", "distance_D"]
 # Grid.
 
 # Most nodes per side ``build_graded`` makes.  A solve or audit stores the
-# n/2 x n right-half operator rows, 16 * n_per_side**2 bytes (1 GiB at
-# this cap), and folds and factors a half-size copy; past the cap a grid
-# is refused before any array is built, the same on every host.
+# operator's even fold, 8 * n_per_side**2 bytes (512 MiB at this cap), and
+# factors a copy of it; past the cap a grid is refused before any array
+# is built, the same on every host.
 _MAX_N_PER_SIDE = 2**13
 
 

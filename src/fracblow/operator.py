@@ -36,10 +36,11 @@ pieces the self panel empties zeroed through one mask; and the kept
 sums, one compress per weight array and kept count, a single one where
 every row of the block keeps as many pieces, as nearly all do.
 
-One generator produces the blocks for two consumers: ``assemble`` stores
-them as the n/2 x n right-half rows the solver reads, and
-``assemble_even`` folds each into the h x h even operator as it is
-produced, for the callers that apply the operator to even vectors only.
+Every operand of the operator is even about 0 (the profile, D**tau,
+the torsion function and every Newton iterate), so ``assemble`` stores
+one form only: it folds each block into the h x h even operator
+W_RR + W_RM as the block is produced, and never holds the n/2 x n
+right-half rows.  ``apply`` is the one product, on even operands.
 """
 
 from __future__ import annotations
@@ -53,22 +54,24 @@ from .errors import BadConfig, GridMismatch
 from .mesh import Grid, GridFunction
 from .specfun import _check_alpha, _gauss_2f1
 
-__all__ = ["OperatorMatrix", "assemble", "assemble_even", "apply",
-           "even_block", "power_tail_gap"]
+__all__ = ["OperatorMatrix", "assemble", "apply", "power_tail_gap"]
 
 _BLOCK_ROWS = 32  # right-half rows evaluated together
 
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """Dense discrete operator, stored as its right-half rows: with h the
-    number of left nodes, the operator at node h + j is rows[j] @ u.values,
-    and at the mirror node h - 1 - j the same with the row reversed.
-    Valid for grid functions on ``grid``, extended by 0 outside (-1,1)."""
+    """Dense discrete operator on even grid functions, stored as its
+    h x h even fold W_RR + W_RM (h the number of left nodes): for an even
+    u, the operator at right-half node h + j is fold[j] @ u.values[h:],
+    and at its mirror h - 1 - j the same.  The band of right-half nodes
+    h + k, ..., n - 1 and their mirrors reads fold[k:], and its block is
+    fold[k:, k:].  Valid for grid functions on ``grid``, extended by 0
+    outside (-1,1)."""
 
     alpha: float
     grid: Grid
-    rows: np.ndarray
+    fold: np.ndarray
     # read only by the assembly probe of perfbench/spans.py, which keys
     # assemblies by it; goes when that probe keys by alpha and grid alone
     exterior: ClassVar[str] = "zero"
@@ -174,17 +177,21 @@ def _checked_alpha(alpha: float, grid: Grid) -> float:
     return alpha
 
 
-def _row_blocks(alpha: float, grid: Grid):
-    """The right-half rows of the operator of order ``alpha`` (checked) on
-    ``grid``, _BLOCK_ROWS at a time: yields (j, block), ``block`` the
-    rows j, j + 1, ... as a (rows x n) view of a buffer of its own.
+def assemble(alpha: float, grid: Grid) -> OperatorMatrix:
+    """Assemble the dense collocation matrix of the fractional Laplacian
+    of order ``alpha`` on ``grid`` for functions that vanish outside
+    (-1,1), as its h x h even fold.
 
-    Each block is evaluated as (rows x pieces) arrays, bit for bit what
-    one row at a time gives, in a few full-size passes (see the module
-    docstring).  Each row adds its piece weights into n + 1 slots; the
-    last stands for the boundary value 0 (slot -1), which the outermost
-    node's self panel reaches, and is dropped.  Plain sums suffice:
-    every diagonal term is positive, so nothing cancels."""
+    The right-half rows are evaluated _BLOCK_ROWS at a time as (rows x
+    pieces) arrays, bit for bit what one row at a time gives, in a few
+    full-size passes (see the module docstring), and each block is
+    folded, W_RR + W_RM, as it is produced; the grid is mirror-symmetric,
+    so the left half is their reflection.  Each row adds its piece
+    weights into n + 1 slots; the last stands for the boundary value 0
+    (slot -1), which the outermost node's self panel reaches, and is
+    dropped.  Plain sums suffice: every diagonal term is positive, so
+    nothing cancels."""
+    alpha = _checked_alpha(alpha, grid)
     x = grid.nodes
     n = x.size
     h = n // 2
@@ -203,6 +210,7 @@ def _row_blocks(alpha: float, grid: Grid):
         mass[j] = ((1.0 - xi) ** (-twoa) + (1.0 + xi) ** (-twoa)) / twoa
         c_self[j] = r ** (-twoa) / (2.0 - twoa)
 
+    fold = np.empty((h, h))
     full = pb - pa > 1e-300
     for lo in range(h, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
@@ -281,57 +289,18 @@ def _row_blocks(alpha: float, grid: Grid):
         row[t, i + 1] -= tr
 
         row[t, i] += diag
-        yield lo - h, row[:, :n]
-
-
-def assemble(alpha: float, grid: Grid) -> OperatorMatrix:
-    """Assemble the dense collocation matrix of the fractional Laplacian
-    of order ``alpha`` on ``grid`` for functions that vanish outside
-    (-1,1), as the solver's Newton residual reads it.
-
-    Only the right-half rows are computed and stored; the grid is
-    mirror-symmetric, so the left half is their reflection."""
-    alpha = _checked_alpha(alpha, grid)
-    n = grid.nodes.size
-    W = np.empty((n // 2, n))
-    for j, block in _row_blocks(alpha, grid):
-        W[j:j + block.shape[0]] = block
-    return OperatorMatrix(alpha=alpha, grid=grid, rows=W)
-
-
-def assemble_even(alpha: float, grid: Grid) -> np.ndarray:
-    """The h x h even fold W_RR + W_RM of the operator ``assemble(alpha,
-    grid)`` stores, byte for byte ``even_block(assemble(alpha, grid))``:
-    the operator on even vectors, read on the right-half nodes.  Each row
-    block is folded as it is produced, so the n/2 x n rows are never
-    held."""
-    alpha = _checked_alpha(alpha, grid)
-    h = grid.nodes.size // 2
-    fold = np.empty((h, h))
-    for j, block in _row_blocks(alpha, grid):
-        np.add(block[:, h:], block[:, :h][:, ::-1],
-               out=fold[j:j + block.shape[0]])
-    return fold
+        np.add(row[:, h:n], row[:, h - 1::-1], out=fold[lo - h:hi - h])
+    return OperatorMatrix(alpha=alpha, grid=grid, fold=fold)
 
 
 def apply(M: OperatorMatrix, u: GridFunction) -> np.ndarray:
-    """Discrete fractional Laplacian of ``u``, extended by 0 outside
-    (-1,1)."""
+    """Discrete fractional Laplacian of the even ``u``, extended by 0
+    outside (-1,1): the fold times the right half of ``u``, mirrored, so
+    the result is exactly even.  BadConfig when ``u`` is not equal to its
+    reversal (a -0.0 mirrored by +0.0 is)."""
     if not M.grid.same_as(u.grid):
         raise GridMismatch("grid of the operand differs from the matrix grid")
-    # contiguous operands: BLAS sums both halves alike, so even maps to
-    # even, and an operand that equals its reversal byte for byte (an even
-    # one) gives both halves from one product
-    right = M.rows @ u.values
-    bits = u.values.view(np.int64)
-    left = (right if np.array_equal(bits, bits[::-1])
-            else M.rows @ u.values[::-1].copy())
-    return np.concatenate((left[::-1], right))
-
-
-def even_block(M: OperatorMatrix, k: int = 0) -> np.ndarray:
-    """W_RR + W_RM, a fresh array: the operator on even vectors supported
-    on the right-half nodes h + k, ..., n - 1 and their mirrors, as every
-    level's active set {D > 1/level} is."""
-    h = M.rows.shape[0]
-    return M.rows[k:, h + k:] + M.rows[k:, :h - k][:, ::-1]
+    if not np.array_equal(u.values, u.values[::-1]):
+        raise BadConfig("the operator applies to even grid functions only")
+    half = M.fold @ u.values[M.fold.shape[0]:]
+    return np.concatenate((half[::-1], half))

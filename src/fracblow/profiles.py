@@ -5,14 +5,14 @@ near the interior singular point (``D`` is the distance to 0), the
 squared boundary distance ``d**2`` near the ends of the interval, and a
 quintic bridge between, chosen so the profile is twice continuously
 differentiable.  It exists only as its values at the grid nodes
-(``comparison_profile``); the pair's sub-solution applies the operator
-rows to them, the nonexistence audits the even operator.  The module
-also keeps, per process, each (alpha, grid)'s even operator
-(``even_operator``) and discrete torsion function (the grid function the
-operator maps to the constant 1, ``solve_torsion``), keyed by alpha and
-the exact node bytes, and provides the residual of the comparison
-functions scale * profile + lift * torsion they test (the pair with no
-lift) and the power-of-two rounding that sizes them.
+(``comparison_profile``), to which the pair and the nonexistence audits
+apply the operator.  The module also keeps, per process, each (alpha,
+grid)'s assembled operator (``even_operator``) and discrete torsion
+function (the grid function the operator maps to the constant 1,
+``solve_torsion``), keyed by alpha and the exact node bytes, and
+provides the residual of the comparison functions scale * profile +
+lift * torsion they test (the pair with no lift) and the power-of-two
+rounding that sizes them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BadConfig, SingularSystem
 from .mesh import Grid, GridFunction, distance_D
-from .operator import _checked_alpha, assemble_even
+from .operator import OperatorMatrix, _checked_alpha, assemble
 
 __all__ = [
     "comparison_profile",
@@ -86,9 +86,9 @@ def _bridge_coeffs(tau: float, delta: float) -> np.ndarray | None:
 
 
 # Per key (alpha and the bytes of the grid nodes, the whole input of the
-# assembly), oldest first: [torsion half or None, read-only fold or None].
+# assembly), oldest first: [torsion half or None, operator or None].
 # The last _MEMO_SIZE keys keep their torsion half, and the newest keep
-# their fold while the folds fit in _FOLD_BUDGET bytes (4 at n_per_side
+# their operator while the folds fit in _FOLD_BUDGET bytes (4 at n_per_side
 # 512, 1 at 1024, none from 2048 up).  The lock keeps evictions exact.
 _MEMO: dict[tuple[float, bytes], list] = {}
 _MEMO_SIZE = 16
@@ -117,50 +117,53 @@ def _make_room(nbytes: int) -> bool:
     lock."""
     if nbytes > _FOLD_BUDGET:
         return False
-    held = sum(e[1].nbytes for e in _MEMO.values() if e[1] is not None)
+    held = sum(e[1].fold.nbytes for e in _MEMO.values() if e[1] is not None)
     for entry in _MEMO.values():
         if held + nbytes <= _FOLD_BUDGET:
             break
         if entry[1] is not None:
-            held -= entry[1].nbytes
+            held -= entry[1].fold.nbytes
             entry[1] = None
     return True
 
 
-def even_operator(alpha: float, grid: Grid) -> np.ndarray:
-    """The read-only h x h even fold of the operator of order ``alpha`` on
-    ``grid``, ``assemble_even``'s, the operator on even vectors read on
-    the right-half nodes, as the audits and the torsion solve use it.
+def even_operator(alpha: float, grid: Grid) -> OperatorMatrix:
+    """``assemble(alpha, grid)``, its fold read-only, as the audits and
+    the torsion solve use it.
 
-    It is assembled once per key while the memo keeps it (see _MEMO).
-    Older folds are dropped before a new one is assembled, so the process
-    holds at most _FOLD_BUDGET bytes of kept folds beside the one being
-    assembled."""
+    It is assembled once per key while the memo keeps it (see _MEMO); a
+    kept fold is returned on ``grid``, which may differ from the grid it
+    was assembled on in what the key leaves out (delta).  Older folds are
+    dropped before a new one is assembled, so the process holds at most
+    _FOLD_BUDGET bytes of kept folds beside the one being assembled."""
     key = _key(alpha, grid)
     nbytes = 8 * (grid.nodes.size // 2) ** 2
     with _LOCK:
         entry = _MEMO.get(key)
         if entry is not None and entry[1] is not None:
-            return entry[1]
+            kept = entry[1]
+            return (kept if kept.grid is grid
+                    else OperatorMatrix(kept.alpha, grid, kept.fold))
         _make_room(nbytes)
-    fold = assemble_even(key[0], grid)
-    fold.flags.writeable = False
+    matrix = assemble(key[0], grid)
+    matrix.fold.flags.writeable = False
     with _LOCK:  # a concurrent caller may have stored a fold meanwhile
         if _make_room(nbytes):
-            _entry(key)[1] = fold
-    return fold
+            _entry(key)[1] = matrix
+    return matrix
 
 
 def solve_torsion(alpha: float, grid: Grid,
-                  fold: np.ndarray | None = None) -> GridFunction:
+                  matrix: OperatorMatrix | None = None) -> GridFunction:
     """Solve the dense collocation system  operator(v) = 1  of order
     ``alpha`` on ``grid``.  The solution is the discrete torsion
     function, with zero exterior: positive inside the interval, vanishing
     toward the endpoints, and the bounded lift of the audits.
 
     The grid is mirror-symmetric, so the right-hand side is even, the
-    solve is the half system of the even fold (``even_operator``, or
-    ``fold`` when the caller holds it) and the solution is exactly even.
+    solve is the half system of the even fold (``even_operator``'s, or
+    that of ``matrix`` when the caller holds it) and the solution is
+    exactly even.
     The half solution is kept for the last _MEMO_SIZE keys, and a
     repeated key gets a fresh GridFunction of the kept half.  Any later
     input of the assembly must join the key."""
@@ -168,8 +171,9 @@ def solve_torsion(alpha: float, grid: Grid,
     entry = _MEMO.get(key)
     half = None if entry is None else entry[0]
     if half is None:
-        if fold is None:
-            fold = even_operator(alpha, grid)
+        if matrix is None:
+            matrix = even_operator(alpha, grid)
+        fold = matrix.fold
         try:
             half = np.linalg.solve(fold, np.ones(fold.shape[0]))
         except np.linalg.LinAlgError as exc:

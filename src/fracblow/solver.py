@@ -13,10 +13,16 @@ Z-matrix with positive row sums, so F(u) = W u + |u|^(p-1) u is a convex
 M-function on u > 0 (Ortega and Rheinboldt, *Iterative Solution of
 Nonlinear Equations*, 1970, ch. 13), with exactly one solution for its
 frozen core data, which Newton from any positive start reaches: the first
-full step lands on or above it and the iterates then fall.  The
+full step lands on or above it and the iterates then fall.  The same
+structure bounds the forward error: the band block W_band of the
+operator is a nonsingular M-matrix, F(u) - F(u*) = (W_band + S)(u - u*)
+with S the nonnegative diagonal of secants of the increasing absorption,
+and (W_band + S)^-1 <= W_band^-1 entrywise, so |u - u*| <= W_band^-1
+|F(u)| componentwise, u* the band solution.  Newton stops when the residual meets its norm tolerance, or, where
+rounding keeps it above that, when this bound is small against u.  The
 result is audited for ordering against the pair and for not falling
 below the sub-solution.  Every step works with one assembled operator,
-the one the problem carries.
+the even fold the problem carries.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .errors import (
     SingularSystem,
 )
 from .mesh import Grid, GridFunction, distance_D
-from .operator import OperatorMatrix, apply, even_block
+from .operator import OperatorMatrix, apply
 from .profiles import (MAX_DOUBLINGS, comparison_profile, comparison_residual,
                        core_mask, power_of_two_bracket)
 from .specfun import RegimeKind, _check_p, c_tau, classify
@@ -52,8 +58,11 @@ __all__ = [
 # as a blow-up candidate.
 _BLOWUP_THRESHOLD = 10.0
 
-# Newton controls.
+# Newton controls: the norm stop, and the forward-error stop, tried once
+# a step is below _STEP_RTOL of u on the band.
 _NEWTON_RTOL = 1e-9
+_STEP_RTOL = 1e-7
+_FORWARD_RTOL = 1e-10
 _MAX_ITER = 60
 
 # Audit slacks: the fine slack feeds the ordering/monotonicity report
@@ -121,11 +130,11 @@ class SolveReport:
     """Outcome of a solve: final iterate plus the audit flags.  ``levels``,
     ``newton_iters`` and ``active_nodes`` hold one entry, for the one
     level solved.  ``converged`` can only be true: ``solve_blowup``
-    returns only after its Newton stop test passed, and ``residual_inf``
-    and ``tolerance`` are the two sides of that test; a solve that does
-    not meet it raises ``NewtonStall`` instead.  The flag stays in the
-    report until a stop test with a meaning of its own (a certified
-    forward error) replaces it."""
+    returns only after one of Newton's two stops passed, and a solve
+    that meets neither raises ``NewtonStall`` instead.  ``residual_inf``
+    and ``tolerance`` are the two sides of the norm stop at the final
+    iterate, so ``residual_inf > tolerance`` marks a solve that ended at
+    the forward-error stop (see ``_newton``)."""
 
     final: GridFunction
     newton_iters: list
@@ -237,50 +246,53 @@ def default_sub_super(matrix: OperatorMatrix, p: float,
 # Newton solve on one band.
 
 
-def _even_residual(matrix: OperatorMatrix, p: float, k: int,
-                   u: np.ndarray) -> np.ndarray:
-    """Residual of  operator(u) + |u|^(p-1) u  at the right-half nodes
-    h + k, ..., n - 1, the contiguous trailing range rows[k:] of the
-    stored rows; for an exactly even u these rows are the whole system."""
-    first = matrix.rows.shape[0] + k
-    return (matrix.rows[k:] @ u
-            + np.abs(u[first:]) ** (p - 1.0) * u[first:])
-
-
 def _newton(matrix: OperatorMatrix, p: float, start: np.ndarray, k: int,
             ) -> tuple[np.ndarray, int, float, float]:
     """Newton for  operator(u) + |u|^(p-1) u = 0  on the band of
     right-half nodes h + k, ..., n - 1 and their mirrors, started from the
     even vector ``start``, which also holds the frozen core data off the
     band.  Returns (values, iters, residual_inf, tolerance), the sides of
-    the stop test that ended it.
+    the norm stop at the last iterate.
 
     Every step is taken in full (the system is a convex M-function; see
-    the module docstring) and every iterate stays even: each step solves
-    the half system of ``even_block(matrix, k)``, folded once, with the
-    Jacobian diagonal added, and is added to the band's right half and,
-    reversed, to its mirror."""
-    h = matrix.rows.shape[0]
+    the module docstring) and every iterate stays even: the residual at
+    the band's right half is fold[k:] @ u[h:] plus the absorption, and
+    each step solves the half system of the band block fold[k:, k:] with
+    the Jacobian diagonal added and is added to the band's right half
+    and, reversed, to its mirror.  Newton stops when max|F| is at most
+    _NEWTON_RTOL * max(1, max|u|); or, once a step is below _STEP_RTOL of
+    u at every band node, when the bound W_band^-1 |F| on the forward
+    error (one more solve per check) is at most _FORWARD_RTOL of u there."""
+    fold = matrix.fold
+    h = fold.shape[0]
     u = start.copy()
-    block = even_block(matrix, k)
+    band = u[h + k:]
+    W_band = fold[k:, k:]
+    block = W_band.copy()
     diag = block.diagonal().copy()
-    for iteration in range(_MAX_ITER + 1):
-        res = _even_residual(matrix, p, k, u)
-        norm = float(np.max(np.abs(res)))
-        tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(u[h + k:]))))
-        if norm <= tolerance:
-            return u, iteration, norm, tolerance
-        if iteration == _MAX_ITER:
-            break
-        np.fill_diagonal(block, diag + p * np.abs(u[h + k:]) ** (p - 1.0))
-        try:
+    step = None
+    try:
+        for iteration in range(_MAX_ITER + 1):
+            res = fold[k:] @ u[h:] + np.abs(band) ** (p - 1.0) * band
+            norm = float(np.max(np.abs(res)))
+            tolerance = _NEWTON_RTOL * max(1.0, float(np.max(np.abs(band))))
+            if norm <= tolerance:
+                return u, iteration, norm, tolerance
+            if (step is not None and np.all(band > 0.0)
+                    and np.all(np.abs(step) <= _STEP_RTOL * band)):
+                bound = np.linalg.solve(W_band, np.abs(res))
+                if np.max(bound / band) <= _FORWARD_RTOL:
+                    return u, iteration, norm, tolerance
+            if iteration == _MAX_ITER:
+                break
+            np.fill_diagonal(block, diag + p * np.abs(band) ** (p - 1.0))
             step = np.linalg.solve(block, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(
-                f"Newton Jacobian singular with {2 * (h - k)} active "
-                f"nodes") from exc
-        u[h + k:] += step
-        u[:h - k] += step[::-1]
+            band += step
+            u[:h - k] += step[::-1]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(
+            f"Newton Jacobian singular with {2 * (h - k)} active "
+            f"nodes") from exc
     raise NewtonStall(
         f"no convergence in {_MAX_ITER} iterations (residual {norm:.3e})")
 
@@ -341,7 +353,7 @@ def solve_blowup(spec: ProblemSpec, level: int) -> SolveReport:
         active_nodes=[2 * (h - k)],
         residual_inf=residual_inf,
         tolerance=tolerance,
-        converged=residual_inf <= tolerance,
+        converged=True,
         ordering_ok=ordering_ok,
         monotone_ok=monotone_ok,
     )

@@ -333,6 +333,18 @@ def test_solve_stdout_when_no_out(capsys):
     assert payload["report"]["converged"] is True
 
 
+@pytest.mark.parametrize("alpha,p", [("0.95", "3"), ("0.75", "2.6")])
+def test_solve_converges_at_the_forward_error_stop(alpha, p, capsys):
+    # at the default grid and level the residual of these solves cannot
+    # reach the norm tolerance; Newton stops at the forward-error bound,
+    # which the report marks with residual_inf > tolerance
+    code = main(["solve", "--alpha", alpha, "--p", p, "--no-timestamp"])
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["converged"] is True
+    assert report["residual_inf"] > report["tolerance"]
+
+
 def test_solve_regime_guard_exits_4(tmp_path):
     prefix = tmp_path / "guarded"
     code = main(["solve", "--alpha", "0.25", "--p", "1.3",
@@ -548,21 +560,21 @@ def test_solve_at_the_window_edges_chooses_its_exit(alpha, p):
 
 
 def _count_assembles(monkeypatch):
-    # the commands import assemble from the operator module when they run;
-    # the audit's memo binds assemble_even in the profiles module
+    # the solve imports assemble from the operator module when it runs;
+    # the audit's memo binds it in the profiles module
     calls = []
-    for module, name in ((fracblow.operator, "assemble"),
-                         (fracblow.profiles, "assemble_even")):
-        def counting(*args, _original=getattr(module, name), _name=name):
+    for module in (fracblow.operator, fracblow.profiles):
+        def counting(*args, _original=module.assemble, _name=module.__name__):
             calls.append((_name, *args))
             return _original(*args)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, "assemble", counting)
     return calls
 
 
-def test_only_the_cli_binds_assemble():
-    for module in (fracblow.profiles, fracblow.solver, fracblow.analysis):
+def test_only_the_cli_and_the_memo_bind_assemble():
+    assert fracblow.profiles.assemble is fracblow.operator.assemble
+    for module in (fracblow.solver, fracblow.analysis):
         assert not hasattr(module, "assemble"), module.__name__
 
 
@@ -665,13 +677,13 @@ def test_audits_sharing_nodes_across_deltas_match_fresh_processes(
 
 
 def test_audit_assembles_once(monkeypatch, capsys):
-    # its even operator only, never the rows; none at all once it is kept
+    # through the memo only; none at all once the operator is kept
     monkeypatch.setattr(fracblow.profiles, "_MEMO", {})
     calls = _count_assembles(monkeypatch)
     argv = ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8",
             "--n-per-side", "64", "--no-timestamp"]
     assert main(argv) == EXIT_OK
-    assert [call[0] for call in calls] == ["assemble_even"]
+    assert [call[0] for call in calls] == ["fracblow.profiles"]
     assert main(argv) == EXIT_OK
     assert len(calls) == 1
 

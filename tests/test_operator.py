@@ -4,6 +4,7 @@ the power-function identity against the kernel-constant oracle, and the
 closed-form exterior moments of a power."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -19,8 +20,7 @@ import fracblow.operator
 from fracblow.errors import BadConfig, GridMismatch
 from fracblow.mesh import Grid, GridFunction, build_graded, distance_D
 from fracblow.operator import (OperatorMatrix, _kernel_moments, apply,
-                               assemble, assemble_even, even_block,
-                               power_tail_gap)
+                               assemble, power_tail_gap)
 from fracblow.specfun import c_tau
 
 BATTERY_ALPHAS = (0.25, 0.5, 0.75)
@@ -58,10 +58,20 @@ def identity_errors(grid, alpha, tau):
     return np.abs(out - (power - gaps)) / denom
 
 
-def full_weights(M):
-    """The full n x n weights, the stored right-half rows below their
+def full_weights(alpha, grid):
+    """The full n x n weights, the oracle's right-half rows below their
     mirror image: the row of node h - 1 - j is row h + j reversed."""
-    return np.vstack((M.rows[::-1, ::-1], M.rows))
+    W, _ = assemble_by_rows(alpha, grid)
+    return np.vstack((W[::-1, ::-1], W))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_fold(alpha, grid):
+    """The oracle's right-half rows folded in the test, W_RR + W_RM: the
+    operator on even vectors read on the right-half nodes."""
+    W, _ = assemble_by_rows(alpha, grid)
+    h = grid.n_nodes // 2
+    return W[:, h:] + W[:, :h][:, ::-1]
 
 
 def resolved_mask(grid, spacing_grid=None, multiple=20.0):
@@ -129,15 +139,18 @@ def test_zero_function_zero_exterior_is_zero():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
 def test_weight_mirror_symmetry(alpha):
-    # the left half of the operator is the reflection of the right half:
-    # applying it to a reversed function reverses the result, bit for bit
+    # the left half of the operator is the reflection of the right half,
+    # so on an even function the fold does the work of the full weights:
+    # the result is exactly even and is the full product up to rounding
     rng = np.random.default_rng(3)
     for grid in (build_graded(48, 2.0),) + HAND_GRIDS:
-        M = assemble(alpha, grid)
-        u = rng.normal(size=grid.n_nodes)
-        out = apply(M, GridFunction(grid, u))
-        mirrored = apply(M, GridFunction(grid, u[::-1]))
-        assert np.array_equal(mirrored, out[::-1]), grid.nodes
+        W = full_weights(alpha, grid)
+        half = rng.normal(size=grid.n_nodes // 2)
+        u = np.concatenate((half[::-1], half))
+        out = apply(assemble(alpha, grid), GridFunction(grid, u))
+        assert np.array_equal(out, out[::-1]), grid.nodes
+        scale = np.abs(W) @ np.abs(u)
+        assert np.all(np.abs(out - W @ u) <= 1e-13 * scale), grid.nodes
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -150,30 +163,43 @@ def test_apply_maps_an_even_function_to_an_exactly_even_one(alpha):
     assert np.array_equal(out, out[::-1])
 
 
-def test_apply_takes_one_product_for_an_even_operand(monkeypatch):
-    # an operand equal to its reversal byte for byte gives both halves
-    # from one product, bit for bit the two products it replaces; a
-    # -0.0 mirrored by +0.0 is not such an operand
+def test_apply_takes_one_product_for_an_even_operand():
+    # both halves of the result come from one product, the fold times
+    # the operand's right half, mirrored
     grid = build_graded(64, 2.4)
     M = assemble(0.6, grid)
+    h = grid.n_nodes // 2
     even = np.abs(grid.nodes) ** -0.5
-    signed_zero = np.zeros(grid.n_nodes)
-    signed_zero[0] = -0.0
-    for u in (even, signed_zero, grid.nodes):
-        want = np.concatenate(((M.rows @ u[::-1].copy())[::-1], M.rows @ u))
-        assert apply(M, GridFunction(grid, u)).tobytes() == want.tobytes()
-    rows = M.rows
+    half = M.fold @ even[h:]
+    want = np.concatenate((half[::-1], half))
+    assert apply(M, GridFunction(grid, even)).tobytes() == want.tobytes()
+    fold = M.fold
     products = []
 
     class Counting(np.ndarray):
         def __matmul__(self, other):
             products.append(other)
-            return rows @ other
+            return fold @ other
 
-    M = dataclasses.replace(M, rows=rows.view(Counting))
+    M = dataclasses.replace(M, fold=fold.view(Counting))
     apply(M, GridFunction(grid, even))
-    apply(M, GridFunction(grid, signed_zero))
-    assert len(products) == 3
+    assert len(products) == 1
+
+
+def test_apply_refuses_an_operand_that_is_not_even():
+    # even means equal to its reversal by value: a -0.0 mirrored by +0.0
+    # is even, an odd function or one node off its mirror is not
+    grid = build_graded(64, 2.4)
+    M = assemble(0.6, grid)
+    signed_zero = np.zeros(grid.n_nodes)
+    signed_zero[0] = -0.0
+    assert np.array_equal(apply(M, GridFunction(grid, signed_zero)),
+                          np.zeros(grid.n_nodes))
+    nudged = np.abs(grid.nodes) ** -0.5
+    nudged[3] = np.nextafter(nudged[3], np.inf)
+    for u in (grid.nodes, nudged):
+        with pytest.raises(BadConfig, match="even grid functions only"):
+            apply(M, GridFunction(grid, u))
 
 
 def test_assemble_computes_each_mirror_pair_once(monkeypatch):
@@ -199,7 +225,7 @@ def assemble_by_rows(alpha, grid):
     """Reference oracle: the right-half rows evaluated one row at a time,
     each piece weight added into its slot by np.add.at, and each row's
     weight on the boundary value 0 (slot n), which ``assemble`` drops.
-    ``assemble`` must give these rows' bits."""
+    ``assemble``'s fold must give the bits of these rows folded."""
     x = grid.nodes
     n = x.size
     h = n // 2
@@ -265,27 +291,65 @@ ORACLE_ALPHAS = (0.05, 0.25, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.75, 0.95)
 def test_assemble_matches_the_row_by_row_oracle_bit_for_bit(grid):
     for alpha in ORACLE_ALPHAS:
         M = assemble(alpha, grid)
-        W, _ = assemble_by_rows(alpha, grid)
-        assert np.array_equal(M.rows, W), alpha
+        assert np.array_equal(M.fold, oracle_fold(alpha, grid)), alpha
 
 
-@pytest.mark.parametrize("block_rows", [1, 5, 10 ** 6])
+@pytest.mark.parametrize("block_rows", [1, 5, 32, 10 ** 6])
 def test_assemble_matches_the_oracle_at_every_block_size(block_rows,
                                                         monkeypatch):
     # one-row blocks, partial blocks whose rows keep different piece
-    # counts, and one block holding every right-half row: the near/far
-    # split and the kept sums hold at every block boundary, to the byte
+    # counts, the default size, and one block holding every right-half
+    # row: the near/far split, the kept sums and the fold of each block
+    # hold at every block boundary, to the byte
     monkeypatch.setattr(fracblow.operator, "_BLOCK_ROWS", block_rows)
     for grid in ORACLE_GRIDS:
-        for alpha in (0.25, 0.5):
+        for alpha in (0.05, 0.25, 0.5, 0.75):
             M = assemble(alpha, grid)
-            W, _ = assemble_by_rows(alpha, grid)
-            assert M.rows.tobytes() == W.tobytes(), (grid.n_nodes, alpha)
+            want = oracle_fold(alpha, grid)
+            assert M.fold.tobytes() == want.tobytes(), (grid.n_nodes, alpha)
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 32, 10 ** 6])
+def test_assemble_even_is_the_fold_of_assemble_byte_for_byte(block_rows,
+                                                              monkeypatch):
+    # the streaming fold (once assemble_even, now assemble's body) against
+    # the fold of every right-half row held at once, one block of all
+    # rows: the block size changes no byte at any oracle alpha
+    monkeypatch.setattr(fracblow.operator, "_BLOCK_ROWS", 10 ** 6)
+    want = [[assemble(a, g).fold for a in ORACLE_ALPHAS]
+            for g in ORACLE_GRIDS]
+    monkeypatch.setattr(fracblow.operator, "_BLOCK_ROWS", block_rows)
+    for grid, folds in zip(ORACLE_GRIDS, want):
+        for alpha, fold in zip(ORACLE_ALPHAS, folds):
+            got = assemble(alpha, grid).fold
+            assert got.tobytes() == fold.tobytes(), (grid.n_nodes, alpha)
+
+
+def test_assemble_even_never_holds_the_rows(monkeypatch):
+    # at n_per_side 512 the 4.19 MB of right-half rows plus the 2.10 MB
+    # fold bound the peak of the block-by-block fold, and one block of all
+    # rows, which holds them before folding, exceeds that bound
+    grid = build_graded(512, 1.0)
+    bound = 8 * (512 * 1024 + 512 * 512)
+    peaks = {}
+    for block_rows in (32, 10 ** 6):
+        monkeypatch.setattr(fracblow.operator, "_BLOCK_ROWS", block_rows)
+        assemble(0.25, grid)
+        tracemalloc.start()
+        try:
+            assemble(0.25, grid)
+            peaks[block_rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] < bound
+    assert peaks[10 ** 6] > bound
 
 
 def test_assemble_keeps_its_scratch_small():
-    # the block buffers stay a fixed multiple of one row block: at
-    # n_per_side 512 they peak at about 2.8 MB beside the 4.19 MB of rows
+    # each row block is folded as it is produced, so the n/2 x n rows are
+    # never held: at n_per_side 512 the peak stays below the 4.19 MB of
+    # rows plus the 2.10 MB fold that folding stored rows would hold, and
+    # the block buffers beside the fold stay a fixed multiple of one block
     grid = build_graded(512, 2.4)
     assemble(0.5, grid)
     tracemalloc.start()
@@ -294,34 +358,8 @@ def test_assemble_keeps_its_scratch_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= M.rows.nbytes + 4.5e6
-
-
-@pytest.mark.parametrize("block_rows", [1, 5, 32, 10 ** 6])
-def test_assemble_even_is_the_fold_of_assemble_byte_for_byte(block_rows,
-                                                              monkeypatch):
-    monkeypatch.setattr(fracblow.operator, "_BLOCK_ROWS", block_rows)
-    for grid in ORACLE_GRIDS:
-        for alpha in (0.05, 0.5, 0.75):
-            fold = assemble_even(alpha, grid)
-            want = even_block(assemble(alpha, grid))
-            assert fold.tobytes() == want.tobytes(), (grid.n_nodes, alpha)
-
-
-def test_assemble_even_never_holds_the_rows():
-    # the fold is built block by block: at n_per_side 512 its peak stays
-    # below the 4.19 MB of rows plus the 2.10 MB fold that folding a
-    # stored operator would hold
-    grid = build_graded(512, 2.4)
-    assemble_even(0.5, grid)
-    tracemalloc.start()
-    try:
-        fold = assemble_even(0.5, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert peak < 8 * (512 * 1024 + 512 * 512)
-    assert peak < fold.nbytes + 4.5e6
+    assert peak < M.fold.nbytes + 4.5e6
 
 
 def test_assemble_raises_no_warning():
@@ -341,7 +379,7 @@ def test_even_block_solves_the_full_system(alpha):
     # a mirror-symmetric active subset
     grid = build_graded(64, 2.4)
     M = assemble(alpha, grid)
-    W = full_weights(M)
+    W = full_weights(alpha, grid)
     rng = np.random.default_rng(11)
     for idx in (np.arange(grid.n_nodes),
                 np.flatnonzero(distance_D(grid.nodes) > 1.0 / 64)):
@@ -354,30 +392,36 @@ def test_even_block_solves_the_full_system(alpha):
                                                      rhs_right)))
 
         k = idx[half] - grid.n_nodes // 2
-        block = even_block(M, k)
+        block = M.fold[k:, k:]
         assert block.shape == (half, half)
         x_right = np.linalg.solve(block + np.diag(d_right), rhs_right)
         got = np.concatenate((x_right[::-1], x_right))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9])
 def test_even_block_holds_every_level_block_exactly(alpha):
     # every level's active set {D > 1/n} is a symmetric band around 0,
     # and its even block W_RR + W_RM, folded from the full mirrored
-    # weights, is the even block of its first right-half node, bit for bit
+    # weights, is the trailing block fold[k:, k:] of its first right-half
+    # node h + k, bit for bit; so is the band block folded from the
+    # right-half rows, rows[k:, h + k:] + rows[k:, :h - k] reversed
     grid = build_graded(128, 2.4)
     M = assemble(alpha, grid)
-    W, n = full_weights(M), grid.n_nodes
-    assert np.array_equal(even_block(M), even_block(M, 0))
+    W, n = full_weights(alpha, grid), grid.n_nodes
+    h = n // 2
     level = 8
     while level <= 2 ** 20:
         idx = np.flatnonzero(distance_D(grid.nodes) > 1.0 / level)
         right = idx[idx.size // 2:]
-        k = right[0] - n // 2
+        k = right[0] - h
         want = W[np.ix_(right, right)] + W[np.ix_(right, n - 1 - right)]
-        assert np.array_equal(even_block(M, k), want), level
+        assert np.array_equal(M.fold[k:, k:], want), level
         level *= 2
+    rows = W[h:]
+    for k in (0, 1, 3, 17):
+        want = rows[k:, h + k:] + rows[k:, :h - k][:, ::-1]
+        assert M.fold[k:, k:].tobytes() == want.tobytes(), k
 
 
 @pytest.mark.parametrize("alpha", [0.5 - 1e-9, 0.5 + 1e-9, 0.5 - 1e-13,
@@ -401,30 +445,29 @@ def test_kernel_moments_keep_their_digits(alpha, A, B):
 def test_off_diagonal_sign(alpha):
     # off-diagonal weights of the operator matrix are <= 0, so the
     # negated operator has the non-negative off-diagonals a discrete
-    # maximum principle needs
+    # maximum principle needs; so has the fold, a sum of two of them off
+    # its diagonal
     for grid in (build_graded(48, 2.4),) + HAND_GRIDS:
-        W = full_weights(assemble(alpha, grid))
-        diag = np.diag(W).copy()
-        np.fill_diagonal(W, 0.0)
-        assert np.max(W) <= 0.0, grid.nodes
-        assert np.min(diag) > 0.0, grid.nodes
+        for W in (full_weights(alpha, grid), assemble(alpha, grid).fold.copy()):
+            diag = np.diag(W).copy()
+            np.fill_diagonal(W, 0.0)
+            assert np.max(W) <= 0.0, grid.nodes
+            assert np.min(diag) > 0.0, grid.nodes
 
 
 def test_linearity_and_reflection():
+    # linear on even functions, each mapped to its own reflection
     grid = build_graded(48, 2.0)
     M = assemble(0.6, grid)
     rng = np.random.default_rng(7)
-    u = GridFunction(grid, rng.normal(size=grid.n_nodes))
-    v = GridFunction(grid, rng.normal(size=grid.n_nodes))
+    u, v = (GridFunction(grid, np.concatenate((half[::-1], half)))
+            for half in rng.normal(size=(2, grid.n_nodes // 2)))
     comb = GridFunction(grid, 2.5 * u.values - 1.25 * v.values)
     lhs = apply(M, comb)
     rhs = 2.5 * apply(M, u) - 1.25 * apply(M, v)
     scale = np.max(np.abs(lhs))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(scale, 1.0)
-
-    mirrored = GridFunction(grid, u.values[::-1])
-    assert np.max(np.abs(apply(M, mirrored) - apply(M, u)[::-1])) \
-        <= 1e-12 * max(scale, 1.0)
+    assert np.array_equal(lhs, lhs[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +610,8 @@ def test_power_tail_gap_continuous_across_one_half(delta, tau):
 def test_operator_continuous_across_one_half(delta):
     # the weights of the operator the power identity applies
     grid = build_graded(64, 2.4)
-    at_half = assemble(0.5, grid).rows
-    moved = assemble(0.5 + delta, grid).rows
+    at_half = assemble(0.5, grid).fold
+    moved = assemble(0.5 + delta, grid).fold
     bound = CONTINUITY_K * abs(delta)
     assert np.all(np.abs(moved - at_half) <= bound * np.abs(at_half))
 
@@ -592,16 +635,10 @@ def test_exterior_band_mass_matches_quad():
 
 def test_assemble_validation():
     grid = build_graded(32, 2.0)
-    with pytest.raises(BadConfig):
-        assemble(0.0, grid)
-    with pytest.raises(BadConfig):
-        assemble(1.0, grid)
-    with pytest.raises(BadConfig):
-        assemble(0.5, "not a grid")
     for alpha, bad in ((0.0, grid), (1.0, grid), (0.5, "not a grid"),
                        (2.0 ** -961, grid)):
         with pytest.raises(BadConfig):
-            assemble_even(alpha, bad)
+            assemble(alpha, bad)
 
 
 def test_assemble_refuses_orders_without_headroom():
@@ -633,9 +670,9 @@ def test_operator_matrix_fields():
     assert isinstance(M, OperatorMatrix)
     assert M.alpha == 0.3
     assert M.grid.same_as(grid)
-    # one weight array: the right-half rows
-    assert [f.name for f in dataclasses.fields(M)] == ["alpha", "grid", "rows"]
-    assert M.rows.shape == (grid.n_nodes // 2, grid.n_nodes)
+    # one weight array: the even fold
+    assert [f.name for f in dataclasses.fields(M)] == ["alpha", "grid", "fold"]
+    assert M.fold.shape == (grid.n_nodes // 2, grid.n_nodes // 2)
 
 
 @pytest.mark.parametrize("n_per_side", [128, 512])
@@ -644,17 +681,18 @@ def test_weights_are_a_z_matrix_with_positive_row_sums(alpha, n_per_side):
     # the certificate behind the one-level solve: a Z-matrix with positive
     # row sums plus the monotone absorption makes u -> W u + |u|^(p-1) u
     # an M-function, so each level's system has exactly one solution;
-    # checked on the stored rows, whose diagonal sits h columns right, and
-    # on the even block of every level
+    # checked on the oracle's right-half rows, whose diagonal sits h
+    # columns right, and on the band block fold[k:, k:] of every level,
+    # the W_band of the forward-error bound
     grid = build_graded(n_per_side, 2.4)
     M = assemble(alpha, grid)
     h = grid.n_nodes // 2
     D_right = distance_D(grid.nodes)[h:]
-    blocks = [(M.rows, h)]
+    blocks = [(assemble_by_rows(alpha, grid)[0], h), (M.fold, 0)]
     level = 8
     while level <= 2 ** 20:
         k = int(np.count_nonzero(D_right <= 1.0 / level))
-        blocks.append((even_block(M, k), 0))
+        blocks.append((M.fold[k:, k:], 0))
         level *= 2
     for block, offset in blocks:
         diag = np.diag(np.diagonal(block, offset), offset)[:block.shape[0]]

@@ -11,7 +11,7 @@ import pytest
 from fracblow import profiles
 from fracblow.errors import BadConfig
 from fracblow.mesh import Grid, GridFunction, build_graded, distance_D
-from fracblow.operator import apply, assemble, even_block
+from fracblow.operator import OperatorMatrix, apply, assemble
 from fracblow.profiles import (
     _bridge_coeffs,
     comparison_profile,
@@ -252,22 +252,23 @@ def _count_folds(monkeypatch):
     """The alphas of the folds assembled from now on, with the bytes of
     folds the memo held as each assembly began."""
     calls = []
-    original = profiles.assemble_even
+    original = profiles.assemble
 
     def counting(alpha, grid):
         calls.append((alpha, _held()))
         return original(alpha, grid)
 
-    monkeypatch.setattr(profiles, "assemble_even", counting)
+    monkeypatch.setattr(profiles, "assemble", counting)
     return calls
 
 
 def _held():
-    return sum(e[1].nbytes for e in profiles._MEMO.values() if e[1] is not None)
+    return sum(e[1].fold.nbytes for e in profiles._MEMO.values()
+               if e[1] is not None)
 
 
 def _direct_torsion(matrix):
-    half = np.linalg.solve(even_block(matrix), np.ones(matrix.rows.shape[0]))
+    half = np.linalg.solve(matrix.fold, np.ones(matrix.fold.shape[0]))
     return np.concatenate((half[::-1], half))
 
 
@@ -375,13 +376,19 @@ def test_torsion_memo_retains_at_most_its_bound_of_half_vectors(memo):
 
 def test_even_operator_is_the_read_only_fold_kept_per_key(memo, monkeypatch):
     grid = build_graded(64, 2.4)
-    fold = profiles.even_operator(0.6, grid)
-    assert fold.tobytes() == even_block(assemble(0.6, grid)).tobytes()
+    matrix = profiles.even_operator(0.6, grid)
+    fold = matrix.fold
+    assert fold.tobytes() == assemble(0.6, grid).fold.tobytes()
     assert not fold.flags.writeable
     with pytest.raises(ValueError):
         fold[0, 0] = 0.0
     folds = _count_folds(monkeypatch)
-    assert profiles.even_operator(0.6, build_graded(64, 2.4)) is fold
+    assert profiles.even_operator(0.6, grid) is matrix
+    # a fresh grid with the same nodes and another delta gets the kept
+    # fold on its own grid
+    other = build_graded(64, 2.4, delta=0.125)
+    again = profiles.even_operator(0.6, other)
+    assert again.fold is fold and again.grid is other
     # the torsion solve of that key runs on the kept fold
     assert solve_torsion(0.6, grid).values.tobytes() == \
         _direct_torsion(assemble(0.6, grid)).tobytes()
@@ -414,8 +421,10 @@ def test_the_fold_budget_keeps_the_newest_folds_that_fit(
         n_per_side, kept, memo, monkeypatch):
     # the budget arithmetic alone, on stand-in folds of the right size
     grid = build_graded(n_per_side, 2.4)
-    monkeypatch.setattr(profiles, "assemble_even",
-                        lambda alpha, grid: np.zeros((n_per_side,) * 2))
+    monkeypatch.setattr(
+        profiles, "assemble",
+        lambda alpha, grid: OperatorMatrix(alpha, grid,
+                                           np.zeros((n_per_side,) * 2)))
     alphas = [0.2, 0.3, 0.4, 0.6, 0.7, 0.8]
     for alpha in alphas:
         profiles.even_operator(alpha, grid)
@@ -432,7 +441,7 @@ def test_even_operator_keeps_its_budget_under_concurrent_callers(
     grid = build_graded(16, 2.0)
     monkeypatch.setattr(profiles, "_FOLD_BUDGET", 3 * 8 * 16 * 16)
     alphas = [float(a) for a in np.linspace(0.1, 0.9, 12)]
-    wants = [even_block(assemble(alpha, grid)) for alpha in alphas]
+    wants = [assemble(alpha, grid).fold for alpha in alphas]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -442,7 +451,8 @@ def test_even_operator_keeps_its_budget_under_concurrent_callers(
                 got = list(pool.map(
                     lambda a: profiles.even_operator(a, grid), 3 * alphas,
                     timeout=60))
-            assert all(np.array_equal(g, w) for g, w in zip(got, 3 * wants))
+            assert all(np.array_equal(g.fold, w)
+                       for g, w in zip(got, 3 * wants))
             assert _held() <= profiles._FOLD_BUDGET
             assert len(memo) <= profiles._MEMO_SIZE
     finally:

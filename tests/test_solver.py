@@ -1,5 +1,6 @@
 """Tests for the default sub/super-solution pair and the one-level solver."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,6 @@ from fracblow.operator import apply, assemble
 from fracblow.profiles import comparison_profile, core_mask
 from fracblow.solver import (
     ProblemSpec,
-    _even_residual,
     _newton,
     default_sub_super,
     require_unique_existence,
@@ -43,6 +43,29 @@ def _band(grid, level):
     band = np.zeros(grid.n_nodes, dtype=bool)
     band[h + k:] = band[:h - k] = True
     return k, band
+
+
+def _recorded(spec):
+    """``spec`` on a copy of its operator whose fold records the right
+    half u[h:] of every iterate that Newton's residual, fold[k:] @ u[h:]
+    plus the absorption, reads; and the list they go to."""
+    iterates = []
+
+    class Recording(np.ndarray):
+        def __matmul__(self, other):
+            iterates.append(other.copy())
+            return np.asarray(self) @ other
+
+    matrix = dataclasses.replace(spec.matrix,
+                                 fold=spec.matrix.fold.view(Recording))
+    return ProblemSpec(matrix, spec.p, spec.sub, spec.super), iterates
+
+
+def _residual(fold, p, k, right):
+    """Newton's residual at the band nodes h + k, ..., n - 1 of the even
+    iterate whose right half is ``right``."""
+    fold = np.asarray(fold)
+    return fold[k:] @ right + np.abs(right[k:]) ** (p - 1.0) * right[k:]
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +376,24 @@ def test_newton_solves_one_half_system_per_iteration(monkeypatch):
 
 @pytest.mark.parametrize("alpha,p", [(0.25, 1.75), (0.5, 3.0), (0.75, 3.0)])
 def test_even_residual_row_view_matches_the_indexed_rows(alpha, p):
-    # the residual reads the contiguous trailing range rows[k:] of the
-    # stored right-half rows; at every level it equals the residual
-    # computed on the fancy-indexed copy of those rows, bit for bit
+    # Newton's residual reads the contiguous trailing range fold[k:] of
+    # the fold; at every level the report's residual_inf, its size at the
+    # solution, is that of the residual computed on the fancy-indexed
+    # copy of those rows, bit for bit
     grid = build_graded(128, 2.4)
-    sub, _, spec = _pair_and_spec(alpha, p, grid)
-    W = spec.matrix.rows
+    _, _, spec = _pair_and_spec(alpha, p, grid)
+    fold = spec.matrix.fold
     h = grid.n_nodes // 2
-    rng = np.random.default_rng(5)
-    half = rng.uniform(0.5, 2.0, size=grid.n_nodes // 2)
-    for u in (sub.values, sub.values * np.concatenate((half[::-1], half))):
-        level = 8
-        while level <= 2 ** 20:
-            idx = np.flatnonzero(distance_D(grid.nodes) > 1.0 / level)
-            right = idx[idx.size // 2:]
-            want = (W[right - h] @ u
-                    + np.abs(u[right]) ** (p - 1.0) * u[right])
-            assert np.array_equal(
-                _even_residual(spec.matrix, p, right[0] - h, u), want)
-            level *= 2
+    level = 8
+    while level <= 2 ** 17:   # the innermost node lies at D = 4.4e-6
+        idx = np.flatnonzero(distance_D(grid.nodes) > 1.0 / level)
+        right = idx[idx.size // 2:]
+        report = solve_blowup(spec, level)
+        u = report.final.values
+        want = (fold[right - h] @ u[h:]
+                + np.abs(u[right]) ** (p - 1.0) * u[right])
+        assert float(np.max(np.abs(want))) == report.residual_inf
+        level *= 2
 
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75)])
@@ -439,24 +461,19 @@ CENSUS_P = 1.0 + 2.0 * 0.45 + 0.1 * (1.0 - 0.9 / (0.9 - 1.0) - 1.9)
 
 @pytest.mark.parametrize("alpha,p", [(0.5, 3.0), (0.25, 1.75),
                                      (0.15, 1.3129), (0.45, CENSUS_P)])
-def test_full_newton_steps_contract_the_residual_on_the_anchors(
-        alpha, p, monkeypatch):
+def test_full_newton_steps_contract_the_residual_on_the_anchors(alpha, p):
     # the system is a convex M-function, so Newton from any positive start
     # needs no line search: the first full step lands on or above the
     # solution, after which no band node rises, and every step lowers
     # max|F| to at most 3/4 of its previous value, the decrease the
     # deleted search demanded
-    _, _, spec = _pair_and_spec(alpha, p, build_graded(512, 2.4))
-    iterates, norms = [], []
-
-    def recorded(matrix, p, k, u):
-        res = _even_residual(matrix, p, k, u)
-        iterates.append(u[matrix.rows.shape[0] + k:].copy())
-        norms.append(float(np.max(np.abs(res))))
-        return res
-
-    monkeypatch.setattr(fracblow.solver, "_even_residual", recorded)
+    grid = build_graded(512, 2.4)
+    _, _, spec = _pair_and_spec(alpha, p, grid)
+    spec, iterates = _recorded(spec)
     report = solve_blowup(spec, 2 ** 20)
+    k, _ = _band(grid, 2 ** 20)
+    norms = [float(np.max(np.abs(_residual(spec.matrix.fold, p, k, u))))
+             for u in iterates]
     assert report.converged
     assert len(norms) == report.newton_iters[0] + 1
     assert all(np.all(after <= before)
@@ -466,32 +483,54 @@ def test_full_newton_steps_contract_the_residual_on_the_anchors(
 
 
 def test_newton_without_a_reachable_stop_ends_in_one_stall(monkeypatch):
-    # with a stop test that cannot be met, Newton keeps taking full steps,
-    # one half-size LU per loop pass, and stalls at its iteration limit:
-    # _MAX_ITER steps, each followed by a stop test, and the message
-    # quotes the residual of the last test
+    # with stop tests that cannot be met, Newton keeps taking full steps,
+    # one half-size LU per loop pass (beside the forward-error checks,
+    # which solve on the fold's band block itself), and stalls at its
+    # iteration limit: _MAX_ITER steps, each followed by the stop tests,
+    # and the message quotes the residual of the last test
     grid = build_graded(128, 2.4)
     _, _, spec = _pair_and_spec(0.5, 3.0, grid)
-    calls, norms = [], []
+    spec, iterates = _recorded(spec)
+    steps = []
     solve = np.linalg.solve
 
     def counted(a, b):
-        calls.append(a.shape)
+        if not np.shares_memory(a, spec.matrix.fold):
+            steps.append(a.shape)
         return solve(a, b)
 
-    def recorded(matrix, p, k, u):
-        res = _even_residual(matrix, p, k, u)
-        norms.append(float(np.max(np.abs(res))))
-        return res
-
     monkeypatch.setattr(np.linalg, "solve", counted)
-    monkeypatch.setattr(fracblow.solver, "_even_residual", recorded)
     monkeypatch.setattr(fracblow.solver, "_NEWTON_RTOL", 0.0)
+    monkeypatch.setattr(fracblow.solver, "_FORWARD_RTOL", 0.0)
     with pytest.raises(NewtonStall, match="no convergence in ") as stall:
         solve_blowup(spec, 4096)
-    assert len(calls) == fracblow.solver._MAX_ITER
-    assert len(norms) == fracblow.solver._MAX_ITER + 1
-    assert f"(residual {norms[-1]:.3e})" in str(stall.value)
+    k, _ = _band(grid, 4096)
+    last = float(np.max(np.abs(_residual(spec.matrix.fold, 3.0, k,
+                                         iterates[-1]))))
+    assert len(steps) == fracblow.solver._MAX_ITER
+    assert len(iterates) == fracblow.solver._MAX_ITER + 1
+    assert f"(residual {last:.3e})" in str(stall.value)
+
+
+def test_newton_stops_at_the_forward_error_bound_below_the_norm_floor():
+    # at (0.6, 3.2) rounding keeps max|F| above the norm tolerance, and
+    # Newton stops once W_band^-1 |F|, the bound on |u - u*| with W_band
+    # = fold[k:, k:], is at most 1e-10 of u at every band node; the
+    # report marks that exit with residual_inf > tolerance
+    grid = build_graded(512, 2.4)
+    p, level = 3.2, 2 ** 20
+    _, _, spec = _pair_and_spec(0.6, p, grid)
+    report = solve_blowup(spec, level)
+    assert report.converged and report.ordering_ok and report.monotone_ok
+    assert report.residual_inf > report.tolerance
+    assert report.newton_iters[0] <= 6
+    h = grid.n_nodes // 2
+    k, _ = _band(grid, level)
+    right = report.final.values[h:]
+    F = _residual(spec.matrix.fold, p, k, right)
+    assert float(np.max(np.abs(F))) == report.residual_inf
+    bound = np.linalg.solve(spec.matrix.fold[k:, k:], np.abs(F))
+    assert np.max(bound / right[k:]) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
