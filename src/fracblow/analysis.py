@@ -15,8 +15,8 @@ from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from .mesh import Grid, GridFunction, distance_D
 from .operator import apply
 from .profiles import (MAX_DOUBLINGS, comparison_profile, comparison_residual,
-                       core_mask, even_operator, power_of_two_bracket,
-                       resolved_mask, solve_torsion)
+                       core_mask, kept_operator, power_of_two_bracket,
+                       resolved_mask)
 from .specfun import Regime, RegimeKind, classify
 
 __all__ = [
@@ -158,18 +158,17 @@ def audit_nonexistence(alpha: float, grid: Grid, p: float,
     linear part nonnegative in zone 1, and the least power of two in
     [1, 2**MAX_DOUBLINGS] that works, found by doubling, in zones 2 and 3.
 
-    V and T are even, so the audit applies the operator that
-    ``even_operator`` keeps per (alpha, grid) in a process, and T comes
-    from ``solve_torsion`` on the same operator, also kept.
+    V and T are even, so the audit applies the even fold; it and T come
+    from the one entry ``kept_operator`` keeps per (alpha, grid) in a
+    process.
     """
     regime = require_nonexistence(alpha, p, tau)
     zone = _zone_of(alpha, p, tau, regime.tau1)
     sign = -1.0 if zone == 2 else 1.0
 
-    matrix = even_operator(alpha, grid)
+    matrix, torsion = kept_operator(alpha, grid)
     profile = comparison_profile(grid, tau)
-    vals, applied = profile.values, apply(matrix, profile)
-    tors = solve_torsion(alpha, grid, matrix).values
+    vals, applied, tors = profile.values, apply(matrix, profile), torsion.values
     checked = resolved_mask(grid)
     if checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")

@@ -6,13 +6,14 @@ squared boundary distance ``d**2`` near the ends of the interval, and a
 quintic bridge between, chosen so the profile is twice continuously
 differentiable.  It exists only as its values at the grid nodes
 (``comparison_profile``), to which the pair and the nonexistence audits
-apply the operator.  The module also keeps, per process, each (alpha,
-grid)'s assembled operator (``even_operator``) and discrete torsion
+apply the operator.  The module also solves for the discrete torsion
 function (the grid function the operator maps to the constant 1,
-``solve_torsion``), keyed by alpha and the exact node bytes, and
-provides the residual of the comparison functions scale * profile +
-lift * torsion they test (the pair with no lift) and the power-of-two
-rounding that sizes them.
+``solve_torsion``), keeps per process one entry per (alpha, grid), keyed
+by alpha and the exact node bytes, of the assembled operator and its
+torsion function together (``kept_operator``), and provides the
+residual of the comparison functions scale * profile + lift * torsion
+they test (the pair with no lift) and the power-of-two rounding that
+sizes them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .operator import OperatorMatrix, _checked_alpha, assemble
 __all__ = [
     "comparison_profile",
     "comparison_residual",
-    "even_operator",
+    "kept_operator",
     "solve_torsion",
 ]
 
@@ -82,114 +83,87 @@ def _bridge_coeffs(tau: float, delta: float) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# The even operator and the discrete torsion function, kept per process.
+# The discrete torsion function, and the audits' operator kept per process.
+
+
+def solve_torsion(matrix: OperatorMatrix) -> GridFunction:
+    """Solve the dense collocation system  operator(v) = 1  for the
+    operator ``matrix``.  The solution is the discrete torsion function,
+    with zero exterior: positive inside the interval, vanishing toward
+    the endpoints, and the bounded lift of the audits.
+
+    The grid is mirror-symmetric, so the right-hand side is even, the
+    solve is the half system of the even fold and the solution is
+    exactly even."""
+    fold, alpha = matrix.fold, matrix.alpha
+    try:
+        half = np.linalg.solve(fold, np.ones(fold.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(
+            f"torsion system is singular for alpha={alpha}") from exc
+    if not np.all(np.isfinite(half)):
+        raise SingularSystem(
+            f"torsion solve produced non-finite values for alpha={alpha}")
+    scale = float(np.max(np.abs(half)))
+    if np.min(half) < -1e-10 * scale:
+        raise SingularSystem(
+            "torsion solve produced negative values; the discretization "
+            f"is unusable (min {np.min(half):.3e})")
+    return GridFunction(matrix.grid, np.concatenate((half[::-1], half)))
 
 
 # Per key (alpha and the bytes of the grid nodes, the whole input of the
-# assembly), oldest first: [torsion half or None, operator or None].
-# The last _MEMO_SIZE keys keep their torsion half, and the newest keep
-# their operator while the folds fit in _FOLD_BUDGET bytes (4 at n_per_side
-# 512, 1 at 1024, none from 2048 up).  The lock keeps evictions exact.
-_MEMO: dict[tuple[float, bytes], list] = {}
-_MEMO_SIZE = 16
+# assembly), oldest first: the operator, its fold read-only, and its
+# torsion values, read-only, made and dropped together.  The newest keys
+# stay while their folds fit in _FOLD_BUDGET bytes (4 at n_per_side 512,
+# 1 at 1024, none from 2048 up).  The lock keeps evictions exact.
+_MEMO: dict[tuple[float, bytes], tuple[OperatorMatrix, np.ndarray]] = {}
 _FOLD_BUDGET = 8 << 20
 _LOCK = threading.Lock()
 
 
-def _key(alpha: float, grid: Grid) -> tuple[float, bytes]:
-    return _checked_alpha(alpha, grid), grid.nodes.tobytes()
-
-
-def _entry(key: tuple[float, bytes]) -> list:
-    """The memo entry of ``key``, made (evicting the oldest key when the
-    memo is full) if there is none; call under the lock."""
-    entry = _MEMO.get(key)
-    if entry is None:
-        if len(_MEMO) >= _MEMO_SIZE:
-            del _MEMO[next(iter(_MEMO))]
-        entry = _MEMO[key] = [None, None]
-    return entry
-
-
 def _make_room(nbytes: int) -> bool:
-    """Drop the folds of the oldest keys until ``nbytes`` more fit in the
-    budget; False, dropping nothing, when they never fit.  Call under the
+    """Drop the oldest keys until a fold of ``nbytes`` more fits in the
+    budget; False, dropping nothing, when it never fits.  Call under the
     lock."""
     if nbytes > _FOLD_BUDGET:
         return False
-    held = sum(e[1].fold.nbytes for e in _MEMO.values() if e[1] is not None)
-    for entry in _MEMO.values():
-        if held + nbytes <= _FOLD_BUDGET:
-            break
-        if entry[1] is not None:
-            held -= entry[1].fold.nbytes
-            entry[1] = None
+    held = sum(matrix.fold.nbytes for matrix, _ in _MEMO.values())
+    while held + nbytes > _FOLD_BUDGET:
+        held -= _MEMO.pop(next(iter(_MEMO)))[0].fold.nbytes
     return True
 
 
-def even_operator(alpha: float, grid: Grid) -> OperatorMatrix:
-    """``assemble(alpha, grid)``, its fold read-only, as the audits and
-    the torsion solve use it.
+def kept_operator(alpha: float,
+                  grid: Grid) -> tuple[OperatorMatrix, GridFunction]:
+    """``assemble(alpha, grid)``, its fold read-only, and its torsion
+    function (``solve_torsion``), its values read-only, as the audits use
+    them.
 
-    It is assembled once per key while the memo keeps it (see _MEMO); a
-    kept fold is returned on ``grid``, which may differ from the grid it
-    was assembled on in what the key leaves out (delta).  Older folds are
-    dropped before a new one is assembled, so the process holds at most
-    _FOLD_BUDGET bytes of kept folds beside the one being assembled."""
-    key = _key(alpha, grid)
+    Both are made once per key while the memo keeps them (see _MEMO) and
+    are returned on ``grid``, which may differ from the grid they were
+    made on in what the key leaves out (delta).  The oldest keys are
+    dropped before a new operator is assembled, so the process holds at
+    most _FOLD_BUDGET bytes of kept folds beside the one being assembled.
+    Any later input of the assembly must join the key."""
+    key = _checked_alpha(alpha, grid), grid.nodes.tobytes()
     nbytes = 8 * (grid.nodes.size // 2) ** 2
     with _LOCK:
-        entry = _MEMO.get(key)
-        if entry is not None and entry[1] is not None:
-            kept = entry[1]
-            return (kept if kept.grid is grid
-                    else OperatorMatrix(kept.alpha, grid, kept.fold))
-        _make_room(nbytes)
-    matrix = assemble(key[0], grid)
-    matrix.fold.flags.writeable = False
-    with _LOCK:  # a concurrent caller may have stored a fold meanwhile
-        if _make_room(nbytes):
-            _entry(key)[1] = matrix
-    return matrix
-
-
-def solve_torsion(alpha: float, grid: Grid,
-                  matrix: OperatorMatrix | None = None) -> GridFunction:
-    """Solve the dense collocation system  operator(v) = 1  of order
-    ``alpha`` on ``grid``.  The solution is the discrete torsion
-    function, with zero exterior: positive inside the interval, vanishing
-    toward the endpoints, and the bounded lift of the audits.
-
-    The grid is mirror-symmetric, so the right-hand side is even, the
-    solve is the half system of the even fold (``even_operator``'s, or
-    that of ``matrix`` when the caller holds it) and the solution is
-    exactly even.
-    The half solution is kept for the last _MEMO_SIZE keys, and a
-    repeated key gets a fresh GridFunction of the kept half.  Any later
-    input of the assembly must join the key."""
-    key = _key(alpha, grid)
-    entry = _MEMO.get(key)
-    half = None if entry is None else entry[0]
-    if half is None:
-        if matrix is None:
-            matrix = even_operator(alpha, grid)
-        fold = matrix.fold
-        try:
-            half = np.linalg.solve(fold, np.ones(fold.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(
-                f"torsion system is singular for alpha={alpha}") from exc
-        if not np.all(np.isfinite(half)):
-            raise SingularSystem(
-                f"torsion solve produced non-finite values for alpha={alpha}")
-        scale = float(np.max(np.abs(half)))
-        if np.min(half) < -1e-10 * scale:
-            raise SingularSystem(
-                "torsion solve produced negative values; the discretization "
-                f"is unusable (min {np.min(half):.3e})")
-        with _LOCK:
-            _entry(key)[0] = half
-    return GridFunction(grid, np.concatenate((half[::-1], half)))
+        kept = _MEMO.get(key)
+        if kept is None:
+            _make_room(nbytes)
+    if kept is None:
+        matrix = assemble(key[0], grid)
+        torsion = solve_torsion(matrix).values
+        matrix.fold.flags.writeable = torsion.flags.writeable = False
+        kept = matrix, torsion
+        with _LOCK:  # a concurrent caller may have stored this key meanwhile
+            if key not in _MEMO and _make_room(nbytes):
+                _MEMO[key] = kept
+    matrix, torsion = kept
+    if matrix.grid is not grid:
+        matrix = OperatorMatrix(matrix.alpha, grid, matrix.fold)
+    return matrix, GridFunction(grid, torsion)
 
 
 # ---------------------------------------------------------------------------

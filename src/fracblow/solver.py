@@ -18,11 +18,12 @@ structure bounds the forward error: the band block W_band of the
 operator is a nonsingular M-matrix, F(u) - F(u*) = (W_band + S)(u - u*)
 with S the nonnegative diagonal of secants of the increasing absorption,
 and (W_band + S)^-1 <= W_band^-1 entrywise, so |u - u*| <= W_band^-1
-|F(u)| componentwise, u* the band solution.  Newton stops when the residual meets its norm tolerance, or, where
-rounding keeps it above that, when this bound is small against u.  The
-result is audited for ordering against the pair and for not falling
-below the sub-solution.  Every step works with one assembled operator,
-the even fold the problem carries.
+|F(u)| componentwise, u* the band solution.  Newton stops when the
+residual meets its norm tolerance, or, where rounding keeps it above
+that, when this bound is small against u.  The result is audited for
+ordering against the pair and for not falling below the sub-solution.
+Every step works with one assembled operator, the even fold the problem
+carries.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ def test_criterion_4_operator_fidelity():
         grid = build_graded(256, 2.4)
         matrix = assemble(alpha, grid)
         away = 1.0 - np.abs(grid.nodes) >= 0.1
-        solved = solve_torsion(alpha, grid)
+        solved = solve_torsion(matrix)
         assert np.max(np.abs(apply(matrix, solved) - 1.0)[away]) <= 1e-6
         x = grid.nodes
         closed = GridFunction(

@@ -158,7 +158,7 @@ def test_zone23_lift_is_the_least_doubling(tau, zone):
     sign = -1.0 if zone == 2 else 1.0
     profile = comparison_profile(GRID, tau)
     v, a = profile.values, apply(matrix, profile)
-    T = solve_torsion(0.6, GRID).values
+    T = solve_torsion(matrix).values
     checked = resolved_mask(GRID)
 
     def passes(t, mu):

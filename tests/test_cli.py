@@ -603,11 +603,13 @@ def test_regime_guard_runs_before_assembly(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv,solves", [
-    (["solve", "--alpha", "0.5", "--p", "3", "--schedule", "8:256"], 0),
-    (["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8"], 1),
+    (["solve", "--alpha", "0.5", "--p", "3", "--schedule", "8:256"], [0, 0]),
+    (["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.8"], [1, 0]),
 ], ids=["solve", "audit"])
 def test_only_the_audit_solves_the_torsion_function(argv, solves, monkeypatch,
                                                     capsys):
+    # once on a miss of the memo, and not again on a repeat
+    monkeypatch.setattr(fracblow.profiles, "_MEMO", {})
     calls = []
     original = fracblow.profiles.solve_torsion
 
@@ -618,8 +620,13 @@ def test_only_the_audit_solves_the_torsion_function(argv, solves, monkeypatch,
     for module in (fracblow.profiles, fracblow.solver, fracblow.analysis):
         if hasattr(module, "solve_torsion"):
             monkeypatch.setattr(module, "solve_torsion", counting)
-    assert main(argv + ["--n-per-side", "128", "--no-timestamp"]) == EXIT_OK
-    assert len(calls) == solves
+    argv = argv + ["--n-per-side", "128", "--no-timestamp"]
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert main(argv) == EXIT_OK
+        counts.append(len(calls))
+    assert counts == solves
 
 
 def test_a_repeated_audit_reuses_its_torsion_solve(monkeypatch, capsys,
@@ -674,6 +681,21 @@ def test_audits_sharing_nodes_across_deltas_match_fresh_processes(
                                capture_output=True, timeout=120, env=child_env)
         assert fresh.returncode == 0, fresh.stderr
         assert capsys.readouterr().out.encode() == fresh.stdout
+
+
+def test_audit_after_another_alphas_torsion_solve_matches_a_fresh_process(
+        monkeypatch, capsys, child_env):
+    # a torsion solve on the operator of alpha 0.3 leaves what the process
+    # keeps for alpha 0.6 on the same grid alone
+    monkeypatch.setattr(fracblow.profiles, "_MEMO", {})
+    fracblow.profiles.solve_torsion(assemble(0.3, build_graded(256, 2.4)))
+    argv = ["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4",
+            "--n-per-side", "256", "--no-timestamp"]
+    assert main(argv) == EXIT_OK
+    fresh = subprocess.run([sys.executable, "-m", "fracblow.cli", *argv],
+                           capture_output=True, timeout=120, env=child_env)
+    assert fresh.returncode == 0, fresh.stderr
+    assert capsys.readouterr().out.encode() == fresh.stdout
 
 
 def test_audit_assembles_once(monkeypatch, capsys):

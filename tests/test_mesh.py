@@ -80,8 +80,8 @@ def test_build_graded_validates_arguments():
 
 
 def test_build_graded_refuses_past_the_node_cap_before_any_array():
-    # a grid past the cap would lead to operator rows of 16 n_per_side**2
-    # bytes; it is refused before even its nodes are built
+    # a grid past the cap would lead to an operator fold of 8
+    # n_per_side**2 bytes; it is refused before even its nodes are built
     cap = fracblow.mesh._MAX_N_PER_SIDE
     assert build_graded(cap, 2.4).n_per_side == cap
     tracemalloc.start()

@@ -310,11 +310,11 @@ def test_assemble_matches_the_oracle_at_every_block_size(block_rows,
 
 
 @pytest.mark.parametrize("block_rows", [1, 5, 32, 10 ** 6])
-def test_assemble_even_is_the_fold_of_assemble_byte_for_byte(block_rows,
-                                                              monkeypatch):
-    # the streaming fold (once assemble_even, now assemble's body) against
-    # the fold of every right-half row held at once, one block of all
-    # rows: the block size changes no byte at any oracle alpha
+def test_every_block_size_gives_the_one_block_fold_byte_for_byte(
+        block_rows, monkeypatch):
+    # the block-by-block fold against the fold of every right-half row
+    # held at once, one block of all rows: the block size changes no byte
+    # at any oracle alpha
     monkeypatch.setattr(fracblow.operator, "_BLOCK_ROWS", 10 ** 6)
     want = [[assemble(a, g).fold for a in ORACLE_ALPHAS]
             for g in ORACLE_GRIDS]
@@ -325,7 +325,7 @@ def test_assemble_even_is_the_fold_of_assemble_byte_for_byte(block_rows,
             assert got.tobytes() == fold.tobytes(), (grid.n_nodes, alpha)
 
 
-def test_assemble_even_never_holds_the_rows(monkeypatch):
+def test_assemble_never_holds_the_rows(monkeypatch):
     # at n_per_side 512 the 4.19 MB of right-half rows plus the 2.10 MB
     # fold bound the peak of the block-by-block fold, and one block of all
     # rows, which holds them before folding, exceeds that bound
@@ -372,9 +372,9 @@ def test_assemble_raises_no_warning():
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-def test_even_block_solves_the_full_system(alpha):
+def test_a_trailing_fold_block_solves_the_full_system(alpha):
     # Jacobian-shaped system W_aa + diag(d) with an even positive d and an
-    # even right-hand side: the even half solve on the even block,
+    # even right-hand side: the even half solve on the trailing fold block,
     # mirrored, reproduces the full dense solve, on the whole grid and on
     # a mirror-symmetric active subset
     grid = build_graded(64, 2.4)
@@ -400,12 +400,12 @@ def test_even_block_solves_the_full_system(alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9])
-def test_even_block_holds_every_level_block_exactly(alpha):
+def test_the_fold_holds_every_level_block_exactly(alpha):
     # every level's active set {D > 1/n} is a symmetric band around 0,
     # and its even block W_RR + W_RM, folded from the full mirrored
     # weights, is the trailing block fold[k:, k:] of its first right-half
     # node h + k, bit for bit; so is the band block folded from the
-    # right-half rows, rows[k:, h + k:] + rows[k:, :h - k] reversed
+    # right-half rows W[h:] of those weights, reversed left part added
     grid = build_graded(128, 2.4)
     M = assemble(alpha, grid)
     W, n = full_weights(alpha, grid), grid.n_nodes

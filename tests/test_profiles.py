@@ -1,7 +1,6 @@
 """Tests for the comparison profiles and the discrete torsion function."""
 
 import sys
-import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -166,7 +165,7 @@ def test_sample_profile_values_at_the_nodes():
 def test_torsion_residual_is_one(alpha):
     grid = build_graded(128, 2.0)
     matrix = assemble(alpha, grid)
-    torsion = solve_torsion(alpha, grid)
+    torsion = solve_torsion(matrix)
     residual = apply(matrix, torsion) - 1.0
     away = 1.0 - np.abs(grid.nodes) >= 0.1
     assert np.max(np.abs(residual[away])) <= 0.02
@@ -176,7 +175,7 @@ def test_torsion_residual_is_one(alpha):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_symmetric_and_nonnegative(alpha):
     grid = build_graded(128, 2.0)
-    v = solve_torsion(alpha, grid).values
+    v = solve_torsion(assemble(alpha, grid)).values
     assert np.max(np.abs(v - v[::-1])) <= 1e-10 * np.max(v)
     assert np.array_equal(v, v[::-1])  # the even half solve is exactly even
     assert np.min(v) > 0.0
@@ -192,7 +191,7 @@ def test_torsion_needs_mirror_symmetric_grid():
     grid = Grid(nodes=np.array([-0.99, -0.41, -0.4, -0.001,
                                 0.001, 0.4, 0.41, 0.99]),
                 grading_exponent=1.0, delta=0.25)
-    v = solve_torsion(0.5, grid).values
+    v = solve_torsion(assemble(0.5, grid)).values
     assert np.array_equal(v, v[::-1]) and np.min(v) > 0.0
 
 
@@ -201,7 +200,7 @@ def test_torsion_matches_closed_form(alpha, tol):
     # The exact solution of  operator(v) = 1  on the interval with the
     # bare second-difference kernel is  sin(pi*alpha)/pi * (1 - x^2)^alpha.
     grid = build_graded(256, 2.4)
-    v = solve_torsion(alpha, grid).values
+    v = solve_torsion(assemble(alpha, grid)).values
     x = grid.nodes
     exact = np.sin(np.pi * alpha) / np.pi * (1.0 - x ** 2) ** alpha
     away = 1.0 - np.abs(x) >= 0.01
@@ -212,7 +211,7 @@ def test_torsion_matches_closed_form(alpha, tol):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_torsion_boundary_decay_exponent(alpha):
     grid = build_graded(256, 2.4)
-    v = solve_torsion(alpha, grid).values
+    v = solve_torsion(assemble(alpha, grid)).values
     x = grid.nodes
     d = 1.0 - np.abs(x)
     mask = (x > 0) & (d > 1e-3) & (d < 3e-2)
@@ -222,8 +221,8 @@ def test_torsion_boundary_decay_exponent(alpha):
 
 
 # ---------------------------------------------------------------------------
-# The memo: one fold and one torsion solve per (alpha, grid nodes) in a
-# process.
+# The memo: one entry per (alpha, grid nodes) in a process, the operator
+# and its torsion function together.
 
 
 @pytest.fixture
@@ -263,8 +262,7 @@ def _count_folds(monkeypatch):
 
 
 def _held():
-    return sum(e[1].fold.nbytes for e in profiles._MEMO.values()
-               if e[1] is not None)
+    return sum(matrix.fold.nbytes for matrix, _ in profiles._MEMO.values())
 
 
 def _direct_torsion(matrix):
@@ -274,11 +272,11 @@ def _direct_torsion(matrix):
 
 def test_torsion_memo_hit_is_the_solve_bit_for_bit(memo, monkeypatch):
     want = _direct_torsion(assemble(0.6, build_graded(64, 2.4)))
-    first = solve_torsion(0.6, build_graded(64, 2.4)).values
+    first = profiles.kept_operator(0.6, build_graded(64, 2.4))[1].values
     solves = _count_solves(monkeypatch)
     folds = _count_folds(monkeypatch)
     # a fresh grid with the same nodes is the same key
-    again = solve_torsion(0.6, build_graded(64, 2.4))
+    again = profiles.kept_operator(0.6, build_graded(64, 2.4))[1]
     assert solves == [] and folds == []
     assert len(memo) == 1
     assert first.tobytes() == want.tobytes()
@@ -287,7 +285,7 @@ def test_torsion_memo_hit_is_the_solve_bit_for_bit(memo, monkeypatch):
 
 def test_torsion_memo_misses_on_another_alpha_or_grid(memo, monkeypatch):
     grid = build_graded(64, 2.4)
-    solve_torsion(0.6, grid)
+    profiles.kept_operator(0.6, grid)
     # the same nodes but the innermost mirror pair, one ulp further out
     nodes = grid.nodes.copy()
     nodes[64] = np.nextafter(nodes[64], 1.0)
@@ -300,120 +298,67 @@ def test_torsion_memo_misses_on_another_alpha_or_grid(memo, monkeypatch):
     wants = [_direct_torsion(assemble(*key)) for key in others]
     solves = _count_solves(monkeypatch)
     for key, want in zip(others, wants):
-        assert np.array_equal(solve_torsion(*key).values, want)
+        assert np.array_equal(profiles.kept_operator(*key)[1].values, want)
     assert solves == [(64, 64)] * 3
     assert len(memo) == 4
 
 
-def test_mutating_a_returned_torsion_leaves_the_memo(memo):
+def test_a_kept_torsion_is_the_solve_of_its_own_operator(memo):
+    # a torsion solve on another alpha's operator leaves the entry of
+    # (0.6, grid) alone: its torsion is that of assemble(0.6, grid)
+    grid = build_graded(256, 2.4)
+    solve_torsion(assemble(0.3, grid))
+    kept = profiles.kept_operator(0.6, grid)[1]
+    want = solve_torsion(assemble(0.6, grid))
+    assert kept.values.tobytes() == want.values.tobytes()
+
+
+def test_writing_into_a_kept_fold_or_torsion_raises(memo):
     grid = build_graded(64, 2.4)
     want = _direct_torsion(assemble(0.6, grid))
-    solve_torsion(0.6, grid).values[:] = -1.0    # the miss's result
-    hit = solve_torsion(0.6, grid)
-    assert np.array_equal(hit.values, want)
-    hit.values[::2] = np.nan                 # a hit's result
-    assert np.array_equal(solve_torsion(0.6, grid).values, want)
+    for _ in range(2):                 # the miss's result, then a hit's
+        matrix, torsion = profiles.kept_operator(0.6, grid)
+        with pytest.raises(ValueError):
+            matrix.fold[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            torsion.values[::2] = np.nan
+    assert np.array_equal(profiles.kept_operator(0.6, grid)[1].values, want)
 
 
-def test_torsion_memo_keeps_its_bound_first_in_first_out(memo):
-    grid = build_graded(16, 2.0)
-    bound = profiles._MEMO_SIZE
-    alphas = [float(a) for a in np.linspace(0.1, 0.9, 2 * bound)]
-    for k, alpha in enumerate(alphas):
-        solve_torsion(alpha, grid)
-        assert len(memo) == min(k + 1, bound)
-    assert [alpha for alpha, _ in memo] == alphas[-bound:]
-
-
-def test_torsion_memo_keeps_its_bound_under_concurrent_callers(memo):
-    # more threads than cores, switching as often as the interpreter
-    # allows, over eight times the bound of keys, each solved twice, from
-    # an empty memo 60 times; an eviction without the lock raised a
-    # KeyError within these rounds in 8 runs of 8
-    grid = build_graded(16, 2.0)
-    bound = profiles._MEMO_SIZE
-    alphas = [float(a) for a in np.linspace(0.1, 0.9, 8 * bound)]
-    wants = [_direct_torsion(assemble(alpha, grid)) for alpha in alphas]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(60):
-            memo.clear()
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(lambda a: solve_torsion(a, grid).values,
-                                    alphas + alphas, timeout=60))
-            assert all(np.array_equal(g, w)
-                       for g, w in zip(got, wants + wants))
-            assert len(memo) <= bound
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_torsion_memo_retains_at_most_its_bound_of_half_vectors(memo):
-    # twice the bound of distinct alphas: what stays allocated afterwards
-    # is at most the bound's worth of n/2 doubles of torsion half and of n
-    # doubles of key (the node bytes), plus a little per entry (two array
-    # headers, the key tuple, the entry and its dict slot), plus the data
-    # of the folds the memo still holds, within the budget
+def test_kept_operator_is_the_read_only_fold_kept_per_key(memo, monkeypatch):
     grid = build_graded(64, 2.4)
-    bound = profiles._MEMO_SIZE
-    alphas = [float(a) for a in np.linspace(0.1, 0.9, 2 * bound)]
-    solve_torsion(alphas[0], grid)   # any first-call import happens here
-    memo.clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for alpha in alphas:
-            solve_torsion(alpha, grid)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(memo) == bound
-    assert _held() <= profiles._FOLD_BUDGET
-    assert retained <= (bound * (grid.n_per_side * 8 + grid.nodes.nbytes + 1024)
-                        + _held())
-
-
-def test_even_operator_is_the_read_only_fold_kept_per_key(memo, monkeypatch):
-    grid = build_graded(64, 2.4)
-    matrix = profiles.even_operator(0.6, grid)
+    matrix, torsion = profiles.kept_operator(0.6, grid)
     fold = matrix.fold
     assert fold.tobytes() == assemble(0.6, grid).fold.tobytes()
     assert not fold.flags.writeable
-    with pytest.raises(ValueError):
-        fold[0, 0] = 0.0
     folds = _count_folds(monkeypatch)
-    assert profiles.even_operator(0.6, grid) is matrix
+    solves = _count_solves(monkeypatch)
+    assert profiles.kept_operator(0.6, grid)[0] is matrix
     # a fresh grid with the same nodes and another delta gets the kept
-    # fold on its own grid
+    # fold and torsion on its own grid
     other = build_graded(64, 2.4, delta=0.125)
-    again = profiles.even_operator(0.6, other)
+    again, moved = profiles.kept_operator(0.6, other)
     assert again.fold is fold and again.grid is other
-    # the torsion solve of that key runs on the kept fold
-    assert solve_torsion(0.6, grid).values.tobytes() == \
-        _direct_torsion(assemble(0.6, grid)).tobytes()
-    assert folds == []
+    assert moved.values is torsion.values and moved.grid is other
+    assert folds == [] and solves == []
+    # the kept torsion is the solve on the kept fold
+    assert torsion.values.tobytes() == _direct_torsion(matrix).tobytes()
 
 
 def test_a_fifth_fold_at_512_drops_the_oldest_fold_before_assembling(
         memo, monkeypatch):
     # 8 MiB keeps four 512 x 512 folds: the fifth alpha's fold is
-    # assembled only after the oldest fold is dropped, and the oldest key
-    # keeps its torsion half, so its torsion is no new assembly or solve
+    # assembled only after the oldest key is dropped, with its torsion
     grid = build_graded(512, 2.4)
     nbytes = 8 * 512 * 512
     alphas = [0.3, 0.4, 0.6, 0.7, 0.8]
     folds = _count_folds(monkeypatch)
     for alpha in alphas:
-        solve_torsion(alpha, grid)
+        profiles.kept_operator(alpha, grid)
     assert [a for a, _ in folds] == alphas
     assert [held for _, held in folds] == [k * nbytes for k in (0, 1, 2, 3, 3)]
     assert _held() == profiles._FOLD_BUDGET == 4 * nbytes
-    assert [e[1] is None for e in memo.values()] == [True] + [False] * 4
-    assert all(e[0] is not None for e in memo.values())
-    solves = _count_solves(monkeypatch)
-    solve_torsion(alphas[0], grid)
-    assert solves == [] and len(folds) == 5
+    assert [alpha for alpha, _ in memo] == alphas[1:]
 
 
 @pytest.mark.parametrize("n_per_side,kept", [(512, 4), (1024, 1), (2048, 0)])
@@ -425,23 +370,28 @@ def test_the_fold_budget_keeps_the_newest_folds_that_fit(
         profiles, "assemble",
         lambda alpha, grid: OperatorMatrix(alpha, grid,
                                            np.zeros((n_per_side,) * 2)))
+    monkeypatch.setattr(
+        profiles, "solve_torsion",
+        lambda matrix: GridFunction(matrix.grid, np.ones(2 * n_per_side)))
     alphas = [0.2, 0.3, 0.4, 0.6, 0.7, 0.8]
     for alpha in alphas:
-        profiles.even_operator(alpha, grid)
-    held = [alpha for alpha, e in zip(alphas, memo.values()) if e[1] is not None]
-    assert held == alphas[len(alphas) - kept:]
+        profiles.kept_operator(alpha, grid)
+    assert [alpha for alpha, _ in memo] == alphas[len(alphas) - kept:]
     assert _held() <= profiles._FOLD_BUDGET
 
 
-def test_even_operator_keeps_its_budget_under_concurrent_callers(
+def test_kept_operator_keeps_its_budget_under_concurrent_callers(
         memo, monkeypatch):
     # a budget of three 16 x 16 folds, twelve keys each asked for three
-    # times by eight threads: every caller gets the fold of its key, and
-    # the memo never holds more than the budget once the callers are done
+    # times by eight threads: every caller gets the fold and torsion of
+    # its key, and the memo never holds more than the budget once the
+    # callers are done; without the lock, a caller raised a RuntimeError
+    # or KeyError within these rounds in 8 runs of 8
     grid = build_graded(16, 2.0)
     monkeypatch.setattr(profiles, "_FOLD_BUDGET", 3 * 8 * 16 * 16)
     alphas = [float(a) for a in np.linspace(0.1, 0.9, 12)]
-    wants = [assemble(alpha, grid).fold for alpha in alphas]
+    matrices = [assemble(alpha, grid) for alpha in alphas]
+    wants = [(m.fold, _direct_torsion(m)) for m in matrices]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -449,12 +399,13 @@ def test_even_operator_keeps_its_budget_under_concurrent_callers(
             memo.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 got = list(pool.map(
-                    lambda a: profiles.even_operator(a, grid), 3 * alphas,
+                    lambda a: profiles.kept_operator(a, grid), 3 * alphas,
                     timeout=60))
-            assert all(np.array_equal(g.fold, w)
-                       for g, w in zip(got, 3 * wants))
+            assert all(np.array_equal(m.fold, fold)
+                       and np.array_equal(t.values, torsion)
+                       for (m, t), (fold, torsion) in zip(got, 3 * wants))
             assert _held() <= profiles._FOLD_BUDGET
-            assert len(memo) <= profiles._MEMO_SIZE
+            assert len(memo) <= 3
     finally:
         sys.setswitchinterval(interval)
 
@@ -520,7 +471,7 @@ def test_comparison_residual_of_a_lifted_profile(scale, lift):
     matrix = assemble(0.6, grid)
     profile = comparison_profile(grid, -0.4)
     V, a = profile.values, apply(matrix, profile)
-    torsion = solve_torsion(0.6, grid)
+    torsion = solve_torsion(matrix)
     w = scale * V + lift * torsion.values
     res, size = comparison_residual(a, V, torsion.values, 3.0, scale, lift)
     direct = apply(matrix, GridFunction(grid, w)) + np.sign(w) * np.abs(w) ** 3

@@ -375,7 +375,7 @@ def test_newton_solves_one_half_system_per_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha,p", [(0.25, 1.75), (0.5, 3.0), (0.75, 3.0)])
-def test_even_residual_row_view_matches_the_indexed_rows(alpha, p):
+def test_residual_on_the_trailing_fold_rows_matches_the_indexed_rows(alpha, p):
     # Newton's residual reads the contiguous trailing range fold[k:] of
     # the fold; at every level the report's residual_inf, its size at the
     # solution, is that of the residual computed on the fancy-indexed
