@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from .mesh import Grid, GridFunction, distance_D
-from .operator import apply
+from .operator import _checked_alpha, apply
 from .profiles import (MAX_DOUBLINGS, comparison_profile, comparison_residual,
                        core_mask, kept_operator, power_of_two_bracket,
                        resolved_mask)
@@ -115,7 +115,7 @@ class ZoneAudit:
     passed: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _zone_of(alpha: float, p: float, tau: float, tau1: float | None) -> int:
@@ -156,19 +156,26 @@ def audit_nonexistence(alpha: float, grid: Grid, p: float,
     ``sign`` at every resolved node, up to 1e-6 times the local residual
     scale.  mu is t times the least power of two >= 1 that makes the
     linear part nonnegative in zone 1, and the least power of two in
-    [1, 2**MAX_DOUBLINGS] that works, found by doubling, in zones 2 and 3.
+    [1, 2**MAX_DOUBLINGS] that works in zones 2 and 3.
 
-    V and T are even, so the audit applies the even fold; it and T come
-    from the one entry ``kept_operator`` keeps per (alpha, grid) in a
-    process.
+    The search runs in rounds, each one ``comparison_residual`` call on
+    the resolved nodes of every scale still without a lift: zone 1 has
+    one round, at mu = t * lift, and round k of zones 2 and 3 tries
+    mu = 2**k.  The scales are then walked in order, each raising its
+    missing lift or its failed near-core certificate, so the first
+    failure is the one a scale-by-scale search would meet.
+
+    Every check that needs no operator (the alpha floor, the profile and
+    the node counts) runs before one is made.  V and T are even, so the
+    audit applies the even fold; it and T come from the one entry
+    ``kept_operator`` keeps per (alpha, grid) in a process.
     """
     regime = require_nonexistence(alpha, p, tau)
     zone = _zone_of(alpha, p, tau, regime.tau1)
     sign = -1.0 if zone == 2 else 1.0
 
-    matrix, torsion = kept_operator(alpha, grid)
+    _checked_alpha(alpha, grid)
     profile = comparison_profile(grid, tau)
-    vals, applied, tors = profile.values, apply(matrix, profile), torsion.values
     checked = resolved_mask(grid)
     if checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")
@@ -178,34 +185,46 @@ def audit_nonexistence(alpha: float, grid: Grid, p: float,
     if core is not None:
         core_power = distance_D(grid.nodes)[core] ** (tau - 2.0 * alpha)
 
+    matrix, torsion = kept_operator(alpha, grid)
+    applied = apply(matrix, profile)
+    a = applied[checked]
+    vals, tors = profile.values[checked], torsion.values[checked]
+    scales = np.array(T_VALUES)
     if zone == 1:
         # a + lift >= -1e-6 (|a| + lift) is linear in the lift
-        a = applied[checked]
         need = float(np.max((-a - 1e-6 * np.abs(a)) / (1.0 + 1e-6),
                             initial=1.0))
         if not need <= 2.0 ** MAX_DOUBLINGS:
             raise AuditFail(f"no torsion multiple up to 2**{MAX_DOUBLINGS} made the lifted "
                             f"profile operator-nonnegative (alpha={alpha}, tau={tau})")
-        lift = power_of_two_bracket(need)[1]
+        rounds = (scales * power_of_two_bracket(need)[1],)
+    else:
+        rounds = (np.full(scales.size, 2.0 ** k)
+                  for k in range(MAX_DOUBLINGS + 1))
 
-    lift_scales = []
-    worst_margins = []
+    lift_scales = [None] * scales.size
+    worst_margins = [None] * scales.size
+    pending = np.arange(scales.size)
+    for mus in rounds:
+        res, size = comparison_residual(a, vals, tors, p,
+                                        scales[pending, None],
+                                        sign * mus[pending, None])
+        passed = np.all(sign * res >= -1e-6 * size, axis=1)
+        for row, i in zip(np.flatnonzero(passed), pending[passed]):
+            lift_scales[i] = float(mus[i])
+            worst_margins[i] = sign * float(np.min(sign * res[row]))
+        pending = pending[~passed]
+        if not pending.size:
+            break
+
     core_constants = []
-    for t in T_VALUES:
-        mus = ((t * lift,) if zone == 1
-               else (2.0 ** k for k in range(MAX_DOUBLINGS + 1)))
-        for mu in mus:
-            res, size = comparison_residual(applied, vals, tors, p, t, sign * mu)
-            if np.all(sign * res[checked] >= -1e-6 * size[checked]):
-                break
-        else:
+    for t, mu in zip(T_VALUES, lift_scales):
+        if mu is None:
             raise AuditFail(
                 f"zone-{zone} residual sign not achieved "
                 + ("with the closed-form lift" if zone == 1
                    else f"within {MAX_DOUBLINGS} doublings")
                 + f" at t={t} (alpha={alpha}, p={p}, tau={tau})")
-        lift_scales.append(mu)
-        worst_margins.append(sign * float(np.min(sign * res[checked])))
         if core is None:
             core_constants.append(None)
             continue

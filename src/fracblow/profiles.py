@@ -42,6 +42,12 @@ RESOLUTION_MULTIPLE = 20.0
 # Comparison scales are powers of two in [2**-MAX_DOUBLINGS, 2**MAX_DOUBLINGS].
 MAX_DOUBLINGS = 40
 
+# The points of [0, 1] where a bridge is checked for overflow and positivity.
+_BRIDGE_S = np.linspace(0.0, 1.0, 4097)
+
+# The largest double, where comparison residuals and their sizes saturate.
+_BIG = np.finfo(float).max
+
 
 # ---------------------------------------------------------------------------
 # Profile construction.
@@ -202,12 +208,11 @@ def comparison_profile(grid: Grid, tau: float) -> GridFunction:
     if not (-1.0 < tau < 0.0):
         raise BadConfig(f"core exponent must lie in (-1, 0), got {tau}")
     delta = grid.delta
-    s = np.linspace(0.0, 1.0, 4097)
     for radius in (delta, delta / 2, delta / 4, delta / 8):
         coeffs = _bridge_coeffs(tau, radius)
         if coeffs is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                bridge = np.polynomial.polynomial.polyval(s, coeffs)
+                bridge = np.polynomial.polynomial.polyval(_BRIDGE_S, coeffs)
         if coeffs is None or not np.isfinite(bridge).all():
             raise BadConfig(f"matching radius delta={delta} is too small for "
                             f"core exponent {tau}: D**tau overflows at {radius}")
@@ -230,22 +235,26 @@ def comparison_profile(grid: Grid, tau: float) -> GridFunction:
 
 
 def comparison_residual(applied: np.ndarray, vals: np.ndarray,
-                        torsion: np.ndarray, p: float, scale: float,
-                        lift: float) -> tuple[np.ndarray, np.ndarray]:
+                        torsion: np.ndarray, p: float, scale, lift
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Residual  operator(w) + sign(w)|w|**p  of the comparison function
     w = scale * V + lift * T, from ``applied`` = operator(V), the profile
     values ``vals`` and the torsion values ``torsion`` (operator(T) = 1;
     0.0 where ``lift`` is), plus the size |scale * applied| + |lift| +
     |w|**p + 1 of its terms, which the callers' sign tolerances multiply.
-    Both saturate at the largest double, so an overflowing residual
-    passes a sign test only when it has the required sign."""
+    ``scale`` and ``lift`` are numbers, or (k, 1) columns that give one
+    row per comparison function, each row bit for bit the call with that
+    row's numbers.  Both saturate at the largest double, so an
+    overflowing residual passes a sign test only when it has the
+    required sign."""
     w = scale * vals + lift * torsion
     with np.errstate(over="ignore"):
         power = np.abs(w) ** p
-    residual = scale * applied + lift + np.copysign(power, w)
-    size = np.abs(scale * applied) + abs(lift) + power + 1.0
-    big = np.finfo(float).max
-    return np.clip(residual, -big, big), np.minimum(size, big)
+    linear = scale * applied
+    residual = linear + lift + np.copysign(power, w)
+    size = np.abs(linear) + np.abs(lift) + power + 1.0
+    return (np.minimum(np.maximum(residual, -_BIG), _BIG),
+            np.minimum(size, _BIG))
 
 
 def power_of_two_bracket(x: float) -> tuple[float, float]:

@@ -11,7 +11,10 @@ from fracblow.analysis import RateFit, ZoneAudit, audit_nonexistence, fit_rate
 from fracblow.errors import AuditFail, BadConfig, RegimeError, TooFewPoints
 from fracblow.mesh import GridFunction, build_graded, distance_D
 from fracblow.operator import apply, assemble
-from fracblow.profiles import comparison_profile, resolved_mask, solve_torsion
+from fracblow.profiles import (MAX_DOUBLINGS, comparison_profile,
+                               comparison_residual, core_mask,
+                               power_of_two_bracket, resolved_mask,
+                               solve_torsion)
 
 GRID = build_graded(512, 2.4)
 D = distance_D(GRID.nodes)
@@ -178,6 +181,80 @@ def test_audit_lift_beyond_the_scale_bound_fails(monkeypatch):
     monkeypatch.setattr(fracblow.analysis, "MAX_DOUBLINGS", 1)
     with pytest.raises(AuditFail, match="within 1 doublings at t=0.5"):
         audit_nonexistence(0.6, GRID, 3.0, -0.4)
+
+
+def test_audit_raises_the_first_failing_scale_first(monkeypatch):
+    # zone 2 at (0.6, 3, -0.4) finds t = 0.5's lift 4 within 2 doublings
+    # but not t = 1's 8; with the near-core set widened to every node, the
+    # unresolved innermost nodes fail t = 0.5's certificate, which a
+    # scale-by-scale search meets before t = 1's missing lift
+    monkeypatch.setattr(fracblow.analysis, "MAX_DOUBLINGS", 2)
+    monkeypatch.setattr(fracblow.analysis, "core_mask",
+                        lambda grid: np.ones(grid.nodes.size, dtype=bool))
+    with pytest.raises(AuditFail,
+                       match="zone-2 near-core certificate failed at t=0.5"):
+        audit_nonexistence(0.6, GRID, 3.0, -0.4)
+
+
+def _scale_by_scale(alpha, grid, p, tau, zone):
+    """The audit's lifts, worst margins and core constants as a search
+    that doubles mu one scale at a time on the full residual finds them."""
+    sign = -1.0 if zone == 2 else 1.0
+    matrix = assemble(alpha, grid)
+    profile = comparison_profile(grid, tau)
+    vals, applied = profile.values, apply(matrix, profile)
+    tors = solve_torsion(matrix).values
+    checked = resolved_mask(grid)
+    core = core_mask(grid) if tau * p > tau - 2.0 * alpha else None
+    if zone == 1:
+        a = applied[checked]
+        lift = power_of_two_bracket(float(np.max(
+            (-a - 1e-6 * np.abs(a)) / (1.0 + 1e-6), initial=1.0)))[1]
+    lifts, margins, constants = [], [], []
+    for t in (0.5, 1.0, 2.0, 4.0):
+        mus = ((t * lift,) if zone == 1
+               else (2.0 ** k for k in range(MAX_DOUBLINGS + 1)))
+        for mu in mus:
+            res, size = comparison_residual(applied, vals, tors, p, t,
+                                            sign * mu)
+            if np.all(sign * res[checked] >= -1e-6 * size[checked]):
+                break
+        lifts.append(mu)
+        margins.append(sign * float(np.min(sign * res[checked])))
+        if core is None:
+            constants.append(None)
+        else:
+            power = distance_D(grid.nodes)[core] ** (tau - 2.0 * alpha)
+            constants.append(float(np.min(
+                sign * (t * applied[core] + sign * mu) / power)))
+    return tuple(lifts), tuple(margins), tuple(constants)
+
+
+@pytest.mark.parametrize("alpha,p,tau,zone", [
+    (0.25, 1.3, -0.3, 1),
+    (0.6, 3.0, -0.4, 2),
+    (0.25, 1.75, -0.6, 2),
+    (0.6, 3.0, -0.8, 3),
+])
+def test_batched_lift_search_matches_the_scale_by_scale_one(
+        monkeypatch, alpha, p, tau, zone):
+    calls = []
+
+    def counting(*args):
+        calls.append(np.shape(args[4]))
+        return comparison_residual(*args)
+
+    monkeypatch.setattr(fracblow.analysis, "comparison_residual", counting)
+    audit = audit_nonexistence(alpha, GRID, p, tau)
+    assert audit.zone == zone
+    got = audit.lift_scales, audit.worst_margins, audit.core_constants
+    assert [[x if x is None else x.hex() for x in row] for row in got] == \
+        [[x if x is None else x.hex() for x in row]
+         for row in _scale_by_scale(alpha, GRID, p, tau, zone)]
+    # one round per power of two tried, the last the largest lift's
+    rounds = 1 if zone == 1 else int(np.log2(max(audit.lift_scales))) + 1
+    assert len(calls) == rounds
+    assert calls[0] == (4, 1)
 
 
 def test_audit_below_threshold_decides_the_regime_once(monkeypatch):

@@ -572,6 +572,23 @@ def _count_assembles(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--n-per-side", "16"], "no resolved nodes inside the matching radius"),
+    (["--n-per-side", "16", "--grading", "1.0"],
+     "fewer than 8 resolved nodes"),
+    (["--delta", "1e-160"], "too small for core exponent -0.4"),
+])
+def test_refused_audit_makes_no_operator(monkeypatch, capsys, flags, message):
+    calls = _count_assembles(monkeypatch)
+    monkeypatch.setattr(fracblow.profiles, "_MEMO", {})
+    code = main(["audit", "--alpha", "0.6", "--p", "3", "--tau=-0.4",
+                 "--no-timestamp", *flags])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert fracblow.profiles._MEMO == {}
+
+
 def test_only_the_cli_and_the_memo_bind_assemble():
     assert fracblow.profiles.assemble is fracblow.operator.assemble
     for module in (fracblow.solver, fracblow.analysis):

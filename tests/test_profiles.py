@@ -499,6 +499,32 @@ def test_comparison_residual_beyond_double_range_keeps_its_sign():
     assert not res[2] >= -1e-8 * size[2]
 
 
+@pytest.mark.parametrize("alpha,p,tau,lifts", [
+    (0.6, 3.0, -0.4, (-4.0, -8.0, -16.0, -32.0)),
+    (0.7, 100.0, -0.9, (1.0, 2.0, 4.0, 8.0)),   # |w|**100 overflows
+])
+def test_comparison_residual_of_a_column_of_scales(alpha, p, tau, lifts):
+    # one (4, m) call is four single-scale calls, bit for bit, also where
+    # the residual and its size saturate
+    grid = build_graded(128, 2.4)
+    matrix = assemble(alpha, grid)
+    profile = comparison_profile(grid, tau)
+    V, a = profile.values, apply(matrix, profile)
+    T = solve_torsion(matrix).values
+    scales = (0.5, 1.0, 2.0, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res, size = comparison_residual(a, V, T, p, np.array(scales)[:, None],
+                                        np.array(lifts)[:, None])
+        rows = [comparison_residual(a, V, T, p, t, mu)
+                for t, mu in zip(scales, lifts)]
+    assert res.shape == size.shape == (4, V.size)
+    assert np.array_equal(res, [r for r, _ in rows])
+    assert np.array_equal(size, [s for _, s in rows])
+    if p == 100.0:
+        assert np.any(size == np.finfo(float).max)
+
+
 # ---------------------------------------------------------------------------
 # Power-of-two scales.
 
