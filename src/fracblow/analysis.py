@@ -31,6 +31,12 @@ __all__ = [
 # t times the zone-1 lift is exact.
 T_VALUES = (0.5, 1.0, 2.0, 4.0)
 
+# Doublings a zone-2/3 lift round tries at once.  Fewer cost more rounds,
+# more cost rows past most scales' lifts.  Over the audit workload's
+# operations (n_per_side 512, lifts 2**0 to 2**7), timed in one process,
+# 2 to 6 read alike and 1 and 8 slower.
+LIFT_BLOCK = 4
+
 # ---------------------------------------------------------------------------
 # Rate fitting.
 
@@ -158,17 +164,25 @@ def audit_nonexistence(alpha: float, grid: Grid, p: float,
     linear part nonnegative in zone 1, and the least power of two in
     [1, 2**MAX_DOUBLINGS] that works in zones 2 and 3.
 
+    V, T and the operator applied to V are exactly even and the node
+    sets are mirror-symmetric, so each left node's residual is its
+    mirror's, bit for bit: the audit reads the right half only (nodes
+    h ... n-1), and ``checked_nodes`` counts both halves.
+
     The search runs in rounds, each one ``comparison_residual`` call on
-    the resolved nodes of every scale still without a lift: zone 1 has
-    one round, at mu = t * lift, and round k of zones 2 and 3 tries
-    mu = 2**k.  The scales are then walked in order, each raising its
-    missing lift or its failed near-core certificate, so the first
-    failure is the one a scale-by-scale search would meet.
+    the resolved right-half nodes of every scale still without a lift:
+    zone 1 has one round, at mu = t * lift, and round r of zones 2 and 3
+    tries mu = 2**k for the LIFT_BLOCK doublings k = r * LIFT_BLOCK, ...
+    (up to MAX_DOUBLINGS), a scale taking the least k that passes.
+    Every smaller k was tried and failed, so the lifts are those of a
+    one-doubling-at-a-time search.  The scales are then walked in order,
+    each raising its failed near-core certificate or its missing lift,
+    so the first failure is the one a scale-by-scale search would meet.
 
     Every check that needs no operator (the alpha floor, the profile and
-    the node counts) runs before one is made.  V and T are even, so the
-    audit applies the even fold; it and T come from the one entry
-    ``kept_operator`` keeps per (alpha, grid) in a process.
+    the node counts) runs before one is made.  The audit applies the
+    even fold; it and T come from the one entry ``kept_operator`` keeps
+    per (alpha, grid) in a process.
     """
     regime = require_nonexistence(alpha, p, tau)
     zone = _zone_of(alpha, p, tau, regime.tau1)
@@ -176,19 +190,21 @@ def audit_nonexistence(alpha: float, grid: Grid, p: float,
 
     _checked_alpha(alpha, grid)
     profile = comparison_profile(grid, tau)
-    checked = resolved_mask(grid)
-    if checked.sum() < 8:
+    h = grid.n_per_side
+    checked = resolved_mask(grid)[h:]
+    if 2 * checked.sum() < 8:
         raise BadConfig("grid too coarse: fewer than 8 resolved nodes")
     # the near-core certificate is needed where tau*p > tau - 2*alpha:
     # always in zone 2, never in zone 3
-    core = core_mask(grid) if tau * p > tau - 2.0 * alpha else None
+    core = core_mask(grid, checked) if tau * p > tau - 2.0 * alpha else None
     if core is not None:
-        core_power = distance_D(grid.nodes)[core] ** (tau - 2.0 * alpha)
+        # the right-half nodes are their own distances to 0
+        core_power = grid.nodes[h:][core] ** (tau - 2.0 * alpha)
 
     matrix, torsion = kept_operator(alpha, grid)
-    applied = apply(matrix, profile)
+    applied = apply(matrix, profile)[h:]
     a = applied[checked]
-    vals, tors = profile.values[checked], torsion.values[checked]
+    vals, tors = profile.values[h:][checked], torsion.values[h:][checked]
     scales = np.array(T_VALUES)
     if zone == 1:
         # a + lift >= -1e-6 (|a| + lift) is linear in the lift
@@ -197,44 +213,52 @@ def audit_nonexistence(alpha: float, grid: Grid, p: float,
         if not need <= 2.0 ** MAX_DOUBLINGS:
             raise AuditFail(f"no torsion multiple up to 2**{MAX_DOUBLINGS} made the lifted "
                             f"profile operator-nonnegative (alpha={alpha}, tau={tau})")
-        rounds = (scales * power_of_two_bracket(need)[1],)
+        rounds = ((scales * power_of_two_bracket(need)[1])[:, None],)
     else:
-        rounds = (np.full(scales.size, 2.0 ** k)
-                  for k in range(MAX_DOUBLINGS + 1))
+        doublings = np.ldexp(1.0, np.arange(MAX_DOUBLINGS + 1))
+        rounds = (np.tile(doublings[k:k + LIFT_BLOCK], (scales.size, 1))
+                  for k in range(0, doublings.size, LIFT_BLOCK))
 
+    # row i of a round holds scale i's candidate lifts in increasing
+    # order; the call gives a (pending scales, candidates, nodes) array
     lift_scales = [None] * scales.size
     worst_margins = [None] * scales.size
     pending = np.arange(scales.size)
     for mus in rounds:
         res, size = comparison_residual(a, vals, tors, p,
-                                        scales[pending, None],
-                                        sign * mus[pending, None])
-        passed = np.all(sign * res >= -1e-6 * size, axis=1)
-        for row, i in zip(np.flatnonzero(passed), pending[passed]):
-            lift_scales[i] = float(mus[i])
-            worst_margins[i] = sign * float(np.min(sign * res[row]))
-        pending = pending[~passed]
+                                        scales[pending, None, None],
+                                        sign * mus[pending, :, None])
+        passed = np.all(sign * res >= -1e-6 * size, axis=2)
+        found = passed.any(axis=1)
+        for j in np.flatnonzero(found):
+            i, first = pending[j], int(passed[j].argmax())
+            lift_scales[i] = float(mus[i, first])
+            worst_margins[i] = sign * float(np.min(sign * res[j, first]))
+        pending = pending[~found]
         if not pending.size:
             break
 
-    core_constants = []
-    for t, mu in zip(T_VALUES, lift_scales):
-        if mu is None:
-            raise AuditFail(
-                f"zone-{zone} residual sign not achieved "
-                + ("with the closed-form lift" if zone == 1
-                   else f"within {MAX_DOUBLINGS} doublings")
-                + f" at t={t} (alpha={alpha}, p={p}, tau={tau})")
-        if core is None:
-            core_constants.append(None)
-            continue
+    # the scales before the first one without a lift
+    lifted = next((i for i, mu in enumerate(lift_scales) if mu is None),
+                  scales.size)
+    core_constants = [None] * scales.size
+    if core is not None:
         # zone 1: the linear part grows like D**(tau - 2*alpha) near the
         # core; zone 2: it decays like minus that power
-        ratio = sign * (t * applied[core] + sign * mu) / core_power
-        if not np.all(ratio > 0.0):
-            raise AuditFail(
-                f"zone-{zone} near-core certificate failed at t={t}")
-        core_constants.append(float(np.min(ratio)))
+        ratio = sign * (scales[:lifted, None] * applied[core]
+                        + sign * np.array(lift_scales[:lifted])[:, None]
+                        ) / core_power
+        failed = np.flatnonzero(~np.all(ratio > 0.0, axis=1))
+        if failed.size:
+            raise AuditFail(f"zone-{zone} near-core certificate failed "
+                            f"at t={T_VALUES[failed[0]]}")
+        core_constants = [float(c) for c in np.min(ratio, axis=1)]
+    if lifted < scales.size:
+        raise AuditFail(
+            f"zone-{zone} residual sign not achieved "
+            + ("with the closed-form lift" if zone == 1
+               else f"within {MAX_DOUBLINGS} doublings")
+            + f" at t={T_VALUES[lifted]} (alpha={alpha}, p={p}, tau={tau})")
 
     return ZoneAudit(
         alpha=float(alpha),
@@ -245,6 +269,6 @@ def audit_nonexistence(alpha: float, grid: Grid, p: float,
         lift_scales=tuple(lift_scales),
         worst_margins=tuple(worst_margins),
         core_constants=tuple(core_constants),
-        checked_nodes=int(checked.sum()),
+        checked_nodes=2 * int(checked.sum()),
         passed=True,
     )

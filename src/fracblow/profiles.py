@@ -183,10 +183,15 @@ def resolved_mask(grid: Grid) -> np.ndarray:
     return D >= RESOLUTION_MULTIPLE * grid.local_spacing()
 
 
-def core_mask(grid: Grid) -> np.ndarray:
+def core_mask(grid: Grid, resolved: np.ndarray | None = None) -> np.ndarray:
     """Resolved nodes inside the matching radius, where the near-core
-    inequalities are enforced; BadConfig when there are none."""
-    core = resolved_mask(grid) & (distance_D(grid.nodes) <= grid.delta)
+    inequalities are enforced; BadConfig when there are none.
+    ``resolved`` is ``resolved_mask(grid)`` or its right half, when the
+    caller has it, and the result is of its shape."""
+    if resolved is None:
+        resolved = resolved_mask(grid)
+    nodes = grid.nodes[grid.nodes.size - resolved.size:]
+    core = resolved & (distance_D(nodes) <= grid.delta)
     if not np.any(core):
         raise BadConfig(
             "no resolved nodes inside the matching radius; refine the grid "
@@ -203,7 +208,8 @@ def comparison_profile(grid: Grid, tau: float) -> GridFunction:
     grid's matching radius, halved (at most 3 times) while the bridge dips
     to zero or below on [0, 1]; a profile that still fails is rejected.
     A bridge that overflows (its data, or its values on [0, 1]) is
-    rejected at once, naming the grid's delta."""
+    rejected at once, naming the grid's delta.  V is built on the
+    right-half nodes and mirrored, so it is exactly even."""
     tau = float(tau)
     if not (-1.0 < tau < 0.0):
         raise BadConfig(f"core exponent must lie in (-1, 0), got {tau}")
@@ -222,16 +228,17 @@ def comparison_profile(grid: Grid, tau: float) -> GridFunction:
         raise BadConfig(
             f"no positive bridge found for core exponent {tau} "
             f"after halving the matching radius 3 times")
-    D = np.abs(grid.nodes)
+    # the right-half nodes, their own distances to 0; V is even
+    D = grid.nodes[grid.n_per_side:]
     d = 1.0 - D
     core, edge = D <= radius, d <= radius
     mid = ~core & ~edge
-    vals = np.empty_like(D)
-    vals[core] = D[core] ** tau
-    vals[edge] = d[edge] ** 2
-    vals[mid] = np.polynomial.polynomial.polyval(
+    half = np.empty_like(D)
+    half[core] = D[core] ** tau
+    half[edge] = d[edge] ** 2
+    half[mid] = np.polynomial.polynomial.polyval(
         (D[mid] - radius) / (1.0 - 2.0 * radius), coeffs)
-    return GridFunction(grid, vals)
+    return GridFunction(grid, np.concatenate((half[::-1], half)))
 
 
 def comparison_residual(applied: np.ndarray, vals: np.ndarray,
@@ -242,9 +249,12 @@ def comparison_residual(applied: np.ndarray, vals: np.ndarray,
     values ``vals`` and the torsion values ``torsion`` (operator(T) = 1;
     0.0 where ``lift`` is), plus the size |scale * applied| + |lift| +
     |w|**p + 1 of its terms, which the callers' sign tolerances multiply.
-    ``scale`` and ``lift`` are numbers, or (k, 1) columns that give one
-    row per comparison function, each row bit for bit the call with that
-    row's numbers.  Both saturate at the largest double, so an
+    ``scale`` and ``lift`` are numbers, or arrays whose shapes broadcast
+    with the node arrays' (such as (k, 1) columns, or (k, 1, 1) scales and
+    (k, j, 1) lifts) to give one row per comparison function, each row
+    bit for bit the call with that row's numbers; a scale shared by rows
+    is multiplied into the node arrays once.  Both saturate at the
+    largest double, so an
     overflowing residual passes a sign test only when it has the
     required sign."""
     w = scale * vals + lift * torsion

@@ -190,7 +190,7 @@ def test_audit_raises_the_first_failing_scale_first(monkeypatch):
     # scale-by-scale search meets before t = 1's missing lift
     monkeypatch.setattr(fracblow.analysis, "MAX_DOUBLINGS", 2)
     monkeypatch.setattr(fracblow.analysis, "core_mask",
-                        lambda grid: np.ones(grid.nodes.size, dtype=bool))
+                        lambda grid, resolved: np.ones(resolved.size, dtype=bool))
     with pytest.raises(AuditFail,
                        match="zone-2 near-core certificate failed at t=0.5"):
         audit_nonexistence(0.6, GRID, 3.0, -0.4)
@@ -241,7 +241,7 @@ def test_batched_lift_search_matches_the_scale_by_scale_one(
     calls = []
 
     def counting(*args):
-        calls.append(np.shape(args[4]))
+        calls.append(np.shape(args[5]))
         return comparison_residual(*args)
 
     monkeypatch.setattr(fracblow.analysis, "comparison_residual", counting)
@@ -251,10 +251,36 @@ def test_batched_lift_search_matches_the_scale_by_scale_one(
     assert [[x if x is None else x.hex() for x in row] for row in got] == \
         [[x if x is None else x.hex() for x in row]
          for row in _scale_by_scale(alpha, GRID, p, tau, zone)]
-    # one round per power of two tried, the last the largest lift's
-    rounds = 1 if zone == 1 else int(np.log2(max(audit.lift_scales))) + 1
-    assert len(calls) == rounds
-    assert calls[0] == (4, 1)
+    # one round per LIFT_BLOCK powers of two tried, the last holding the
+    # largest lift's; the first round tries every scale
+    block = fracblow.analysis.LIFT_BLOCK
+    doublings = 0 if zone == 1 else int(np.log2(max(audit.lift_scales)))
+    assert len(calls) == doublings // block + 1
+    assert calls[0] == ((4, 1, 1) if zone == 1 else (4, block, 1))
+
+
+@pytest.mark.parametrize("tau,zone", [(-0.4, 2), (-0.8, 3)])
+def test_zone23_audit_reads_the_right_half_in_blocks_of_doublings(
+        monkeypatch, tau, zone):
+    # the residual rows are as wide as the resolved right-half nodes, one
+    # call per block of LIFT_BLOCK doublings up to the largest lift's,
+    # and checked_nodes still counts both halves
+    calls = []
+
+    def recording(*args):
+        calls.append([np.shape(x) for x in args[:3]])
+        return comparison_residual(*args)
+
+    monkeypatch.setattr(fracblow.analysis, "comparison_residual", recording)
+    audit = audit_nonexistence(0.6, GRID, 3.0, tau)
+    assert audit.zone == zone
+    checked = resolved_mask(GRID)
+    half = int(checked[GRID.n_per_side:].sum())
+    assert 2 * half == int(checked.sum()) == audit.checked_nodes
+    assert calls and all(shapes == [(half,)] * 3 for shapes in calls)
+    largest = int(np.log2(max(audit.lift_scales)))
+    assert largest >= fracblow.analysis.LIFT_BLOCK
+    assert len(calls) == -(-(largest + 1) // fracblow.analysis.LIFT_BLOCK)
 
 
 def test_audit_below_threshold_decides_the_regime_once(monkeypatch):

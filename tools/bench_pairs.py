@@ -14,8 +14,18 @@ workload and side the first run's metadata, the ``correct``/
 ``attempted``/``failed``/``failures`` figures of every run in pair
 order, and every end-to-end metric with its runs, median and quartiles
 (inclusive method), plus per metric the number of pairs in which the
-change reads better (ties count for neither side) and the ratio of the
-medians.  The direction of each metric is read from ``BENCHMARK.json``
+change reads better (ties count for neither side), the ratio of the
+medians and two verdicts:
+
+* ``gain_shown``: the change reads better in at least 9 of 10 pairs and
+  its median moved, in the metric's direction, by more than the
+  parent's interquartile range;
+* ``regression``: the change's median is worse than the parent's by
+  more than the metric's relative ``bound``; "unresolved" when the
+  parent's interquartile range, relative to its median, is wider than
+  the bound and not every change run reads better than every parent run.
+
+The direction and bound of each metric are read from ``BENCHMARK.json``
 too.
 """
 
@@ -68,9 +78,31 @@ def spread(runs: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
-def summarize(results: dict, higher_better: dict) -> dict:
-    """Per-side figures and pair counts for one workload.  ``results``
-    maps each side to its run dicts in pair order."""
+def verdicts(parent: dict, change: dict, higher: bool,
+             bound: float) -> tuple[int, bool, bool | str]:
+    """(pairs the change wins, gain_shown, regression) for one metric,
+    from the two sides' ``spread`` dicts, runs in pair order."""
+    sign = 1.0 if higher else -1.0
+    wins = sum(sign * (c - p) > 0.0
+               for p, c in zip(parent["runs"], change["runs"]))
+    moved = sign * (change["median"] - parent["median"])
+    gain = 10 * wins >= 9 * len(parent["runs"]) and \
+        moved > parent["q3"] - parent["q1"]
+    if min(sign * c for c in change["runs"]) > \
+            max(sign * p for p in parent["runs"]):
+        regression = False
+    elif parent["q3"] - parent["q1"] > bound * abs(parent["median"]):
+        regression = "unresolved"
+    else:
+        regression = -moved > bound * abs(parent["median"])
+    return wins, gain, regression
+
+
+def summarize(results: dict, declared: dict) -> dict:
+    """Per-side figures, pair counts and verdicts for one workload.
+    ``results`` maps each side to its run dicts in pair order, and
+    ``declared`` each end-to-end metric's name to its (higher is better,
+    bound)."""
     sides = {}
     for side in SIDES:
         runs = results[side]
@@ -81,25 +113,26 @@ def summarize(results: dict, higher_better: dict) -> dict:
                      for r in runs],
             "metrics": {
                 name: spread([r["metrics"][name]["value"] for r in runs])
-                for name in higher_better},
+                for name in declared},
         }
-    better, ratio = {}, {}
-    for name, higher in higher_better.items():
+    better, ratio, gain_shown, regression = {}, {}, {}, {}
+    for name, (higher, bound) in declared.items():
         parent = sides["parent"]["metrics"][name]
         change = sides["change"]["metrics"][name]
-        wins = sum((c > p) if higher else (c < p)
-                   for p, c in zip(parent["runs"], change["runs"]))
+        wins, gain_shown[name], regression[name] = verdicts(
+            parent, change, higher, bound)
         better[name] = f"{wins}/{len(parent['runs'])}"
         ratio[name] = change["median"] / parent["median"]
     return {"pairs": len(results["parent"]), "sides": sides,
-            "better_pairs": better, "ratio_change_to_parent_median": ratio}
+            "better_pairs": better, "ratio_change_to_parent_median": ratio,
+            "gain_shown": gain_shown, "regression": regression}
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    higher_better = {m["name"]: m["better"] == "higher"
-                     for m in declared["end_to_end"]}
+    metrics = {m["name"]: (m["better"] == "higher", m["bound"])
+               for m in declared["end_to_end"]}
     command = declared["command"]
     seconds = declared["run_seconds"]
     seeds = [FIRST_SEED + k for k in range(PAIRS)]
@@ -113,7 +146,13 @@ def main(argv=None) -> int:
             "unchanged. Pairs alternate which side runs first; one seed per "
             "pair, the same seed on both sides. Medians and quartiles "
             "(inclusive method) over the runs; better_pairs counts the pairs "
-            "in which the change reads better (ties count for neither side)."),
+            "in which the change reads better (ties count for neither side). "
+            "gain_shown: better in at least 9 of 10 pairs and the median "
+            "moved by more than the parent's interquartile range. "
+            "regression: the median worse by more than the metric's bound, "
+            "unresolved where the parent's interquartile range is wider "
+            "than the bound and not every change run reads better than "
+            "every parent run."),
         "workloads": {},
     }
     for workload in (w["name"] for w in declared["workloads"]):
@@ -129,7 +168,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: {figures}",
                       file=sys.stderr, flush=True)
         report["workloads"][workload] = {
-            "seeds": seeds, **summarize(results, higher_better)}
+            "seeds": seeds, **summarize(results, metrics)}
 
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
